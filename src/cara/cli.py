@@ -120,29 +120,19 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------- eval
 
 def _read_rotations(path):
-    """Rotations keyed by vertex id from VERTEX_EST or VERTEX_GT records."""
-    rots = {}
-    n = None
+    """(N, 3, 3) validated rotations from VERTEX_EST or VERTEX_GT records."""
+    reader = graphmod.RecordReader(vertex_tags=("VERTEX_EST", "VERTEX_GT"),
+                                   skip_tags=("EDGE",))
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "N":
-                n = int(parts[1])
-            elif parts[0] in ("VERTEX_EST", "VERTEX_GT"):
-                if len(parts) != 11:
-                    raise GraphParseError(lineno, f"{parts[0]} needs id + 9 floats")
-                idx = int(parts[1])
-                m = np.array([float(x) for x in parts[2:]]).reshape(3, 3)
-                rots[idx] = m
-            elif parts[0] != "EDGE":
-                raise GraphParseError(lineno, f"unknown record type {parts[0]!r}")
-    if n is None or set(rots) != set(range(n)):
+        records = list(reader.chunks(fh))
+    n = reader.n
+    if len(reader.vertex_ids) != n:
         raise GraphParseError(0, f"file {path} does not carry rotations for all "
                                  f"{n} vertices")
-    return np.stack([rots[k] for k in range(n)])
+    rotations = np.empty((n, 3, 3))
+    for rec in records:
+        rotations[rec.vertex_ids] = rec.vertex_rots
+    return rotations
 
 
 def cmd_eval(args) -> int:

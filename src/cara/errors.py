@@ -6,7 +6,12 @@ class CaraError(Exception):
 
 
 class InvalidArgumentError(CaraError, ValueError):
-    """An argument violates a documented precondition."""
+    """An argument violates a documented precondition; ``index`` is the
+    offending row when the argument is a batch (e.g. a rotation stack)."""
+
+    def __init__(self, message, index=None):
+        self.index = index
+        super().__init__(message)
 
 
 class DuplicateEdgeError(InvalidArgumentError):

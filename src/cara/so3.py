@@ -19,6 +19,7 @@ from .errors import DegenerateInputError, InvalidArgumentError
 ROTATION_TOL = 1e-6
 
 _SMALL_ANGLE = 1e-6
+_EYE = np.eye(3)
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -49,15 +50,37 @@ def as_rotation(m: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise InvalidArgumentError(f"expected a 3x3 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidArgumentError("rotation matrix contains non-finite entries")
-    deviation = np.linalg.norm(m.T @ m - np.eye(3))
-    if deviation > tol or np.linalg.det(m) < 0:
+    return as_rotations(m[None], tol)[0]
+
+
+def as_rotations(ms: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
+    """:func:`as_rotation` over an (M, 3, 3) stack in one vectorized pass.
+
+    A matrix is rejected if it has a non-finite entry, deviates from
+    orthonormality by more than tol, or has a negative determinant; the
+    InvalidArgumentError carries the first rejected row as ``index``. Only
+    rows deviating by more than 1e-12 are re-projected (into a copy).
+    """
+    ms = np.asarray(ms, dtype=float)
+    if ms.ndim != 3 or ms.shape[1:] != (3, 3):
+        raise InvalidArgumentError(f"expected an (M, 3, 3) stack, got shape {ms.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = ms.transpose(0, 2, 1) @ ms - _EYE
+        deviation = np.sqrt(np.einsum("kij,kij->k", d, d))
+        bad = ~(deviation <= tol) | (np.linalg.det(ms) < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not np.all(np.isfinite(ms[k])):
+            raise InvalidArgumentError(
+                "rotation matrix contains non-finite entries", index=k)
         raise InvalidArgumentError(
-            f"matrix is not a rotation (orthonormality deviation {deviation:.3e})")
-    if deviation > 1e-12:
-        return project_to_so3(m)
-    return m
+            f"matrix is not a rotation (orthonormality deviation {deviation[k]:.3e})",
+            index=k)
+    fix = deviation > 1e-12
+    if fix.any():
+        ms = ms.copy()
+        ms[fix] = [project_to_so3(m) for m in ms[fix]]
+    return ms
 
 
 def exp_map(v: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 from . import kernels
 from .errors import DegenerateWeightsError, InvalidArgumentError, NotConnectedError
-from .graph import EpipolarConfidenceGraph, connected_components
+from .graph import EpipolarConfidenceGraph, components
 from .tree_init import _pick_root
 
 KERNEL_KINDS = ("confidence", "l2", "l_half", "cauchy", "geman_mcclure")
@@ -147,37 +147,20 @@ def cal_loss(g: EpipolarConfidenceGraph, rotations: np.ndarray) -> float:
     return float(conf @ np.einsum("ij,ij->i", res, res))
 
 
-def _check_connectivity(g: EpipolarConfidenceGraph):
-    comps = connected_components(g, min_confidence=-1.0)
+def _check_connectivity(n, ii, jj, conf=None):
+    """Raise NotConnectedError for a disconnected graph and, given
+    confidences, DegenerateWeightsError when its positive-confidence
+    edges leave it disconnected."""
+    comps = components(n, ii, jj)
     if len(comps) > 1:
         raise NotConnectedError(comps)
-    comps = connected_components(g, min_confidence=0.0)
+    if conf is None:
+        return
+    comps = components(n, ii[conf > 0], jj[conf > 0])
     if len(comps) > 1:
         raise DegenerateWeightsError(
             f"positive-confidence subgraph splits into {len(comps)} components; "
             "the weighted normal equations are singular")
-
-
-def _components_from_arrays(n, ii, jj, mask):
-    adj = [[] for _ in range(n)]
-    for a, b in zip(ii[mask], jj[mask]):
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * n
-    count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        count += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-    return count
 
 
 def _factor_laplacian(n, ii, jj, w, anchor, config):
@@ -196,7 +179,11 @@ def _factor_laplacian(n, ii, jj, w, anchor, config):
         lu = spla.splu(L.tocsc())
     except RuntimeError as exc:
         raise DegenerateWeightsError(f"normal equations are singular: {exc}") from exc
-    if np.min(np.abs(lu.U.diagonal())) < 1e-14:
+    # Fix-root pivots scale with the weights, so that test is relative to the
+    # largest; under tikhonov the gauge pivot is about n * lambda whatever
+    # the weight scale, so the threshold stays absolute.
+    tol = 1e-14 * np.max(w, initial=0.0) if config.anchor == "fix-root" else 1e-14
+    if np.min(np.abs(lu.U.diagonal())) < tol:
         raise DegenerateWeightsError("normal equations are numerically singular")
 
     def solve(rhs_full):
@@ -272,10 +259,11 @@ def cao_solve_stream(stream: EdgeStream, initial_rotations, config=None,
 def cao_solve(g: EpipolarConfidenceGraph, initial_rotations,
               config: SolveConfig | None = None) -> SolveReport:
     """Confidence-weighted optimization (fixed weights c_ij)."""
-    _check_connectivity(g)
     stream = ArrayEdgeStream.from_graph(g)
+    n, ii, jj, conf = g.n_vertices, stream.ii, stream.jj, stream.confidences
+    _check_connectivity(n, ii, jj, conf)
     return cao_solve_stream(stream, initial_rotations, config,
-                            anchor_vertex=_pick_root(g))
+                            anchor_vertex=_pick_root(n, ii, jj, conf))
 
 
 def irls_solve(g: EpipolarConfidenceGraph, initial_rotations,
@@ -294,16 +282,13 @@ def irls_solve(g: EpipolarConfidenceGraph, initial_rotations,
     if kernel.kind == "confidence":
         return cao_solve(g, initial_rotations, config)
 
-    comps = connected_components(g, min_confidence=-1.0)
-    if len(comps) > 1:
-        raise NotConnectedError(comps)
-
     stream = ArrayEdgeStream.from_graph(g)
-    n = g.n_vertices
+    n, ii, jj = g.n_vertices, stream.ii, stream.jj
+    _check_connectivity(n, ii, jj)
     R = np.array(initial_rotations, dtype=float)
     if R.shape != (n, 3, 3):
         raise InvalidArgumentError(f"expected {n} initial rotations, got {R.shape}")
-    anchor = _pick_root(g)
+    anchor = _pick_root(n, ii, jj, stream.confidences)
     diagnostics: list[str] = []
 
     loss_history: list[float] = []
@@ -325,13 +310,13 @@ def irls_solve(g: EpipolarConfidenceGraph, initial_rotations,
         prev_obj = obj
 
         w = kernel.weights(norms)
-        if _components_from_arrays(n, stream.ii, stream.jj, w > 0) > 1:
+        if len(components(n, ii[w > 0], jj[w > 0])) > 1:
             w = np.maximum(w, WEIGHT_FLOOR)
             diagnostics.append(
                 "re-weighting disconnected the graph; weights floored at "
                 f"{WEIGHT_FLOOR}")
         rhs, _ = _residual_pass(stream, R, w)
-        solve = _factor_laplacian(n, stream.ii, stream.jj, w, anchor, config)
+        solve = _factor_laplacian(n, ii, jj, w, anchor, config)
         delta = solve(rhs)
         R = _apply_update(R, delta, anchor, config)
         iterations_run += 1

@@ -4,30 +4,20 @@ The graph file is scanned once to collect vertex count, edge indices and
 confidences (O(N + |E|) scalars); edge rotation matrices are re-parsed
 from disk in chunks on every solver pass instead of being buffered, so
 peak memory stays independent of how many 3x3 blocks the file holds.
+
+The scan and the passes read through :class:`cara.graph.RecordReader`
+and validate exactly as :func:`cara.graph.parse` does, so ``--stream``
+accepts and rejects exactly the files the in-memory path does, with the
+same error line, and solves them to the same estimates.
 """
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from .errors import (DegenerateWeightsError, GraphParseError,
-                     InvalidArgumentError, NotConnectedError)
-from .solver import EdgeStream, SolveConfig, SolveReport, cao_solve_stream
-
-CHUNK_EDGES = 4096
-
-
-def _parse_edge_header(parts, lineno):
-    if len(parts) != 13:
-        raise GraphParseError(lineno, "EDGE needs i, j, 9 floats, confidence")
-    i, j = int(parts[1]), int(parts[2])
-    c = float(parts[12])
-    if i == j:
-        raise GraphParseError(lineno, f"self-loop on vertex {i}")
-    if not 0.0 <= c <= 1.0:
-        raise GraphParseError(lineno, f"confidence {c} outside [0, 1]")
-    return i, j, c
+from . import graph
+from .solver import (EdgeStream, SolveConfig, SolveReport, _check_connectivity,
+                     cao_solve_stream)
+from .tree_init import _chain, _pick_root, _prim
 
 
 class FileEdgeStream(EdgeStream):
@@ -40,116 +30,20 @@ class FileEdgeStream(EdgeStream):
 
     def __init__(self, path):
         self.path = path
-        n = None
-        ii, jj, conf = [], [], []
-        self._edge_lines = 0
-        seen = set()
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if parts[0] == "N":
-                    if len(parts) != 2:
-                        raise GraphParseError(lineno, "N record needs one integer")
-                    n = int(parts[1])
-                elif parts[0] == "EDGE":
-                    if n is None:
-                        raise GraphParseError(lineno, "record before N")
-                    i, j, c = _parse_edge_header(parts, lineno)
-                    if not (0 <= i < n and 0 <= j < n):
-                        raise GraphParseError(lineno, f"edge ({i},{j}) out of range")
-                    a, b = min(i, j), max(i, j)
-                    if (a, b) in seen:
-                        raise GraphParseError(lineno, f"duplicate edge ({a},{b})")
-                    seen.add((a, b))
-                    ii.append(a)
-                    jj.append(b)
-                    conf.append(c)
-                elif parts[0] != "VERTEX_GT":
-                    raise GraphParseError(lineno, f"unknown record type {parts[0]!r}")
-        if n is None:
-            raise GraphParseError(0, "missing N record")
-        super().__init__(n, np.array(ii, dtype=np.intp),
-                         np.array(jj, dtype=np.intp), np.array(conf))
+            n, ii, jj, _, conf, _ = graph.read_graph(fh, keep_rotations=False)
+        super().__init__(n, ii, jj, conf)
 
-    def passes(self, chunk_size=CHUNK_EDGES):
+    def passes(self, chunk_size=graph.CHUNK_RECORDS):
         """Yield (edge_indices, rotations) chunks, re-reading the file."""
-        buf_idx = np.empty(chunk_size, dtype=np.intp)
-        buf_rot = np.empty((chunk_size, 3, 3))
-        fill = 0
-        eidx = 0
+        reader = graph.RecordReader(vertex_tags=(), skip_tags=("VERTEX_GT",))
+        start = 0
         with open(self.path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line or not line.startswith("EDGE"):
-                    continue
-                parts = line.split()
-                i, j = int(parts[1]), int(parts[2])
-                m = np.array([float(x) for x in parts[3:12]]).reshape(3, 3)
-                if i > j:
-                    m = m.T
-                buf_idx[fill] = eidx
-                buf_rot[fill] = m
-                fill += 1
-                eidx += 1
-                if fill == chunk_size:
-                    yield buf_idx.copy(), buf_rot.copy()
-                    fill = 0
-        if fill:
-            yield buf_idx[:fill].copy(), buf_rot[:fill].copy()
-
-    def collect_rotations(self, wanted: set[int]) -> dict[int, np.ndarray]:
-        """One pass gathering only the rotations for the given edge indices."""
-        out = {}
-        for idx, rots in self.passes():
-            for pos, e in enumerate(idx):
-                if e in wanted:
-                    out[int(e)] = rots[pos]
-        return out
-
-
-def _prim_on_arrays(n, ii, jj, conf):
-    """Maximum spanning tree over scalar edge data.
-
-    Returns (root, [(child, parent, edge_index)]) using the same
-    tie-breaking as tree_init.maximum_spanning_tree.
-    """
-    adj = [[] for _ in range(n)]
-    for e, (a, b) in enumerate(zip(ii, jj)):
-        adj[a].append(e)
-        adj[b].append(e)
-
-    strength = np.zeros(n)
-    np.add.at(strength, ii, conf)
-    np.add.at(strength, jj, conf)
-    root = int(np.argmax(strength))
-
-    in_tree = [False] * n
-    in_tree[root] = True
-    heap = []
-
-    def push(v):
-        for e in adj[v]:
-            other = jj[e] if ii[e] == v else ii[e]
-            if not in_tree[other]:
-                heapq.heappush(heap, (-conf[e], ii[e], jj[e], v, other, e))
-
-    push(root)
-    edges = []
-    while heap and len(edges) < n - 1:
-        _, _, _, parent, child, e = heapq.heappop(heap)
-        if in_tree[child]:
-            continue
-        in_tree[child] = True
-        edges.append((int(child), int(parent), int(e)))
-        push(child)
-    if len(edges) < n - 1:
-        comp = [v for v in range(n) if in_tree[v]]
-        rest = [v for v in range(n) if not in_tree[v]]
-        raise NotConnectedError([comp, rest])
-    return root, edges
+            for rec in reader.chunks(fh, chunk_size):
+                stop = start + len(rec.ii)
+                if stop > start:
+                    yield np.arange(start, stop), rec.rots
+                start = stop
 
 
 def initialize_from_stream(stream: FileEdgeStream) -> tuple[np.ndarray, int]:
@@ -158,69 +52,23 @@ def initialize_from_stream(stream: FileEdgeStream) -> tuple[np.ndarray, int]:
     Runs Prim on the scalar edge data, then gathers only the N-1 tree
     rotations in one extra file pass. Returns (rotations, root).
     """
-    n = stream.n_vertices
-    root, tree = _prim_on_arrays(n, stream.ii, stream.jj, stream.confidences)
-    wanted = {e for _, _, e in tree}
-    rots = stream.collect_rotations(wanted)
-
-    children: dict[int, list[tuple[int, int]]] = {}
-    for child, parent, e in tree:
-        children.setdefault(parent, []).append((child, e))
-    R = np.zeros((n, 3, 3))
-    R[root] = np.eye(3)
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for child, e in children.get(v, ()):
-            rel = rots[e]  # stored as i < j: maps frame ii[e] to jj[e]
-            if stream.ii[e] == v:
-                R[child] = rel @ R[v]
-            else:
-                R[child] = rel.T @ R[v]
-            queue.append(child)
-    return R, root
+    n, ii, jj, conf = stream.n_vertices, stream.ii, stream.jj, stream.confidences
+    root = _pick_root(n, ii, jj, conf)
+    tree = _prim(n, ii, jj, conf, root)
+    slot = np.full(len(ii), -1)
+    slot[[e for _, _, e in tree]] = np.arange(len(tree))
+    rels = np.empty((len(tree), 3, 3))
+    for idx, rots in stream.passes():
+        s = slot[idx]
+        rels[s[s >= 0]] = rots[s >= 0]
+    links = [(child, parent, rels[k] if ii[e] == parent else rels[k].T)
+             for k, (child, parent, e) in enumerate(tree)]
+    return _chain(n, root, links), root
 
 
 def solve_file_streaming(path, config: SolveConfig | None = None) -> SolveReport:
     """Full streaming pipeline: scan, tree-initialize, iterate WLS."""
     stream = FileEdgeStream(path)
-    _check_stream_connectivity(stream)
+    _check_connectivity(stream.n_vertices, stream.ii, stream.jj, stream.confidences)
     init, root = initialize_from_stream(stream)
     return cao_solve_stream(stream, init, config, anchor_vertex=root)
-
-
-def _check_stream_connectivity(stream: EdgeStream):
-    n = stream.n_vertices
-    if n < 2:
-        raise InvalidArgumentError("need at least 2 vertices")
-
-    def n_components(mask):
-        adj = [[] for _ in range(n)]
-        for a, b in zip(stream.ii[mask], stream.jj[mask]):
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = [False] * n
-        comps = []
-        for s in range(n):
-            if seen[s]:
-                continue
-            stack = [s]
-            seen[s] = True
-            comp = [s]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
-
-    comps = n_components(np.ones(len(stream.ii), dtype=bool))
-    if len(comps) > 1:
-        raise NotConnectedError(comps)
-    comps = n_components(stream.confidences > 0)
-    if len(comps) > 1:
-        raise DegenerateWeightsError(
-            "positive-confidence subgraph is disconnected")

@@ -75,30 +75,12 @@ def _topology_pairs(spec: SyntheticSceneSpec, rng) -> list[tuple[int, int]]:
     for _ in range(ERDOS_MAX_RETRIES):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < spec.erdos_p]
-        if _pairs_connected(n, pairs):
+        ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        if len(graphmod.components(n, ends[:, 0], ends[:, 1])) == 1:
             return pairs
     raise GenerationError(
         f"erdos(p={spec.erdos_p}) stayed disconnected after "
         f"{ERDOS_MAX_RETRIES} attempts")
-
-
-def _pairs_connected(n, pairs) -> bool:
-    adj = [[] for _ in range(n)]
-    for i, j in pairs:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
 
 
 def _confidences(spec: SyntheticSceneSpec, inlier: np.ndarray,

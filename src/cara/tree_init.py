@@ -2,16 +2,19 @@
 
 Prim's algorithm picks the highest-confidence edge crossing the frontier
 at each step; absolute rotations are then chained outward from the root.
+Both run on edge arrays, so the in-memory graph and the ``--stream``
+file scan share them.
 """
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NotConnectedError
-from .graph import EpipolarConfidenceGraph, connected_components
+from .graph import EpipolarConfidenceGraph, components
 
 LOW_CONFIDENCE_WARN = 0.01
 
@@ -32,14 +35,67 @@ class SpanningTree:
     diagnostics: tuple[str, ...] = field(default=())
 
 
-def _pick_root(g: EpipolarConfidenceGraph) -> int:
+def _pick_root(n, ii, jj, conf) -> int:
     # Root where the model is most certain: max summed incident confidence,
-    # ties broken by lowest index.
-    strength = np.zeros(g.n_vertices)
-    for e in g.edges:
-        strength[e.i] += e.confidence
-        strength[e.j] += e.confidence
-    return int(np.argmax(strength))
+    # ties broken by lowest index. The sums run in edge order.
+    ends = np.column_stack([ii, jj]).ravel()
+    return int(np.argmax(np.bincount(ends, np.repeat(conf, 2), minlength=n)))
+
+
+def _prim(n, ii, jj, conf, root) -> list[tuple[int, int, int]]:
+    """Maximum spanning tree grown from root: (child, parent, edge) in the
+    order the edges join. The heap holds each edge's rank under the key
+    (-c, i, j), so equal confidences go to the lexicographically smallest
+    pair and the tree does not depend on edge order."""
+    order = np.lexsort((jj, ii, -conf))
+    rank = np.argsort(order)
+    ends = np.concatenate([ii, jj])
+    by_vertex = np.argsort(ends, kind="stable")
+    start = np.searchsorted(ends[by_vertex], np.arange(n + 1))
+    ranks = np.concatenate([rank, rank])[by_vertex]
+    others = np.concatenate([jj, ii])[by_vertex]
+
+    in_tree = np.zeros(n, dtype=bool)
+    heap: list[int] = []
+
+    def join(v):
+        in_tree[v] = True
+        s = slice(start[v], start[v + 1])
+        for r in ranks[s][~in_tree[others[s]]].tolist():
+            heapq.heappush(heap, r)
+
+    join(root)
+    tree = []
+    while heap and len(tree) < n - 1:
+        e = int(order[heapq.heappop(heap)])
+        a, b = int(ii[e]), int(jj[e])
+        if in_tree[a] and in_tree[b]:
+            continue
+        parent, child = (a, b) if in_tree[a] else (b, a)
+        tree.append((child, parent, e))
+        join(child)
+    if len(tree) < n - 1:
+        raise NotConnectedError(components(n, ii, jj))
+    return tree
+
+
+def _chain(n, root, links) -> np.ndarray:
+    """Absolute rotations from tree links (child, parent, R_child @ R_parent.T):
+    R_root = I and R_child = link @ R_parent, in BFS order from the root."""
+    children = defaultdict(list)
+    for child, parent, rel in links:
+        children[parent].append((child, rel))
+    rotations = np.full((n, 3, 3), np.nan)
+    rotations[root] = np.eye(3)
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for child, rel in children[v]:
+            rotations[child] = rel @ rotations[v]
+            queue.append(child)
+    if np.isnan(rotations[:, 0, 0]).any():
+        raise InvalidArgumentError("spanning tree does not cover every vertex")
+    return rotations
 
 
 def maximum_spanning_tree(g: EpipolarConfidenceGraph) -> SpanningTree:
@@ -49,38 +105,15 @@ def maximum_spanning_tree(g: EpipolarConfidenceGraph) -> SpanningTree:
     lexicographically smallest (min(i,j), max(i,j)) pair, so the tree is
     independent of edge input order.
     """
-    components = connected_components(g, min_confidence=-1.0)
-    if len(components) > 1:
-        raise NotConnectedError(components)
-
-    adj: list[list] = [[] for _ in range(g.n_vertices)]
-    for e in g.edges:
-        adj[e.i].append(e)
-        adj[e.j].append(e)
-
-    root = _pick_root(g)
-    in_tree = [False] * g.n_vertices
-    in_tree[root] = True
-    heap: list = []
-
-    def push_frontier(v: int):
-        for e in adj[v]:
-            other = e.j if e.i == v else e.i
-            if not in_tree[other]:
-                heapq.heappush(heap, (-e.confidence, e.i, e.j, v, other, e))
-
-    push_frontier(root)
-    edges: list[TreeEdge] = []
+    ii, jj, rots, conf = g.edge_arrays()
+    root = _pick_root(g.n_vertices, ii, jj, conf)
+    edges = []
     total = 0.0
-    while heap and len(edges) < g.n_vertices - 1:
-        neg_c, _, _, parent, child, e = heapq.heappop(heap)
-        if in_tree[child]:
-            continue
-        in_tree[child] = True
-        rot = e.rotation if parent == e.i else e.rotation.T
-        edges.append(TreeEdge(child, parent, rot, e.confidence))
-        total += e.confidence
-        push_frontier(child)
+    for child, parent, e in _prim(g.n_vertices, ii, jj, conf, root):
+        c = float(conf[e])
+        rot = rots[e] if parent == ii[e] else rots[e].T
+        edges.append(TreeEdge(child, parent, rot, c))
+        total += c
 
     diagnostics = []
     weak = [te for te in edges if te.confidence < LOW_CONFIDENCE_WARN]
@@ -102,21 +135,5 @@ def propagate(tree: SpanningTree, g: EpipolarConfidenceGraph) -> np.ndarray:
     if len(tree.parent_edges) != n - 1:
         raise InvalidArgumentError(
             f"tree has {len(tree.parent_edges)} edges, expected {n - 1}")
-    children: dict[int, list[TreeEdge]] = {}
-    for te in tree.parent_edges:
-        children.setdefault(te.parent, []).append(te)
-
-    rotations = np.zeros((n, 3, 3))
-    rotations[tree.root] = np.eye(3)
-    placed = [False] * n
-    placed[tree.root] = True
-    queue = [tree.root]
-    while queue:
-        v = queue.pop(0)
-        for te in children.get(v, ()):
-            rotations[te.child] = te.rotation @ rotations[v]
-            placed[te.child] = True
-            queue.append(te.child)
-    if not all(placed):
-        raise InvalidArgumentError("spanning tree does not cover every vertex")
-    return rotations
+    return _chain(n, tree.root, ((te.child, te.parent, te.rotation)
+                                 for te in tree.parent_edges))

@@ -178,3 +178,59 @@ def test_bench_deterministic_modulo_timing(tmp_path):
         return rows
 
     assert strip_timing(a) == strip_timing(b)
+
+
+# --stream and the in-memory path read through the same record reader, so
+# a malformed file exits 2 with the same line number on both.
+ROW = "1 0 0 0 1 0 0 0 1"
+
+
+def _solve_both(tmp_path, text, capsys):
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    results = []
+    for extra in ([], ["--stream"]):
+        code = run(["solve", "--in", str(path)] + extra)
+        results.append((code, capsys.readouterr().err))
+    return results
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"N 3\nEDGE 0 1 2 0 0 0 2 0 0 0 2 0.9\nEDGE 1 2 {ROW} 0.9\n", 2),
+    (f"N 3\nEDGE 0 1 1 0 0 0 nan 0 0 0 1 0.9\nEDGE 1 2 {ROW} 0.9\n", 2),
+    (f"N 3\nEDGE 0 1 {ROW} 0.9\nN 3\nEDGE 1 2 {ROW} 0.9\n", 3),
+    (f"N x\nEDGE 0 1 {ROW} 0.9\n", 1),
+    (f"N 3\nEDGE 0 1 {ROW} 0.9\nEDGE 1 2 {ROW} 0.9\nEDGE 1 0 {ROW} 0.5\n", 4),
+    (f"N 3\nEDGE 0 1 {ROW} 0.9\nEDGE 1 3 {ROW} 0.9\n", 3),
+], ids=["non-rotation", "nan", "duplicate-N", "bad-N", "duplicate-pair",
+        "out-of-range"])
+def test_stream_and_memory_reject_alike(tmp_path, capsys, text, line):
+    for code, err in _solve_both(tmp_path, text, capsys):
+        assert code == 2
+        assert f"line {line}:" in err
+        assert "Traceback" not in err
+
+
+def _eval_file(tmp_path, body):
+    path = tmp_path / "est.txt"
+    path.write_text(body)
+    gt = tmp_path / "g.graph"
+    run(["generate", "--n", "2", "--seed", "1", "--out", str(gt)])
+    return run(["eval", "--est", str(path), "--gt", str(gt)])
+
+
+def test_eval_bad_vertex_id_exit_2(tmp_path, capsys):
+    assert _eval_file(tmp_path, f"N 2\nVERTEX_EST a {ROW}\nVERTEX_EST 1 {ROW}\n") == 2
+    assert "line 2:" in capsys.readouterr().err
+
+
+def test_eval_rejects_non_rotation(tmp_path, capsys):
+    assert _eval_file(tmp_path, f"N 2\nVERTEX_EST 0 {ROW}\n"
+                                "VERTEX_EST 1 2 0 0 0 2 0 0 0 2\n") == 2
+    assert "line 3:" in capsys.readouterr().err
+
+
+def test_eval_rejects_duplicate_vertex(tmp_path, capsys):
+    assert _eval_file(tmp_path, f"N 2\nVERTEX_EST 0 {ROW}\nVERTEX_EST 0 {ROW}\n"
+                                f"VERTEX_EST 1 {ROW}\n") == 2
+    assert "line 3:" in capsys.readouterr().err

@@ -1,0 +1,136 @@
+"""Same file, same answer or same error: ``cara solve`` in memory and with
+``--stream`` on mutated graph files."""
+import contextlib
+import io
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cara import cli, synth
+from cara import graph as gm
+
+BASE = gm.serialize(synth.generate(synth.SyntheticSceneSpec(
+    n=5, noise_sigma=math.radians(5), confidence_model="informative",
+    seed=0)).graph).splitlines()
+EDGE_ROWS = [k for k, line in enumerate(BASE) if line.startswith("EDGE")]
+# Mutations that can keep the file well formed (cut and zero make it
+# unsolvable), listed twice to weigh them as much as the malformations.
+VALID_KINDS = 2 * ["reverse", "noise", "rescale", "cut", "zero"]
+BAD_TOKENS = ["x", "1.5", "-1", "5", "1e3", "nan", "inf", "", "0x10", "1_0"]
+
+
+def _fmt(m):
+    return [f"{x:.17g}" for x in m.ravel()]
+
+
+def _reversed(line):
+    _, i, j, *vals = line.split()
+    m = np.array(vals[:9], dtype=float).reshape(3, 3).T
+    return " ".join(["EDGE", j, i] + _fmt(m) + [vals[9]])
+
+
+def _set_matrix(line, m):
+    parts = line.split()
+    return " ".join(parts[:3] + _fmt(m) + parts[12:])
+
+
+def _matrix(line):
+    return np.array(line.split()[3:12], dtype=float).reshape(3, 3)
+
+
+@st.composite
+def mutation(draw, lines):
+    kind = draw(st.sampled_from(VALID_KINDS + [
+        "bad_token", "two_identity", "nan", "duplicate", "reversed_duplicate",
+        "out_of_range", "drop_n", "duplicate_n"]))
+    # An edge of the unmutated file, written over whatever line now sits
+    # at its position.
+    row = draw(st.sampled_from(EDGE_ROWS))
+    line = BASE[row]
+    row = min(row, len(lines) - 1)
+    if kind == "bad_token":
+        target = draw(st.integers(0, len(lines) - 1))
+        parts = lines[target].split()
+        pos = draw(st.integers(0, len(parts) - 1))
+        parts[pos] = draw(st.sampled_from(BAD_TOKENS))
+        lines[target] = " ".join(parts)
+    elif kind == "two_identity":
+        lines[row] = _set_matrix(line, 2.0 * np.eye(3))
+    elif kind == "nan":
+        m = _matrix(line)
+        m.flat[draw(st.integers(0, 8))] = math.nan
+        lines[row] = _set_matrix(line, m)
+    elif kind == "rescale":
+        # 1 + 1e-9 is re-projected, 1 + 1e-3 is rejected
+        lines[row] = _set_matrix(line, _matrix(line) * draw(
+            st.sampled_from([1.0 + 1e-9, 1.0 + 1e-3])))
+    elif kind == "duplicate":
+        lines.insert(draw(st.integers(1, len(lines))), line)
+    elif kind == "reverse":
+        lines[row] = _reversed(line)
+    elif kind == "reversed_duplicate":
+        lines.append(_reversed(line))
+    elif kind == "out_of_range":
+        parts = line.split()
+        parts[draw(st.integers(1, 2))] = draw(st.sampled_from(["5", "-1", "99"]))
+        lines[row] = " ".join(parts)
+    elif kind == "drop_n":
+        lines[:] = [x for x in lines if x != "N 5"]
+    elif kind in ("cut", "zero"):
+        # vertex 4 loses its edges (exit 3: disconnected) or their weight
+        # (exit 3: degenerate weights)
+        touches = [k for k, x in enumerate(lines)
+                   if x.startswith("EDGE") and "4" in x.split()[1:3]]
+        for k in reversed(touches):
+            if kind == "cut":
+                del lines[k]
+            else:
+                lines[k] = " ".join(lines[k].split()[:12] + ["0"])
+    elif kind == "duplicate_n":
+        lines.insert(draw(st.integers(1, len(lines))), "N 5")
+    else:
+        pos = draw(st.integers(0, len(lines)))
+        lines.insert(pos, draw(st.sampled_from(["", "# comment", "   ", "\t# x"])))
+        target = draw(st.integers(0, len(lines) - 1))
+        lines[target] += draw(st.sampled_from(["", "  # trailing", "\t"]))
+    return kind
+
+
+@st.composite
+def mutated_file(draw):
+    lines = list(BASE)
+    kinds = [draw(mutation(lines)) for _ in range(draw(st.integers(1, 2)))]
+    return kinds, "\n".join(lines) + "\n"
+
+
+def _solve(path, est, extra):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["solve", "--in", str(path), "--out", str(est)] + extra)
+    return code, err.getvalue()
+
+
+@given(mutated_file())
+def test_stream_and_memory_agree(case):
+    kinds, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "g.graph"
+        path.write_text(text)
+        code_m, err_m = _solve(path, tmp / "m.est", [])
+        code_s, err_s = _solve(path, tmp / "s.est", ["--stream"])
+        assert code_m == code_s, (kinds, err_m, err_s)
+        assert code_m in (0, 2, 3), (kinds, err_m)
+        if code_m == 2:
+            assert err_m == err_s
+        if code_m == 0:
+            gap = np.abs(cli._read_rotations(tmp / "m.est")
+                         - cli._read_rotations(tmp / "s.est")).max()
+            assert gap <= 1e-12, kinds

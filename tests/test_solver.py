@@ -279,3 +279,37 @@ class TestIrlsSolve:
                                    SolveConfig(irls_max_iterations=4))
         assert report.iterations_run <= 4
         assert len(report.loss_history) == report.iterations_run + 1
+
+
+@pytest.mark.parametrize("lam", [1e-15, 1e-10, 1e-3, 1e3])
+def test_fix_root_invariant_to_confidence_scale(lam):
+    # The singularity test on the factor's pivots is relative to the weight
+    # scale, so even a 1e-15 scaling of a connected graph still solves.
+    scene = synth.generate(synth.SyntheticSceneSpec(
+        n=7, noise_sigma=math.radians(5), confidence_model="informative",
+        seed=1))
+    g = scene.graph
+    init = cai(g)
+    config = SolveConfig(anchor="fix-root")
+    base = solver.cao_solve(g, init, config).rotations
+    # bypass build() so scaled weights may leave [0, 1]: only the ratio matters
+    g_scaled = gm.EpipolarConfidenceGraph(
+        g.n_vertices,
+        tuple(Edge(e.i, e.j, e.rotation, e.confidence * lam) for e in g.edges),
+        g.ground_truth)
+    scaled = solver.cao_solve(g_scaled, init, config).rotations
+    np.testing.assert_allclose(scaled, base, atol=1e-9)
+
+
+def test_tikhonov_l_half_solves_large_weights():
+    # l_half weights reach 1e-5 ** -1.5 (about 3.2e7) on the spanning-tree
+    # edges after MST init, while the tikhonov gauge pivot stays about
+    # n * lambda; the singularity test must not scale with the weights there.
+    scene = synth.generate(synth.SyntheticSceneSpec(
+        n=7, noise_sigma=math.radians(5), seed=20))
+    g = scene.graph
+    gt = np.stack(g.ground_truth)
+    config = SolveConfig(anchor="tikhonov")
+    report = solver.irls_solve(g, cai(g), RobustKernel(kind="l_half"), config)
+    assert np.all(np.isfinite(report.rotations))
+    assert metrics.error_stats(report.rotations, gt).mean < 10.0
