@@ -93,7 +93,7 @@ def cmd_solve(args) -> int:
             raise UsageError("--stream supports only the confidence kernel")
         report = stream.solve_file_streaming(args.infile, config)
     else:
-        with open(args.infile, encoding="utf-8") as fh:
+        with graphmod.open_text(args.infile) as fh:
             g = graphmod.parse(fh.read())
         tree = maximum_spanning_tree(g)
         if args.dump_tree:
@@ -123,7 +123,7 @@ def _read_rotations(path):
     """(N, 3, 3) validated rotations from VERTEX_EST or VERTEX_GT records."""
     reader = graphmod.RecordReader(vertex_tags=("VERTEX_EST", "VERTEX_GT"),
                                    skip_tags=("EDGE",))
-    with open(path, encoding="utf-8") as fh:
+    with graphmod.open_text(path) as fh:
         records = list(reader.chunks(fh))
     n = reader.n
     if len(reader.vertex_ids) != n:

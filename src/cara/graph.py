@@ -13,11 +13,12 @@ Records may appear in any order except that ``N`` must come first.
 Estimate files (``cara solve --out``) hold ``VERTEX_EST <id> <9 floats>``
 records instead of VERTEX_GT and EDGE.
 
-Every path that reads the format (:func:`parse`, the ``--stream`` scan and
-passes, ``cara eval``) uses one :class:`RecordReader` and one rotation
-validator, so all accept and reject the same files and report the same
-first offending line. Duplicate edge pairs are found once the whole file
-is read; a missing N or incomplete ground truth is reported as line 0.
+Every path that reads the format (:func:`parse`, the ``--stream`` scan,
+``cara eval``) opens files with :func:`open_text` and uses one
+:class:`RecordReader` and one rotation validator, so all accept and reject
+the same files and report the same first offending line, also for bytes
+that are not UTF-8. Duplicate edge pairs are found once the whole file is
+read; a missing N or incomplete ground truth is reported as line 0.
 """
 from __future__ import annotations
 
@@ -224,6 +225,12 @@ class RecordReader:
         failures = []
         more = False
         for lineno, raw in numbered:
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:  # a lone surrogate from open_text
+                    failures.append(GraphParseError(lineno, "invalid UTF-8"))
+                    break
             parts = raw.partition("#")[0].split()
             if not parts or parts[0] in self.skip_tags:
                 continue
@@ -291,16 +298,27 @@ class RecordReader:
         return None
 
 
-def read_graph(lines, keep_rotations: bool = True):
+def open_text(path):
+    """Open a file of the text format. Bytes that are not UTF-8 are read as
+    lone surrogates, which :class:`RecordReader` rejects at their line."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def read_graph(lines, spool=None):
     """Read and validate a whole graph file given as an iterable of lines.
 
-    Returns (n, ii, jj, rots, conf, ground_truth). Without
-    ``keep_rotations`` every chunk's rotations are validated and dropped,
-    so memory stays O(N + |E|) scalars, and rots and ground_truth are None.
+    Returns (n, ii, jj, rots, conf, ground_truth). With ``spool``, every
+    chunk's validated (k, 3, 3) rotations are passed to ``spool(rots)`` and
+    dropped, so memory stays O(N + |E|) scalars, and rots and ground_truth
+    are None.
     """
     reader = RecordReader()
-    chunks = [rec if keep_rotations else replace(rec, rots=None, vertex_rots=None)
-              for rec in reader.chunks(lines)]
+    chunks = []
+    for rec in reader.chunks(lines):
+        if spool is not None:
+            spool(rec.rots)
+            rec = replace(rec, rots=None, vertex_rots=None)
+        chunks.append(rec)
 
     def cat(name):
         return np.concatenate([getattr(rec, name) for rec in chunks])
@@ -317,11 +335,11 @@ def read_graph(lines, keep_rotations: bool = True):
         if len(reader.vertex_ids) != n:
             missing = sorted(set(range(n)) - reader.vertex_ids)
             raise GraphParseError(0, f"incomplete ground truth, missing vertices {missing}")
-        if keep_rotations:
+        if spool is None:
             gt = np.empty((n, 3, 3))
             gt[cat("vertex_ids")] = cat("vertex_rots")
             ground_truth = tuple(gt)
-    return n, ii, jj, cat("rots") if keep_rotations else None, cat("conf"), ground_truth
+    return n, ii, jj, cat("rots") if spool is None else None, cat("conf"), ground_truth
 
 
 def parse(text: str) -> EpipolarConfidenceGraph:

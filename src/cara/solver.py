@@ -8,9 +8,10 @@ acting on three right-hand-side columns; the Laplacian is assembled
 sparse, anchored by deleting the anchor vertex's row/column, and
 factorized once per weight setting.
 
-Edges are consumed through a chunked stream abstraction so the same loop
-serves both in-memory graphs and the edge-by-edge file mode used for
-large scenes.
+Edges are swept in fixed-size chunks of one :class:`EdgeStream` (edge
+arrays plus a rotation array, which ``--stream`` memory-maps), so the
+in-memory and ``--stream`` paths run the same sweeps and give
+bit-identical estimates.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from . import kernels
 from .errors import DegenerateWeightsError, InvalidArgumentError, NotConnectedError
-from .graph import EpipolarConfidenceGraph, components
+from .graph import CHUNK_RECORDS, EpipolarConfidenceGraph, components
 from .tree_init import _pick_root
 
 KERNEL_KINDS = ("confidence", "l2", "l_half", "cauchy", "geman_mcclure")
@@ -102,36 +103,30 @@ class SolveReport:
 
 
 class EdgeStream:
-    """Re-iterable chunked source of edge data for the solver.
+    """Edges as index and confidence arrays plus an (M, 3, 3) rotation
+    array, which may be a read-only memory map.
 
-    ``passes()`` yields (edge_indices, rotations) chunks covering every
-    edge exactly once; it may be called once per solver iteration.
+    ``passes()`` yields (edge_indices, rotations) chunks of consecutive
+    edges covering every edge once; the solver sweeps it once per pass.
     """
 
-    def __init__(self, n_vertices, ii, jj, confidences):
+    def __init__(self, n_vertices, ii, jj, confidences, rotations):
         self.n_vertices = int(n_vertices)
         self.ii = np.asarray(ii, dtype=np.intp)
         self.jj = np.asarray(jj, dtype=np.intp)
         self.confidences = np.asarray(confidences, dtype=float)
-
-    def passes(self):
-        raise NotImplementedError
-
-
-class ArrayEdgeStream(EdgeStream):
-    """In-memory stream: all edges in one chunk."""
-
-    def __init__(self, n_vertices, ii, jj, confidences, rotations):
-        super().__init__(n_vertices, ii, jj, confidences)
         self.rotations = np.asarray(rotations, dtype=float)
 
     @classmethod
-    def from_graph(cls, g: EpipolarConfidenceGraph) -> "ArrayEdgeStream":
+    def from_graph(cls, g: EpipolarConfidenceGraph) -> "EdgeStream":
         ii, jj, rots, conf = g.edge_arrays()
         return cls(g.n_vertices, ii, jj, conf, rots)
 
-    def passes(self):
-        yield np.arange(len(self.ii)), self.rotations
+    def passes(self, chunk_size=CHUNK_RECORDS):
+        m = len(self.ii)
+        for start in range(0, m, chunk_size):
+            stop = min(start + chunk_size, m)
+            yield np.arange(start, stop), self.rotations[start:stop]
 
 
 def cal_loss(g: EpipolarConfidenceGraph, rotations: np.ndarray) -> float:
@@ -195,18 +190,25 @@ def _factor_laplacian(n, ii, jj, w, anchor, config):
 
 
 def _residual_pass(stream: EdgeStream, rotations, weights):
-    """One sweep over the edges: accumulated rhs B^T W db, per-edge residual
-    norms, and the max residual norm."""
+    """One sweep over the edges: accumulated rhs B^T W db and per-edge
+    residual norms.
+
+    Each vertex's rhs terms are summed in edge order whatever the chunking:
+    bincount adds its input in order, and each chunk's input starts with
+    the running totals.
+    """
     n = stream.n_vertices
     rhs = np.zeros((n, 3))
     norms = np.zeros(len(stream.ii))
+    vertices = np.arange(n)
     for idx, rots in stream.passes():
         ii = stream.ii[idx]
         jj = stream.jj[idx]
         res = kernels.edge_residuals(rotations[ii], rotations[jj], rots)
         wres = weights[idx, None] * res
-        np.subtract.at(rhs, ii, wres)
-        np.add.at(rhs, jj, wres)
+        ends = np.concatenate([vertices, np.column_stack([ii, jj]).ravel()])
+        terms = np.concatenate([rhs, np.stack([-wres, wres], axis=1).reshape(-1, 3)])
+        rhs = np.column_stack([np.bincount(ends, terms[:, k]) for k in range(3)])
         norms[idx] = np.sqrt(np.einsum("ij,ij->i", res, res))
     return rhs, norms
 
@@ -236,22 +238,15 @@ def cao_solve_stream(stream: EdgeStream, initial_rotations, config=None,
     loss_history: list[float] = []
     max_residual_history: list[float] = []
     iterations_run = 0
-    stopped_early = False
-    for _ in range(config.max_iterations):
-        rhs, norms, = _residual_pass(stream, R, conf)[:2]
-        loss_history.append(float(conf @ norms ** 2))
-        max_res = float(norms.max()) if len(norms) else 0.0
-        max_residual_history.append(max_res)
-        if max_res < config.residual_tolerance:
-            stopped_early = True
-            break
-        delta = solve(rhs)
-        R = _apply_update(R, delta, anchor_vertex, config)
-        iterations_run += 1
-    if not stopped_early:
-        _, norms = _residual_pass(stream, R, conf)
+    while True:
+        rhs, norms = _residual_pass(stream, R, conf)
         loss_history.append(float(conf @ norms ** 2))
         max_residual_history.append(float(norms.max()) if len(norms) else 0.0)
+        if (max_residual_history[-1] < config.residual_tolerance
+                or iterations_run == config.max_iterations):
+            break
+        R = _apply_update(R, solve(rhs), anchor_vertex, config)
+        iterations_run += 1
     return SolveReport(R, loss_history, max_residual_history, iterations_run,
                        anchor_vertex, diagnostics)
 
@@ -259,7 +254,7 @@ def cao_solve_stream(stream: EdgeStream, initial_rotations, config=None,
 def cao_solve(g: EpipolarConfidenceGraph, initial_rotations,
               config: SolveConfig | None = None) -> SolveReport:
     """Confidence-weighted optimization (fixed weights c_ij)."""
-    stream = ArrayEdgeStream.from_graph(g)
+    stream = EdgeStream.from_graph(g)
     n, ii, jj, conf = g.n_vertices, stream.ii, stream.jj, stream.confidences
     _check_connectivity(n, ii, jj, conf)
     return cao_solve_stream(stream, initial_rotations, config,
@@ -282,7 +277,7 @@ def irls_solve(g: EpipolarConfidenceGraph, initial_rotations,
     if kernel.kind == "confidence":
         return cao_solve(g, initial_rotations, config)
 
-    stream = ArrayEdgeStream.from_graph(g)
+    stream = EdgeStream.from_graph(g)
     n, ii, jj = g.n_vertices, stream.ii, stream.jj
     _check_connectivity(n, ii, jj)
     R = np.array(initial_rotations, dtype=float)
@@ -295,18 +290,16 @@ def irls_solve(g: EpipolarConfidenceGraph, initial_rotations,
     max_residual_history: list[float] = []
     iterations_run = 0
     prev_obj = None
-    while iterations_run < config.irls_max_iterations:
+    while True:
         _, norms = _residual_pass(stream, R, np.zeros(len(stream.ii)))
         obj = float(np.sum(kernel.rho(norms)))
         loss_history.append(obj)
-        max_res = float(norms.max()) if len(norms) else 0.0
-        max_residual_history.append(max_res)
-        if max_res < config.residual_tolerance:
+        max_residual_history.append(float(norms.max()) if len(norms) else 0.0)
+        converged = prev_obj is not None and (
+            abs(prev_obj - obj) <= config.irls_rel_tol * max(abs(prev_obj), 1e-30))
+        if (converged or iterations_run == config.irls_max_iterations
+                or max_residual_history[-1] < config.residual_tolerance):
             break
-        if prev_obj is not None:
-            denom = max(abs(prev_obj), 1e-30)
-            if abs(prev_obj - obj) <= config.irls_rel_tol * denom:
-                break
         prev_obj = obj
 
         w = kernel.weights(norms)
@@ -317,13 +310,7 @@ def irls_solve(g: EpipolarConfidenceGraph, initial_rotations,
                 f"{WEIGHT_FLOOR}")
         rhs, _ = _residual_pass(stream, R, w)
         solve = _factor_laplacian(n, ii, jj, w, anchor, config)
-        delta = solve(rhs)
-        R = _apply_update(R, delta, anchor, config)
+        R = _apply_update(R, solve(rhs), anchor, config)
         iterations_run += 1
-    else:
-        # ran out of iterations: record the final objective
-        _, norms = _residual_pass(stream, R, np.zeros(len(stream.ii)))
-        loss_history.append(float(np.sum(kernel.rho(norms))))
-        max_residual_history.append(float(norms.max()) if len(norms) else 0.0)
     return SolveReport(R, loss_history, max_residual_history, iterations_run,
                        anchor, diagnostics)

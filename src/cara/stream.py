@@ -1,16 +1,20 @@
-"""Edge-by-edge file ingestion for large graphs.
+"""Fixed-memory file ingestion for large graphs.
 
-The graph file is scanned once to collect vertex count, edge indices and
-confidences (O(N + |E|) scalars); edge rotation matrices are re-parsed
-from disk in chunks on every solver pass instead of being buffered, so
-peak memory stays independent of how many 3x3 blocks the file holds.
+The graph file is parsed once. The scan keeps the vertex count, edge
+indices and confidences (O(N + |E|) scalars) and spools every chunk's
+validated rotations to an unlinked temporary file in ``TMPDIR`` (72 bytes
+per edge on disk), which the solver passes read through a read-only
+memory map; no rotation stack is held in memory and the text is not
+parsed again.
 
-The scan and the passes read through :class:`cara.graph.RecordReader`
-and validate exactly as :func:`cara.graph.parse` does, so ``--stream``
-accepts and rejects exactly the files the in-memory path does, with the
-same error line, and solves them to the same estimates.
+The scan reads through :class:`cara.graph.RecordReader` and validates
+exactly as :func:`cara.graph.parse` does, so ``--stream`` accepts and
+rejects exactly the files the in-memory path does, with the same error
+line, and solves them to the same estimates, bit for bit.
 """
 from __future__ import annotations
+
+import tempfile
 
 import numpy as np
 
@@ -21,48 +25,35 @@ from .tree_init import _chain, _pick_root, _prim
 
 
 class FileEdgeStream(EdgeStream):
-    """EdgeStream backed by a graph file on disk.
+    """EdgeStream over a graph file on disk, read once by the scan.
 
-    Edges are normalized to i < j on the fly (the rotation is transposed
-    when the file stores the pair reversed), matching the in-memory
-    builder.
+    Edges are normalized to i < j (the rotation is transposed when the
+    file stores the pair reversed), matching the in-memory builder. The
+    map of the closed, unlinked store keeps it until the stream is
+    dropped, so later changes to ``path`` do not reach the passes.
     """
 
     def __init__(self, path):
         self.path = path
-        with open(path, encoding="utf-8") as fh:
-            n, ii, jj, _, conf, _ = graph.read_graph(fh, keep_rotations=False)
-        super().__init__(n, ii, jj, conf)
-
-    def passes(self, chunk_size=graph.CHUNK_RECORDS):
-        """Yield (edge_indices, rotations) chunks, re-reading the file."""
-        reader = graph.RecordReader(vertex_tags=(), skip_tags=("VERTEX_GT",))
-        start = 0
-        with open(self.path, encoding="utf-8") as fh:
-            for rec in reader.chunks(fh, chunk_size):
-                stop = start + len(rec.ii)
-                if stop > start:
-                    yield np.arange(start, stop), rec.rots
-                start = stop
+        with graph.open_text(path) as fh, tempfile.TemporaryFile() as store:
+            n, ii, jj, _, conf, _ = graph.read_graph(
+                fh, spool=lambda rots: store.write(np.ascontiguousarray(rots)))
+            store.flush()
+            # mmap cannot map an empty file
+            rots = (np.memmap(store, dtype=float, mode="r", shape=(len(ii), 3, 3))
+                    if len(ii) else np.empty((0, 3, 3)))
+        super().__init__(n, ii, jj, conf, rots)
 
 
-def initialize_from_stream(stream: FileEdgeStream) -> tuple[np.ndarray, int]:
-    """Spanning-tree initialization without holding all rotations.
-
-    Runs Prim on the scalar edge data, then gathers only the N-1 tree
-    rotations in one extra file pass. Returns (rotations, root).
-    """
+def initialize_from_stream(stream: EdgeStream) -> tuple[np.ndarray, int]:
+    """Spanning-tree initialization from the scalar edge data: Prim, then
+    only the N-1 tree rotations are gathered. Returns (rotations, root)."""
     n, ii, jj, conf = stream.n_vertices, stream.ii, stream.jj, stream.confidences
     root = _pick_root(n, ii, jj, conf)
     tree = _prim(n, ii, jj, conf, root)
-    slot = np.full(len(ii), -1)
-    slot[[e for _, _, e in tree]] = np.arange(len(tree))
-    rels = np.empty((len(tree), 3, 3))
-    for idx, rots in stream.passes():
-        s = slot[idx]
-        rels[s[s >= 0]] = rots[s >= 0]
-    links = [(child, parent, rels[k] if ii[e] == parent else rels[k].T)
-             for k, (child, parent, e) in enumerate(tree)]
+    rels = stream.rotations[[e for _, _, e in tree]]
+    links = [(child, parent, rel if ii[e] == parent else rel.T)
+             for (child, parent, e), rel in zip(tree, rels)]
     return _chain(n, root, links), root
 
 

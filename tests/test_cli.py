@@ -234,3 +234,36 @@ def test_eval_rejects_duplicate_vertex(tmp_path, capsys):
     assert _eval_file(tmp_path, f"N 2\nVERTEX_EST 0 {ROW}\nVERTEX_EST 0 {ROW}\n"
                                 f"VERTEX_EST 1 {ROW}\n") == 2
     assert "line 3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, line", [
+    (f"N 2\nEDGE 0 1 {ROW} 0.5".encode() + b"\xff\n", 2),
+    (f"N 3\n# caf".encode() + b"\xe9\n" + f"EDGE 0 1 {ROW} 0.5\n".encode(), 2),
+    (f"N 3\nEDGE 0 1 2 0 0 0 2 0 0 0 2 0.9\nEDGE 1 2 {ROW} 0.9".encode()
+     + b"\xff\n", 2),
+], ids=["edge", "comment", "earlier-bad-rotation"])
+def test_invalid_utf8_exit_2_alike(tmp_path, capsys, data, line):
+    path = tmp_path / "g.graph"
+    path.write_bytes(data)
+    errs = []
+    for extra in ([], ["--stream"]):
+        assert run(["solve", "--in", str(path)] + extra) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(f"error: line {line}:")
+    assert "Traceback" not in errs[0]
+
+
+def test_eval_invalid_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    path.write_bytes(f"N 2\nEDGE 0 1 {ROW} 0.5".encode() + b"\xff\n")
+    assert run(["eval", "--est", str(path), "--gt", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: invalid UTF-8")
+    assert "Traceback" not in err
+
+
+def test_no_edges_exit_3_alike(tmp_path, capsys):
+    for code, err in _solve_both(tmp_path, "N 3\n", capsys):
+        assert code == 3
+        assert "disconnected" in err
