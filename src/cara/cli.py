@@ -69,7 +69,7 @@ def cmd_generate(args) -> int:
         fh.write(synth.serialize_labels(scene))
     n_out = int(np.sum(~scene.edge_labels))
     print(f"wrote {graph_path} and {label_path}: "
-          f"N={scene.graph.n_vertices} |E|={len(scene.graph.edges)} "
+          f"N={scene.graph.n_vertices} |E|={len(scene.graph.ii)} "
           f"outliers={n_out}")
     return EXIT_OK
 

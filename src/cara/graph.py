@@ -1,5 +1,8 @@
 """Epipolar confidence graph: data model, validation, text interchange.
 
+A graph is an :class:`EdgeStream` (index, confidence and rotation arrays)
+plus optional ground truth; :class:`Edge` records are built only on request.
+
 Relative-rotation convention: the edge rotation r_ij estimates
 R_j @ R_i.T, so reversing an edge transposes the rotation.
 
@@ -23,7 +26,7 @@ read; a missing N or incomplete ground truth is reported as line 0.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,29 +47,67 @@ class Edge:
     confidence: float
 
 
-@dataclass(frozen=True, eq=False)
-class EpipolarConfidenceGraph:
-    n_vertices: int
-    edges: tuple[Edge, ...]
-    ground_truth: tuple[np.ndarray, ...] | None = None
-    _arrays: dict = field(default_factory=dict, repr=False, compare=False)
+class EdgeStream:
+    """Edges as index and confidence arrays plus an (M, 3, 3) rotation
+    array, which may be a read-only memory map.
+
+    ``passes()`` yields (edge_indices, rotations) chunks of consecutive
+    edges covering every edge once; the solver sweeps it once per pass.
+    """
+
+    def __init__(self, n_vertices, ii, jj, confidences, rotations):
+        self.n_vertices = int(n_vertices)
+        self.ii = np.ascontiguousarray(ii, dtype=np.intp)
+        self.jj = np.ascontiguousarray(jj, dtype=np.intp)
+        self.confidences = np.asarray(confidences, dtype=float)
+        self.rotations = np.asarray(rotations, dtype=float)
+
+    @classmethod
+    def from_graph(cls, g: "EdgeStream") -> "EdgeStream":
+        """A plain stream over the arrays of ``g``."""
+        return cls(g.n_vertices, g.ii, g.jj, g.confidences, g.rotations)
 
     def edge_arrays(self):
-        """Edges as (idx_i, idx_j, rotations, confidences) arrays, cached."""
-        if not self._arrays:
-            self._arrays.update(zip(("ii", "jj", "rots", "conf"), _columns(self.edges)))
-        a = self._arrays
-        return a["ii"], a["jj"], a["rots"], a["conf"]
+        """Edges as (idx_i, idx_j, rotations, confidences) arrays."""
+        return self.ii, self.jj, self.rotations, self.confidences
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as :class:`Edge` records, built anew on every read."""
+        return tuple(map(Edge, self.ii.tolist(), self.jj.tolist(), self.rotations,
+                         self.confidences.tolist()))
+
+    def passes(self, chunk_size=CHUNK_RECORDS):
+        m = len(self.ii)
+        for start in range(0, m, chunk_size):
+            stop = min(start + chunk_size, m)
+            yield np.arange(start, stop), self.rotations[start:stop]
 
 
-def _columns(edges):
-    """(idx_i, idx_j, rotations, confidences) arrays of a sequence of Edges."""
+def _edge_stream(n, edges) -> EdgeStream:
+    """``edges`` as an EdgeStream: itself, or the columns of Edge records."""
+    if isinstance(edges, EdgeStream):
+        return edges
+    edges = list(edges)
     m = len(edges)
-    ii = np.fromiter((e.i for e in edges), dtype=np.intp, count=m)
-    jj = np.fromiter((e.j for e in edges), dtype=np.intp, count=m)
-    rots = np.stack([e.rotation for e in edges]) if m else np.zeros((0, 3, 3))
-    conf = np.fromiter((e.confidence for e in edges), dtype=float, count=m)
-    return ii, jj, rots, conf
+    return EdgeStream(
+        n, np.fromiter((e.i for e in edges), dtype=np.intp, count=m),
+        np.fromiter((e.j for e in edges), dtype=np.intp, count=m),
+        np.fromiter((e.confidence for e in edges), dtype=float, count=m),
+        np.stack([e.rotation for e in edges]) if m else np.zeros((0, 3, 3)))
+
+
+class EpipolarConfidenceGraph(EdgeStream):
+    """An EdgeStream with optional ground-truth rotations.
+
+    ``edges`` is an EdgeStream or a sequence of :class:`Edge` records,
+    taken as given; :func:`build` validates and normalizes them.
+    """
+
+    def __init__(self, n_vertices, edges, ground_truth=None):
+        s = _edge_stream(n_vertices, edges)
+        super().__init__(n_vertices, s.ii, s.jj, s.confidences, s.rotations)
+        self.ground_truth = ground_truth
 
 
 def _validated_edges(n, ii, jj, rots, conf):
@@ -105,14 +146,6 @@ def _first_duplicate(n, ii, jj) -> int | None:
     return int(np.argmax(repeat))
 
 
-def _assemble(n, ii, jj, rots, conf, ground_truth) -> EpipolarConfidenceGraph:
-    """Graph over validated, normalized edge arrays (kept as its edge_arrays)."""
-    edges = tuple(map(Edge, ii.tolist(), jj.tolist(), rots, conf.tolist()))
-    g = EpipolarConfidenceGraph(n, edges, ground_truth)
-    g._arrays.update(ii=ii, jj=jj, rots=rots, conf=conf)
-    return g
-
-
 def build(n: int, edges, ground_truth=None) -> EpipolarConfidenceGraph:
     """Validate and normalize a graph (edges stored with i < j).
 
@@ -121,8 +154,8 @@ def build(n: int, edges, ground_truth=None) -> EpipolarConfidenceGraph:
     """
     if n < 2:
         raise InvalidArgumentError(f"need at least 2 vertices, got {n}")
-    ii, jj, rots, conf = _columns(list(edges))
-    ii, jj, rots = _validated_edges(n, ii, jj, rots, conf)
+    s = _edge_stream(n, edges)
+    ii, jj, rots = _validated_edges(n, s.ii, s.jj, s.rotations, s.confidences)
     k = _first_duplicate(n, ii, jj)
     if k is not None:
         raise DuplicateEdgeError(f"duplicate edge for pair ({ii[k]},{jj[k]})", index=k)
@@ -131,7 +164,8 @@ def build(n: int, edges, ground_truth=None) -> EpipolarConfidenceGraph:
             raise InvalidArgumentError(
                 f"ground truth has {len(ground_truth)} rotations, expected {n}")
         ground_truth = tuple(so3.as_rotations(np.array(ground_truth, dtype=float)))
-    return _assemble(n, ii, jj, rots, conf, ground_truth)
+    return EpipolarConfidenceGraph(n, EdgeStream(n, ii, jj, s.confidences, rots),
+                                   ground_truth)
 
 
 def components(n: int, ii, jj) -> list[list[int]]:
@@ -170,10 +204,10 @@ def serialize(g: EpipolarConfidenceGraph) -> str:
     if g.ground_truth is not None:
         for idx, r in enumerate(g.ground_truth):
             lines.append(f"VERTEX_GT {idx} " + " ".join(_fmt(x) for x in r.ravel()))
-    for e in g.edges:
-        lines.append(f"EDGE {e.i} {e.j} "
-                     + " ".join(_fmt(x) for x in e.rotation.ravel())
-                     + f" {_fmt(e.confidence)}")
+    ii, jj, rots, conf = g.edge_arrays()
+    for i, j, r, c in zip(ii.tolist(), jj.tolist(), rots.reshape(-1, 9).tolist(),
+                          conf.tolist()):
+        lines.append(f"EDGE {i} {j} " + " ".join(_fmt(x) for x in r) + f" {_fmt(c)}")
     return "\n".join(lines) + "\n"
 
 
@@ -345,4 +379,4 @@ def read_graph(lines, spool=None):
 def parse(text: str) -> EpipolarConfidenceGraph:
     """Parse the text format; raises GraphParseError with the line number."""
     n, ii, jj, rots, conf, ground_truth = read_graph(text.split("\n"))
-    return _assemble(n, ii, jj, rots, conf, ground_truth)
+    return EpipolarConfidenceGraph(n, EdgeStream(n, ii, jj, conf, rots), ground_truth)

@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from . import kernels
 from .errors import DegenerateWeightsError, InvalidArgumentError, NotConnectedError
-from .graph import CHUNK_RECORDS, EpipolarConfidenceGraph, components
+from .graph import EdgeStream, EpipolarConfidenceGraph, components
 from .tree_init import _pick_root
 
 KERNEL_KINDS = ("confidence", "l2", "l_half", "cauchy", "geman_mcclure")
@@ -102,33 +102,6 @@ class SolveReport:
     diagnostics: list[str] = field(default_factory=list)
 
 
-class EdgeStream:
-    """Edges as index and confidence arrays plus an (M, 3, 3) rotation
-    array, which may be a read-only memory map.
-
-    ``passes()`` yields (edge_indices, rotations) chunks of consecutive
-    edges covering every edge once; the solver sweeps it once per pass.
-    """
-
-    def __init__(self, n_vertices, ii, jj, confidences, rotations):
-        self.n_vertices = int(n_vertices)
-        self.ii = np.asarray(ii, dtype=np.intp)
-        self.jj = np.asarray(jj, dtype=np.intp)
-        self.confidences = np.asarray(confidences, dtype=float)
-        self.rotations = np.asarray(rotations, dtype=float)
-
-    @classmethod
-    def from_graph(cls, g: EpipolarConfidenceGraph) -> "EdgeStream":
-        ii, jj, rots, conf = g.edge_arrays()
-        return cls(g.n_vertices, ii, jj, conf, rots)
-
-    def passes(self, chunk_size=CHUNK_RECORDS):
-        m = len(self.ii)
-        for start in range(0, m, chunk_size):
-            stop = min(start + chunk_size, m)
-            yield np.arange(start, stop), self.rotations[start:stop]
-
-
 def cal_loss(g: EpipolarConfidenceGraph, rotations: np.ndarray) -> float:
     """Confidence-weighted sum of squared geodesic residuals."""
     rotations = np.asarray(rotations, dtype=float)
@@ -191,7 +164,8 @@ def _factor_laplacian(n, ii, jj, w, anchor, config):
 
 def _residual_pass(stream: EdgeStream, rotations, weights):
     """One sweep over the edges: accumulated rhs B^T W db and per-edge
-    residual norms.
+    residual norms. ``weights`` is a per-edge array, or a function mapping
+    a chunk's residual norms to that chunk's weights.
 
     Each vertex's rhs terms are summed in edge order whatever the chunking:
     bincount adds its input in order, and each chunk's input starts with
@@ -205,11 +179,12 @@ def _residual_pass(stream: EdgeStream, rotations, weights):
         ii = stream.ii[idx]
         jj = stream.jj[idx]
         res = kernels.edge_residuals(rotations[ii], rotations[jj], rots)
-        wres = weights[idx, None] * res
+        norms[idx] = np.sqrt(np.einsum("ij,ij->i", res, res))
+        w = weights(norms[idx]) if callable(weights) else weights[idx]
+        wres = w[:, None] * res
         ends = np.concatenate([vertices, np.column_stack([ii, jj]).ravel()])
         terms = np.concatenate([rhs, np.stack([-wres, wres], axis=1).reshape(-1, 3)])
         rhs = np.column_stack([np.bincount(ends, terms[:, k]) for k in range(3)])
-        norms[idx] = np.sqrt(np.einsum("ij,ij->i", res, res))
     return rhs, norms
 
 
@@ -254,10 +229,9 @@ def cao_solve_stream(stream: EdgeStream, initial_rotations, config=None,
 def cao_solve(g: EpipolarConfidenceGraph, initial_rotations,
               config: SolveConfig | None = None) -> SolveReport:
     """Confidence-weighted optimization (fixed weights c_ij)."""
-    stream = EdgeStream.from_graph(g)
-    n, ii, jj, conf = g.n_vertices, stream.ii, stream.jj, stream.confidences
+    n, ii, jj, conf = g.n_vertices, g.ii, g.jj, g.confidences
     _check_connectivity(n, ii, jj, conf)
-    return cao_solve_stream(stream, initial_rotations, config,
+    return cao_solve_stream(g, initial_rotations, config,
                             anchor_vertex=_pick_root(n, ii, jj, conf))
 
 
@@ -277,13 +251,12 @@ def irls_solve(g: EpipolarConfidenceGraph, initial_rotations,
     if kernel.kind == "confidence":
         return cao_solve(g, initial_rotations, config)
 
-    stream = EdgeStream.from_graph(g)
-    n, ii, jj = g.n_vertices, stream.ii, stream.jj
+    n, ii, jj = g.n_vertices, g.ii, g.jj
     _check_connectivity(n, ii, jj)
     R = np.array(initial_rotations, dtype=float)
     if R.shape != (n, 3, 3):
         raise InvalidArgumentError(f"expected {n} initial rotations, got {R.shape}")
-    anchor = _pick_root(n, ii, jj, stream.confidences)
+    anchor = _pick_root(n, ii, jj, g.confidences)
     diagnostics: list[str] = []
 
     loss_history: list[float] = []
@@ -291,7 +264,8 @@ def irls_solve(g: EpipolarConfidenceGraph, initial_rotations,
     iterations_run = 0
     prev_obj = None
     while True:
-        _, norms = _residual_pass(stream, R, np.zeros(len(stream.ii)))
+        # One sweep gives the norms and the rhs weighted by them.
+        rhs, norms = _residual_pass(g, R, kernel.weights)
         obj = float(np.sum(kernel.rho(norms)))
         loss_history.append(obj)
         max_residual_history.append(float(norms.max()) if len(norms) else 0.0)
@@ -303,12 +277,12 @@ def irls_solve(g: EpipolarConfidenceGraph, initial_rotations,
         prev_obj = obj
 
         w = kernel.weights(norms)
-        if len(components(n, ii[w > 0], jj[w > 0])) > 1:
+        if not (w > 0).all() and len(components(n, ii[w > 0], jj[w > 0])) > 1:
             w = np.maximum(w, WEIGHT_FLOOR)
             diagnostics.append(
                 "re-weighting disconnected the graph; weights floored at "
                 f"{WEIGHT_FLOOR}")
-        rhs, _ = _residual_pass(stream, R, w)
+            rhs, _ = _residual_pass(g, R, w)
         solve = _factor_laplacian(n, ii, jj, w, anchor, config)
         R = _apply_update(R, solve(rhs), anchor, config)
         iterations_run += 1

@@ -19,9 +19,9 @@ import tempfile
 import numpy as np
 
 from . import graph
-from .solver import (EdgeStream, SolveConfig, SolveReport, _check_connectivity,
-                     cao_solve_stream)
-from .tree_init import _chain, _pick_root, _prim
+from .graph import EdgeStream
+from .solver import SolveConfig, SolveReport, _check_connectivity, cao_solve_stream
+from .tree_init import maximum_spanning_tree, propagate
 
 
 class FileEdgeStream(EdgeStream):
@@ -46,15 +46,10 @@ class FileEdgeStream(EdgeStream):
 
 
 def initialize_from_stream(stream: EdgeStream) -> tuple[np.ndarray, int]:
-    """Spanning-tree initialization from the scalar edge data: Prim, then
-    only the N-1 tree rotations are gathered. Returns (rotations, root)."""
-    n, ii, jj, conf = stream.n_vertices, stream.ii, stream.jj, stream.confidences
-    root = _pick_root(n, ii, jj, conf)
-    tree = _prim(n, ii, jj, conf, root)
-    rels = stream.rotations[[e for _, _, e in tree]]
-    links = [(child, parent, rel if ii[e] == parent else rel.T)
-             for (child, parent, e), rel in zip(tree, rels)]
-    return _chain(n, root, links), root
+    """Spanning-tree initialization, as in memory; only the N-1 tree
+    rotations are read from the store. Returns (rotations, root)."""
+    tree = maximum_spanning_tree(stream)
+    return propagate(tree, stream), tree.root
 
 
 def solve_file_streaming(path, config: SolveConfig | None = None) -> SolveReport:

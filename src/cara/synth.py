@@ -15,7 +15,7 @@ import numpy as np
 from . import graph as graphmod
 from . import so3
 from .errors import GenerationError, GraphParseError, InvalidArgumentError
-from .graph import Edge, EpipolarConfidenceGraph
+from .graph import EdgeStream, EpipolarConfidenceGraph
 
 TOPOLOGIES = ("complete", "erdos", "chain_window")
 CONFIDENCE_MODELS = ("oracle", "informative", "constant", "adversarial")
@@ -121,9 +121,9 @@ def generate(spec: SyntheticSceneSpec) -> SyntheticScene:
         errors[k] = so3.riemannian_distance(rotations[k], true_rel)
 
     conf = _confidences(spec, inlier, errors, rng)
-    edges = [Edge(i, j, rotations[k], float(conf[k]))
-             for k, (i, j) in enumerate(pairs)]
-    g = graphmod.build(spec.n, edges, ground_truth=gt)
+    ends = np.array(pairs, dtype=np.intp)
+    g = graphmod.build(spec.n, EdgeStream(spec.n, ends[:, 0], ends[:, 1], conf, rotations),
+                       ground_truth=gt)
     return SyntheticScene(g, inlier, errors, spec)
 
 
@@ -155,9 +155,11 @@ def corrupt_with_outlier_vertices(scene: SyntheticScene, k: int,
     inlier = np.zeros(len(new_pairs), dtype=bool)
     conf = _confidences(spec, inlier, errors, rng)
 
-    edges = list(scene.graph.edges) + [
-        Edge(i, j, rotations[t], float(conf[t]))
-        for t, (i, j) in enumerate(new_pairs)]
+    ii, jj, old_rots, old_conf = scene.graph.edge_arrays()
+    ends = np.array(new_pairs, dtype=np.intp)
+    edges = EdgeStream(n_new, np.concatenate([ii, ends[:, 0]]),
+                       np.concatenate([jj, ends[:, 1]]), np.concatenate([old_conf, conf]),
+                       np.concatenate([old_rots, rotations]))
     g = graphmod.build(n_new, edges, ground_truth=gt)
     return SyntheticScene(
         g,
@@ -190,10 +192,10 @@ def confidence_error_table(scene: SyntheticScene, n_bins: int):
 def serialize_labels(scene: SyntheticScene) -> str:
     """Sidecar label file: LABEL <i> <j> <inlier|outlier> <true_error_rad>."""
     lines = []
-    for e, lab, err in zip(scene.graph.edges, scene.edge_labels,
-                           scene.true_edge_errors):
+    for i, j, lab, err in zip(scene.graph.ii.tolist(), scene.graph.jj.tolist(),
+                              scene.edge_labels, scene.true_edge_errors):
         word = "inlier" if lab else "outlier"
-        lines.append(f"LABEL {e.i} {e.j} {word} {err:.17g}")
+        lines.append(f"LABEL {i} {j} {word} {err:.17g}")
     return "\n".join(lines) + "\n"
 
 

@@ -2,8 +2,8 @@
 
 Prim's algorithm picks the highest-confidence edge crossing the frontier
 at each step; absolute rotations are then chained outward from the root.
-Both run on edge arrays, so the in-memory graph and the ``--stream``
-file scan share them.
+Both take any :class:`cara.graph.EdgeStream`, so the in-memory graph and
+the ``--stream`` file scan share them.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, NotConnectedError
-from .graph import EpipolarConfidenceGraph, components
+from .graph import EdgeStream, components
 
 LOW_CONFIDENCE_WARN = 0.01
 
@@ -79,26 +79,7 @@ def _prim(n, ii, jj, conf, root) -> list[tuple[int, int, int]]:
     return tree
 
 
-def _chain(n, root, links) -> np.ndarray:
-    """Absolute rotations from tree links (child, parent, R_child @ R_parent.T):
-    R_root = I and R_child = link @ R_parent, in BFS order from the root."""
-    children = defaultdict(list)
-    for child, parent, rel in links:
-        children[parent].append((child, rel))
-    rotations = np.full((n, 3, 3), np.nan)
-    rotations[root] = np.eye(3)
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for child, rel in children[v]:
-            rotations[child] = rel @ rotations[v]
-            queue.append(child)
-    if np.isnan(rotations[:, 0, 0]).any():
-        raise InvalidArgumentError("spanning tree does not cover every vertex")
-    return rotations
-
-
-def maximum_spanning_tree(g: EpipolarConfidenceGraph) -> SpanningTree:
+def maximum_spanning_tree(g: EdgeStream) -> SpanningTree:
     """Deterministic maximum spanning tree of the confidence graph.
 
     Ties between equal-confidence edges are broken toward the
@@ -125,7 +106,7 @@ def maximum_spanning_tree(g: EpipolarConfidenceGraph) -> SpanningTree:
     return SpanningTree(root, tuple(edges), total, tuple(diagnostics))
 
 
-def propagate(tree: SpanningTree, g: EpipolarConfidenceGraph) -> np.ndarray:
+def propagate(tree: SpanningTree, g: EdgeStream) -> np.ndarray:
     """Chain relative rotations from the root: (N, 3, 3) absolute rotations.
 
     R_root = I and R_child = tree_rotation @ R_parent, applied in BFS
@@ -135,5 +116,17 @@ def propagate(tree: SpanningTree, g: EpipolarConfidenceGraph) -> np.ndarray:
     if len(tree.parent_edges) != n - 1:
         raise InvalidArgumentError(
             f"tree has {len(tree.parent_edges)} edges, expected {n - 1}")
-    return _chain(n, tree.root, ((te.child, te.parent, te.rotation)
-                                 for te in tree.parent_edges))
+    children = defaultdict(list)
+    for te in tree.parent_edges:
+        children[te.parent].append(te)
+    rotations = np.full((n, 3, 3), np.nan)
+    rotations[tree.root] = np.eye(3)
+    queue = deque([tree.root])
+    while queue:
+        v = queue.popleft()
+        for te in children[v]:
+            rotations[te.child] = te.rotation @ rotations[v]
+            queue.append(te.child)
+    if np.isnan(rotations[:, 0, 0]).any():
+        raise InvalidArgumentError("spanning tree does not cover every vertex")
+    return rotations

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cara import graph as gm
-from cara import so3
+from cara import so3, synth
 from cara.errors import DuplicateEdgeError, GraphParseError, InvalidArgumentError
 from cara.graph import Edge
 
@@ -180,3 +182,26 @@ class TestTextFormat:
         g_rev = gm.build(2, [Edge(1, 0, R.T, 0.5)])
         np.testing.assert_allclose(g_fwd.edges[0].rotation,
                                    g_rev.edges[0].rotation, atol=1e-12)
+
+
+def test_parsed_graph_holds_arrays_not_edge_records():
+    # 8 B each for i, j and c plus 72 B of rotation: no per-edge objects.
+    scene = synth.generate(synth.SyntheticSceneSpec(
+        n=400, topology="chain_window", chain_window=10, seed=3))
+    text = "\n".join(l for l in gm.serialize(scene.graph).splitlines()
+                     if not l.startswith("VERTEX_GT"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = gm.parse(text)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    m = len(g.ii)
+    assert m > 3000 and g.ground_truth is None
+    assert retained / m <= 150
+    for a in (g.ii, g.jj):
+        assert a.dtype == np.intp and a.flags.c_contiguous
+    rebuilt = gm.EpipolarConfidenceGraph(g.n_vertices, g.edges, g.ground_truth)
+    for a, b in zip(rebuilt.edge_arrays(), g.edge_arrays()):
+        np.testing.assert_array_equal(a, b)

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from cara import graph as gm
-from cara import metrics, so3, solver, synth, tree_init
+from cara import kernels, metrics, so3, solver, synth, tree_init
 from cara.errors import (DegenerateWeightsError, InvalidArgumentError,
                          NotConnectedError)
 from cara.graph import Edge
@@ -279,6 +279,43 @@ class TestIrlsSolve:
                                    SolveConfig(irls_max_iterations=4))
         assert report.iterations_run <= 4
         assert len(report.loss_history) == report.iterations_run + 1
+
+    def test_weight_floor_when_reweighting_disconnects(self, monkeypatch):
+        # On a chain every edge is a bridge, so one zero weight disconnects
+        # the graph: the step must use the floored weights, rhs included.
+        # The tree init fits a chain exactly, so start from a perturbed one.
+        scene = synth.generate(synth.SyntheticSceneSpec(
+            n=8, topology="chain_window", chain_window=1,
+            noise_sigma=math.radians(5), seed=26))
+        g = scene.graph
+        rng = np.random.default_rng(26)
+        init = np.stack([so3.perturb(r, math.radians(5), rng) for r in cai(g)])
+        kernel_weights = RobustKernel.weights
+
+        def weights_with_dead_edge(self, x):
+            w = kernel_weights(self, x).copy()
+            w[2] = 0.0
+            return w
+
+        monkeypatch.setattr(RobustKernel, "weights", weights_with_dead_edge)
+        kernel = RobustKernel(kind="cauchy")
+        config = SolveConfig(irls_max_iterations=1)
+        report = solver.irls_solve(g, init, kernel, config)
+        assert any("re-weighting disconnected" in d for d in report.diagnostics)
+
+        ii, jj, rots, conf = g.edge_arrays()
+        res = kernels.edge_residuals(init[ii], init[jj], rots)
+        w = np.maximum(kernel.weights(np.sqrt(np.einsum("ij,ij->i", res, res))),
+                       solver.WEIGHT_FLOOR)
+        assert w[2] == solver.WEIGHT_FLOOR
+        rhs = np.zeros((g.n_vertices, 3))
+        np.add.at(rhs, np.column_stack([ii, jj]).ravel(),
+                  np.stack([-w[:, None] * res, w[:, None] * res], axis=1).reshape(-1, 3))
+        anchor = tree_init._pick_root(g.n_vertices, ii, jj, conf)
+        solve = solver._factor_laplacian(g.n_vertices, ii, jj, w, anchor, config)
+        step = solver._apply_update(init, solve(rhs), anchor, config)
+        assert report.iterations_run == 1
+        np.testing.assert_array_equal(report.rotations, step)
 
 
 @pytest.mark.parametrize("lam", [1e-15, 1e-10, 1e-3, 1e3])
