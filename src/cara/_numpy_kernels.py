@@ -74,9 +74,8 @@ def batch_quat(Rs: np.ndarray) -> np.ndarray:
     return q
 
 
-def batch_log(Rs: np.ndarray) -> np.ndarray:
-    """(M, 3, 3) rotation matrices -> (M, 3) canonical axis-angle vectors."""
-    q = batch_quat(Rs)
+def _log_from_quat(q: np.ndarray) -> np.ndarray:
+    """(M, 4) unit quaternions (w >= 0) -> (M, 3) axis-angle vectors."""
     n = np.linalg.norm(q[:, 1:], axis=1)
     angle = 2.0 * np.arctan2(n, q[:, 0])
     small = n < _SMALL
@@ -84,6 +83,31 @@ def batch_log(Rs: np.ndarray) -> np.ndarray:
         scale = np.where(small, 2.0 + angle * angle / 12.0,
                          angle / np.where(small, 1.0, n))
     return scale[:, None] * q[:, 1:]
+
+
+def batch_log(Rs: np.ndarray) -> np.ndarray:
+    """(M, 3, 3) rotation matrices -> (M, 3) canonical axis-angle vectors.
+
+    The skew part v = 2 sin(theta) * axis and the trace 1 + 2 cos(theta)
+    give theta = atan2(|v|, tr - 1) and the vector theta / |v| * v for all
+    rows at once. Near pi the skew part vanishes and loses the axis, so
+    rows with tr < -0.8 (theta above about 2.69) go through the Shepperd
+    quaternion instead.
+    """
+    Rs = np.ascontiguousarray(Rs, dtype=np.float64)
+    v = np.stack([Rs[:, 2, 1] - Rs[:, 1, 2], Rs[:, 0, 2] - Rs[:, 2, 0],
+                  Rs[:, 1, 0] - Rs[:, 0, 1]], axis=1)
+    tr = Rs[:, 0, 0] + Rs[:, 1, 1] + Rs[:, 2, 2]
+    s = np.sqrt(np.einsum("ij,ij->i", v, v))
+    theta = np.arctan2(s, tr - 1.0)
+    small = theta < _SMALL
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(small, 0.5 + theta * theta / 12.0, theta / s)
+    out = scale[:, None] * v
+    far = np.flatnonzero(tr < -0.8)
+    if far.size:
+        out[far] = _log_from_quat(batch_quat(Rs[far]))
+    return out
 
 
 def edge_residuals(Ri: np.ndarray, Rj: np.ndarray, Rij: np.ndarray) -> np.ndarray:

@@ -265,8 +265,13 @@ class RecordReader:
                 except UnicodeEncodeError:  # a lone surrogate from open_text
                     failures.append(GraphParseError(lineno, "invalid UTF-8"))
                     break
-            parts = raw.partition("#")[0].split()
-            if not parts or parts[0] in self.skip_tags:
+            body = raw.partition("#")[0]
+            if self.skip_tags:  # a skipped record is known by its first token
+                head = body.split(None, 1)
+                if head and head[0] in self.skip_tags:
+                    continue
+            parts = body.split()
+            if not parts:
                 continue
             try:
                 if parts[0] == "EDGE" and len(parts) == 13 and self.n is not None:

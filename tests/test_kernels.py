@@ -40,6 +40,34 @@ def test_batch_log_near_pi(impl):
     np.testing.assert_allclose(impl.batch_log(Rs), vs, atol=1e-7)
 
 
+def test_batch_log_across_switch_and_tiny_angles(impl):
+    # numpy takes the skew part above trace -0.8 (theta below ~2.69) and
+    # the quaternion below it; tiny angles take the series, zero included.
+    # The skew part loses the axis near pi, so those rows must switch.
+    rng = np.random.default_rng(5)
+    axes = rng.standard_normal((500, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.concatenate([rng.uniform(2.5, 2.9, 200), np.logspace(-12, -5, 190),
+                             np.zeros(10), np.pi - np.logspace(-9, -3, 100)])
+    Rs = ScipyRotation.from_rotvec(axes * angles[:, None]).as_matrix()
+    out = impl.batch_log(Rs)
+    np.testing.assert_allclose(out, ScipyRotation.from_matrix(Rs).as_rotvec(),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(out, np.stack([so3.log_map(R) for R in Rs]),
+                               rtol=0, atol=1e-14)
+
+
+def test_batch_log_skew_path_matches_quaternion_on_products():
+    # Products of rotations, as in edge_residuals, are orthogonal only to
+    # ~1e-15; the skew and quaternion formulas must still agree.
+    rng = np.random.default_rng(6)
+    Ri, Rj, Rij = (ScipyRotation.random(5000, random_state=rng).as_matrix()
+                   for _ in range(3))
+    P = np.transpose(Rj, (0, 2, 1)) @ Rij @ Ri
+    quat = _numpy_kernels._log_from_quat(_numpy_kernels.batch_quat(P))
+    np.testing.assert_allclose(_numpy_kernels.batch_log(P), quat, rtol=0, atol=1e-13)
+
+
 def test_edge_residuals_definition(impl):
     rng = np.random.default_rng(3)
     m = 100

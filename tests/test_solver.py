@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from cara import graph as gm
@@ -350,3 +351,86 @@ def test_tikhonov_l_half_solves_large_weights():
     report = solver.irls_solve(g, cai(g), RobustKernel(kind="l_half"), config)
     assert np.all(np.isfinite(report.rotations))
     assert metrics.error_stats(report.rotations, gt).mean < 10.0
+
+
+def _reference_laplacian(n, ii, jj, w, anchor, config):
+    """The weighted Laplacian assembled from scratch, anchored or shifted."""
+    L = sp.coo_matrix((np.concatenate([w, w, -w, -w]),
+                       (np.concatenate([ii, jj, ii, jj]),
+                        np.concatenate([ii, jj, jj, ii]))), shape=(n, n)).toarray()
+    if config.anchor == "tikhonov":
+        return L + config.tikhonov_lambda * np.eye(n)
+    return np.delete(np.delete(L, anchor, axis=0), anchor, axis=1)
+
+
+@pytest.mark.parametrize("anchor_mode", ["fix-root", "tikhonov"])
+@pytest.mark.parametrize("anchor", [0, 4, 9, 6])
+def test_laplacian_pattern_refill_matches_reference(anchor_mode, anchor):
+    # Vertex 6 has degree 1 (its one edge goes to 2); 0, 4 and 9 are the
+    # first, a middle and the last vertex.
+    rng = np.random.default_rng(30)
+    pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)
+             if 6 not in (i, j) and rng.random() < 0.6]
+    pairs += [(2, 6), (0, 9), (4, 5), (8, 9)]
+    pairs = sorted(set(pairs))
+    order = rng.permutation(len(pairs))
+    ii = np.array([pairs[k][0] for k in order], dtype=np.intp)
+    jj = np.array([pairs[k][1] for k in order], dtype=np.intp)
+    config = SolveConfig(anchor=anchor_mode)
+    pattern = solver._LaplacianPattern(10, ii, jj, anchor, config)
+    for _ in range(2):
+        w = rng.uniform(0.5, 1.5, len(ii))
+        w[rng.choice(len(ii), 3, replace=False)] = 0.0
+        w[rng.choice(len(ii), 2, replace=False)] = 1e-5 ** -1.5  # l_half scale
+        w[(ii == 2) & (jj == 6)] = 0.7
+        pattern.factor(w)
+        np.testing.assert_allclose(pattern.matrix.toarray(),
+                                   _reference_laplacian(10, ii, jj, w, anchor, config),
+                                   rtol=1e-15, atol=0)
+
+
+def test_laplacian_pattern_refill_keeps_degenerate_errors():
+    # On a chain every edge is a bridge: a zero weight disconnects it and a
+    # weight 1e-17 below the rest leaves a pivot under the relative test.
+    n = 6
+    ii, jj = np.arange(n - 1), np.arange(1, n)
+    config = SolveConfig()
+    pattern = solver._LaplacianPattern(n, ii, jj, 0, config)
+    rhs = np.random.default_rng(31).standard_normal((n, 3))
+    w = np.linspace(0.5, 1.0, n - 1)
+    base = pattern.factor(w)(rhs)
+    for bad in (0.0, 1e-17):
+        with pytest.raises(DegenerateWeightsError):
+            pattern.factor(np.where(np.arange(n - 1) == 2, bad, w))
+    # the pattern survives a failed refill, and the test is scale-free
+    np.testing.assert_allclose(pattern.factor(1e-15 * w)(1e-15 * rhs), base, rtol=1e-12)
+
+
+def test_irls_builds_laplacian_pattern_once(monkeypatch):
+    builds = []
+
+    class CountingPattern(solver._LaplacianPattern):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(solver, "_LaplacianPattern", CountingPattern)
+    scene = synth.generate(synth.SyntheticSceneSpec(
+        n=12, noise_sigma=math.radians(5), outlier_edge_fraction=0.2, seed=32))
+    g = scene.graph
+    for anchor in ("fix-root", "tikhonov"):
+        builds.clear()
+        report = solver.irls_solve(g, cai(g), RobustKernel(kind="cauchy"),
+                                   SolveConfig(anchor=anchor))
+        assert report.iterations_run > 2
+        assert len(builds) == 1
+        builds.clear()
+        solver.cao_solve(g, cai(g), SolveConfig(anchor=anchor))
+        assert len(builds) == 1
+
+
+def test_laplacian_pattern_rejects_repeated_pairs_and_loops():
+    config = SolveConfig()
+    for ii, jj in (([0, 1, 0], [1, 2, 1]), ([0, 1, 1], [1, 2, 1])):
+        with pytest.raises(InvalidArgumentError):
+            solver._LaplacianPattern(3, np.array(ii), np.array(jj), 2, config)
