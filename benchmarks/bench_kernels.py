@@ -1,9 +1,7 @@
-"""Micro-benchmark: compiled rotation kernels vs the numpy fallback.
+"""Micro-benchmark: the batched SO(3) kernels.
 
 Times batch_exp, batch_log, and edge_residuals on growing batch sizes and
-reports the speedup of the compiled extension over pure numpy, the worst
-numerical disagreement between the two, and the worst error of numpy's
-batch_log against scipy's ``as_rotvec``. Run as:
+reports the worst error of batch_log against scipy's ``as_rotvec``. Run as:
 
     python benchmarks/bench_kernels.py [--sizes 1000,10000,100000] [--repeats 5]
 """
@@ -14,19 +12,14 @@ import time
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from cara import _numpy_kernels as npk
-
-try:
-    from cara import _speedups as spk
-except ImportError:
-    spk = None
+from cara import kernels
 
 
 def make_inputs(m, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((m, 3))
     v *= (rng.uniform(0, math.pi - 1e-3, m) / np.linalg.norm(v, axis=1))[:, None]
-    rots = npk.batch_exp(v)
+    rots = kernels.batch_exp(v)
     perm = rng.permutation(m)
     return v, rots, rots[perm]
 
@@ -47,36 +40,23 @@ def main():
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    if spk is None:
-        print("compiled extension not available; showing numpy timings only")
-
-    header = f"{'kernel':<16}{'batch':>9}{'numpy ms':>12}{'compiled ms':>13}{'speedup':>9}"
+    header = f"{'kernel':<16}{'batch':>9}{'ms':>12}{'ns/row':>10}"
     print(header)
     print("-" * len(header))
-    worst_gap = worst_log = 0.0
+    worst_log = 0.0
     for m in sizes:
         v, ra, rb = make_inputs(m, seed=m)
         worst_log = max(worst_log, float(np.abs(
-            npk.batch_log(ra) - Rotation.from_matrix(ra).as_rotvec()).max()))
+            kernels.batch_log(ra) - Rotation.from_matrix(ra).as_rotvec()).max()))
         cases = [
             ("batch_exp", (v,)),
             ("batch_log", (ra,)),
             ("edge_residuals", (ra, rb, ra)),
         ]
         for name, call_args in cases:
-            t_np = time_call(getattr(npk, name), call_args, args.repeats)
-            if spk is not None:
-                t_c = time_call(getattr(spk, name), call_args, args.repeats)
-                gap = float(np.abs(getattr(npk, name)(*call_args)
-                                   - getattr(spk, name)(*call_args)).max())
-                worst_gap = max(worst_gap, gap)
-                print(f"{name:<16}{m:>9}{1e3 * t_np:>12.3f}{1e3 * t_c:>13.3f}"
-                      f"{t_np / t_c:>8.1f}x")
-            else:
-                print(f"{name:<16}{m:>9}{1e3 * t_np:>12.3f}{'-':>13}{'-':>9}")
-    print(f"\nmax |numpy batch_log - scipy as_rotvec|: {worst_log:.3e}")
-    if spk is not None:
-        print(f"max |compiled - numpy| across all calls: {worst_gap:.3e}")
+            t = time_call(getattr(kernels, name), call_args, args.repeats)
+            print(f"{name:<16}{m:>9}{1e3 * t:>12.3f}{1e9 * t / m:>10.1f}")
+    print(f"\nmax |batch_log - scipy as_rotvec|: {worst_log:.3e}")
 
 
 if __name__ == "__main__":

@@ -84,10 +84,15 @@ def _write_estimates(path, rotations):
         fh.write("\n".join(lines) + "\n")
 
 
-def cmd_solve(args) -> int:
+def _solve_settings_from_args(args) -> tuple[SolveConfig, RobustKernel]:
     config = SolveConfig(max_iterations=args.iters, anchor=args.anchor)
     kernel = RobustKernel(kind=args.kernel.replace("-", "_"),
                           alpha=math.radians(args.alpha_deg))
+    return config, kernel
+
+
+def cmd_solve(args) -> int:
+    config, kernel = _solve_settings_from_args(args)
     if args.stream:
         if kernel.kind != "confidence":
             raise UsageError("--stream supports only the confidence kernel")
@@ -106,6 +111,9 @@ def cmd_solve(args) -> int:
             report = cao_solve(g, init, config)
         else:
             report = irls_solve(g, init, kernel, config)
+        # --stream hands the tree's diagnostics to its solver, which
+        # reports them first; this keeps the same order.
+        report.diagnostics[:0] = tree.diagnostics
     for warning in report.diagnostics:
         print(f"warning: {warning}", file=sys.stderr)
     print("loss history: " + " ".join(f"{x:.6e}" for x in report.loss_history))
@@ -135,14 +143,25 @@ def _read_rotations(path):
     return rotations
 
 
+def _thresholds_from_args(args) -> list[float]:
+    try:
+        thresholds = [float(t) for t in args.thresholds.split(",")]
+    except ValueError:
+        raise InvalidArgumentError(
+            f"--thresholds takes comma-separated numbers, got {args.thresholds!r}"
+        ) from None
+    if not all(math.isfinite(t) for t in thresholds):
+        raise InvalidArgumentError(f"--thresholds must be finite, got {args.thresholds!r}")
+    return thresholds
+
+
 def cmd_eval(args) -> int:
     est = _read_rotations(args.est)
     gt = _read_rotations(args.gt)
     if est.shape != gt.shape:
         raise GraphParseError(0, f"vertex count mismatch: {est.shape[0]} estimates "
                                  f"vs {gt.shape[0]} ground truth")
-    thresholds = [float(t) for t in args.thresholds.split(",")]
-    stats = metrics.error_stats(est, gt, thresholds)
+    stats = metrics.error_stats(est, gt, _thresholds_from_args(args))
 
     print(f"{'camera':>8} {'error_deg':>12}")
     for idx, err in enumerate(stats.per_camera_errors):
@@ -316,6 +335,14 @@ def main(argv=None) -> int:
             # validate value ranges up front so bad flags exit 64, not 2
             if args.command == "generate":
                 _scene_spec_from_args(args)
+                if args.outlier_vertices < 0:
+                    raise InvalidArgumentError("--outlier-vertices must be >= 0")
+            elif args.command == "solve":
+                _solve_settings_from_args(args)
+            elif args.command == "eval":
+                _thresholds_from_args(args)
+            elif args.command == "bench" and args.seeds < 1:
+                raise InvalidArgumentError("--seeds must be >= 1")
         except InvalidArgumentError as exc:
             raise UsageError(str(exc)) from exc
         return args.func(args)

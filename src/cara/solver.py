@@ -77,8 +77,8 @@ class RobustKernel:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise InvalidArgumentError(f"unknown kernel kind {self.kind!r}")
-        if self.kind in ("cauchy", "geman_mcclure") and not self.alpha > 0:
-            raise InvalidArgumentError("alpha must be positive for this kernel")
+        if self.kind in ("cauchy", "geman_mcclure") and not 0.0 < self.alpha < math.inf:
+            raise InvalidArgumentError("alpha must be positive and finite for this kernel")
 
     def weights(self, x: np.ndarray) -> np.ndarray:
         """IRLS weights psi(x)/x for residual angles x."""

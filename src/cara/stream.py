@@ -45,16 +45,20 @@ class FileEdgeStream(EdgeStream):
         super().__init__(n, ii, jj, conf, rots)
 
 
-def initialize_from_stream(stream: EdgeStream) -> tuple[np.ndarray, int]:
+def initialize_from_stream(stream: EdgeStream) -> tuple[np.ndarray, int, tuple[str, ...]]:
     """Spanning-tree initialization, as in memory; only the N-1 tree
-    rotations are read from the store. Returns (rotations, root)."""
+    rotations are read from the store. Returns (rotations, root, the
+    tree's diagnostics); the tree itself is dropped, so its N-1 edges do
+    not add to the solve's memory."""
     tree = maximum_spanning_tree(stream)
-    return propagate(tree, stream), tree.root
+    return propagate(tree, stream), tree.root, tree.diagnostics
 
 
 def solve_file_streaming(path, config: SolveConfig | None = None) -> SolveReport:
-    """Full streaming pipeline: scan, tree-initialize, iterate WLS."""
+    """Full streaming pipeline: scan, tree-initialize, iterate WLS. The
+    report's diagnostics start with the spanning tree's."""
     stream = FileEdgeStream(path)
     _check_connectivity(stream.n_vertices, stream.ii, stream.jj, stream.confidences)
-    init, root = initialize_from_stream(stream)
-    return cao_solve_stream(stream, init, config, anchor_vertex=root)
+    init, root, diagnostics = initialize_from_stream(stream)
+    return cao_solve_stream(stream, init, config, anchor_vertex=root,
+                            diagnostics=diagnostics)

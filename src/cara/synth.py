@@ -48,12 +48,16 @@ class SyntheticSceneSpec:
                 f"unknown confidence model {self.confidence_model!r}")
         if not 0.0 <= self.outlier_edge_fraction <= 1.0:
             raise InvalidArgumentError("outlier_edge_fraction must be in [0, 1]")
-        if self.noise_sigma < 0:
-            raise InvalidArgumentError("noise_sigma must be nonnegative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise InvalidArgumentError("noise_sigma must be finite and nonnegative")
+        if not 0.0 <= self.constant_confidence <= 1.0:
+            raise InvalidArgumentError("constant_confidence must be in [0, 1]")
         if self.topology == "chain_window" and self.chain_window < 1:
             raise InvalidArgumentError("chain_window must be >= 1")
         if self.topology == "erdos" and not 0.0 < self.erdos_p <= 1.0:
             raise InvalidArgumentError("erdos_p must be in (0, 1]")
+        if self.seed < 0:
+            raise InvalidArgumentError("seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)

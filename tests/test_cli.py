@@ -267,3 +267,47 @@ def test_no_edges_exit_3_alike(tmp_path, capsys):
     for code, err in _solve_both(tmp_path, "N 3\n", capsys):
         assert code == 3
         assert "disconnected" in err
+
+
+# Out-of-range flag values are usage errors on every command and path: exit
+# 64 before any file is read, never 2 or a traceback.
+@pytest.mark.parametrize("argv", [
+    ["eval", "--thresholds", "abc"],
+    ["eval", "--thresholds", ""],
+    ["eval", "--thresholds", "1,,2"],
+    ["eval", "--thresholds", "nan"],
+    ["solve", "--iters", "0"],
+    ["solve", "--iters", "0", "--stream"],
+    ["solve", "--kernel", "cauchy", "--alpha-deg", "0"],
+    ["solve", "--kernel", "cauchy", "--alpha-deg", "0", "--stream"],
+    ["solve", "--kernel", "cauchy", "--alpha-deg", "nan"],
+    ["solve", "--kernel", "cauchy", "--alpha-deg", "nan", "--stream"],
+    ["solve", "--kernel", "geman-mcclure", "--alpha-deg", "inf"],
+    ["generate", "--sigma-deg", "nan"],
+    ["generate", "--sigma-deg", "inf"],
+    ["generate", "--seed", "-1"],
+    ["generate", "--constant-c", "2", "--confidence-model", "constant"],
+    ["generate", "--outlier-vertices", "-1"],
+    ["bench", "--seeds", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_flag_value_exit_64(tmp_path, capsys, argv):
+    path = tmp_path / "g.graph"
+    path.write_text(f"N 2\nEDGE 0 1 {ROW} 0.5\n")
+    files = {"eval": ["--est", str(path), "--gt", str(path)],
+             "solve": ["--in", str(path)],
+             "generate": ["--n", "5", "--out", str(tmp_path / "out.graph")],
+             "bench": ["--suite", "kernels", "--out", str(tmp_path / "out.graph")]}
+    assert run(argv[:1] + files[argv[0]] + argv[1:]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.graph").exists()
+
+
+def test_low_confidence_tree_warning_alike(tmp_path, capsys):
+    # The bridge (1,2) must join the spanning tree despite c = 0.005.
+    text = f"N 3\nEDGE 0 1 {ROW} 0.9\nEDGE 1 2 {ROW} 0.005\n"
+    errs = [err for code, err in _solve_both(tmp_path, text, capsys) if code == 0]
+    assert errs == [errs[0]] * 2
+    assert errs[0] == ("warning: 1 spanning-tree edge(s) have confidence < 0.01: "
+                       "(1,2)\n")

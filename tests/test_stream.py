@@ -65,7 +65,7 @@ def test_streaming_init_matches_in_memory(scene_file):
         n=30, noise_sigma=math.radians(4), confidence_model="informative",
         seed=3))
     fs = stream.FileEdgeStream(path)
-    init_s, root_s = stream.initialize_from_stream(fs)
+    init_s, root_s, _ = stream.initialize_from_stream(fs)
     g = gm.parse(path.read_text())
     tree = tree_init.maximum_spanning_tree(g)
     init_m = tree_init.propagate(tree, g)
@@ -163,7 +163,7 @@ def test_store_outlives_the_file(scene_file, change):
     for idx, chunk in fs.passes(chunk_size=64):
         collected[idx] = chunk
     np.testing.assert_array_equal(collected, scene.graph.edge_arrays()[2])
-    init, root = stream.initialize_from_stream(fs)
+    init, root, _ = stream.initialize_from_stream(fs)
     report = solver.cao_solve_stream(fs, init, anchor_vertex=root)
     np.testing.assert_array_equal(report.rotations, expected.rotations)
 
