@@ -1,8 +1,8 @@
 """Command-line front-end: generate / solve / eval / bench.
 
-Exit codes: 0 success, 2 I/O or parse failure, 3 unsolvable input
-(disconnected or degenerate graph), 64 usage error. Angles cross the CLI
-boundary in degrees; everything internal is radians.
+Exit codes: 0 success, 2 I/O or parse failure, 3 unsolvable input (a
+disconnected or degenerate graph, or no connected scene to generate), 64
+usage error. Angles cross the CLI boundary in degrees, radians inside.
 """
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ import numpy as np
 
 from . import graph as graphmod
 from . import metrics, stream, synth
-from .errors import (CaraError, DegenerateWeightsError, GraphParseError,
-                     InvalidArgumentError, NotConnectedError)
+from .errors import (CaraError, DegenerateWeightsError, GenerationError,
+                     GraphParseError, InvalidArgumentError, NotConnectedError)
 from .solver import RobustKernel, SolveConfig, cao_solve, irls_solve
 from .tree_init import maximum_spanning_tree, propagate
 
@@ -349,7 +349,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NotConnectedError, DegenerateWeightsError) as exc:
+    except (NotConnectedError, DegenerateWeightsError, GenerationError) as exc:
         print(f"unsolvable input: {exc}", file=sys.stderr)
         if isinstance(exc, NotConnectedError):
             for idx, comp in enumerate(exc.components):

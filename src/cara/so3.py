@@ -1,8 +1,8 @@
-"""Scalar SO(3)/so(3) primitives.
+"""Single-rotation SO(3)/so(3) helpers: validation, exp/log, distances.
 
 Rotations are plain (3, 3) float64 numpy arrays; tangent vectors are (3,)
 arrays in axis-angle form (the norm is the rotation angle in radians).
-Batched versions of the hot operations live in :mod:`cara.kernels`.
+``exp_map`` and ``log_map`` are one-row calls into :mod:`cara.kernels`.
 
 Euler convention used throughout: intrinsic Z(yaw) * Y(pitch) * X(roll).
 """
@@ -12,23 +12,14 @@ import math
 
 import numpy as np
 
+from . import kernels
 from .errors import DegenerateInputError, InvalidArgumentError
 
 # Construction tolerance: inputs orthonormal within this are re-projected,
 # anything worse is rejected.
 ROTATION_TOL = 1e-6
 
-_SMALL_ANGLE = 1e-6
 _EYE = np.eye(3)
-
-
-def skew(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix K such that K @ w == cross(v, w)."""
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
 
 
 def is_rotation(m: np.ndarray, tol: float = 1e-9) -> bool:
@@ -88,87 +79,27 @@ def exp_map(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,) or not np.all(np.isfinite(v)):
         raise InvalidArgumentError("tangent vector must be a finite 3-vector")
-    theta2 = float(v @ v)
-    theta = math.sqrt(theta2)
-    if theta < _SMALL_ANGLE:
-        # Taylor: sin(t)/t ~ 1 - t^2/6, (1-cos t)/t^2 ~ 1/2 - t^2/24
-        a = 1.0 - theta2 / 6.0
-        b = 0.5 - theta2 / 24.0
-    else:
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / theta2
-    K = skew(v)
-    return np.eye(3) + a * K + b * (K @ K)
-
-
-def quat_from_matrix(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) with w >= 0 from a rotation matrix.
-
-    Shepperd's method: branch on the largest of trace and diagonal
-    entries, which avoids cancellation for any rotation angle.
-    """
-    t = R[0, 0] + R[1, 1] + R[2, 2]
-    if t >= max(R[0, 0], R[1, 1], R[2, 2]):
-        r = math.sqrt(1.0 + t)
-        s = 0.5 / r
-        q = np.array([0.5 * r,
-                      (R[2, 1] - R[1, 2]) * s,
-                      (R[0, 2] - R[2, 0]) * s,
-                      (R[1, 0] - R[0, 1]) * s])
-    elif R[0, 0] >= max(R[1, 1], R[2, 2]):
-        r = math.sqrt(1.0 - t + 2.0 * R[0, 0])
-        s = 0.5 / r
-        q = np.array([(R[2, 1] - R[1, 2]) * s,
-                      0.5 * r,
-                      (R[0, 1] + R[1, 0]) * s,
-                      (R[0, 2] + R[2, 0]) * s])
-    elif R[1, 1] >= R[2, 2]:
-        r = math.sqrt(1.0 - t + 2.0 * R[1, 1])
-        s = 0.5 / r
-        q = np.array([(R[0, 2] - R[2, 0]) * s,
-                      (R[0, 1] + R[1, 0]) * s,
-                      0.5 * r,
-                      (R[1, 2] + R[2, 1]) * s])
-    else:
-        r = math.sqrt(1.0 - t + 2.0 * R[2, 2])
-        s = 0.5 / r
-        q = np.array([(R[1, 0] - R[0, 1]) * s,
-                      (R[0, 2] + R[2, 0]) * s,
-                      (R[1, 2] + R[2, 1]) * s,
-                      0.5 * r])
-    q /= np.linalg.norm(q)
-    if q[0] < 0:
-        q = -q
-    return q
+    return kernels.batch_exp(v[None])[0]
 
 
 def matrix_from_quat(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix from a unit quaternion (w, x, y, z)."""
-    w, x, y, z = q
-    return np.array([
+    """Rotation matrices from unit quaternions (w, x, y, z), (..., 4) -> (..., 3, 3)."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    m = np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ])
+    return np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1)))
 
 
 def log_map(R: np.ndarray) -> np.ndarray:
     """Rotation matrix to canonical axis-angle vector (norm in [0, pi]).
 
-    Goes through the quaternion, which stays well-conditioned near angle
-    pi where trace-based formulas lose precision. At exactly pi either
-    antipodal axis may be returned.
+    Validates R, then calls ``kernels.batch_log``, which switches to the
+    quaternion near pi. At exactly pi either antipodal axis may be returned.
     """
-    R = as_rotation(R)
-    w, x, y, z = quat_from_matrix(R)
-    n = math.sqrt(x * x + y * y + z * z)
-    angle = 2.0 * math.atan2(n, w)
-    if n < _SMALL_ANGLE:
-        # angle/sin(angle/2) ~ 2 + angle^2/12 for small angles
-        scale = 2.0 + angle * angle / 12.0
-    else:
-        scale = angle / n
-    return scale * np.array([x, y, z])
+    return kernels.batch_log(as_rotation(R)[None])[0]
 
 
 def riemannian_distance(X: np.ndarray, Y: np.ndarray) -> float:
@@ -240,15 +171,14 @@ def random_rotation(rng: np.random.Generator | int) -> np.ndarray:
     """Uniform random rotation via a normalized Gaussian quaternion."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    return matrix_from_quat(q)
+    return matrix_from_quat(q / np.linalg.norm(q))
 
 
 def perturb(R: np.ndarray, sigma: float,
             rng: np.random.Generator | int) -> np.ndarray:
     """R composed with a random rotation exp(n), n ~ N(0, sigma^2 I)."""
-    if sigma < 0:
-        raise InvalidArgumentError("sigma must be nonnegative")
+    if not 0.0 <= sigma < math.inf:
+        raise InvalidArgumentError("sigma must be finite and nonnegative")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     n = sigma * rng.standard_normal(3)
     if sigma == 0:

@@ -8,12 +8,12 @@ from a pluggable model. Everything is deterministic under the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import graph as graphmod
-from . import so3
+from . import kernels, so3
 from .errors import GenerationError, GraphParseError, InvalidArgumentError
 from .graph import EdgeStream, EpipolarConfidenceGraph
 
@@ -50,6 +50,12 @@ class SyntheticSceneSpec:
             raise InvalidArgumentError("outlier_edge_fraction must be in [0, 1]")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise InvalidArgumentError("noise_sigma must be finite and nonnegative")
+        if not 0.0 <= self.oracle_eps <= 1.0:
+            raise InvalidArgumentError("oracle_eps must be in [0, 1]")
+        if not self.informative_scale > 0.0:
+            raise InvalidArgumentError("informative_scale must be positive")
+        if not 0.0 <= self.informative_jitter < math.inf:
+            raise InvalidArgumentError("informative_jitter must be finite and nonnegative")
         if not 0.0 <= self.constant_confidence <= 1.0:
             raise InvalidArgumentError("constant_confidence must be in [0, 1]")
         if self.topology == "chain_window" and self.chain_window < 1:
@@ -68,23 +74,35 @@ class SyntheticScene:
     spec: SyntheticSceneSpec
 
 
-def _topology_pairs(spec: SyntheticSceneSpec, rng) -> list[tuple[int, int]]:
+def _topology_pairs(spec: SyntheticSceneSpec, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Edge endpoints (ii, jj), i < j, in lexicographic order."""
     n = spec.n
-    if spec.topology == "complete":
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
     if spec.topology == "chain_window":
-        return [(i, j) for i in range(n)
-                for j in range(i + 1, min(i + spec.chain_window, n - 1) + 1)]
+        w = min(spec.chain_window, n - 1)
+        ii = np.repeat(np.arange(n), w)
+        jj = ii + np.tile(np.arange(1, w + 1), n)
+        return ii[jj < n], jj[jj < n]
+    ii, jj = np.triu_indices(n, 1)
+    if spec.topology == "complete":
+        return ii, jj
     # erdos: re-draw until connected
     for _ in range(ERDOS_MAX_RETRIES):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < spec.erdos_p]
-        ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-        if len(graphmod.components(n, ends[:, 0], ends[:, 1])) == 1:
-            return pairs
+        keep = rng.random(len(ii)) < spec.erdos_p
+        if len(graphmod.components(n, ii[keep], jj[keep])) == 1:
+            return ii[keep], jj[keep]
     raise GenerationError(
         f"erdos(p={spec.erdos_p}) stayed disconnected after "
         f"{ERDOS_MAX_RETRIES} attempts")
+
+
+def _quat_rotations(q: np.ndarray) -> np.ndarray:
+    """Uniform rotations from (M, 4) Gaussian quaternions, normalized per row."""
+    return so3.matrix_from_quat(q / np.linalg.norm(q, axis=1, keepdims=True))
+
+
+def _geodesic_errors(rotations: np.ndarray, true_rel: np.ndarray) -> np.ndarray:
+    """Geodesic angle between each edge's rotation and its true one."""
+    return np.linalg.norm(kernels.batch_log(rotations @ true_rel.transpose(0, 2, 1)), axis=1)
 
 
 def _confidences(spec: SyntheticSceneSpec, inlier: np.ndarray,
@@ -102,31 +120,33 @@ def _confidences(spec: SyntheticSceneSpec, inlier: np.ndarray,
 
 
 def generate(spec: SyntheticSceneSpec) -> SyntheticScene:
-    """Build a scene: ground truth, noisy/outlier edges, confidences."""
-    rng = np.random.default_rng(spec.seed)
-    gt = [so3.random_rotation(rng) for _ in range(spec.n)]
-    pairs = _topology_pairs(spec, rng)
-    m = len(pairs)
-    if m == 0:
-        raise GenerationError("topology produced no edges")
+    """Build a scene: ground truth, noisy/outlier edges, confidences.
 
+    The draw order is fixed: ground-truth quaternions, erdos coin flips, the
+    outlier permutation, then per edge in edge order three noise normals
+    (inlier) or four quaternion normals (outlier), then confidences.
+    """
+    rng = np.random.default_rng(spec.seed)
+    gt = _quat_rotations(rng.standard_normal((spec.n, 4)))
+    ii, jj = _topology_pairs(spec, rng)
+    m = len(ii)
     n_outliers = int(round(spec.outlier_edge_fraction * m))
     inlier = np.ones(m, dtype=bool)
     inlier[rng.permutation(m)[:n_outliers]] = False
 
+    width = np.where(inlier, 3, 4)
+    start = np.cumsum(width) - width
+    draws = rng.standard_normal(int(width.sum()))
+    k_in, k_out = np.flatnonzero(inlier), np.flatnonzero(~inlier)
+    true_rel = gt[jj] @ gt[ii].transpose(0, 2, 1)
     rotations = np.empty((m, 3, 3))
-    errors = np.empty(m)
-    for k, (i, j) in enumerate(pairs):
-        true_rel = gt[j] @ gt[i].T
-        if inlier[k]:
-            rotations[k] = so3.perturb(true_rel, spec.noise_sigma, rng)
-        else:
-            rotations[k] = so3.random_rotation(rng)
-        errors[k] = so3.riemannian_distance(rotations[k], true_rel)
+    noise = spec.noise_sigma * draws[start[k_in, None] + np.arange(3)]
+    rotations[k_in] = true_rel[k_in] @ kernels.batch_exp(noise)
+    rotations[k_out] = _quat_rotations(draws[start[k_out, None] + np.arange(4)])
+    errors = _geodesic_errors(rotations, true_rel)
 
     conf = _confidences(spec, inlier, errors, rng)
-    ends = np.array(pairs, dtype=np.intp)
-    g = graphmod.build(spec.n, EdgeStream(spec.n, ends[:, 0], ends[:, 1], conf, rotations),
+    g = graphmod.build(spec.n, EdgeStream(spec.n, ii, jj, conf, rotations),
                        ground_truth=gt)
     return SyntheticScene(g, inlier, errors, spec)
 
@@ -148,21 +168,21 @@ def corrupt_with_outlier_vertices(scene: SyntheticScene, k: int,
     spec = scene.spec
     n_old = scene.graph.n_vertices
     n_new = n_old + k
-    gt = list(scene.graph.ground_truth) + [so3.random_rotation(rng) for _ in range(k)]
+    gt = np.concatenate([np.stack(scene.graph.ground_truth),
+                         _quat_rotations(rng.standard_normal((k, 4)))])
 
-    new_pairs = [(i, v) for v in range(n_old, n_new) for i in range(n_old)]
-    new_pairs += [(a, b) for a in range(n_old, n_new) for b in range(a + 1, n_new)]
-    new_pairs.sort()
-    rotations = np.stack([so3.random_rotation(rng) for _ in new_pairs])
-    errors = np.array([so3.riemannian_distance(rotations[t], gt[j] @ gt[i].T)
-                       for t, (i, j) in enumerate(new_pairs)])
-    inlier = np.zeros(len(new_pairs), dtype=bool)
+    # Lexicographic order: each old vertex to every new one, then new to new.
+    a, b = np.triu_indices(k, 1)
+    new_ii = np.concatenate([np.repeat(np.arange(n_old), k), n_old + a])
+    new_jj = np.concatenate([np.tile(np.arange(n_old, n_new), n_old), n_old + b])
+    rotations = _quat_rotations(rng.standard_normal((len(new_ii), 4)))
+    errors = _geodesic_errors(rotations, gt[new_jj] @ gt[new_ii].transpose(0, 2, 1))
+    inlier = np.zeros(len(new_ii), dtype=bool)
     conf = _confidences(spec, inlier, errors, rng)
 
     ii, jj, old_rots, old_conf = scene.graph.edge_arrays()
-    ends = np.array(new_pairs, dtype=np.intp)
-    edges = EdgeStream(n_new, np.concatenate([ii, ends[:, 0]]),
-                       np.concatenate([jj, ends[:, 1]]), np.concatenate([old_conf, conf]),
+    edges = EdgeStream(n_new, np.concatenate([ii, new_ii]), np.concatenate([jj, new_jj]),
+                       np.concatenate([old_conf, conf]),
                        np.concatenate([old_rots, rotations]))
     g = graphmod.build(n_new, edges, ground_truth=gt)
     return SyntheticScene(

@@ -68,6 +68,16 @@ def test_solve_disconnected_exit_3(tmp_path, capsys):
     assert "component" in capsys.readouterr().err
 
 
+def test_generate_disconnected_exit_3(tmp_path, capsys):
+    out = tmp_path / "g.graph"
+    assert run(["generate", "--topology", "erdos", "--erdos-p", "1e-9", "--n", "3",
+                "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("unsolvable input: ")
+    assert "stayed disconnected" in err
+    assert not out.exists()
+
+
 def test_stream_matches_in_memory(tmp_path, capsys):
     graph_path = tmp_path / "g.graph"
     est_a = tmp_path / "a.est"

@@ -21,9 +21,8 @@ def impl(request):
 
 def test_batch_exp_matches_scalar(impl):
     vs = random_batch(500, 0)
-    out = impl.batch_exp(vs)
-    for v, R in zip(vs[:50], out[:50]):
-        np.testing.assert_allclose(R, so3.exp_map(v), atol=1e-14)
+    np.testing.assert_allclose(impl.batch_exp(vs), ScipyRotation.from_rotvec(vs).as_matrix(),
+                               rtol=0, atol=1e-14)
 
 
 def test_batch_log_matches_scipy(impl):
@@ -54,8 +53,6 @@ def test_batch_log_across_switch_and_tiny_angles(impl):
     out = impl.batch_log(Rs)
     np.testing.assert_allclose(out, ScipyRotation.from_matrix(Rs).as_rotvec(),
                                rtol=0, atol=1e-14)
-    np.testing.assert_allclose(out, np.stack([so3.log_map(R) for R in Rs]),
-                               rtol=0, atol=1e-14)
 
 
 def test_batch_log_skew_path_matches_quaternion_on_products():
@@ -75,10 +72,8 @@ def test_edge_residuals_definition(impl):
     Ri = np.stack([so3.random_rotation(rng) for _ in range(m)])
     Rj = np.stack([so3.random_rotation(rng) for _ in range(m)])
     Rij = np.stack([so3.random_rotation(rng) for _ in range(m)])
-    res = impl.edge_residuals(Ri, Rj, Rij)
-    for k in range(0, m, 7):
-        expected = so3.log_map(Rj[k].T @ Rij[k] @ Ri[k])
-        np.testing.assert_allclose(res[k], expected, atol=1e-12)
+    expected = ScipyRotation.from_matrix(np.transpose(Rj, (0, 2, 1)) @ Rij @ Ri).as_rotvec()
+    np.testing.assert_allclose(impl.edge_residuals(Ri, Rj, Rij), expected, rtol=0, atol=1e-12)
 
 
 def test_empty_batch(impl):

@@ -213,6 +213,9 @@ class TestRandomRotationAndPerturb:
     def test_perturb_negative_sigma(self):
         with pytest.raises(InvalidArgumentError):
             so3.perturb(np.eye(3), -0.1, 0)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError, match="sigma must be finite"):
+                so3.perturb(np.eye(3), sigma, 0)
 
     def test_perturb_mean_distance_monte_carlo(self):
         # E||n|| for n ~ N(0, sigma^2 I_3) is sigma * 2 * sqrt(2/pi)

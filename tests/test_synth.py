@@ -21,6 +21,13 @@ class TestSpecValidation:
             SyntheticSceneSpec(n=5, noise_sigma=-0.1)
         with pytest.raises(InvalidArgumentError):
             SyntheticSceneSpec(n=5, confidence_model="learned")
+        for bad in ({"oracle_eps": 2.0}, {"oracle_eps": -0.1},
+                    {"oracle_eps": math.nan}, {"informative_scale": 0.0},
+                    {"informative_scale": -1.0}, {"informative_scale": math.nan},
+                    {"informative_jitter": math.nan}, {"informative_jitter": -0.5},
+                    {"informative_jitter": math.inf}):
+            with pytest.raises(InvalidArgumentError):
+                SyntheticSceneSpec(n=5, **bad)
 
 
 class TestGenerate:
@@ -89,6 +96,93 @@ class TestGenerate:
         # outliers are uniform rotations: their errors should be large on average
         assert (np.mean(scene.true_edge_errors[~scene.edge_labels])
                 > np.mean(scene.true_edge_errors[scene.edge_labels]))
+
+
+# The per-edge loop that synth.generate and corrupt_with_outlier_vertices
+# replaced with batch kernels, kept as the reference for their draw order:
+# the ground-truth quaternions, the erdos coin flips, the outlier
+# permutation, then per edge three noise normals or four quaternion normals.
+def reference_generate(spec):
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n
+    gt = [so3.random_rotation(rng) for _ in range(n)]
+    if spec.topology == "complete":
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    elif spec.topology == "chain_window":
+        pairs = [(i, j) for i in range(n)
+                 for j in range(i + 1, min(i + spec.chain_window, n - 1) + 1)]
+    else:
+        while True:
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < spec.erdos_p]
+            ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+            if len(gm.components(n, ends[:, 0], ends[:, 1])) == 1:
+                break
+    m = len(pairs)
+    inlier = np.ones(m, dtype=bool)
+    inlier[rng.permutation(m)[:int(round(spec.outlier_edge_fraction * m))]] = False
+    rotations = np.empty((m, 3, 3))
+    errors = np.empty(m)
+    for k, (i, j) in enumerate(pairs):
+        true_rel = gt[j] @ gt[i].T
+        if inlier[k]:
+            rotations[k] = so3.perturb(true_rel, spec.noise_sigma, rng)
+        else:
+            rotations[k] = so3.random_rotation(rng)
+        errors[k] = so3.riemannian_distance(rotations[k], true_rel)
+    conf = synth._confidences(spec, inlier, errors, rng)
+    return np.array(pairs), np.stack(gt), rotations, conf, inlier, errors
+
+
+def reference_corrupt(scene, k, seed):
+    rng = np.random.default_rng(seed)
+    n_old = scene.graph.n_vertices
+    n_new = n_old + k
+    gt = list(scene.graph.ground_truth) + [so3.random_rotation(rng) for _ in range(k)]
+    pairs = [(i, v) for v in range(n_old, n_new) for i in range(n_old)]
+    pairs += [(a, b) for a in range(n_old, n_new) for b in range(a + 1, n_new)]
+    pairs.sort()
+    rotations = np.stack([so3.random_rotation(rng) for _ in pairs])
+    errors = np.array([so3.riemannian_distance(rotations[t], gt[j] @ gt[i].T)
+                       for t, (i, j) in enumerate(pairs)])
+    inlier = np.zeros(len(pairs), dtype=bool)
+    conf = synth._confidences(scene.spec, inlier, errors, rng)
+    return np.array(pairs), np.stack(gt), rotations, conf, inlier, errors
+
+
+def assert_matches_reference(g, labels, errors, ref, first_edge=0):
+    pairs, gt, rotations, conf, inlier, ref_errors = ref
+    ii, jj, rots, c = (a[first_edge:] for a in g.edge_arrays())
+    np.testing.assert_array_equal(np.stack([ii, jj], axis=1), pairs)
+    np.testing.assert_array_equal(labels[first_edge:], inlier)
+    np.testing.assert_allclose(np.stack(g.ground_truth), gt, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(rots, rotations, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(c, conf, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(errors[first_edge:], ref_errors, rtol=0, atol=1e-14)
+
+
+class TestMatchesPerEdgeReference:
+    @pytest.mark.parametrize("model", synth.CONFIDENCE_MODELS)
+    @pytest.mark.parametrize("topology", synth.TOPOLOGIES)
+    def test_generate(self, topology, model):
+        # erdos p=0.15 on 25 vertices takes three draws at seed 23
+        spec = SyntheticSceneSpec(
+            n=25, topology=topology, erdos_p=0.15, chain_window=4,
+            noise_sigma=math.radians(5), outlier_edge_fraction=0.3,
+            confidence_model=model, seed=23)
+        scene = synth.generate(spec)
+        assert_matches_reference(scene.graph, scene.edge_labels,
+                                 scene.true_edge_errors, reference_generate(spec))
+
+    @pytest.mark.parametrize("model", synth.CONFIDENCE_MODELS)
+    def test_corrupt_with_outlier_vertices(self, model):
+        scene = synth.generate(SyntheticSceneSpec(
+            n=12, noise_sigma=math.radians(5), outlier_edge_fraction=0.2,
+            confidence_model=model, seed=22))
+        out = synth.corrupt_with_outlier_vertices(scene, 4, 23)
+        assert_matches_reference(out.graph, out.edge_labels, out.true_edge_errors,
+                                 reference_corrupt(scene, 4, 23),
+                                 first_edge=len(scene.graph.ii))
 
 
 class TestCorruptWithOutlierVertices:
