@@ -35,10 +35,6 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 # ---------------------------------------------------------------- generate
 
 def _scene_spec_from_args(args) -> synth.SyntheticSceneSpec:
@@ -77,9 +73,7 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------- solve
 
 def _write_estimates(path, rotations):
-    lines = [f"N {len(rotations)}"]
-    for idx, r in enumerate(rotations):
-        lines.append(f"VERTEX_EST {idx} " + " ".join(_fmt(x) for x in r.ravel()))
+    lines = [f"N {len(rotations)}", *graphmod.vertex_lines("VERTEX_EST", rotations)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

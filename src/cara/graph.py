@@ -20,13 +20,19 @@ Every path that reads the format (:func:`parse`, the ``--stream`` scan,
 ``cara eval``) opens files with :func:`open_text` and uses one
 :class:`RecordReader` and one rotation validator, so all accept and reject
 the same files and report the same first offending line, also for bytes
-that are not UTF-8. Duplicate edge pairs are found once the whole file is
-read; a missing N or incomplete ground truth is reported as line 0.
+that are not UTF-8. The reader takes the input in blocks of lines: a block
+of plain EDGE lines is converted by one ``np.loadtxt`` call, any other block
+line by line, and the per-line reader decides what is accepted. Duplicate
+edge pairs are found once the whole file is read; a missing N or
+incomplete ground truth is reported as line 0.
 """
 from __future__ import annotations
 
+import string
+import warnings
 from array import array
 from dataclasses import dataclass, replace
+from itertools import islice, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +42,12 @@ from . import so3
 from .errors import DuplicateEdgeError, GraphParseError, InvalidArgumentError
 
 CHUNK_RECORDS = 4096
+BLOCK_LINES = 1024
+
+# An EDGE line as np.loadtxt reads it, and the only characters a block may
+# hold to be read that way.
+_EDGE_ROW = np.dtype([("tag", "U5"), ("ij", "i8", (2,)), ("vals", "f8", (10,))])
+_PLAIN_BYTES = (string.ascii_letters + string.digits + "+-. \n").encode()
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +205,15 @@ def is_connected(g: EpipolarConfidenceGraph, min_confidence: float = 0.0) -> boo
     return len(connected_components(g, min_confidence)) == 1
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# Nine floats to 17 significant digits, enough to read back every value
+# bit-exactly.
+_NINE_FLOATS = " %.17g" * 9
+
+
+def vertex_lines(tag: str, rotations) -> list[str]:
+    """``<tag> <id> <9 floats row-major>`` lines of an (N, 3, 3) stack."""
+    line = tag + " %d" + _NINE_FLOATS
+    return [line % (idx, *r) for idx, r in enumerate(np.reshape(rotations, (-1, 9)).tolist())]
 
 
 def serialize(g: EpipolarConfidenceGraph) -> str:
@@ -202,18 +221,17 @@ def serialize(g: EpipolarConfidenceGraph) -> str:
     parse(serialize(g)) reproduces every value bit-exactly."""
     lines = [f"N {g.n_vertices}"]
     if g.ground_truth is not None:
-        for idx, r in enumerate(g.ground_truth):
-            lines.append(f"VERTEX_GT {idx} " + " ".join(_fmt(x) for x in r.ravel()))
+        lines += vertex_lines("VERTEX_GT", g.ground_truth)
     ii, jj, rots, conf = g.edge_arrays()
-    for i, j, r, c in zip(ii.tolist(), jj.tolist(), rots.reshape(-1, 9).tolist(),
-                          conf.tolist()):
-        lines.append(f"EDGE {i} {j} " + " ".join(_fmt(x) for x in r) + f" {_fmt(c)}")
+    line = "EDGE %d %d" + _NINE_FLOATS + " %.17g"
+    lines += [line % (i, j, *r, c) for i, j, r, c in zip(
+        ii.tolist(), jj.tolist(), rots.reshape(-1, 9).tolist(), conf.tolist())]
     return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True, eq=False)
 class Records:
-    """Validated records of one chunk, in file order; edges have i < j."""
+    """Validated records of one block of lines, in file order; edges have i < j."""
     edge_lines: np.ndarray
     ii: np.ndarray
     jj: np.ndarray
@@ -224,7 +242,7 @@ class Records:
 
 
 class RecordReader:
-    """Tokenizer and validator of the text format, one chunk of lines at a time.
+    """Tokenizer and validator of the text format, one block of lines at a time.
 
     ``vertex_tags`` are the vertex records read, ``skip_tags`` the records
     passed over unread. After reading, ``n`` holds the N record and
@@ -237,28 +255,76 @@ class RecordReader:
         self.n = None
         self.vertex_ids: set[int] = set()
 
-    def chunks(self, lines, chunk_records=CHUNK_RECORDS):
-        """Yield :class:`Records` holding ``chunk_records`` edge and vertex
-        records each, except the last, which holds the rest.
+    def chunks(self, lines):
+        """Yield the :class:`Records` of the input, ``BLOCK_LINES`` lines at a
+        time, on one of two paths per block.
+
+        - Fast path: a block of EDGE lines only, after the N record and in
+          plain ASCII, goes through one ``np.loadtxt`` call, taken only when
+          it returns one EDGE row per line. Where ``skip_tags`` holds EDGE,
+          a block of EDGE lines is passed over and yields nothing.
+        - Per-line path: every other block is read one line at a time with
+          ``int()`` and ``float()``. This path is the arbiter: the fast path
+          takes only blocks that it reads to the same numbers, so both
+          accept and reject the same lines.
 
         Raises GraphParseError at the first offending line, or with line 0
         when the input has no N record.
         """
-        numbered = enumerate(lines, start=1)
-        more = True
-        while more:
-            records, more = self._read(numbered, chunk_records)
-            yield records
+        lines, start = iter(lines), 1
+        while block := list(islice(lines, BLOCK_LINES)):
+            text = "".join(block)
+            if "EDGE" in self.skip_tags:
+                # ASCII, so no line holds an invalid byte, and every line a
+                # skipped record: nothing in the block is read.
+                if not (text.isascii()
+                        and all(map(str.startswith, block, repeat("EDGE ")))):
+                    yield self._read(start, block)
+            elif (rows := self._edge_rows(block, text)) is not None:
+                yield self._records(np.arange(start, start + len(block)),
+                                    rows["ij"].astype(np.intp),
+                                    np.ascontiguousarray(rows["vals"]))
+            else:
+                yield self._read(start, block)
+            start += len(block)
         if self.n is None:
             raise GraphParseError(0, "missing N record")
 
-    def _read(self, numbered, size) -> tuple[Records, bool]:
-        """The next ``size`` records, and whether input may remain."""
+    def _edge_rows(self, block, text):
+        """The block's rows converted by ``np.loadtxt``, or None unless the
+        per-line reader would read every line as an EDGE record with the
+        same numbers (it then decides the block)."""
+        # loadtxt accepts fewer number spellings than int() and float()
+        # (no '_', no non-ASCII digits), skips blank lines and ends lines
+        # at '\r', so a block with any other character, or with a row count
+        # that is not its line count, is not taken. A "U5" tag keeps EDGEX
+        # and EDGEXY apart from EDGE but reads EDGE\0 as EDGE, hence the
+        # character check. A blank first line cannot pass, and a block of
+        # blank lines would make loadtxt warn. NumPy 1.23 to 1.26 read an
+        # integer field such as '1.9' through float, truncated, with only a
+        # DeprecationWarning, which Python hides by default: any warning
+        # sends the block to the per-line reader, whatever the caller's
+        # filters.
+        if (self.n is None or not text.isascii() or not block[0].strip()
+                or text.encode().translate(None, _PLAIN_BYTES)):
+            return None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(block, dtype=_EDGE_ROW, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+        if len(rows) != len(block) or not (rows["tag"] == "EDGE").all():
+            return None
+        return rows
+
+    def _read(self, start, block) -> Records:
+        """Records of ``block``, lines numbered from ``start``, one line at a
+        time with ``int()`` and ``float()``."""
         e_lines, e_ints, e_floats = [], array("q"), array("d")
         v_lines, v_ids, v_floats = [], [], []
         failures = []
-        more = False
-        for lineno, raw in numbered:
+        for lineno, raw in enumerate(block, start):
             if not raw.isascii():
                 try:
                     raw.encode("utf-8")
@@ -286,27 +352,29 @@ class RecordReader:
                 del e_ints[2 * len(e_lines):], e_floats[10 * len(e_lines):]
                 failures.append(GraphParseError(lineno, str(exc)))
                 break
-            if len(e_lines) + len(v_lines) == size:
-                more = True
-                break
+        return self._records(
+            np.array(e_lines, dtype=np.intp),
+            np.frombuffer(e_ints, dtype=np.int64).reshape(-1, 2).astype(np.intp),
+            np.frombuffer(e_floats).reshape(-1, 10), v_lines, v_ids, v_floats, failures)
 
-        # Numbers are converted and rotations validated per chunk; the
-        # earliest offending line wins, whichever check found it.
-        ij = np.frombuffer(e_ints, dtype=np.int64).reshape(-1, 2).astype(np.intp)
-        vals = np.frombuffer(e_floats).reshape(-1, 10)
+    def _records(self, e_lines, ij, vals, v_lines=(), v_ids=(), v_floats=(),
+                 failures=()) -> Records:
+        """Validate a block's converted numbers into :class:`Records`; the
+        earliest offending line wins, whichever check found it."""
+        failures = list(failures)
         try:
             ii, jj, rots = _validated_edges(self.n or 0, ij[:, 0], ij[:, 1],
                                             vals[:, :9].reshape(-1, 3, 3), vals[:, 9])
         except InvalidArgumentError as exc:
-            failures.append(GraphParseError(e_lines[exc.index], str(exc)))
+            failures.append(GraphParseError(int(e_lines[exc.index]), str(exc)))
         try:
             v_rots = so3.as_rotations(np.array(v_floats).reshape(-1, 3, 3))
         except InvalidArgumentError as exc:
             failures.append(GraphParseError(v_lines[exc.index], str(exc)))
         if failures:
             raise min(failures, key=lambda f: f.line_number)
-        return Records(np.array(e_lines, dtype=np.intp), ii, jj, rots, vals[:, 9].copy(),
-                       np.array(v_ids, dtype=np.intp), v_rots), more
+        return Records(e_lines, ii, jj, rots, vals[:, 9].copy(),
+                       np.array(v_ids, dtype=np.intp), v_rots)
 
     def _other_record(self, parts) -> int | None:
         """Every record but a well-formed EDGE: takes n from the N record,
@@ -383,5 +451,8 @@ def read_graph(lines, spool=None):
 
 def parse(text: str) -> EpipolarConfidenceGraph:
     """Parse the text format; raises GraphParseError with the line number."""
-    n, ii, jj, rots, conf, ground_truth = read_graph(text.split("\n"))
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # after the final newline: it would send its block line by line
+    n, ii, jj, rots, conf, ground_truth = read_graph(lines)
     return EpipolarConfidenceGraph(n, EdgeStream(n, ii, jj, conf, rots), ground_truth)

@@ -11,6 +11,7 @@ import numpy as np
 BACKEND = "numpy"
 
 _SMALL = 1e-6
+_EYE = np.eye(3)
 
 
 def batch_exp(vs: np.ndarray) -> np.ndarray:
@@ -31,9 +32,8 @@ def batch_exp(vs: np.ndarray) -> np.ndarray:
     K[:, 1, 2] = -vs[:, 0]
     K[:, 2, 0] = -vs[:, 1]
     K[:, 2, 1] = vs[:, 0]
-    K2 = K @ K
-    out = np.broadcast_to(np.eye(3), (m, 3, 3)).copy()
-    out += a[:, None, None] * K + b[:, None, None] * K2
+    out = a[:, None, None] * K + b[:, None, None] * (K @ K)
+    out += _EYE
     return out
 
 

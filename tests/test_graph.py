@@ -1,10 +1,12 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from cara import cli, so3, stream, synth
 from cara import graph as gm
-from cara import so3, synth
 from cara.errors import DuplicateEdgeError, GraphParseError, InvalidArgumentError
 from cara.graph import Edge
 
@@ -132,6 +134,18 @@ class TestTextFormat:
         text = gm.serialize(g)
         assert gm.serialize(gm.parse(text)) == text
 
+    def test_line_format_is_17g_per_float(self):
+        # -0.0, nan, inf, -inf and the smallest subnormal among them: one %
+        # call per line prints what formatting each float alone prints.
+        vals = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 1 / 3, -1e300, 1.0]
+        want = " ".join(f"{x:.17g}" for x in vals)
+        rot = np.array(vals).reshape(1, 3, 3)
+        g = gm.EpipolarConfidenceGraph(2, gm.EdgeStream(2, [0], [1], [-0.0], rot),
+                                       ground_truth=(rot[0], rot[0]))
+        assert gm.serialize(g).splitlines() == [
+            "N 2", f"VERTEX_GT 0 {want}", f"VERTEX_GT 1 {want}", f"EDGE 0 1 {want} -0"]
+        assert gm.vertex_lines("VERTEX_EST", rot) == [f"VERTEX_EST 0 {want}"]
+
     def test_bad_float_count(self):
         text = "N 2\nEDGE 0 1 1 0 0 0 1 0 0 0 0.5\n"  # 8 floats + confidence
         with pytest.raises(GraphParseError) as err:
@@ -205,3 +219,84 @@ def test_parsed_graph_holds_arrays_not_edge_records():
     rebuilt = gm.EpipolarConfidenceGraph(g.n_vertices, g.edges, g.ground_truth)
     for a, b in zip(rebuilt.edge_arrays(), g.edge_arrays()):
         np.testing.assert_array_equal(a, b)
+
+
+def test_per_line_reader_sees_only_header_blocks(monkeypatch, tmp_path):
+    # N and 5 VERTEX_GT lines fill the first two 4-line blocks; the 10 EDGE
+    # lines after them take the fast path on every ingest: parse, the
+    # --stream scan, and cara eval, which skips them unread.
+    g = synth.generate(synth.SyntheticSceneSpec(n=5, seed=1)).graph
+    text = gm.serialize(g)
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    monkeypatch.setattr(gm, "BLOCK_LINES", 4)
+    starts = []
+    per_line = gm.RecordReader._read
+
+    def spy(self, start, block):
+        starts.append(start)
+        return per_line(self, start, block)
+
+    monkeypatch.setattr(gm.RecordReader, "_read", spy)
+    for read in (lambda: gm.parse(text), lambda: stream.FileEdgeStream(path),
+                 lambda: cli._read_rotations(path)):
+        starts.clear()
+        read()
+        assert starts == [1, 5]
+    parsed = gm.parse(text)
+    for a, b in zip(parsed.edge_arrays(), g.edge_arrays()):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_skipped_edge_block_still_rejects_invalid_utf8(monkeypatch):
+    # cara eval passes over blocks of EDGE lines unread, but not one with a
+    # byte that is not UTF-8 (a lone surrogate from open_text).
+    monkeypatch.setattr(gm, "BLOCK_LINES", 2)
+    edge = "EDGE 0 1 1 0 0 0 1 0 0 0 1 0.5\n"
+    lines = ["N 2\n", edge, edge, edge.replace("0.5", "0.5\udcff")]
+    reader = gm.RecordReader(vertex_tags=("VERTEX_EST",), skip_tags=("EDGE",))
+    with pytest.raises(GraphParseError) as err:
+        list(reader.chunks(lines))
+    assert str(err.value) == "line 4: invalid UTF-8"
+
+
+EDGE_01 = "EDGE 0 1 1 0 0 0 1 0 0 0 1 0.5"
+
+
+@pytest.mark.parametrize("text, error", [
+    # loadtxt would read EDGE lines ahead of the N record
+    (f"{EDGE_01}\n{EDGE_01}\nN 2\n", "line 1: record before N"),
+    # and warn on a block without data
+    (f"N 2\n{EDGE_01}\n\n\n", None),
+])
+def test_blocks_kept_from_loadtxt(monkeypatch, text, error):
+    monkeypatch.setattr(gm, "BLOCK_LINES", 2)
+    if error is None:
+        assert len(gm.parse(text).ii) == 1
+    else:
+        with pytest.raises(GraphParseError) as err:
+            gm.parse(text)
+        assert str(err.value) == error
+
+
+def test_loadtxt_warning_sends_block_line_by_line(monkeypatch):
+    # NumPy 1.23 to 1.26 read the integer field '1.9' as 1 and only warn,
+    # and Python hides a DeprecationWarning by default: the block must still
+    # go to the per-line reader, which rejects the index.
+    loadtxt = np.loadtxt
+
+    def truncating_loadtxt(lines, **kwargs):
+        if any(" 1.9 " in line for line in lines):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+        return loadtxt([line.replace(" 1.9 ", " 1 ") for line in lines], **kwargs)
+
+    monkeypatch.setattr(gm.np, "loadtxt", truncating_loadtxt)
+    monkeypatch.setattr(gm, "BLOCK_LINES", 2)
+    text = (f"N 3\n{EDGE_01}\n{EDGE_01.replace(' 0 1 ', ' 0 2 ', 1)}\n"
+            f"{EDGE_01.replace(' 0 1 ', ' 1.9 2 ', 1)}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(GraphParseError) as err:
+            gm.parse(text)
+    assert str(err.value) == "line 4: invalid literal for int() with base 10: '1.9'"

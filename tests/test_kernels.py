@@ -40,6 +40,35 @@ def test_batch_log_near_pi(impl):
     np.testing.assert_allclose(impl.batch_log(Rs), vs, atol=1e-7)
 
 
+def _batch_exp_identity_first(vs):
+    # Rodrigues with the identity copied out first and a·K + b·K² added
+    # to it: the reference that batch_exp must reproduce bit for bit.
+    m = vs.shape[0]
+    theta2 = np.einsum("ij,ij->i", vs, vs)
+    theta = np.sqrt(theta2)
+    small = theta < 1e-6
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = np.where(small, 1.0 - theta2 / 6.0, np.sin(theta) / theta)
+        b = np.where(small, 0.5 - theta2 / 24.0,
+                     (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2))
+    K = np.zeros((m, 3, 3))
+    K[:, 0, 1], K[:, 0, 2], K[:, 1, 2] = -vs[:, 2], vs[:, 1], -vs[:, 0]
+    K[:, 1, 0], K[:, 2, 0], K[:, 2, 1] = vs[:, 2], -vs[:, 1], vs[:, 0]
+    out = np.broadcast_to(np.eye(3), (m, 3, 3)).copy()
+    out += a[:, None, None] * K + b[:, None, None] * (K @ K)
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 4096, 20_000])
+def test_batch_exp_bit_identical_to_identity_first(m):
+    # Zero, tiny (series branch) and large angles; signbit tells -0.0 apart.
+    rng = np.random.default_rng(m)
+    vs = rng.standard_normal((m, 3)) * rng.choice([0.0, 1e-9, 1e-7, 1.0, 3.0], (m, 1))
+    got, want = kernels.batch_exp(vs), _batch_exp_identity_first(vs)
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_batch_log_across_switch_and_tiny_angles(impl):
     # batch_log takes the skew part above trace -0.8 (theta below ~2.69) and
     # the quaternion below it; tiny angles take the series, zero included.
