@@ -90,6 +90,8 @@ def cmd_solve(args) -> int:
     if args.stream:
         if kernel.kind != "confidence":
             raise UsageError("--stream supports only the confidence kernel")
+        if args.dump_tree:
+            raise UsageError("--stream does not support --dump-tree")
         report = stream.solve_file_streaming(args.infile, config)
     else:
         with graphmod.open_text(args.infile) as fh:
@@ -105,8 +107,7 @@ def cmd_solve(args) -> int:
             report = cao_solve(g, init, config)
         else:
             report = irls_solve(g, init, kernel, config)
-        # --stream hands the tree's diagnostics to its solver, which
-        # reports them first; this keeps the same order.
+        # The tree's diagnostics come first, as on --stream.
         report.diagnostics[:0] = tree.diagnostics
     for warning in report.diagnostics:
         print(f"warning: {warning}", file=sys.stderr)

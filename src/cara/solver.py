@@ -9,10 +9,9 @@ deleting the anchor vertex's row/column (or shifted by lambda * I). Its
 sparse CSC pattern is built once per solve from the edge arrays; each
 weight setting only writes the weights into that pattern and factorizes.
 
-Edges are swept in fixed-size chunks of one :class:`EdgeStream` (edge
-arrays plus a rotation array, which ``--stream`` memory-maps), so the
-in-memory and ``--stream`` paths run the same sweeps and give
-bit-identical estimates.
+Edges are swept in fixed-size chunks of one :class:`EdgeStream`, and
+``--stream`` solves its memory-mapped ``EdgeStream`` with the same
+:func:`cao_solve` as a parsed graph, so both give bit-identical estimates.
 """
 from __future__ import annotations
 
@@ -149,13 +148,13 @@ class _LaplacianPattern:
     """CSC pattern of the anchored (fix-root) or lambda-shifted (tikhonov)
     weighted Laplacian of one edge set, built once per solve.
 
-    Column c holds, in row order, its kept neighbours before c, the
-    diagonal, then its kept neighbours after c. ``upper``/``lower`` give
-    each kept edge's (lo, hi) and (hi, lo) slot and ``diag`` each kept
-    vertex's diagonal slot, so :meth:`factor` only writes the weights into
-    the matrix's data. Kept edges are those not touching the fix-root
-    anchor; they count only in their other end's degree. Pairs must be distinct and not loops, as
-    :func:`graph.build` and the stream reader ensure.
+    One lexsort puts the entries, each kept edge's (lo, hi) and (hi, lo)
+    and each kept vertex's diagonal, in column-then-row order. Its inverse
+    holds their slots in the matrix's data, as three slices ``upper``,
+    ``lower`` and ``diag`` that :meth:`factor` fills. Kept edges avoid the
+    fix-root anchor and count only in their other end's degree. Pairs must
+    be distinct and not loops, as :func:`graph.build` and the stream
+    reader ensure.
     """
 
     def __init__(self, n, ii, jj, anchor, config):
@@ -168,33 +167,21 @@ class _LaplacianPattern:
         lo, hi = pos[np.minimum(ii, jj)], pos[np.maximum(ii, jj)]
         self.kept = np.flatnonzero((lo >= 0) & (hi >= 0))
         lo, hi = lo[self.kept], hi[self.kept]
-        nk = len(self.keep)
-        before = np.bincount(hi, minlength=nk)   # column c's rows < c
-        after = np.bincount(lo, minlength=nk)    # column c's rows > c
+        m, nk = len(lo), len(self.keep)
+        diag = np.arange(nk, dtype=np.int32)
+        rows = np.concatenate([lo, hi, diag])
+        cols = np.concatenate([hi, lo, diag])
+        order = np.lexsort((rows, cols))
+        slots = np.empty(len(order), dtype=np.int32)
+        slots[order] = np.arange(len(order), dtype=np.int32)
+        self.upper, self.lower, self.diag = slots[:m], slots[m:2 * m], slots[2 * m:]
         indptr = np.zeros(nk + 1, dtype=np.int32)
-        np.cumsum(before + after + 1, out=indptr[1:])
-        self.diag = (indptr[:-1] + before).astype(np.int32)
-        self.upper = self._slots(hi, lo, indptr[:-1], before)
-        self.lower = self._slots(lo, hi, self.diag + 1, after)
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        indices[self.diag] = np.arange(nk, dtype=np.int32)
-        indices[self.upper] = lo
-        indices[self.lower] = hi
-        self.matrix = sp.csc_matrix((np.zeros(indptr[-1]), indices, indptr),
+        np.cumsum(np.bincount(cols, minlength=nk), out=indptr[1:])
+        self.matrix = sp.csc_matrix((np.zeros(len(order)), rows[order], indptr),
                                     shape=(nk, nk))
         # A repeated pair or a loop repeats a row within a column.
         if not self.matrix.has_canonical_format:
             raise InvalidArgumentError("the solver needs distinct pairs and no loops")
-
-    @staticmethod
-    def _slots(col, row, start, count):
-        """Slot of each (row, col) entry when column c's entries fill
-        ``count[c]`` slots from ``start[c]`` in increasing row order."""
-        order = np.lexsort((row, col))
-        first = np.cumsum(count) - count     # rank of each column's first entry
-        slots = np.empty(len(col), dtype=np.int32)
-        slots[order] = np.arange(len(col), dtype=np.int32) + np.repeat(start - first, count)
-        return slots
 
     def factor(self, w):
         """Factorized solve for the Laplacian weighted by ``w``."""
@@ -223,12 +210,6 @@ class _LaplacianPattern:
             return delta
 
         return solve
-
-
-def _factor_laplacian(n, ii, jj, w, anchor, config):
-    """Factorized solve for the anchored / regularized weighted Laplacian:
-    a pattern built for one refill."""
-    return _LaplacianPattern(n, ii, jj, anchor, config).factor(w)
 
 
 def _residual_pass(stream: EdgeStream, rotations, weights):
@@ -264,20 +245,19 @@ def _apply_update(rotations, delta, anchor, config):
     return rotations @ kernels.batch_exp(delta)
 
 
-def cao_solve_stream(stream: EdgeStream, initial_rotations, config=None,
-                     anchor_vertex=None, diagnostics=None) -> SolveReport:
-    """Fixed-weight iterated WLS over an edge stream (memory O(N + |E|))."""
+def cao_solve(stream: EdgeStream, initial_rotations,
+              config: SolveConfig | None = None) -> SolveReport:
+    """Confidence-weighted optimization (fixed weights c_ij) over any
+    :class:`EdgeStream`: a parsed graph, or the memory-mapped edges of a
+    ``--stream`` file. Memory O(N + |E|) beyond the stream's rotations."""
     config = config or SolveConfig()
-    n = stream.n_vertices
+    n, ii, jj, conf = stream.n_vertices, stream.ii, stream.jj, stream.confidences
+    _check_connectivity(n, ii, jj, conf)
     R = np.array(initial_rotations, dtype=float)
     if R.shape != (n, 3, 3):
         raise InvalidArgumentError(f"expected {n} initial rotations, got {R.shape}")
-    conf = stream.confidences
-    if anchor_vertex is None:
-        anchor_vertex = 0
-    diagnostics = list(diagnostics or [])
-
-    solve = _factor_laplacian(n, stream.ii, stream.jj, conf, anchor_vertex, config)
+    anchor = _pick_root(n, ii, jj, conf)
+    solve = _LaplacianPattern(n, ii, jj, anchor, config).factor(conf)
 
     loss_history: list[float] = []
     max_residual_history: list[float] = []
@@ -289,19 +269,9 @@ def cao_solve_stream(stream: EdgeStream, initial_rotations, config=None,
         if (max_residual_history[-1] < config.residual_tolerance
                 or iterations_run == config.max_iterations):
             break
-        R = _apply_update(R, solve(rhs), anchor_vertex, config)
+        R = _apply_update(R, solve(rhs), anchor, config)
         iterations_run += 1
-    return SolveReport(R, loss_history, max_residual_history, iterations_run,
-                       anchor_vertex, diagnostics)
-
-
-def cao_solve(g: EpipolarConfidenceGraph, initial_rotations,
-              config: SolveConfig | None = None) -> SolveReport:
-    """Confidence-weighted optimization (fixed weights c_ij)."""
-    n, ii, jj, conf = g.n_vertices, g.ii, g.jj, g.confidences
-    _check_connectivity(n, ii, jj, conf)
-    return cao_solve_stream(g, initial_rotations, config,
-                            anchor_vertex=_pick_root(n, ii, jj, conf))
+    return SolveReport(R, loss_history, max_residual_history, iterations_run, anchor)
 
 
 def irls_solve(g: EpipolarConfidenceGraph, initial_rotations,

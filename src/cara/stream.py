@@ -10,7 +10,8 @@ parsed again.
 The scan reads through :class:`cara.graph.RecordReader` and validates
 exactly as :func:`cara.graph.parse` does, so ``--stream`` accepts and
 rejects exactly the files the in-memory path does, with the same error
-line, and solves them to the same estimates, bit for bit.
+line. Its :class:`FileEdgeStream` then takes the in-memory steps (tree,
+:func:`cara.solver.cao_solve`), so the estimates match bit for bit.
 """
 from __future__ import annotations
 
@@ -18,9 +19,9 @@ import tempfile
 
 import numpy as np
 
-from . import graph
+from . import graph, solver
 from .graph import EdgeStream
-from .solver import SolveConfig, SolveReport, _check_connectivity, cao_solve_stream
+from .solver import SolveConfig, SolveReport
 from .tree_init import maximum_spanning_tree, propagate
 
 
@@ -45,20 +46,22 @@ class FileEdgeStream(EdgeStream):
         super().__init__(n, ii, jj, conf, rots)
 
 
-def initialize_from_stream(stream: EdgeStream) -> tuple[np.ndarray, int, tuple[str, ...]]:
+def initialize_from_stream(stream: EdgeStream) -> tuple[np.ndarray, tuple[str, ...]]:
     """Spanning-tree initialization, as in memory; only the N-1 tree
-    rotations are read from the store. Returns (rotations, root, the
-    tree's diagnostics); the tree itself is dropped, so its N-1 edges do
-    not add to the solve's memory."""
+    rotations are read from the store. Returns (rotations, the tree's
+    diagnostics); the tree itself is dropped, so its N-1 edges do not add
+    to the solve's memory."""
     tree = maximum_spanning_tree(stream)
-    return propagate(tree, stream), tree.root, tree.diagnostics
+    return propagate(tree, stream), tree.diagnostics
 
 
 def solve_file_streaming(path, config: SolveConfig | None = None) -> SolveReport:
-    """Full streaming pipeline: scan, tree-initialize, iterate WLS. The
-    report's diagnostics start with the spanning tree's."""
+    """Full streaming pipeline: scan, tree-initialize, then
+    :func:`cara.solver.cao_solve`, the in-memory ``cara solve`` steps and
+    checks in the same order. The report's diagnostics start with the
+    spanning tree's."""
     stream = FileEdgeStream(path)
-    _check_connectivity(stream.n_vertices, stream.ii, stream.jj, stream.confidences)
-    init, root, diagnostics = initialize_from_stream(stream)
-    return cao_solve_stream(stream, init, config, anchor_vertex=root,
-                            diagnostics=diagnostics)
+    init, diagnostics = initialize_from_stream(stream)
+    report = solver.cao_solve(stream, init, config)
+    report.diagnostics[:0] = diagnostics
+    return report

@@ -99,6 +99,16 @@ def test_stream_rejects_robust_kernel(tmp_path):
                 "--kernel", "cauchy"]) == 64
 
 
+def test_stream_rejects_dump_tree(tmp_path, capsys):
+    graph_path = tmp_path / "g.graph"
+    run(["generate", "--n", "7", "--seed", "5", "--out", str(graph_path)])
+    capsys.readouterr()
+    assert run(["solve", "--in", str(graph_path), "--stream", "--dump-tree"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+
+
 def test_dump_tree(tmp_path, capsys):
     graph_path = tmp_path / "g.graph"
     run(["generate", "--n", "5", "--seed", "6", "--out", str(graph_path)])

@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
@@ -118,3 +124,20 @@ def test_edge_residuals_bypasses_public_batch_log(monkeypatch):
     R = np.broadcast_to(np.eye(3), (4, 3, 3))
     np.testing.assert_array_equal(kernels.edge_residuals(R, R, R), np.zeros((4, 3)))
     assert calls == []
+
+
+def test_bench_kernels_script_runs():
+    # Nothing else runs the micro-benchmark, so a renamed kernel would
+    # break it silently.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "bench_kernels.py"),
+         "--sizes", "10,100", "--repeats", "1"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    worst = re.search(r"max \|batch_log - scipy as_rotvec\|: (\S+)", done.stdout)
+    assert worst is not None, done.stdout
+    assert float(worst.group(1)) <= 1e-12

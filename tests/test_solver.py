@@ -313,7 +313,7 @@ class TestIrlsSolve:
         np.add.at(rhs, np.column_stack([ii, jj]).ravel(),
                   np.stack([-w[:, None] * res, w[:, None] * res], axis=1).reshape(-1, 3))
         anchor = tree_init._pick_root(g.n_vertices, ii, jj, conf)
-        solve = solver._factor_laplacian(g.n_vertices, ii, jj, w, anchor, config)
+        solve = solver._LaplacianPattern(g.n_vertices, ii, jj, anchor, config).factor(w)
         step = solver._apply_update(init, solve(rhs), anchor, config)
         assert report.iterations_run == 1
         np.testing.assert_array_equal(report.rotations, step)

@@ -65,11 +65,11 @@ def test_streaming_init_matches_in_memory(scene_file):
         n=30, noise_sigma=math.radians(4), confidence_model="informative",
         seed=3))
     fs = stream.FileEdgeStream(path)
-    init_s, root_s, _ = stream.initialize_from_stream(fs)
+    init_s, diagnostics_s = stream.initialize_from_stream(fs)
     g = gm.parse(path.read_text())
     tree = tree_init.maximum_spanning_tree(g)
     init_m = tree_init.propagate(tree, g)
-    assert root_s == tree.root
+    assert diagnostics_s == tree.diagnostics
     np.testing.assert_allclose(init_s, init_m, atol=1e-15)
 
 
@@ -104,6 +104,38 @@ def test_duplicate_edge_detected(tmp_path):
     with pytest.raises(GraphParseError) as err:
         stream.FileEdgeStream(path)
     assert err.value.line_number == 3
+
+
+def test_streaming_is_one_cao_solve(tmp_path, monkeypatch):
+    # --stream runs the in-memory steps: tree, then one solver.cao_solve
+    # over the memory-mapped edges, then the tree's warnings first.
+    scene = synth.generate(SyntheticSceneSpec(
+        n=40, topology="chain_window", chain_window=5,
+        noise_sigma=math.radians(6), outlier_edge_fraction=0.1,
+        confidence_model="informative", seed=8))
+    weak = Edge(0, 40, kernels.batch_exp(np.array([[0.1, -0.2, 0.3]]))[0], 0.005)
+    g = gm.build(41, list(scene.graph.edges) + [weak])
+    path = tmp_path / "weak.graph"
+    path.write_text(gm.serialize(g))
+    tree = tree_init.maximum_spanning_tree(g)
+    assert tree.diagnostics
+    report_m = solver.cao_solve(g, tree_init.propagate(tree, g))
+
+    calls = []
+    real = solver.cao_solve
+
+    def recording(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "cao_solve", recording)
+    report_s = stream.solve_file_streaming(path)
+    assert len(calls) == 1 and isinstance(calls[0], stream.FileEdgeStream)
+    assert report_s.rotations.tobytes() == report_m.rotations.tobytes()
+    assert report_s.loss_history == report_m.loss_history
+    assert report_s.max_residual_history == report_m.max_residual_history
+    assert report_s.anchor_vertex == report_m.anchor_vertex
+    assert report_s.diagnostics == list(tree.diagnostics) + report_m.diagnostics
 
 
 def _in_memory_solve(path):
@@ -163,8 +195,8 @@ def test_store_outlives_the_file(scene_file, change):
     for idx, chunk in fs.passes(chunk_size=64):
         collected[idx] = chunk
     np.testing.assert_array_equal(collected, scene.graph.edge_arrays()[2])
-    init, root, _ = stream.initialize_from_stream(fs)
-    report = solver.cao_solve_stream(fs, init, anchor_vertex=root)
+    init, _ = stream.initialize_from_stream(fs)
+    report = solver.cao_solve(fs, init)
     np.testing.assert_array_equal(report.rotations, expected.rotations)
 
 
