@@ -59,10 +59,8 @@ def cmd_generate(args) -> int:
             scene, args.outlier_vertices, args.seed + 1)
     graph_path = args.out
     label_path = args.out + ".labels"
-    with open(graph_path, "w", encoding="utf-8") as fh:
-        fh.write(graphmod.serialize(scene.graph))
-    with open(label_path, "w", encoding="utf-8") as fh:
-        fh.write(synth.serialize_labels(scene))
+    graphmod.write_text(graph_path, graphmod.serialize(scene.graph))
+    graphmod.write_text(label_path, synth.serialize_labels(scene))
     n_out = int(np.sum(~scene.edge_labels))
     print(f"wrote {graph_path} and {label_path}: "
           f"N={scene.graph.n_vertices} |E|={len(scene.graph.ii)} "
@@ -74,8 +72,7 @@ def cmd_generate(args) -> int:
 
 def _write_estimates(path, rotations):
     lines = [f"N {len(rotations)}", *graphmod.vertex_lines("VERTEX_EST", rotations)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    graphmod.write_text(path, "\n".join(lines) + "\n")
 
 
 def _solve_settings_from_args(args) -> tuple[SolveConfig, RobustKernel]:
@@ -174,8 +171,7 @@ def cmd_eval(args) -> int:
         lines.append(f"median,{math.degrees(stats.median):.12g}")
         for t, frac in stats.accuracy.items():
             lines.append(f"acc@{t:g},{frac:.12g}")
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        graphmod.write_text(args.out, "\n".join(lines) + "\n")
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -259,8 +255,7 @@ def cmd_bench(args) -> int:
     out_lines = ["# cara-bench v1", BENCH_HEADER] + rows
     text = "\n".join(out_lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        graphmod.write_text(args.out, text)
         print(f"wrote {args.out} ({len(rows)} rows)")
     else:
         print(text, end="")

@@ -25,9 +25,14 @@ of plain EDGE lines is converted by one ``np.loadtxt`` call, any other block
 line by line, and the per-line reader decides what is accepted. Duplicate
 edge pairs are found once the whole file is read; a missing N or
 incomplete ground truth is reported as line 0.
+
+Every file cara writes (graphs, labels, estimates, eval and bench CSV) goes
+through :func:`write_text`, which rewrites an existing file in place.
 """
 from __future__ import annotations
 
+import os
+import stat
 import string
 import warnings
 from array import array
@@ -409,6 +414,31 @@ def open_text(path):
     """Open a file of the text format. Bytes that are not UTF-8 are read as
     lone surrogates, which :class:`RecordReader` rejects at their line."""
     return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, rewriting an existing file in place.
+
+    The result is what ``open(path, "w")`` leaves: the same bytes, inode and
+    mode, written through symlinks and hard links, and device outputs such as
+    ``/dev/null`` work. Only the truncate to zero on open is skipped, which
+    on a filesystem that discards freed blocks costs tens of milliseconds
+    for a file that holds data; a regular file is cut to the written length
+    afterwards instead. If a write fails, the file is cut at the bytes
+    written, so no tail of the old content is left behind the new bytes.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    written = 0
+    try:
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
 
 
 def read_graph(lines, spool=None):

@@ -1,4 +1,8 @@
+import errno
+import os
 import sys
+
+import pytest
 
 try:
     from hypothesis import settings
@@ -21,3 +25,40 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def failing_writes(monkeypatch):
+    """``failing_writes(path, keep)``: the first write to ``path`` stores at
+    most ``keep`` bytes and every later one fails with ENOSPC, as on a full
+    disk. Returns the lists of descriptors opened for ``path`` and of all
+    descriptors closed."""
+    def install(path, keep):
+        opened, closed = [], []
+        real_open, real_write, real_close = os.open, os.write, os.close
+        left = [keep]
+
+        def fake_open(p, flags, *args, **kwargs):
+            fd = real_open(p, flags, *args, **kwargs)
+            if os.fspath(p) == os.fspath(path):
+                opened.append(fd)
+            return fd
+
+        def fake_write(fd, data):
+            if fd not in opened:
+                return real_write(fd, data)
+            if left[0] == 0:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            n = real_write(fd, bytes(data[:left[0]]))
+            left[0] = 0
+            return n
+
+        def fake_close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        monkeypatch.setattr(os, "open", fake_open)
+        monkeypatch.setattr(os, "write", fake_write)
+        monkeypatch.setattr(os, "close", fake_close)
+        return opened, closed
+    return install

@@ -1,4 +1,6 @@
+import builtins
 import math
+import os
 
 import numpy as np
 import pytest
@@ -331,3 +333,110 @@ def test_low_confidence_tree_warning_alike(tmp_path, capsys):
     assert errs == [errs[0]] * 2
     assert errs[0] == ("warning: 1 spanning-tree edge(s) have confidence < 0.01: "
                        "(1,2)\n")
+
+
+# Every --out goes through graph.write_text: an existing file is rewritten
+# in place, as open(path, "w") would leave it but without its truncate to
+# zero, which costs tens of milliseconds on a filesystem that discards
+# freed blocks.
+OUT_COMMANDS = {
+    "generate": ["generate", "--n", "7", "--seed", "5"],
+    "solve": ["solve", "--in", "{g}"],
+    "solve --stream": ["solve", "--in", "{g}", "--stream"],
+    "eval": ["eval", "--est", "{est}", "--gt", "{g}"],
+    "bench": ["bench", "--suite", "kernels", "--seeds", "1"],
+}
+
+
+def _out_argv(tmp_path, command, out):
+    """``command`` with ``--out out``, after writing the files it reads."""
+    g, est = tmp_path / "in.graph", tmp_path / "in.est"
+    run(["generate", "--n", "7", "--sigma-deg", "5", "--seed", "5", "--out", str(g)])
+    run(["solve", "--in", str(g), "--out", str(est)])
+    return [a.format(g=g, est=est) for a in OUT_COMMANDS[command]] + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["solve", "solve --stream"])
+def test_solve_out_rewrites_in_place(tmp_path, capsys, command):
+    # A 7-camera solve over a 2000-camera estimate file leaves the bytes of
+    # a fresh path, on the same inode with the same mode.
+    fresh, old = tmp_path / "fresh.est", tmp_path / "old.est"
+    assert run(_out_argv(tmp_path, command, fresh)) == 0
+    cli._write_estimates(old, np.tile(np.eye(3), (2000, 1, 1)))
+    old.chmod(0o640)
+    before = old.stat()
+    assert run(_out_argv(tmp_path, command, old)) == 0
+    after = old.stat()
+    assert before.st_size > 10 * after.st_size
+    assert old.read_bytes() == fresh.read_bytes()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+
+def test_out_through_symlink_writes_target(tmp_path, capsys):
+    fresh, target, link = (tmp_path / n for n in ("fresh.est", "target.est", "link.est"))
+    assert run(_out_argv(tmp_path, "solve", fresh)) == 0
+    target.write_text("x" * 100_000)
+    link.symlink_to(target)
+    assert run(_out_argv(tmp_path, "solve", link)) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["solve", "solve --stream", "eval", "bench"])
+def test_out_dev_null_exit_0(tmp_path, capsys, command):
+    # A device is written, never cut to length.
+    assert run(_out_argv(tmp_path, command, os.devnull)) == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", ["generate", "solve", "solve --stream", "eval"])
+def test_out_dev_full_exit_2(tmp_path, capsys, command):
+    argv = _out_argv(tmp_path, command, "/dev/full")
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
+def test_failed_write_cuts_file_and_exits_2(tmp_path, capsys, failing_writes):
+    # A write that fails partway leaves the bytes written and no tail of
+    # the old, longer file that could still read as complete estimates.
+    fresh, old = tmp_path / "fresh.est", tmp_path / "old.est"
+    assert run(_out_argv(tmp_path, "solve", fresh)) == 0
+    cli._write_estimates(old, np.tile(np.eye(3), (2000, 1, 1)))
+    argv = _out_argv(tmp_path, "solve", old)
+    capsys.readouterr()
+    opened, closed = failing_writes(old, keep=100)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert old.read_bytes() == fresh.read_bytes()[:100]
+    assert len(opened) == 1 and set(opened) <= set(closed)
+
+
+def test_no_output_opened_with_truncate(tmp_path, capsys, monkeypatch):
+    # Each command writes its --out twice; no file written, inputs included,
+    # may be opened with O_TRUNC (open(path, "w") truncates too).
+    writes = []
+    real_os_open, real_open = os.open, builtins.open
+
+    def os_open(path, flags, *args, **kwargs):
+        if flags & (os.O_WRONLY | os.O_RDWR):
+            writes.append((os.fspath(path), bool(flags & os.O_TRUNC)))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def builtin_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and set(mode) & set("wax+"):
+            writes.append((os.fspath(file), "w" in mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(builtins, "open", builtin_open)
+    outputs = []
+    for k, command in enumerate(OUT_COMMANDS):
+        out = tmp_path / f"{k}.out"
+        argv = _out_argv(tmp_path, command, out)
+        assert run(argv) == 0 and run(argv) == 0
+        outputs.append(str(out))
+    outputs.append(outputs[0] + ".labels")
+    assert [p for p, truncates in writes if truncates] == []
+    for path in outputs:
+        assert [p for p, _ in writes].count(path) == 2

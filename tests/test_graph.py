@@ -1,4 +1,6 @@
+import errno
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -300,3 +302,33 @@ def test_loadtxt_warning_sends_block_line_by_line(monkeypatch):
         with pytest.raises(GraphParseError) as err:
             gm.parse(text)
     assert str(err.value) == "line 4: invalid literal for int() with base 10: '1.9'"
+
+
+def test_write_text_rewrites_in_place(tmp_path):
+    # A shorter text over a longer file: the bytes of a fresh write, on the
+    # same inode with the same mode, seen through a hard link too.
+    text = "N 2\nVERTEX_EST 0 ü\n"
+    fresh = tmp_path / "fresh"
+    gm.write_text(fresh, text)
+    path, link = tmp_path / "old", tmp_path / "link"
+    path.write_text("x" * 10_000)
+    path.chmod(0o640)
+    os.link(path, link)
+    before = path.stat()
+    gm.write_text(path, text)
+    after = path.stat()
+    assert path.read_bytes() == fresh.read_bytes() == text.encode("utf-8")
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert link.read_bytes() == fresh.read_bytes()
+
+
+def test_write_text_failure_cuts_at_written_bytes(tmp_path, failing_writes):
+    # The old tail must not follow the new bytes, as after open(path, "w").
+    path = tmp_path / "old.est"
+    path.write_text("y" * 10_000)
+    opened, closed = failing_writes(path, keep=100)
+    with pytest.raises(OSError) as err:
+        gm.write_text(path, "z" * 5_000)
+    assert err.value.errno == errno.ENOSPC
+    assert path.read_bytes() == b"z" * 100
+    assert len(opened) == 1 and closed == opened
