@@ -76,20 +76,26 @@ def _write_estimates(path, rotations):
 
 
 def _solve_settings_from_args(args) -> tuple[SolveConfig, RobustKernel]:
-    config = SolveConfig(max_iterations=args.iters, anchor=args.anchor)
     kernel = RobustKernel(kind=args.kernel.replace("-", "_"),
                           alpha=math.radians(args.alpha_deg))
-    return config, kernel
+    cap = "max_iterations" if kernel.kind == "confidence" else "irls_max_iterations"
+    iters = {} if args.iters is None else {cap: args.iters}
+    return SolveConfig(anchor=args.anchor, **iters), kernel
+
+
+def _solve(g, init, kernel: RobustKernel, config: SolveConfig):
+    """cao_solve for the confidence kernel, irls_solve for any other."""
+    if kernel.kind == "confidence":
+        return cao_solve(g, init, config)
+    return irls_solve(g, init, kernel, config)
 
 
 def cmd_solve(args) -> int:
     config, kernel = _solve_settings_from_args(args)
     if args.stream:
-        if kernel.kind != "confidence":
-            raise UsageError("--stream supports only the confidence kernel")
         if args.dump_tree:
             raise UsageError("--stream does not support --dump-tree")
-        report = stream.solve_file_streaming(args.infile, config)
+        report = stream.solve_file_streaming(args.infile, config, kernel)
     else:
         with graphmod.open_text(args.infile) as fh:
             g = graphmod.parse(fh.read())
@@ -99,11 +105,7 @@ def cmd_solve(args) -> int:
                   f"(total confidence {tree.total_confidence:.6g})")
             for te in tree.parent_edges:
                 print(f"  {te.parent} -> {te.child}  c={te.confidence:.6g}")
-        init = propagate(tree, g)
-        if kernel.kind == "confidence":
-            report = cao_solve(g, init, config)
-        else:
-            report = irls_solve(g, init, kernel, config)
+        report = _solve(g, propagate(tree, g), kernel, config)
         # The tree's diagnostics come first, as on --stream.
         report.diagnostics[:0] = tree.diagnostics
     for warning in report.diagnostics:
@@ -184,11 +186,7 @@ BENCH_HEADER = ("scenario,kernel,confidence_model,n,k_outliers,sigma_deg,"
 
 def _solve_scene(scene, kernel: RobustKernel, config: SolveConfig):
     g = scene.graph
-    tree = maximum_spanning_tree(g)
-    init = propagate(tree, g)
-    if kernel.kind == "confidence":
-        return cao_solve(g, init, config)
-    return irls_solve(g, init, kernel, config)
+    return _solve(g, propagate(maximum_spanning_tree(g), g), kernel, config)
 
 
 def _bench_row(scenario, kernel_kind, scene, seed):
@@ -292,7 +290,9 @@ def build_parser() -> Parser:
                    choices=["confidence", "l2", "l-half", "l_half", "cauchy",
                             "geman-mcclure", "geman_mcclure"])
     p.add_argument("--alpha-deg", type=float, default=5.0)
-    p.add_argument("--iters", type=int, default=3)
+    p.add_argument("--iters", type=int, default=None,
+                   help=f"iteration cap (default {SolveConfig.max_iterations}; "
+                        f"{SolveConfig.irls_max_iterations} under a robust kernel)")
     p.add_argument("--anchor", default="fix-root", choices=["fix-root", "tikhonov"])
     p.add_argument("--stream", action="store_true",
                    help="edge-by-edge file ingestion (low memory)")

@@ -9,9 +9,9 @@ deleting the anchor vertex's row/column (or shifted by lambda * I). Its
 sparse CSC pattern is built once per solve from the edge arrays; each
 weight setting only writes the weights into that pattern and factorizes.
 
-Edges are swept in fixed-size chunks of one :class:`EdgeStream`, and
-``--stream`` solves its memory-mapped ``EdgeStream`` with the same
-:func:`cao_solve` as a parsed graph, so both give bit-identical estimates.
+:func:`cao_solve` and :func:`irls_solve` run one loop over the edges of
+an :class:`EdgeStream`, swept in fixed-size chunks; ``--stream`` runs it on
+a memory-mapped one, so both paths give bit-identical estimates.
 """
 from __future__ import annotations
 
@@ -113,6 +113,7 @@ class SolveReport:
     iterations_run: int
     anchor_vertex: int
     diagnostics: list[str] = field(default_factory=list)
+    stop_reason: str = ""  # residual_tolerance | relative_tolerance | iteration_cap
 
 
 def cal_loss(g: EpipolarConfidenceGraph, rotations: np.ndarray) -> float:
@@ -245,39 +246,72 @@ def _apply_update(rotations, delta, anchor, config):
     return rotations @ kernels.batch_exp(delta)
 
 
+def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
+           config: SolveConfig) -> SolveReport:
+    """The one solve loop. ``kernel=None`` weights the edges by their fixed
+    confidences and factors once; a robust kernel re-weights them from each
+    sweep's residual angles and refills the pattern at every step."""
+    n, ii, jj, conf = stream.n_vertices, stream.ii, stream.jj, stream.confidences
+    _check_connectivity(n, ii, jj, conf if kernel is None else None)
+    R = np.array(initial_rotations, dtype=float)
+    if R.shape != (n, 3, 3):
+        raise InvalidArgumentError(f"expected {n} initial rotations, got {R.shape}")
+    anchor = _pick_root(n, ii, jj, conf)
+    laplacian = _LaplacianPattern(n, ii, jj, anchor, config)
+    if kernel is None:
+        # Only the factor lives through the sweeps: holding the pattern too
+        # raised the --stream peak by a quarter.
+        weights, cap = conf, config.max_iterations
+        solve, laplacian = laplacian.factor(conf), None
+    else:
+        weights, cap = kernel.weights, config.irls_max_iterations
+    loss_history: list[float] = []
+    max_residual_history: list[float] = []
+    diagnostics: list[str] = []
+    iterations_run = 0
+    while True:
+        # One sweep gives the norms and the weighted rhs.
+        rhs, norms = _residual_pass(stream, R, weights)
+        loss_history.append(float(conf @ norms ** 2) if kernel is None
+                            else float(np.sum(kernel.rho(norms))))
+        max_residual_history.append(float(norms.max()) if len(norms) else 0.0)
+        converged = kernel is not None and len(loss_history) > 1 and (
+            abs(loss_history[-2] - loss_history[-1])
+            <= config.irls_rel_tol * max(abs(loss_history[-2]), 1e-30))
+        stop_reason = ("residual_tolerance"
+                       if max_residual_history[-1] < config.residual_tolerance
+                       else "relative_tolerance" if converged
+                       else "iteration_cap" if iterations_run == cap else "")
+        if stop_reason:
+            break
+        if kernel is not None:
+            w = kernel.weights(norms)
+            if not (w > 0).all() and len(components(n, ii[w > 0], jj[w > 0])) > 1:
+                w = np.maximum(w, WEIGHT_FLOOR)
+                diagnostics.append(
+                    "re-weighting disconnected the graph; weights floored at "
+                    f"{WEIGHT_FLOOR}")
+                rhs, _ = _residual_pass(stream, R, w)
+            solve = laplacian.factor(w)
+        R = _apply_update(R, solve(rhs), anchor, config)
+        iterations_run += 1
+    return SolveReport(R, loss_history, max_residual_history, iterations_run,
+                       anchor, diagnostics, stop_reason)
+
+
 def cao_solve(stream: EdgeStream, initial_rotations,
               config: SolveConfig | None = None) -> SolveReport:
     """Confidence-weighted optimization (fixed weights c_ij) over any
     :class:`EdgeStream`: a parsed graph, or the memory-mapped edges of a
     ``--stream`` file. Memory O(N + |E|) beyond the stream's rotations."""
-    config = config or SolveConfig()
-    n, ii, jj, conf = stream.n_vertices, stream.ii, stream.jj, stream.confidences
-    _check_connectivity(n, ii, jj, conf)
-    R = np.array(initial_rotations, dtype=float)
-    if R.shape != (n, 3, 3):
-        raise InvalidArgumentError(f"expected {n} initial rotations, got {R.shape}")
-    anchor = _pick_root(n, ii, jj, conf)
-    solve = _LaplacianPattern(n, ii, jj, anchor, config).factor(conf)
-
-    loss_history: list[float] = []
-    max_residual_history: list[float] = []
-    iterations_run = 0
-    while True:
-        rhs, norms = _residual_pass(stream, R, conf)
-        loss_history.append(float(conf @ norms ** 2))
-        max_residual_history.append(float(norms.max()) if len(norms) else 0.0)
-        if (max_residual_history[-1] < config.residual_tolerance
-                or iterations_run == config.max_iterations):
-            break
-        R = _apply_update(R, solve(rhs), anchor, config)
-        iterations_run += 1
-    return SolveReport(R, loss_history, max_residual_history, iterations_run, anchor)
+    return _solve(stream, initial_rotations, None, config or SolveConfig())
 
 
-def irls_solve(g: EpipolarConfidenceGraph, initial_rotations,
+def irls_solve(stream: EdgeStream, initial_rotations,
                kernel: RobustKernel | None = None,
                config: SolveConfig | None = None) -> SolveReport:
-    """Iteratively re-weighted least squares under a robust kernel.
+    """Iteratively re-weighted least squares under a robust kernel, over
+    any :class:`EdgeStream` as :func:`cao_solve`.
 
     ``kind="confidence"`` degenerates to :func:`cao_solve`. Otherwise
     each outer iteration re-derives per-edge weights from the current
@@ -286,45 +320,6 @@ def irls_solve(g: EpipolarConfidenceGraph, initial_rotations,
     ``irls_rel_tol`` or after ``irls_max_iterations`` steps.
     """
     kernel = kernel or RobustKernel()
-    config = config or SolveConfig()
     if kernel.kind == "confidence":
-        return cao_solve(g, initial_rotations, config)
-
-    n, ii, jj = g.n_vertices, g.ii, g.jj
-    _check_connectivity(n, ii, jj)
-    R = np.array(initial_rotations, dtype=float)
-    if R.shape != (n, 3, 3):
-        raise InvalidArgumentError(f"expected {n} initial rotations, got {R.shape}")
-    anchor = _pick_root(n, ii, jj, g.confidences)
-    laplacian = _LaplacianPattern(n, ii, jj, anchor, config)
-    diagnostics: list[str] = []
-
-    loss_history: list[float] = []
-    max_residual_history: list[float] = []
-    iterations_run = 0
-    prev_obj = None
-    while True:
-        # One sweep gives the norms and the rhs weighted by them.
-        rhs, norms = _residual_pass(g, R, kernel.weights)
-        obj = float(np.sum(kernel.rho(norms)))
-        loss_history.append(obj)
-        max_residual_history.append(float(norms.max()) if len(norms) else 0.0)
-        converged = prev_obj is not None and (
-            abs(prev_obj - obj) <= config.irls_rel_tol * max(abs(prev_obj), 1e-30))
-        if (converged or iterations_run == config.irls_max_iterations
-                or max_residual_history[-1] < config.residual_tolerance):
-            break
-        prev_obj = obj
-
-        w = kernel.weights(norms)
-        if not (w > 0).all() and len(components(n, ii[w > 0], jj[w > 0])) > 1:
-            w = np.maximum(w, WEIGHT_FLOOR)
-            diagnostics.append(
-                "re-weighting disconnected the graph; weights floored at "
-                f"{WEIGHT_FLOOR}")
-            rhs, _ = _residual_pass(g, R, w)
-        solve = laplacian.factor(w)
-        R = _apply_update(R, solve(rhs), anchor, config)
-        iterations_run += 1
-    return SolveReport(R, loss_history, max_residual_history, iterations_run,
-                       anchor, diagnostics)
+        return cao_solve(stream, initial_rotations, config)
+    return _solve(stream, initial_rotations, kernel, config or SolveConfig())

@@ -11,7 +11,7 @@ The scan reads through :class:`cara.graph.RecordReader` and validates
 exactly as :func:`cara.graph.parse` does, so ``--stream`` accepts and
 rejects exactly the files the in-memory path does, with the same error
 line. Its :class:`FileEdgeStream` then takes the in-memory steps (tree,
-:func:`cara.solver.cao_solve`), so the estimates match bit for bit.
+then :mod:`cara.solver`), so the estimates match bit for bit for every kernel.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import graph, solver
 from .graph import EdgeStream
-from .solver import SolveConfig, SolveReport
+from .solver import RobustKernel, SolveConfig, SolveReport
 from .tree_init import maximum_spanning_tree, propagate
 
 
@@ -55,13 +55,17 @@ def initialize_from_stream(stream: EdgeStream) -> tuple[np.ndarray, tuple[str, .
     return propagate(tree, stream), tree.diagnostics
 
 
-def solve_file_streaming(path, config: SolveConfig | None = None) -> SolveReport:
-    """Full streaming pipeline: scan, tree-initialize, then
-    :func:`cara.solver.cao_solve`, the in-memory ``cara solve`` steps and
-    checks in the same order. The report's diagnostics start with the
-    spanning tree's."""
+def solve_file_streaming(path, config: SolveConfig | None = None,
+                         kernel: RobustKernel | None = None) -> SolveReport:
+    """Full streaming pipeline: scan, tree-initialize, then solve (cao for
+    the default confidence kernel, IRLS for the others): the in-memory
+    ``cara solve`` steps and checks in the same order. The report's
+    diagnostics start with the spanning tree's."""
     stream = FileEdgeStream(path)
     init, diagnostics = initialize_from_stream(stream)
-    report = solver.cao_solve(stream, init, config)
+    if kernel is None or kernel.kind == "confidence":
+        report = solver.cao_solve(stream, init, config)
+    else:
+        report = solver.irls_solve(stream, init, kernel, config)
     report.diagnostics[:0] = diagnostics
     return report

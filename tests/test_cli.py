@@ -94,11 +94,50 @@ def test_stream_matches_in_memory(tmp_path, capsys):
     assert np.abs(ra - rb).max() < 1e-12
 
 
-def test_stream_rejects_robust_kernel(tmp_path):
+# --stream solves with the in-memory cao_solve or irls_solve, so every kernel
+# under either anchor gives the same exit code, warnings, stdout and
+# estimate bytes on both paths. Vertex 40 hangs on one weak edge, so both
+# print the spanning tree's warning.
+@pytest.mark.parametrize("anchor", ["fix-root", "tikhonov"])
+@pytest.mark.parametrize("kernel", ["confidence", "l2", "cauchy", "geman-mcclure",
+                                    "l-half"])
+def test_stream_and_memory_solve_alike(tmp_path, capsys, kernel, anchor):
+    scene_path = tmp_path / "scene.graph"
+    run(["generate", "--n", "40", "--topology", "chain-window", "--window", "5",
+         "--sigma-deg", "5", "--outlier-frac", "0.1", "--confidence-model",
+         "informative", "--seed", "4", "--out", str(scene_path)])
+    g = gm.parse(scene_path.read_text())
+    graph_path = tmp_path / "weak.graph"
+    graph_path.write_text(gm.serialize(gm.build(
+        41, list(g.edges) + [gm.Edge(0, 40, np.eye(3), 0.005)])))
+    capsys.readouterr()
+    results = []
+    for extra in ([], ["--stream"]):
+        est = tmp_path / f"est{len(results)}.txt"
+        code = run(["solve", "--in", str(graph_path), "--kernel", kernel,
+                    "--anchor", anchor, "--out", str(est)] + extra)
+        out, err = capsys.readouterr()
+        lines = [line for line in out.splitlines() if not line.startswith("wrote ")]
+        results.append((code, err, lines, est.read_bytes()))
+    assert results[0][:2] == (0, "warning: 1 spanning-tree edge(s) have confidence "
+                                 "< 0.01: (0,40)\n")
+    assert results[1] == results[0]
+
+
+@pytest.mark.parametrize("extra", [[], ["--stream"]], ids=["memory", "stream"])
+def test_iters_caps_robust_kernel(tmp_path, capsys, extra):
     graph_path = tmp_path / "g.graph"
-    run(["generate", "--n", "7", "--seed", "5", "--out", str(graph_path)])
-    assert run(["solve", "--in", str(graph_path), "--stream",
-                "--kernel", "cauchy"]) == 64
+    run(["generate", "--n", "30", "--sigma-deg", "5", "--outlier-frac", "0.3",
+         "--seed", "3", "--out", str(graph_path)])
+
+    def iterations(argv):
+        capsys.readouterr()
+        assert run(["solve", "--in", str(graph_path), "--kernel", "cauchy"]
+                   + argv + extra) == 0
+        return int(capsys.readouterr().out.split("iterations: ")[1].split()[0])
+
+    assert iterations([]) > 2
+    assert iterations(["--iters", "2"]) <= 2
 
 
 def test_stream_rejects_dump_tree(tmp_path, capsys):
@@ -300,6 +339,8 @@ def test_no_edges_exit_3_alike(tmp_path, capsys):
     ["eval", "--thresholds", "nan"],
     ["solve", "--iters", "0"],
     ["solve", "--iters", "0", "--stream"],
+    ["solve", "--kernel", "cauchy", "--iters", "0"],
+    ["solve", "--kernel", "cauchy", "--iters", "0", "--stream"],
     ["solve", "--kernel", "cauchy", "--alpha-deg", "0"],
     ["solve", "--kernel", "cauchy", "--alpha-deg", "0", "--stream"],
     ["solve", "--kernel", "cauchy", "--alpha-deg", "nan"],

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -434,3 +435,56 @@ def test_laplacian_pattern_rejects_repeated_pairs_and_loops():
     for ii, jj in (([0, 1, 0], [1, 2, 1]), ([0, 1, 1], [1, 2, 1])):
         with pytest.raises(InvalidArgumentError):
             solver._LaplacianPattern(3, np.array(ii), np.array(jj), 2, config)
+
+
+def _dense_outlier_graph(seed):
+    """The 200-camera complete scene with 30% outlier edges."""
+    return synth.generate(synth.SyntheticSceneSpec(
+        n=200, noise_sigma=math.radians(5), outlier_edge_fraction=0.3,
+        confidence_model="informative", seed=seed)).graph
+
+
+@pytest.mark.parametrize("make_graph, kind, reason", [
+    (lambda: _dense_outlier_graph(0), "geman_mcclure", "iteration_cap"),
+    (lambda: _dense_outlier_graph(0), "l2", "relative_tolerance"),
+    (lambda: noise_free_graph(7, 33)[0], "confidence", "residual_tolerance"),
+], ids=["geman-mcclure", "l2", "noise-free-cao"])
+def test_stop_reason(make_graph, kind, reason):
+    g = make_graph()
+    report = solver.irls_solve(g, cai(g), RobustKernel(kind=kind))
+    assert report.stop_reason == reason
+    config = SolveConfig()
+    cap = config.max_iterations if kind == "confidence" else config.irls_max_iterations
+    assert (report.iterations_run == cap) == (reason == "iteration_cap")
+
+
+def test_cao_drops_laplacian_pattern_before_sweeps(monkeypatch):
+    # Only the factor may live through cao's sweeps; a pattern held there
+    # raised the --stream peak by a quarter. IRLS refills it at every step.
+    patterns = []
+    alive = []
+
+    class RecordedPattern(solver._LaplacianPattern):
+        def __init__(self, *args):
+            super().__init__(*args)
+            patterns.append(weakref.ref(self))
+
+    real_pass = solver._residual_pass
+
+    def counting_pass(*args):
+        alive.append(sum(ref() is not None for ref in patterns))
+        return real_pass(*args)
+
+    monkeypatch.setattr(solver, "_LaplacianPattern", RecordedPattern)
+    monkeypatch.setattr(solver, "_residual_pass", counting_pass)
+    scene = synth.generate(synth.SyntheticSceneSpec(
+        n=12, noise_sigma=math.radians(5), outlier_edge_fraction=0.2, seed=32))
+    g = scene.graph
+    report = solver.cao_solve(g, cai(g))
+    assert len(patterns) == 1
+    assert alive == [0] * (report.iterations_run + 1)
+    patterns.clear()
+    alive.clear()
+    report = solver.irls_solve(g, cai(g), RobustKernel(kind="cauchy"))
+    assert report.iterations_run > 2
+    assert len(patterns) == 1 and alive == [1] * (report.iterations_run + 1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cara import graph as gm
-from cara import kernels, solver, stream, synth, tree_init
+from cara import kernels, so3, solver, stream, synth, tree_init
 from cara.errors import DegenerateWeightsError, GraphParseError, NotConnectedError
 from cara.graph import Edge
 from cara.synth import SyntheticSceneSpec
@@ -106,9 +106,9 @@ def test_duplicate_edge_detected(tmp_path):
     assert err.value.line_number == 3
 
 
-def test_streaming_is_one_cao_solve(tmp_path, monkeypatch):
-    # --stream runs the in-memory steps: tree, then one solver.cao_solve
-    # over the memory-mapped edges, then the tree's warnings first.
+def _weak_bridge_file(tmp_path):
+    """A chain scene plus vertex 40 on one weak edge, so the spanning tree
+    warns; returns the file's path, its graph and the tree."""
     scene = synth.generate(SyntheticSceneSpec(
         n=40, topology="chain_window", chain_window=5,
         noise_sigma=math.radians(6), outlier_edge_fraction=0.1,
@@ -119,23 +119,116 @@ def test_streaming_is_one_cao_solve(tmp_path, monkeypatch):
     path.write_text(gm.serialize(g))
     tree = tree_init.maximum_spanning_tree(g)
     assert tree.diagnostics
-    report_m = solver.cao_solve(g, tree_init.propagate(tree, g))
+    return path, g, tree
 
-    calls = []
-    real = solver.cao_solve
+
+def _recording(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
 
     def recording(*args, **kwargs):
-        calls.append(args[0])
+        calls.append((name, args[0]))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "cao_solve", recording)
+    monkeypatch.setattr(owner, name, recording)
+
+
+def _assert_same_report(a, b):
+    assert a.rotations.tobytes() == b.rotations.tobytes()
+    assert a.loss_history == b.loss_history
+    assert a.max_residual_history == b.max_residual_history
+    assert (a.iterations_run, a.anchor_vertex, a.stop_reason) == \
+        (b.iterations_run, b.anchor_vertex, b.stop_reason)
+
+
+def test_streaming_is_one_cao_solve(tmp_path, monkeypatch):
+    # --stream runs the in-memory steps: tree, then one solver.cao_solve
+    # over the memory-mapped edges, then the tree's warnings first.
+    path, g, tree = _weak_bridge_file(tmp_path)
+    report_m = solver.cao_solve(g, tree_init.propagate(tree, g))
+    calls = []
+    _recording(monkeypatch, solver, "cao_solve", calls)
+    _recording(monkeypatch, solver, "irls_solve", calls)
     report_s = stream.solve_file_streaming(path)
-    assert len(calls) == 1 and isinstance(calls[0], stream.FileEdgeStream)
-    assert report_s.rotations.tobytes() == report_m.rotations.tobytes()
-    assert report_s.loss_history == report_m.loss_history
-    assert report_s.max_residual_history == report_m.max_residual_history
-    assert report_s.anchor_vertex == report_m.anchor_vertex
+    assert len(calls) == 1 and calls[0][0] == "cao_solve"
+    assert isinstance(calls[0][1], stream.FileEdgeStream)
+    _assert_same_report(report_s, report_m)
     assert report_s.diagnostics == list(tree.diagnostics) + report_m.diagnostics
+
+
+def test_streaming_robust_kernel_is_one_irls_solve(tmp_path, monkeypatch):
+    path, g, tree = _weak_bridge_file(tmp_path)
+    kernel = solver.RobustKernel(kind="cauchy")
+    report_m = solver.irls_solve(g, tree_init.propagate(tree, g), kernel)
+    calls = []
+    _recording(monkeypatch, solver, "cao_solve", calls)
+    _recording(monkeypatch, solver, "irls_solve", calls)
+    report_s = stream.solve_file_streaming(path, kernel=kernel)
+    assert len(calls) == 1 and calls[0][0] == "irls_solve"
+    assert isinstance(calls[0][1], stream.FileEdgeStream)
+    assert report_m.iterations_run > 2
+    _assert_same_report(report_s, report_m)
+    assert report_s.diagnostics == list(tree.diagnostics) + report_m.diagnostics
+
+
+@pytest.mark.parametrize("anchor", ["fix-root", "tikhonov"])
+@pytest.mark.parametrize("kind", ["l2", "cauchy", "geman_mcclure", "l_half"])
+def test_irls_on_file_stream_equals_parsed_graph(scene_file, kind, anchor):
+    # more than one chunk of edges, so the weights are drawn chunk by chunk
+    path, _ = scene_file(SyntheticSceneSpec(
+        n=500, topology="chain_window", chain_window=10,
+        noise_sigma=math.radians(5), outlier_edge_fraction=0.1,
+        confidence_model="informative", seed=4))
+    fs = stream.FileEdgeStream(path)
+    assert len(fs.ii) > gm.CHUNK_RECORDS
+    g = gm.parse(path.read_text())
+    init = tree_init.propagate(tree_init.maximum_spanning_tree(g), g)
+    kernel = solver.RobustKernel(kind=kind)
+    config = solver.SolveConfig(anchor=anchor)
+    report_s = solver.irls_solve(fs, init, kernel, config)
+    report_m = solver.irls_solve(g, init, kernel, config)
+    _assert_same_report(report_s, report_m)
+    assert report_s.diagnostics == report_m.diagnostics
+
+
+def test_weight_floor_on_file_stream(tmp_path, monkeypatch):
+    # The stream twin of test_solver's weight-floor test: on a chain one
+    # zero weight disconnects the graph, and the floored rhs is swept again
+    # over the memory-mapped rotations.
+    scene = synth.generate(SyntheticSceneSpec(
+        n=8, topology="chain_window", chain_window=1,
+        noise_sigma=math.radians(5), seed=26))
+    g = scene.graph
+    path = tmp_path / "chain.graph"
+    path.write_text(gm.serialize(g))
+    rng = np.random.default_rng(26)
+    init = np.stack([so3.perturb(r, math.radians(5), rng)
+                     for r in tree_init.propagate(tree_init.maximum_spanning_tree(g), g)])
+    kernel_weights = solver.RobustKernel.weights
+
+    def weights_with_dead_edge(self, x):
+        w = kernel_weights(self, x).copy()
+        w[2] = 0.0
+        return w
+
+    monkeypatch.setattr(solver.RobustKernel, "weights", weights_with_dead_edge)
+    kernel = solver.RobustKernel(kind="cauchy")
+    config = solver.SolveConfig(irls_max_iterations=1)
+    report_m = solver.irls_solve(g, init, kernel, config)
+    passes = []
+    real_pass = solver._residual_pass
+
+    def recording_pass(edges, rotations, weights):
+        passes.append((type(edges), callable(weights)))
+        return real_pass(edges, rotations, weights)
+
+    monkeypatch.setattr(solver, "_residual_pass", recording_pass)
+    report_s = solver.irls_solve(stream.FileEdgeStream(path), init, kernel, config)
+    assert any("re-weighting disconnected" in d for d in report_s.diagnostics)
+    assert report_s.diagnostics == report_m.diagnostics
+    # the kernel's sweep, the floored rhs's, then the last step's
+    assert passes == [(stream.FileEdgeStream, True), (stream.FileEdgeStream, False),
+                      (stream.FileEdgeStream, True)]
+    _assert_same_report(report_s, report_m)
 
 
 def _in_memory_solve(path):
