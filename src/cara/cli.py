@@ -78,6 +78,8 @@ def _write_estimates(path, rotations):
 def _solve_settings_from_args(args) -> tuple[SolveConfig, RobustKernel]:
     kernel = RobustKernel(kind=args.kernel.replace("-", "_"),
                           alpha=math.radians(args.alpha_deg))
+    if args.iters is not None and args.iters < 1:
+        raise InvalidArgumentError(f"--iters must be >= 1, got {args.iters}")
     cap = "max_iterations" if kernel.kind == "confidence" else "irls_max_iterations"
     iters = {} if args.iters is None else {cap: args.iters}
     return SolveConfig(anchor=args.anchor, **iters), kernel
@@ -98,7 +100,7 @@ def cmd_solve(args) -> int:
         report = stream.solve_file_streaming(args.infile, config, kernel)
     else:
         with graphmod.open_text(args.infile) as fh:
-            g = graphmod.parse(fh.read())
+            g = graphmod.parse(fh)
         tree = maximum_spanning_tree(g)
         if args.dump_tree:
             print(f"spanning tree root {tree.root} "

@@ -20,11 +20,14 @@ Every path that reads the format (:func:`parse`, the ``--stream`` scan,
 ``cara eval``) opens files with :func:`open_text` and uses one
 :class:`RecordReader` and one rotation validator, so all accept and reject
 the same files and report the same first offending line, also for bytes
-that are not UTF-8. The reader takes the input in blocks of lines: a block
-of plain EDGE lines is converted by one ``np.loadtxt`` call, any other block
-line by line, and the per-line reader decides what is accepted. Duplicate
-edge pairs are found once the whole file is read; a missing N or
-incomplete ground truth is reported as line 0.
+that are not UTF-8. :func:`parse` takes the text or the open file; from a
+file it reads line by line and never holds the whole text. The reader takes
+the input in blocks of lines and cuts a block into runs of EDGE lines,
+vertex lines and other lines (the N record, comments). A run of plain EDGE
+or vertex lines is converted by one ``np.loadtxt`` call, any other run line
+by line, and the per-line reader decides what is accepted. Duplicate edge
+pairs are found once the whole file is read; a missing N or incomplete
+ground truth is reported as line 0.
 
 Every file cara writes (graphs, labels, estimates, eval and bench CSV) goes
 through :func:`write_text`, which rewrites an existing file in place.
@@ -49,10 +52,17 @@ from .errors import DuplicateEdgeError, GraphParseError, InvalidArgumentError
 CHUNK_RECORDS = 4096
 BLOCK_LINES = 1024
 
-# An EDGE line as np.loadtxt reads it, and the only characters a block may
-# hold to be read that way.
+# An EDGE line as np.loadtxt reads it, and the only characters a run of
+# EDGE lines may hold to be read that way; vertex runs also admit '_' for
+# their tags.
 _EDGE_ROW = np.dtype([("tag", "U5"), ("ij", "i8", (2,)), ("vals", "f8", (10,))])
 _PLAIN_BYTES = (string.ascii_letters + string.digits + "+-. \n").encode()
+_VERTEX_BYTES = _PLAIN_BYTES + b"_"
+# Kinds of line a block is cut at, and the most runs a block is cut into:
+# a loadtxt call costs about as much as 30 lines read one at a time, so a
+# block that alternates kinds more often is read line by line as a whole.
+_OTHER, _EDGE, _VERTEX = 0, 1, 2
+MAX_RUNS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,69 +269,131 @@ class RecordReader:
         self.skip_tags = skip_tags
         self.n = None
         self.vertex_ids: set[int] = set()
+        self._vertex_heads = tuple(t + " " for t in vertex_tags)
+        # A tag field one character wider than the longest tag, so that
+        # VERTEX_ESTX cannot read as VERTEX_EST (a field as wide as the tag
+        # would cut it there).
+        width = max(map(len, vertex_tags), default=0) + 1
+        self._vertex_row = np.dtype([("tag", f"U{width}"), ("id", "i8"),
+                                     ("vals", "f8", (9,))])
 
     def chunks(self, lines):
         """Yield the :class:`Records` of the input, ``BLOCK_LINES`` lines at a
-        time, on one of two paths per block.
+        time. Each block is cut into runs of one kind of line: EDGE lines,
+        vertex lines (a tag of ``vertex_tags``) and other lines, such as
+        the N record and comments. Each run takes one of two paths.
 
-        - Fast path: a block of EDGE lines only, after the N record and in
-          plain ASCII, goes through one ``np.loadtxt`` call, taken only when
-          it returns one EDGE row per line. Where ``skip_tags`` holds EDGE,
-          a block of EDGE lines is passed over and yields nothing.
-        - Per-line path: every other block is read one line at a time with
+        - Fast path: a run of EDGE lines or of vertex lines, after the N
+          record and in plain ASCII, goes through one ``np.loadtxt`` call,
+          taken only when it returns one row per line with the run's tags.
+          Vertex ids are checked for range and repeats, and the rotations
+          validated, all at once; a run that fails any check goes to the
+          per-line path. Where ``skip_tags`` holds EDGE, a run of EDGE lines
+          is passed over and yields nothing.
+        - Per-line path: every other run is read one line at a time with
           ``int()`` and ``float()``. This path is the arbiter: the fast path
-          takes only blocks that it reads to the same numbers, so both
-          accept and reject the same lines.
+          takes only runs that it reads to the same numbers, so both accept
+          and reject the same lines.
 
         Raises GraphParseError at the first offending line, or with line 0
         when the input has no N record.
         """
         lines, start = iter(lines), 1
         while block := list(islice(lines, BLOCK_LINES)):
-            text = "".join(block)
-            if "EDGE" in self.skip_tags:
-                # ASCII, so no line holds an invalid byte, and every line a
-                # skipped record: nothing in the block is read.
-                if not (text.isascii()
-                        and all(map(str.startswith, block, repeat("EDGE ")))):
-                    yield self._read(start, block)
-            elif (rows := self._edge_rows(block, text)) is not None:
-                yield self._records(np.arange(start, start + len(block)),
-                                    rows["ij"].astype(np.intp),
-                                    np.ascontiguousarray(rows["vals"]))
-            else:
-                yield self._read(start, block)
+            for kind, lo, hi in self._runs(block):
+                run = block[lo:hi]
+                text = "".join(run)
+                if kind == _EDGE and "EDGE" in self.skip_tags:
+                    # ASCII, so no line holds an invalid byte, and every line
+                    # a skipped record: nothing in the run is read.
+                    if not (text.isascii()
+                            and all(map(str.startswith, run, repeat("EDGE ")))):
+                        yield self._read(start + lo, run)
+                elif (rec := self._fast_records(kind, start + lo, run, text)) is not None:
+                    yield rec
+                else:
+                    yield self._read(start + lo, run)
             start += len(block)
         if self.n is None:
             raise GraphParseError(0, "missing N record")
 
-    def _edge_rows(self, block, text):
-        """The block's rows converted by ``np.loadtxt``, or None unless the
-        per-line reader would read every line as an EDGE record with the
-        same numbers (it then decides the block)."""
+    def _kind(self, line):
+        return (_EDGE if line.startswith("EDGE ") else
+                _VERTEX if line.startswith(self._vertex_heads) else _OTHER)
+
+    def _runs(self, block):
+        """``(kind, lo, hi)`` for each run of lines of one kind in ``block``.
+
+        A block whose first and last lines are of one kind is taken as one
+        run without looking at the others; the fast path checks every tag
+        and sends a run with a line of another kind to the per-line reader.
+        A block of more than ``MAX_RUNS`` runs is one run of other lines.
+        """
+        first = self._kind(block[0])
+        if first == self._kind(block[-1]):
+            return [(first, 0, len(block))]
+        n = len(block)
+        kinds = (_EDGE * np.fromiter(map(str.startswith, block, repeat("EDGE ")), bool, n)
+                 + _VERTEX * np.fromiter(map(str.startswith, block,
+                                             repeat(self._vertex_heads)), bool, n))
+        cuts = [0, *(np.flatnonzero(np.diff(kinds)) + 1).tolist(), n]
+        if len(cuts) > MAX_RUNS + 1:
+            return [(_OTHER, 0, n)]
+        return [(int(kinds[lo]), lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+    def _fast_records(self, kind, start, run, text) -> Records | None:
+        """The run's records from one ``np.loadtxt`` call, or None when the
+        per-line reader must decide the run."""
+        if kind == _EDGE:
+            rows = self._rows(run, text, _EDGE_ROW, _PLAIN_BYTES)
+            if rows is None or not (rows["tag"] == "EDGE").all():
+                return None
+            return self._records(np.arange(start, start + len(run)),
+                                 rows["ij"].astype(np.intp),
+                                 np.ascontiguousarray(rows["vals"]))
+        if kind == _VERTEX:
+            rows = self._rows(run, text, self._vertex_row, _VERTEX_BYTES)
+            if rows is None or not np.isin(rows["tag"], self.vertex_tags).all():
+                return None
+            ids = rows["id"].astype(np.intp)
+            seen = set(ids.tolist())
+            if (int(ids.min()) < 0 or int(ids.max()) >= self.n or len(seen) < len(ids)
+                    or not self.vertex_ids.isdisjoint(seen)):
+                return None
+            try:
+                rots = so3.as_rotations(np.ascontiguousarray(rows["vals"]).reshape(-1, 3, 3))
+            except InvalidArgumentError:
+                return None
+            self.vertex_ids |= seen
+            no_edges = np.empty(0, dtype=np.intp)
+            return Records(no_edges, no_edges, no_edges, np.empty((0, 3, 3)),
+                           np.empty(0), ids, rots)
+        return None
+
+    def _rows(self, run, text, dtype, plain_bytes):
+        """The run's rows converted by ``np.loadtxt``, or None unless it
+        returns one row per line (the caller then checks the tags)."""
         # loadtxt accepts fewer number spellings than int() and float()
         # (no '_', no non-ASCII digits), skips blank lines and ends lines
-        # at '\r', so a block with any other character, or with a row count
-        # that is not its line count, is not taken. A "U5" tag keeps EDGEX
-        # and EDGEXY apart from EDGE but reads EDGE\0 as EDGE, hence the
-        # character check. A blank first line cannot pass, and a block of
-        # blank lines would make loadtxt warn. NumPy 1.23 to 1.26 read an
-        # integer field such as '1.9' through float, truncated, with only a
-        # DeprecationWarning, which Python hides by default: any warning
-        # sends the block to the per-line reader, whatever the caller's
-        # filters.
-        if (self.n is None or not text.isascii() or not block[0].strip()
-                or text.encode().translate(None, _PLAIN_BYTES)):
+        # at '\r', so a run with any other character, or with a row count
+        # that is not its line count, is not taken. A tag field one
+        # character wider than the tags keeps EDGEX and EDGEXY apart from
+        # EDGE but reads EDGE\0 as EDGE, hence the character check. A run
+        # starts with its tag, so it is never all blank lines, which would
+        # make loadtxt warn. NumPy 1.23 to 1.26 read an integer field such
+        # as '1.9' through float, truncated, with only a DeprecationWarning,
+        # which Python hides by default: any warning sends the run to the
+        # per-line reader, whatever the caller's filters.
+        if (self.n is None or not text.isascii()
+                or text.encode().translate(None, plain_bytes)):
             return None
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                rows = np.loadtxt(block, dtype=_EDGE_ROW, comments=None, ndmin=1)
+                rows = np.loadtxt(run, dtype=dtype, comments=None, ndmin=1)
         except (ValueError, Warning):
             return None
-        if len(rows) != len(block) or not (rows["tag"] == "EDGE").all():
-            return None
-        return rows
+        return rows if len(rows) == len(run) else None
 
     def _read(self, start, block) -> Records:
         """Records of ``block``, lines numbered from ``start``, one line at a
@@ -479,10 +551,14 @@ def read_graph(lines, spool=None):
     return n, ii, jj, cat("rots") if spool is None else None, cat("conf"), ground_truth
 
 
-def parse(text: str) -> EpipolarConfidenceGraph:
-    """Parse the text format; raises GraphParseError with the line number."""
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # after the final newline: it would send its block line by line
+def parse(source) -> EpipolarConfidenceGraph:
+    """Parse the text format from a ``str`` or an iterable of lines, such as
+    a file from :func:`open_text`, which is then read line by line; raises
+    GraphParseError with the line number."""
+    lines = source
+    if isinstance(source, str):
+        lines = source.split("\n")
+        if not lines[-1]:
+            lines.pop()  # after the final newline: it would send its run line by line
     n, ii, jj, rots, conf, ground_truth = read_graph(lines)
     return EpipolarConfidenceGraph(n, EdgeStream(n, ii, jj, conf, rots), ground_truth)

@@ -140,6 +140,38 @@ def test_iters_caps_robust_kernel(tmp_path, capsys, extra):
     assert iterations(["--iters", "2"]) <= 2
 
 
+
+def test_solve_reads_input_line_by_line(tmp_path, capsys, monkeypatch):
+    # The in-memory path hands the open file to graph.parse, which reads it
+    # line by line: the whole text is never held.
+    path = tmp_path / "g.graph"
+    assert run(["generate", "--n", "6", "--sigma-deg", "5", "--out", str(path)]) == 0
+    assert run(["solve", "--in", str(path), "--out", str(tmp_path / "a.est")]) == 0
+    reads = []
+    open_text = gm.open_text
+
+    class NoRead:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __iter__(self):
+            return iter(self.fh)
+
+        def read(self, *args):
+            reads.append(args)
+            return self.fh.read(*args)
+
+    monkeypatch.setattr(gm, "open_text", lambda p: NoRead(open_text(p)))
+    assert run(["solve", "--in", str(path), "--out", str(tmp_path / "b.est")]) == 0
+    assert reads == []
+    assert (tmp_path / "a.est").read_bytes() == (tmp_path / "b.est").read_bytes()
+
 def test_stream_rejects_dump_tree(tmp_path, capsys):
     graph_path = tmp_path / "g.graph"
     run(["generate", "--n", "7", "--seed", "5", "--out", str(graph_path)])
@@ -366,6 +398,18 @@ def test_bad_flag_value_exit_64(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert not (tmp_path / "out.graph").exists()
 
+
+
+@pytest.mark.parametrize("extra", [[], ["--stream"], ["--kernel", "cauchy"],
+                                   ["--kernel", "cauchy", "--stream"]],
+                         ids=["confidence", "confidence-stream", "cauchy", "cauchy-stream"])
+def test_iters_usage_error_names_the_flag(tmp_path, capsys, extra):
+    # The message names the flag the user gave, not the SolveConfig field
+    # it sets (max_iterations or irls_max_iterations).
+    path = tmp_path / "g.graph"
+    path.write_text(f"N 2\nEDGE 0 1 {ROW} 0.5\n")
+    assert run(["solve", "--in", str(path), "--iters", "0"] + extra) == 64
+    assert capsys.readouterr().err == "usage error: --iters must be >= 1, got 0\n"
 
 def test_low_confidence_tree_warning_alike(tmp_path, capsys):
     # The bridge (1,2) must join the spanning tree despite c = 0.005.

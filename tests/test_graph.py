@@ -1,8 +1,12 @@
 import errno
 import math
 import os
+import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,31 +228,85 @@ def test_parsed_graph_holds_arrays_not_edge_records():
 
 
 def test_per_line_reader_sees_only_header_blocks(monkeypatch, tmp_path):
-    # N and 5 VERTEX_GT lines fill the first two 4-line blocks; the 10 EDGE
-    # lines after them take the fast path on every ingest: parse, the
-    # --stream scan, and cara eval, which skips them unread.
+    # N and 5 VERTEX_GT lines fill the first two 4-line blocks, and the
+    # second ends with 2 of the 10 EDGE lines. Blocks are cut at the N line
+    # and at the VERTEX_GT/EDGE boundary, so on every ingest (parse, the
+    # --stream scan, and cara eval, which skips the EDGE lines unread) the
+    # per-line reader sees the N line alone and the rest takes the fast path.
     g = synth.generate(synth.SyntheticSceneSpec(n=5, seed=1)).graph
     text = gm.serialize(g)
     path = tmp_path / "g.graph"
     path.write_text(text)
     monkeypatch.setattr(gm, "BLOCK_LINES", 4)
-    starts = []
+    reads = []
     per_line = gm.RecordReader._read
 
     def spy(self, start, block):
-        starts.append(start)
+        reads.append((start, len(block)))
         return per_line(self, start, block)
 
     monkeypatch.setattr(gm.RecordReader, "_read", spy)
     for read in (lambda: gm.parse(text), lambda: stream.FileEdgeStream(path),
                  lambda: cli._read_rotations(path)):
-        starts.clear()
+        reads.clear()
         read()
-        assert starts == [1, 5]
+        assert reads == [(1, 1)]
     parsed = gm.parse(text)
     for a, b in zip(parsed.edge_arrays(), g.edge_arrays()):
         assert a.tobytes() == b.tobytes()
 
+
+
+def _parsed(read):
+    """The arrays of the graph ``read()`` returns, or its error."""
+    try:
+        g = read()
+    except GraphParseError as exc:
+        return exc.line_number, str(exc)
+    return [a.tobytes() for a in (*g.edge_arrays(), np.stack(g.ground_truth))]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("final_newline", [True, False], ids=["final", "no-final"])
+@pytest.mark.parametrize("bad_line", [None, 3, 9], ids=["valid", "bad-vertex", "bad-edge"])
+def test_parse_text_and_file_agree(monkeypatch, tmp_path, newline, final_newline, bad_line):
+    # parse(text) splits at '\n' only, while the file is read with universal
+    # newlines: the '\r' left on each line sends its run to the per-line
+    # reader, which reads the same numbers and errors.
+    monkeypatch.setattr(gm, "BLOCK_LINES", 4)
+    lines = gm.serialize(synth.generate(synth.SyntheticSceneSpec(n=5, seed=1)).graph).splitlines()
+    if bad_line is not None:
+        lines[bad_line - 1] = lines[bad_line - 1].replace(" 0", " x", 1)
+    text = newline.join(lines) + (newline if final_newline else "")
+    path = tmp_path / "g.graph"
+    path.write_bytes(text.encode())
+    with gm.open_text(path) as fh:
+        from_file = _parsed(lambda: gm.parse(fh))
+    assert from_file == _parsed(lambda: gm.parse(text))
+    if bad_line is None:
+        assert len(from_file) == 5
+    else:
+        assert from_file[0] == bad_line
+
+
+def test_block_of_many_runs_read_line_by_line(monkeypatch):
+    # A comment after every record cuts a block into more runs than
+    # MAX_RUNS; the block then goes to the per-line reader as a whole
+    # instead of one loadtxt call per line.
+    monkeypatch.setattr(gm, "BLOCK_LINES", 20)
+    text = gm.serialize(synth.generate(synth.SyntheticSceneSpec(n=5, seed=1)).graph)
+    commented = "".join(line + "\n# note\n" for line in text.splitlines())
+    reads = []
+    per_line = gm.RecordReader._read
+
+    def spy(self, start, block):
+        reads.append((start, len(block)))
+        return per_line(self, start, block)
+
+    monkeypatch.setattr(gm.RecordReader, "_read", spy)
+    got = _parsed(lambda: gm.parse(commented))
+    assert reads == [(1, 20), (21, 12)]
+    assert got == _parsed(lambda: gm.parse(text))
 
 def test_skipped_edge_block_still_rejects_invalid_utf8(monkeypatch):
     # cara eval passes over blocks of EDGE lines unread, but not one with a
@@ -280,6 +338,25 @@ def test_blocks_kept_from_loadtxt(monkeypatch, text, error):
             gm.parse(text)
         assert str(err.value) == error
 
+
+
+@pytest.mark.parametrize("tag, settings", [
+    ("VERTEX_ESTX", {"vertex_tags": ("VERTEX_EST", "VERTEX_GT")}),
+    ("VERTEX_EST\x00", {"vertex_tags": ("VERTEX_EST", "VERTEX_GT")}),
+    ("VERTEX_GTX", {}),
+    ("VERTEX_GT\x00", {}),
+])
+def test_longer_vertex_tag_not_read_as_shorter(monkeypatch, tag, settings):
+    # The bad tag sits inside a block of vertex lines taken as one run, so
+    # only the width of loadtxt's tag field and the character check keep it
+    # from reading as the tag it starts with.
+    monkeypatch.setattr(gm, "BLOCK_LINES", 3)
+    good = settings.get("vertex_tags", ("VERTEX_GT",))[0]
+    lines = ["N 5\n"] + [f"{tag if k == 3 else good} {k} 1 0 0 0 1 0 0 0 1\n"
+                         for k in range(5)]
+    with pytest.raises(GraphParseError) as err:
+        list(gm.RecordReader(**settings).chunks(lines))
+    assert str(err.value) == f"line 5: unknown record type {tag!r}"
 
 def test_loadtxt_warning_sends_block_line_by_line(monkeypatch):
     # NumPy 1.23 to 1.26 read the integer field '1.9' as 1 and only warn,
@@ -332,3 +409,20 @@ def test_write_text_failure_cuts_at_written_bytes(tmp_path, failing_writes):
     assert err.value.errno == errno.ENOSPC
     assert path.read_bytes() == b"z" * 100
     assert len(opened) == 1 and closed == opened
+
+
+def test_bench_ingest_script_runs():
+    # Nothing else runs the ingest micro-benchmark, so a renamed reader
+    # would break it silently.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "bench_ingest.py"),
+         "--n", "30", "--window", "3", "--repeats", "1"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for name in ("parse(graph file)", "_read_rotations(estimates)",
+                 "_read_rotations(graph file)"):
+        assert re.search(re.escape(name) + r" +\d+\.\d+ +\d+\.\d+\n", done.stdout), done.stdout

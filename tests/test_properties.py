@@ -1,6 +1,6 @@
 """Same file, same answer or same error: ``cara solve`` in memory and with
 ``--stream`` on mutated graph files, and the block reader's loadtxt path
-against the per-line reader."""
+against the per-line reader, for EDGE and vertex records."""
 import contextlib
 import io
 import math
@@ -185,7 +185,8 @@ def _read(read):
     except GraphParseError as exc:
         return exc.line_number, str(exc)
     return [np.concatenate([getattr(rec, name) for rec in records]).tobytes()
-            for name in ("edge_lines", "ii", "jj", "rots", "conf")]
+            for name in ("edge_lines", "ii", "jj", "rots", "conf", "vertex_ids",
+                         "vertex_rots")]
 
 
 @given(edge_only_file())
@@ -205,3 +206,82 @@ def test_block_reader_agrees_with_per_line_reader(case):
         assert code_m in (0, 2, 3), (kind, err_m)
         if code_m == 0:
             assert (tmp / "m.est").read_text() == (tmp / "s.est").read_text(), kind
+
+
+# An estimate file (N and 5 VERTEX_EST lines) and BASE (N, 5 VERTEX_GT and
+# 10 EDGE lines). With 3-line blocks, blocks are cut at the N line and at
+# the VERTEX_GT/EDGE boundary.
+EST = BASE[:1] + [line.replace("VERTEX_GT", "VERTEX_EST") for line in BASE
+                  if line.startswith("VERTEX_GT")]
+NOT_ROTATIONS = [2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0]), np.diag([1.0, math.nan, 1.0]),
+                 (1.0 + 1e-3) * np.eye(3)]
+EVAL_READER = {"vertex_tags": ("VERTEX_EST", "VERTEX_GT"), "skip_tags": ("EDGE",)}
+
+
+@st.composite
+def vertex_file(draw):
+    name = draw(st.sampled_from(["est", "gt"]))
+    lines = list(EST if name == "est" else BASE)
+    rows = [k for k, line in enumerate(lines) if line.startswith("VERTEX")]
+    row = draw(st.sampled_from(rows))
+    parts = lines[row].split()
+    kind = draw(st.sampled_from(["number", "tag", "duplicate", "range", "matrix",
+                                 "near", "drop", "comment", "blank", "space", "none"]))
+    if kind == "number":
+        parts[draw(st.integers(1, 10))] = draw(st.sampled_from(ODD_NUMBERS))
+    elif kind == "tag":
+        # a tag field as wide as VERTEX_EST would read VERTEX_ESTX as it
+        parts[0] = draw(st.sampled_from(["VERTEX_ESTX", "VERTEX_EST\x00", "VERTEX_GTX",
+                                         "VERTEX_GT\x00", "VERTEX_EST_", "VERTEX_ESTXY",
+                                         "VERTEX_GT" if name == "est" else "VERTEX_EST"]))
+    elif kind == "duplicate":
+        parts[1] = draw(st.sampled_from([str(k) for k in range(5)]))
+    elif kind == "range":
+        parts[1] = draw(st.sampled_from(["5", "-1", "99"]))
+    elif kind == "matrix":
+        parts[2:] = _fmt(draw(st.sampled_from(NOT_ROTATIONS)))
+    elif kind == "near":
+        # re-projected, on both paths alike
+        parts[2:] = _fmt((1.0 + 1e-9) * np.array(parts[2:], dtype=float))
+    lines[row] = " ".join(parts)
+    if kind == "drop":
+        del lines[row]
+    elif kind == "comment":
+        lines[row] += "  # note"
+    elif kind == "blank":
+        lines.insert(row, "")
+    elif kind == "space":
+        cut = draw(st.integers(1, 10))
+        lines[row] = (" ".join(parts[:cut]) + draw(st.sampled_from(["\t", "\x0c", "\xa0"]))
+                      + " ".join(parts[cut:]))
+    return name, kind, "\n".join(lines) + "\n"
+
+
+def _eval(est, gt):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["eval", "--est", str(est), "--gt", str(gt)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(vertex_file())
+def test_vertex_blocks_agree_with_per_line_reader(case):
+    name, kind, text = case
+    lines = text.split("\n")
+    readers = [{}, EVAL_READER] if name == "gt" else [EVAL_READER]
+    with mock.patch.object(gm, "BLOCK_LINES", SMALL_BLOCK), \
+            tempfile.TemporaryDirectory() as tmp:
+        for settings in readers:
+            assert (_read(lambda: list(gm.RecordReader(**settings).chunks(lines)))
+                    == _read(lambda: [gm.RecordReader(**settings)._read(1, lines)])), kind
+        tmp = Path(tmp)
+        mutated, est, gt = tmp / "mutated", tmp / "est", tmp / "gt"
+        mutated.write_text(text, encoding="utf-8")
+        est.write_text("\n".join(EST) + "\n")
+        gt.write_text("\n".join(BASE) + "\n")
+        pair = (mutated, gt) if name == "est" else (est, mutated)
+        fast = _eval(*pair)
+        with mock.patch.object(gm.RecordReader, "_rows", lambda *args: None):
+            per_line = _eval(*pair)
+        assert fast == per_line, kind
+        assert fast[0] in (0, 2), (kind, fast[2])
