@@ -1,7 +1,12 @@
-"""Micro-benchmark: the batched SO(3) kernels.
+"""Micro-benchmark: the batched SO(3) kernels and one solver sweep.
 
-Times batch_exp, batch_log, and edge_residuals on growing batch sizes and
-reports the worst error of batch_log against scipy's ``as_rotvec``. Run as:
+Times batch_exp, batch_log and edge_residuals on growing batch sizes, and
+edge_residuals on a residual mix with 8% of rows past 2.69 rad (trace
+below -0.8, where batch_log takes the near-pi branch), as on a dense scene
+with 30% outlier edges. Then times one ``solver._residual_pass`` over a
+4096-edge stream on 200 vertices, the chunk the solver sweeps at a time,
+and reports the worst error of batch_log against scipy's ``as_rotvec``.
+Run as:
 
     python benchmarks/bench_kernels.py [--sizes 1000,10000,100000] [--repeats 5]
 """
@@ -12,7 +17,12 @@ import time
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from cara import kernels
+from cara import kernels, solver
+from cara.graph import CHUNK_RECORDS, EdgeStream
+
+FAR_ANGLE = 2.69
+FAR_SHARE = 0.08
+SWEEP_VERTICES = 200
 
 
 def make_inputs(m, seed):
@@ -22,6 +32,30 @@ def make_inputs(m, seed):
     rots = kernels.batch_exp(v)
     perm = rng.permutation(m)
     return v, rots, rots[perm]
+
+
+def far_mix(m, seed):
+    """(Ri, Rj, Rij) whose residuals log(Rj^T Rij Ri) have angles past
+    FAR_ANGLE on FAR_SHARE of the rows and below it on the rest."""
+    rng = np.random.default_rng(seed)
+    axes = rng.standard_normal((m, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    far = rng.random(m) < FAR_SHARE
+    angles = np.where(far, rng.uniform(FAR_ANGLE, math.pi, m), rng.uniform(0, FAR_ANGLE, m))
+    Ri, Rj = (Rotation.random(m, random_state=rng).as_matrix() for _ in range(2))
+    Rij = Rj @ kernels.batch_exp(axes * angles[:, None]) @ np.transpose(Ri, (0, 2, 1))
+    return Ri, Rj, Rij
+
+
+def sweep_inputs(m, seed):
+    """(stream, rotations, weights) for one residual pass over m edges."""
+    rng = np.random.default_rng(seed)
+    n = SWEEP_VERTICES
+    ii = rng.integers(0, n - 1, m)
+    jj = rng.integers(ii + 1, n)
+    stream = EdgeStream(n, ii, jj, rng.random(m), Rotation.random(m, random_state=rng).as_matrix())
+    rotations = Rotation.random(n, random_state=rng).as_matrix()
+    return stream, rotations, stream.confidences
 
 
 def time_call(fn, args, repeats):
@@ -40,22 +74,25 @@ def main():
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    header = f"{'kernel':<16}{'batch':>9}{'ms':>12}{'ns/row':>10}"
+    header = f"{'kernel':<24}{'batch':>9}{'ms':>12}{'ns/row':>10}"
     print(header)
     print("-" * len(header))
+
+    def row(name, fn, call_args, m):
+        t = time_call(fn, call_args, args.repeats)
+        print(f"{name:<24}{m:>9}{1e3 * t:>12.3f}{1e9 * t / m:>10.1f}")
+
     worst_log = 0.0
     for m in sizes:
         v, ra, rb = make_inputs(m, seed=m)
         worst_log = max(worst_log, float(np.abs(
             kernels.batch_log(ra) - Rotation.from_matrix(ra).as_rotvec()).max()))
-        cases = [
-            ("batch_exp", (v,)),
-            ("batch_log", (ra,)),
-            ("edge_residuals", (ra, rb, ra)),
-        ]
-        for name, call_args in cases:
-            t = time_call(getattr(kernels, name), call_args, args.repeats)
-            print(f"{name:<16}{m:>9}{1e3 * t:>12.3f}{1e9 * t / m:>10.1f}")
+        row("batch_exp", kernels.batch_exp, (v,), m)
+        row("batch_log", kernels.batch_log, (ra,), m)
+        row("edge_residuals", kernels.edge_residuals, (ra, rb, ra), m)
+        row("edge_residuals_far8", kernels.edge_residuals, far_mix(m, seed=m), m)
+    row("residual_pass", solver._residual_pass, sweep_inputs(CHUNK_RECORDS, seed=0),
+        CHUNK_RECORDS)
     print(f"\nmax |batch_log - scipy as_rotvec|: {worst_log:.3e}")
 
 

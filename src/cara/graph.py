@@ -63,6 +63,8 @@ _VERTEX_BYTES = _PLAIN_BYTES + b"_"
 # block that alternates kinds more often is read line by line as a whole.
 _OTHER, _EDGE, _VERTEX = 0, 1, 2
 MAX_RUNS = 8
+# The largest N record: vertex ids are np.intp indices.
+_MAX_INDEX = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,14 +165,16 @@ def _validated_edges(n, ii, jj, rots, conf):
     return ii, jj, rots
 
 
-def _first_duplicate(n, ii, jj) -> int | None:
-    """Row of the first normalized edge repeating an earlier pair, or None."""
-    _, first = np.unique(ii * n + jj, return_index=True)
-    if len(first) == len(ii):
-        return None
-    repeat = np.ones(len(ii), dtype=bool)
-    repeat[first] = False
-    return int(np.argmax(repeat))
+def _first_duplicate(ii, jj) -> int | None:
+    """Row of the first normalized edge repeating an earlier pair, or None.
+
+    A stable sort by pair keeps each group of equal pairs in file order, so
+    the first repeat is the smallest row of any group past its first member.
+    """
+    order = np.lexsort((jj, ii))
+    a, b = ii[order], jj[order]
+    later = order[1:][(a[1:] == a[:-1]) & (b[1:] == b[:-1])]
+    return int(later.min()) if len(later) else None
 
 
 def build(n: int, edges, ground_truth=None) -> EpipolarConfidenceGraph:
@@ -183,7 +187,7 @@ def build(n: int, edges, ground_truth=None) -> EpipolarConfidenceGraph:
         raise InvalidArgumentError(f"need at least 2 vertices, got {n}")
     s = _edge_stream(n, edges)
     ii, jj, rots = _validated_edges(n, s.ii, s.jj, s.rotations, s.confidences)
-    k = _first_duplicate(n, ii, jj)
+    k = _first_duplicate(ii, jj)
     if k is not None:
         raise DuplicateEdgeError(f"duplicate edge for pair ({ii[k]},{jj[k]})", index=k)
     if ground_truth is not None:
@@ -462,7 +466,10 @@ class RecordReader:
                 raise ValueError("duplicate N record")
             if len(parts) != 2:
                 raise ValueError("N record needs one integer")
-            self.n = int(parts[1])
+            n = int(parts[1])
+            if n > _MAX_INDEX:
+                raise ValueError(f"N {n} exceeds the largest index {_MAX_INDEX}")
+            self.n = n
         elif tag != "EDGE" and tag not in self.vertex_tags:
             raise ValueError(f"unknown record type {tag!r}")
         elif self.n is None:
@@ -535,15 +542,19 @@ def read_graph(lines, spool=None):
     n, ii, jj = reader.n, cat("ii"), cat("jj")
     if n < 2:
         raise GraphParseError(0, f"need at least 2 vertices, got {n}")
-    k = _first_duplicate(n, ii, jj)
+    k = _first_duplicate(ii, jj)
     if k is not None:
         raise GraphParseError(int(cat("edge_lines")[k]),
                               f"duplicate edge for pair ({ii[k]},{jj[k]})")
     ground_truth = None
     if reader.vertex_ids:
         if len(reader.vertex_ids) != n:
-            missing = sorted(set(range(n)) - reader.vertex_ids)
-            raise GraphParseError(0, f"incomplete ground truth, missing vertices {missing}")
+            ids = reader.vertex_ids
+            count = n - len(ids)
+            first = list(islice((v for v in range(n) if v not in ids), 10))
+            more = f" and {count - len(first)} more" if count > len(first) else ""
+            raise GraphParseError(
+                0, f"incomplete ground truth, missing vertices {first}{more}")
         if spool is None:
             gt = np.empty((n, 3, 3))
             gt[cat("vertex_ids")] = cat("vertex_rots")

@@ -220,23 +220,29 @@ def _residual_pass(stream: EdgeStream, rotations, weights):
 
     Each vertex's rhs terms are summed in edge order whatever the chunking:
     bincount adds its input in order, and each chunk's input starts with
-    the running totals.
+    the running totals, followed by each edge's -w*res and +w*res.
     """
     n = stream.n_vertices
-    rhs = np.zeros((n, 3))
+    rhs = np.zeros((3, n))
     norms = np.zeros(len(stream.ii))
     vertices = np.arange(n)
     for idx, rots in stream.passes():
-        ii = stream.ii[idx]
-        jj = stream.jj[idx]
-        res = kernels.edge_residuals(rotations[ii], rotations[jj], rots)
+        ii = stream.ii.take(idx)
+        jj = stream.jj.take(idx)
+        res = kernels.edge_residuals(rotations.take(ii, axis=0),
+                                     rotations.take(jj, axis=0), rots)
         norms[idx] = np.sqrt(np.einsum("ij,ij->i", res, res))
         w = weights(norms[idx]) if callable(weights) else weights[idx]
-        wres = w[:, None] * res
-        ends = np.concatenate([vertices, np.column_stack([ii, jj]).ravel()])
-        terms = np.concatenate([rhs, np.stack([-wres, wres], axis=1).reshape(-1, 3)])
-        rhs = np.column_stack([np.bincount(ends, terms[:, k]) for k in range(3)])
-    return rhs, norms
+        ends = np.empty(n + 2 * len(idx), dtype=np.intp)
+        ends[:n] = vertices
+        ends[n::2] = ii
+        ends[n + 1::2] = jj
+        terms = np.empty((3, len(ends)))
+        terms[:, :n] = rhs
+        np.multiply(res.T, w, out=terms[:, n + 1::2])
+        np.negative(terms[:, n + 1::2], out=terms[:, n::2])
+        rhs = np.stack([np.bincount(ends, terms[k]) for k in range(3)])
+    return rhs.T, norms
 
 
 def _apply_update(rotations, delta, anchor, config):

@@ -1,17 +1,19 @@
 """Initialization from a maximum spanning tree over edge confidences.
 
-Prim's algorithm picks the highest-confidence edge crossing the frontier
-at each step; absolute rotations are then chained outward from the root.
-Both take any :class:`cara.graph.EdgeStream`, so the in-memory graph and
-the ``--stream`` file scan share them.
+The tree is scipy's minimum spanning tree over each edge's rank under
+(-c, i, j), so the highest-confidence edges win and ties break toward
+the smallest pair; absolute rotations are then chained outward from the
+root in breadth-first order. Both take any :class:`cara.graph.EdgeStream`,
+so the in-memory graph and the ``--stream`` file scan share them.
 """
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import InvalidArgumentError, NotConnectedError
 from .graph import EdgeStream, components
@@ -42,59 +44,39 @@ def _pick_root(n, ii, jj, conf) -> int:
     return int(np.argmax(np.bincount(ends, np.repeat(conf, 2), minlength=n)))
 
 
-def _prim(n, ii, jj, conf, root) -> list[tuple[int, int, int]]:
-    """Maximum spanning tree grown from root: (child, parent, edge) in the
-    order the edges join. The heap holds each edge's rank under the key
-    (-c, i, j), so equal confidences go to the lexicographically smallest
-    pair and the tree does not depend on edge order."""
-    order = np.lexsort((jj, ii, -conf))
-    rank = np.argsort(order)
-    ends = np.concatenate([ii, jj])
-    by_vertex = np.argsort(ends, kind="stable")
-    start = np.searchsorted(ends[by_vertex], np.arange(n + 1))
-    ranks = np.concatenate([rank, rank])[by_vertex]
-    others = np.concatenate([jj, ii])[by_vertex]
-
-    in_tree = np.zeros(n, dtype=bool)
-    heap: list[int] = []
-
-    def join(v):
-        in_tree[v] = True
-        s = slice(start[v], start[v + 1])
-        for r in ranks[s][~in_tree[others[s]]].tolist():
-            heapq.heappush(heap, r)
-
-    join(root)
-    tree = []
-    while heap and len(tree) < n - 1:
-        e = int(order[heapq.heappop(heap)])
-        a, b = int(ii[e]), int(jj[e])
-        if in_tree[a] and in_tree[b]:
-            continue
-        parent, child = (a, b) if in_tree[a] else (b, a)
-        tree.append((child, parent, e))
-        join(child)
-    if len(tree) < n - 1:
-        raise NotConnectedError(components(n, ii, jj))
-    return tree
-
-
 def maximum_spanning_tree(g: EdgeStream) -> SpanningTree:
     """Deterministic maximum spanning tree of the confidence graph.
 
-    Ties between equal-confidence edges are broken toward the
-    lexicographically smallest (min(i,j), max(i,j)) pair, so the tree is
-    independent of edge input order.
+    Edges are ranked 1..M by the strict key (-c, i, j), so ties between
+    equal-confidence edges go to the lexicographically smallest
+    (min(i,j), max(i,j)) pair; the minimum spanning tree of those distinct
+    ranks is unique and independent of edge input order. ``parent_edges``
+    come in breadth-first order from the root.
     """
     ii, jj, rots, conf = g.edge_arrays()
-    root = _pick_root(g.n_vertices, ii, jj, conf)
-    edges = []
-    total = 0.0
-    for child, parent, e in _prim(g.n_vertices, ii, jj, conf, root):
-        c = float(conf[e])
-        rot = rots[e] if parent == ii[e] else rots[e].T
-        edges.append(TreeEdge(child, parent, rot, c))
-        total += c
+    n = g.n_vertices
+    root = _pick_root(n, ii, jj, conf)
+    order = np.lexsort((jj, ii, -conf))
+    rank = np.empty(len(order))
+    rank[order] = np.arange(1, len(order) + 1)
+    mst = csgraph.minimum_spanning_tree(sp.csr_matrix((rank, (ii, jj)), shape=(n, n)))
+    if mst.nnz < n - 1:
+        raise NotConnectedError(components(n, ii, jj))
+    tree = order[np.sort(mst.data).astype(np.intp) - 1]
+    nodes, pred = csgraph.breadth_first_order(mst, root, directed=False)
+    # Each tree edge is the parent edge of its end whose predecessor is
+    # the other end.
+    a, b = ii[tree], jj[tree]
+    edge_of = np.empty(n, dtype=np.intp)
+    edge_of[np.where(pred[b] == a, b, a)] = tree
+    children = nodes[1:]
+    parents = pred[children]
+    tree_edges = edge_of[children]
+    tree_rots = np.asarray(rots).take(tree_edges, axis=0)
+    flip = parents != ii[tree_edges]
+    tree_rots[flip] = tree_rots[flip].transpose(0, 2, 1)
+    edges = list(map(TreeEdge, children.tolist(), parents.tolist(), tree_rots,
+                     conf[tree_edges].tolist()))
 
     diagnostics = []
     weak = [te for te in edges if te.confidence < LOW_CONFIDENCE_WARN]
@@ -103,7 +85,7 @@ def maximum_spanning_tree(g: EdgeStream) -> SpanningTree:
         diagnostics.append(
             f"{len(weak)} spanning-tree edge(s) have confidence < "
             f"{LOW_CONFIDENCE_WARN}: {pairs}")
-    return SpanningTree(root, tuple(edges), total, tuple(diagnostics))
+    return SpanningTree(root, tuple(edges), float(conf[tree].sum()), tuple(diagnostics))
 
 
 def propagate(tree: SpanningTree, g: EdgeStream) -> np.ndarray:

@@ -295,8 +295,9 @@ def _solve_both(tmp_path, text, capsys):
     (f"N x\nEDGE 0 1 {ROW} 0.9\n", 1),
     (f"N 3\nEDGE 0 1 {ROW} 0.9\nEDGE 1 2 {ROW} 0.9\nEDGE 1 0 {ROW} 0.5\n", 4),
     (f"N 3\nEDGE 0 1 {ROW} 0.9\nEDGE 1 3 {ROW} 0.9\n", 3),
+    (f"N 100000000000000000000\nEDGE 0 1 {ROW} 0.9\n", 1),
 ], ids=["non-rotation", "nan", "duplicate-N", "bad-N", "duplicate-pair",
-        "out-of-range"])
+        "out-of-range", "N-past-intp"])
 def test_stream_and_memory_reject_alike(tmp_path, capsys, text, line):
     for code, err in _solve_both(tmp_path, text, capsys):
         assert code == 2

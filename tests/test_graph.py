@@ -17,6 +17,9 @@ from cara.errors import DuplicateEdgeError, GraphParseError, InvalidArgumentErro
 from cara.graph import Edge
 
 
+ROW = "1 0 0 0 1 0 0 0 1"
+
+
 def rot(seed):
     return so3.random_rotation(seed)
 
@@ -190,6 +193,22 @@ class TestTextFormat:
         with pytest.raises(GraphParseError):
             gm.parse("\n".join(lines))
 
+    def test_incomplete_ground_truth_message_is_bounded(self):
+        # The message names the first 10 missing ids and the count, built
+        # without a set of all N ids.
+        text = (f"N 1000000\nVERTEX_GT 0 {ROW}\nEDGE 0 1 {ROW} 0.5\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphParseError) as err:
+                gm.parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value).endswith(
+            "incomplete ground truth, missing vertices "
+            "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 999989 more")
+        assert peak < 1_000_000
+
     def test_scientific_notation_accepted(self):
         text = ("N 2\nEDGE 0 1 1.0e0 0 0 0 1E0 0 0 0 1 5e-1\n")
         g = gm.parse(text)
@@ -202,6 +221,27 @@ class TestTextFormat:
         g_rev = gm.build(2, [Edge(1, 0, R.T, 0.5)])
         np.testing.assert_allclose(g_fwd.edges[0].rotation,
                                    g_rev.edges[0].rotation, atol=1e-12)
+
+
+def test_pairs_past_int32_do_not_collide(tmp_path):
+    # (2^31, 2^31 + 5) and (0, 2^31 + 5) are distinct pairs; a key
+    # i * N + j with N = 2^33 wraps int64 and made them equal.
+    text = (f"N 8589934592\nEDGE 2147483648 2147483653 {ROW} 0.5\n"
+            f"EDGE 0 2147483653 {ROW} 0.5\n")
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    for g in (gm.parse(text), stream.FileEdgeStream(path)):
+        assert g.n_vertices == 2 ** 33
+        assert g.ii.tolist() == [2 ** 31, 0]
+        assert g.jj.tolist() == [2 ** 31 + 5] * 2
+
+
+def test_first_duplicate_in_file_order():
+    # The first repeat in file order is row 3, though pair (0,1) sorts first.
+    ii = np.array([2, 0, 5, 2, 0, 2])
+    jj = np.array([3, 1, 6, 3, 1, 3])
+    assert gm._first_duplicate(ii, jj) == 3
+    assert gm._first_duplicate(ii[:3], jj[:3]) is None
 
 
 def test_parsed_graph_holds_arrays_not_edge_records():

@@ -19,6 +19,50 @@ def random_batch(m, seed, max_angle=np.pi - 1e-3):
     return vs / norms * scale
 
 
+def batch_quat(Rs):
+    """(M, 3, 3) rotations -> (M, 4) unit quaternions (w,x,y,z), w >= 0, by
+    Shepperd's branch per row: the near-pi reference for batch_log."""
+    Rs = np.ascontiguousarray(Rs, dtype=np.float64)
+    d0, d1, d2 = Rs[:, 0, 0], Rs[:, 1, 1], Rs[:, 2, 2]
+    t = d0 + d1 + d2
+    case = np.argmax(np.stack([t, d0, d1, d2], axis=1), axis=1)
+    q = np.empty((Rs.shape[0], 4))
+    for c in range(4):
+        idx = np.nonzero(case == c)[0]
+        R = Rs[idx]
+        if c == 0:
+            r = np.sqrt(1.0 + t[idx])
+            s = 0.5 / r
+            q[idx, 0] = 0.5 * r
+            q[idx, 1] = (R[:, 2, 1] - R[:, 1, 2]) * s
+            q[idx, 2] = (R[:, 0, 2] - R[:, 2, 0]) * s
+            q[idx, 3] = (R[:, 1, 0] - R[:, 0, 1]) * s
+        else:
+            i = c - 1
+            j = (i + 1) % 3
+            k = (i + 2) % 3
+            r = np.sqrt(1.0 - t[idx] + 2.0 * R[:, i, i])
+            s = 0.5 / r
+            q[idx, 0] = (R[:, k, j] - R[:, j, k]) * s
+            q[idx, 1 + i] = 0.5 * r
+            q[idx, 1 + j] = (R[:, j, i] + R[:, i, j]) * s
+            q[idx, 1 + k] = (R[:, k, i] + R[:, i, k]) * s
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    q[q[:, 0] < 0] *= -1.0
+    return q
+
+
+def log_from_quat(q):
+    """(M, 4) unit quaternions (w >= 0) -> (M, 3) axis-angle vectors."""
+    n = np.linalg.norm(q[:, 1:], axis=1)
+    angle = 2.0 * np.arctan2(n, q[:, 0])
+    small = n < 1e-6
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(small, 2.0 + angle * angle / 12.0,
+                         angle / np.where(small, 1.0, n))
+    return scale[:, None] * q[:, 1:]
+
+
 # One implementation; the case id names it.
 @pytest.fixture(params=[kernels.BACKEND])
 def impl(request):
@@ -77,7 +121,7 @@ def test_batch_exp_bit_identical_to_identity_first(m):
 
 def test_batch_log_across_switch_and_tiny_angles(impl):
     # batch_log takes the skew part above trace -0.8 (theta below ~2.69) and
-    # the quaternion below it; tiny angles take the series, zero included.
+    # the symmetric part below it; tiny angles take the series, zero included.
     # The skew part loses the axis near pi, so those rows must switch.
     rng = np.random.default_rng(5)
     axes = rng.standard_normal((500, 3))
@@ -92,13 +136,42 @@ def test_batch_log_across_switch_and_tiny_angles(impl):
 
 def test_batch_log_skew_path_matches_quaternion_on_products():
     # Products of rotations, as in edge_residuals, are orthogonal only to
-    # ~1e-15; the skew and quaternion formulas must still agree.
+    # ~1e-15; batch_log must still agree with the Shepperd quaternion.
     rng = np.random.default_rng(6)
     Ri, Rj, Rij = (ScipyRotation.random(5000, random_state=rng).as_matrix()
                    for _ in range(3))
     P = np.transpose(Rj, (0, 2, 1)) @ Rij @ Ri
-    quat = kernels._log_from_quat(kernels.batch_quat(P))
+    quat = log_from_quat(batch_quat(P))
     np.testing.assert_allclose(kernels.batch_log(P), quat, rtol=0, atol=1e-13)
+
+
+def test_batch_log_near_pi_products_match_scipy():
+    # Products of rotations past the switch (tr < -0.8), some within 1e-9 of
+    # pi, where the axis comes from the symmetric part.
+    rng = np.random.default_rng(7)
+    axes = rng.standard_normal((3000, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.concatenate([rng.uniform(2.7, np.pi, 2000),
+                             np.pi - np.logspace(-9, -4, 1000)])
+    A = ScipyRotation.random(3000, random_state=rng).as_matrix()
+    far = ScipyRotation.from_rotvec(axes * angles[:, None]).as_matrix()
+    P = np.transpose(A, (0, 2, 1)) @ far @ A
+    assert (np.trace(P, axis1=1, axis2=2) < -0.8).all()
+    np.testing.assert_allclose(kernels.batch_log(P), ScipyRotation.from_matrix(P).as_rotvec(),
+                               rtol=0, atol=1e-13)
+
+
+def test_edge_residuals_past_switch_need_no_quaternion(monkeypatch):
+    # The near-pi rows take the symmetric part, not a per-case quaternion loop.
+    def refuse(Rs):
+        raise AssertionError("batch_quat called")
+    monkeypatch.setattr(kernels, "batch_quat", refuse, raising=False)
+    rng = np.random.default_rng(8)
+    Ri, Rj = (ScipyRotation.random(200, random_state=rng).as_matrix() for _ in range(2))
+    Rij = Rj @ ScipyRotation.from_rotvec([[0.0, 0.0, 3.0]] * 200).as_matrix() \
+        @ np.transpose(Ri, (0, 2, 1))
+    res = kernels.edge_residuals(Ri, Rj, Rij)
+    np.testing.assert_allclose(np.linalg.norm(res, axis=1), 3.0, rtol=0, atol=1e-13)
 
 
 def test_edge_residuals_definition(impl):
@@ -138,6 +211,9 @@ def test_bench_kernels_script_runs():
          "--sizes", "10,100", "--repeats", "1"],
         cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    names = {line.split()[0] for line in done.stdout.splitlines()[2:] if line.strip()}
+    assert {"batch_exp", "batch_log", "edge_residuals", "edge_residuals_far8",
+            "residual_pass"} <= names, done.stdout
     worst = re.search(r"max \|batch_log - scipy as_rotvec\|: (\S+)", done.stdout)
     assert worst is not None, done.stdout
     assert float(worst.group(1)) <= 1e-12

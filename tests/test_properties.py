@@ -1,8 +1,10 @@
 """Same file, same answer or same error: ``cara solve`` in memory and with
 ``--stream`` on mutated graph files, and the block reader's loadtxt path
-against the per-line reader, for EDGE and vertex records."""
+against the per-line reader, for EDGE and vertex records. Also the
+spanning tree against a Kruskal oracle on graphs with tied confidences."""
 import contextlib
 import io
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -15,9 +17,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cara import cli, synth
+from cara import cli, so3, synth, tree_init
 from cara import graph as gm
-from cara.errors import GraphParseError
+from cara.errors import GraphParseError, NotConnectedError
 
 BASE = gm.serialize(synth.generate(synth.SyntheticSceneSpec(
     n=5, noise_sigma=math.radians(5), confidence_model="informative",
@@ -285,3 +287,58 @@ def test_vertex_blocks_agree_with_per_line_reader(case):
             per_line = _eval(*pair)
         assert fast == per_line, kind
         assert fast[0] in (0, 2), (kind, fast[2])
+
+
+@st.composite
+def tied_graph(draw):
+    """A graph on 2-8 vertices with few distinct confidences, its edges
+    shuffled and some given reversed."""
+    n = draw(st.integers(2, 8))
+    pairs = [p for p in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    pairs = draw(st.permutations(pairs))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = []
+    for i, j in pairs:
+        c = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+        i, j = (j, i) if draw(st.booleans()) else (i, j)
+        edges.append(gm.Edge(i, j, so3.random_rotation(rng), c))
+    return n, edges
+
+
+def _kruskal(n, ii, jj, conf):
+    """Maximum spanning forest by Kruskal over the strict key (-c, i, j)."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    forest = set()
+    for c, i, j in sorted(zip((-conf).tolist(), ii.tolist(), jj.tolist())):
+        a, b = find(i), find(j)
+        if a != b:
+            root[a] = b
+            forest.add((i, j))
+    return forest
+
+
+@given(tied_graph())
+def test_spanning_tree_matches_kruskal(case):
+    n, edges = case
+    g = gm.build(n, edges)
+    forest = _kruskal(n, g.ii, g.jj, g.confidences)
+    if len(forest) < n - 1:
+        with pytest.raises(NotConnectedError) as err:
+            tree_init.maximum_spanning_tree(g)
+        assert err.value.components == gm.components(n, g.ii, g.jj)
+        return
+    tree = tree_init.maximum_spanning_tree(g)
+    assert {(min(te.parent, te.child), max(te.parent, te.child))
+            for te in tree.parent_edges} == forest
+    # Breadth-first order: every parent is the root or an earlier child.
+    seen = {tree.root}
+    for te in tree.parent_edges:
+        assert te.parent in seen and te.child not in seen
+        seen.add(te.child)
