@@ -1,11 +1,14 @@
-"""Micro-benchmark: the batched SO(3) kernels and one solver sweep.
+"""Micro-benchmark: the batched SO(3) kernels, one solver sweep and the tree.
 
 Times batch_exp, batch_log and edge_residuals on growing batch sizes, and
 edge_residuals on a residual mix with 8% of rows past 2.69 rad (trace
 below -0.8, where batch_log takes the near-pi branch), as on a dense scene
 with 30% outlier edges. Then times one ``solver._residual_pass`` over a
 4096-edge stream on 200 vertices, the chunk the solver sweeps at a time,
-and reports the worst error of batch_log against scipy's ``as_rotvec``.
+and ``maximum_spanning_tree`` (a row per edge) and ``propagate`` (a row per
+tree edge) on the 2000-camera chain scene of seed 3 (window 10, 10% outlier
+edges, informative confidences). Last, it reports the worst error of
+batch_log against scipy's ``as_rotvec``.
 Run as:
 
     python benchmarks/bench_kernels.py [--sizes 1000,10000,100000] [--repeats 5]
@@ -17,12 +20,15 @@ import time
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from cara import kernels, solver
+from cara import kernels, solver, synth, tree_init
 from cara.graph import CHUNK_RECORDS, EdgeStream
 
 FAR_ANGLE = 2.69
 FAR_SHARE = 0.08
 SWEEP_VERTICES = 200
+CHAIN = synth.SyntheticSceneSpec(
+    n=2000, topology="chain_window", chain_window=10, noise_sigma=math.radians(5.0),
+    outlier_edge_fraction=0.1, confidence_model="informative", seed=3)
 
 
 def make_inputs(m, seed):
@@ -93,6 +99,10 @@ def main():
         row("edge_residuals_far8", kernels.edge_residuals, far_mix(m, seed=m), m)
     row("residual_pass", solver._residual_pass, sweep_inputs(CHUNK_RECORDS, seed=0),
         CHUNK_RECORDS)
+    chain = synth.generate(CHAIN).graph
+    tree = tree_init.maximum_spanning_tree(chain)
+    row("spanning_tree", tree_init.maximum_spanning_tree, (chain,), len(chain.ii))
+    row("propagate", tree_init.propagate, (tree, chain), len(tree.edges))
     print(f"\nmax |batch_log - scipy as_rotvec|: {worst_log:.3e}")
 
 

@@ -105,8 +105,9 @@ def cmd_solve(args) -> int:
         if args.dump_tree:
             print(f"spanning tree root {tree.root} "
                   f"(total confidence {tree.total_confidence:.6g})")
-            for te in tree.parent_edges:
-                print(f"  {te.parent} -> {te.child}  c={te.confidence:.6g}")
+            for parent, child, c in zip(tree.parents.tolist(), tree.children.tolist(),
+                                        g.confidences[tree.edges].tolist()):
+                print(f"  {parent} -> {child}  c={c:.6g}")
         report = _solve(g, propagate(tree, g), kernel, config)
         # The tree's diagnostics come first, as on --stream.
         report.diagnostics[:0] = tree.diagnostics
@@ -346,6 +347,8 @@ def main(argv=None) -> int:
         if isinstance(exc, NotConnectedError):
             for idx, comp in enumerate(exc.components):
                 print(f"  component {idx}: {comp}", file=sys.stderr)
+            if exc.count > len(exc.components):
+                print(f"  ... and {exc.count - len(exc.components)} more", file=sys.stderr)
         return EXIT_UNSOLVABLE
     except (GraphParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

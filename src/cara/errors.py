@@ -27,13 +27,16 @@ class GraphParseError(CaraError, ValueError):
 
 
 class NotConnectedError(CaraError):
-    """The (thresholded) graph is disconnected; lists the components."""
+    """The graph is disconnected. ``count`` is its number of components
+    and ``components`` lists the first ``LISTED`` of the given ones, which
+    come by smallest vertex."""
 
-    def __init__(self, components, message=None):
-        self.components = components
-        if message is None:
-            message = f"graph is disconnected: {len(components)} components"
-        super().__init__(message)
+    LISTED = 10
+
+    def __init__(self, components, count=None):
+        self.count = len(components) if count is None else count
+        self.components = components[:self.LISTED]
+        super().__init__(f"graph is disconnected: {self.count} components")
 
 
 class DegenerateWeightsError(CaraError):

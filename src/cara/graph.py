@@ -91,11 +91,6 @@ class EdgeStream:
         self.confidences = np.asarray(confidences, dtype=float)
         self.rotations = np.asarray(rotations, dtype=float)
 
-    @classmethod
-    def from_graph(cls, g: "EdgeStream") -> "EdgeStream":
-        """A plain stream over the arrays of ``g``."""
-        return cls(g.n_vertices, g.ii, g.jj, g.confidences, g.rotations)
-
     def edge_arrays(self):
         """Edges as (idx_i, idx_j, rotations, confidences) arrays."""
         return self.ii, self.jj, self.rotations, self.confidences
@@ -210,18 +205,6 @@ def components(n: int, ii, jj) -> list[list[int]]:
     order = np.argsort(labels, kind="stable")
     cuts = np.flatnonzero(np.diff(labels[order])) + 1
     return sorted((c.tolist() for c in np.split(order, cuts)), key=lambda c: c[0])
-
-
-def connected_components(g: EpipolarConfidenceGraph,
-                         min_confidence: float = 0.0) -> list[list[int]]:
-    """Components of the subgraph keeping edges with c > min_confidence."""
-    ii, jj, _, conf = g.edge_arrays()
-    keep = conf > min_confidence
-    return components(g.n_vertices, ii[keep], jj[keep])
-
-
-def is_connected(g: EpipolarConfidenceGraph, min_confidence: float = 0.0) -> bool:
-    return len(connected_components(g, min_confidence)) == 1
 
 
 # Nine floats to 17 significant digits, enough to read back every value

@@ -33,14 +33,21 @@ KERNEL_KINDS = ("confidence", "l2", "l_half", "cauchy", "geman_mcclure")
 L_HALF_EPS = 1e-5
 # Weight floor applied when IRLS re-weighting disconnects the graph.
 WEIGHT_FLOOR = 1e-6
+# Shift of the Laplacian under the tikhonov anchor: (L + lambda * I).
+TIKHONOV_LAMBDA = 1e-8
+# A solve stops once its largest residual angle (rad) is below this.
+RESIDUAL_TOLERANCE = 1e-10
+# IRLS stops once its robust objective changes by at most this fraction.
+IRLS_REL_TOL = 1e-8
 
 
 @dataclass
 class SolveConfig:
-    """Solver settings.
+    """Solver settings: the iteration caps of the confidence solve and of
+    IRLS, and the anchor. The tolerances and lambda are module constants.
 
     ``anchor="fix-root"`` pins the strongest vertex; ``"tikhonov"`` adds
-    ``tikhonov_lambda * I`` to the Laplacian instead. The gauge direction
+    ``TIKHONOV_LAMBDA * I`` to the Laplacian instead. The gauge direction
     of that system has eigenvalue lambda, so its condition number is about
     the largest weighted degree over lambda, and last-bit changes in the
     residuals or in the factor's summation order move its raw estimates
@@ -52,18 +59,13 @@ class SolveConfig:
 
     max_iterations: int = 3
     anchor: str = "fix-root"          # "fix-root" | "tikhonov"
-    tikhonov_lambda: float = 1e-8
-    residual_tolerance: float = 1e-10
     irls_max_iterations: int = 20
-    irls_rel_tol: float = 1e-8
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidArgumentError("max_iterations must be >= 1")
         if self.anchor not in ("fix-root", "tikhonov"):
             raise InvalidArgumentError(f"unknown anchor mode {self.anchor!r}")
-        if self.anchor == "tikhonov" and not self.tikhonov_lambda > 0:
-            raise InvalidArgumentError("tikhonov_lambda must be positive")
         if self.irls_max_iterations < 1:
             raise InvalidArgumentError("irls_max_iterations must be >= 1")
 
@@ -161,7 +163,7 @@ class _LaplacianPattern:
     def __init__(self, n, ii, jj, anchor, config):
         self.n, self.ii, self.jj, self.config = n, ii, jj, config
         fix_root = config.anchor == "fix-root"
-        self.shift = 0.0 if fix_root else config.tikhonov_lambda
+        self.shift = 0.0 if fix_root else TIKHONOV_LAMBDA
         self.keep = np.delete(np.arange(n), anchor) if fix_root else np.arange(n)
         pos = np.full(n, -1, dtype=np.int32)
         pos[self.keep] = np.arange(len(self.keep), dtype=np.int32)
@@ -283,9 +285,9 @@ def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
         max_residual_history.append(float(norms.max()) if len(norms) else 0.0)
         converged = kernel is not None and len(loss_history) > 1 and (
             abs(loss_history[-2] - loss_history[-1])
-            <= config.irls_rel_tol * max(abs(loss_history[-2]), 1e-30))
+            <= IRLS_REL_TOL * max(abs(loss_history[-2]), 1e-30))
         stop_reason = ("residual_tolerance"
-                       if max_residual_history[-1] < config.residual_tolerance
+                       if max_residual_history[-1] < RESIDUAL_TOLERANCE
                        else "relative_tolerance" if converged
                        else "iteration_cap" if iterations_run == cap else "")
         if stop_reason:
@@ -323,7 +325,7 @@ def irls_solve(stream: EdgeStream, initial_rotations,
     each outer iteration re-derives per-edge weights from the current
     residual angles and takes one weighted least-squares step; it stops
     when the relative change of the robust objective falls below
-    ``irls_rel_tol`` or after ``irls_max_iterations`` steps.
+    ``IRLS_REL_TOL`` or after ``irls_max_iterations`` steps.
     """
     kernel = kernel or RobustKernel()
     if kernel.kind == "confidence":

@@ -49,8 +49,7 @@ class FileEdgeStream(EdgeStream):
 def initialize_from_stream(stream: EdgeStream) -> tuple[np.ndarray, tuple[str, ...]]:
     """Spanning-tree initialization, as in memory; only the N-1 tree
     rotations are read from the store. Returns (rotations, the tree's
-    diagnostics); the tree itself is dropped, so its N-1 edges do not add
-    to the solve's memory."""
+    diagnostics); the tree's index arrays are dropped before the solve."""
     tree = maximum_spanning_tree(stream)
     return propagate(tree, stream), tree.diagnostics
 

@@ -183,13 +183,21 @@ def test_stream_rejects_dump_tree(tmp_path, capsys):
 
 
 def test_dump_tree(tmp_path, capsys):
+    # A path tree whose edges 4-3, 3-0 and 2-1 are stored the other way.
     graph_path = tmp_path / "g.graph"
-    run(["generate", "--n", "5", "--seed", "6", "--out", str(graph_path)])
+    run(["generate", "--n", "5", "--seed", "6", "--sigma-deg", "5",
+         "--outlier-frac", "0.2", "--confidence-model", "informative",
+         "--out", str(graph_path)])
     capsys.readouterr()
     assert run(["solve", "--in", str(graph_path), "--dump-tree"]) == 0
     out = capsys.readouterr().out
-    assert "spanning tree root" in out
-    assert out.count("->") == 4
+    assert out.splitlines()[:5] == [
+        "spanning tree root 4 (total confidence 3.60379)",
+        "  4 -> 3  c=0.89305",
+        "  3 -> 0  c=0.906075",
+        "  0 -> 2  c=0.846649",
+        "  2 -> 1  c=0.958018",
+    ]
 
 
 def test_eval_zero_errors(tmp_path, capsys):
@@ -303,6 +311,39 @@ def test_stream_and_memory_reject_alike(tmp_path, capsys, text, line):
         assert code == 2
         assert f"line {line}:" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--stream"]], ids=["memory", "stream"])
+def test_huge_n_exits_3_without_allocating(tmp_path, capsys, extra):
+    # N is far past any memory: a component count that allocates O(N)
+    # fails at once instead of exiting 3.
+    path = tmp_path / "g.graph"
+    path.write_text(f"N 1000000000000\nEDGE 0 1 {ROW} 0.9\nEDGE 5 7 {ROW} 0.9\n")
+    assert run(["solve", "--in", str(path)] + extra) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        "unsolvable input: graph is disconnected: 999999999998 components",
+        *(f"  component {k}: {c}" for k, c in enumerate(
+            [[0, 1], [2], [3], [4], [5, 7], [6], [8], [9], [10], [11]])),
+        "  ... and 999999999988 more",
+    ]
+
+
+def test_many_components_listed_first_ten(tmp_path, capsys):
+    # Eleven triangles: enough edges for a tree, so the forest is found
+    # by the spanning tree itself.
+    lines = ["N 33"] + [f"EDGE {3 * t + a} {3 * t + b} {ROW} 0.9"
+                        for t in range(11) for a, b in ((0, 1), (0, 2), (1, 2))]
+    path = tmp_path / "g.graph"
+    path.write_text("\n".join(lines) + "\n")
+    for extra in ([], ["--stream"]):
+        assert run(["solve", "--in", str(path)] + extra) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "unsolvable input: graph is disconnected: 11 components"
+        assert err[1:] == [f"  component {t}: [{3 * t}, {3 * t + 1}, {3 * t + 2}]"
+                           for t in range(10)] + ["  ... and 1 more"]
 
 
 def _eval_file(tmp_path, body):

@@ -80,19 +80,24 @@ class TestBuild:
             gm.build(3, [Edge(0, 1, rot(0), 1.0)], ground_truth=[np.eye(3)])
 
 
+def thresholded_components(g, min_confidence):
+    """Components of the subgraph keeping edges with c > min_confidence."""
+    keep = g.confidences > min_confidence
+    return gm.components(g.n_vertices, g.ii[keep], g.jj[keep])
+
+
 class TestConnectivity:
     def test_complete_connected(self):
         g = random_graph(5, 1.0, 0)
-        assert gm.is_connected(g, 0.0) is True
+        assert len(thresholded_components(g, 0.0)) == 1
 
     def test_zero_confidence_bridge(self):
         # two cliques joined only by a c=0 edge
         edges = [Edge(0, 1, rot(0), 0.9), Edge(2, 3, rot(1), 0.9),
                  Edge(1, 2, rot(2), 0.0)]
         g = gm.build(4, edges)
-        assert gm.is_connected(g, -1.0) is True
-        assert gm.is_connected(g, 0.01) is False
-        comps = gm.connected_components(g, 0.01)
+        assert len(thresholded_components(g, -1.0)) == 1
+        comps = thresholded_components(g, 0.01)
         assert sorted(map(tuple, comps)) == [(0, 1), (2, 3)]
 
     def test_against_union_find_oracle(self):
@@ -117,7 +122,7 @@ class TestConnectivity:
             g = random_graph(n, p, int(rng.integers(1 << 30)))
             thresh = rng.uniform(0.0, 1.0)
             pairs = [(e.i, e.j) for e in g.edges if e.confidence > thresh]
-            assert gm.is_connected(g, thresh) == uf_connected(n, pairs)
+            assert (len(thresholded_components(g, thresh)) == 1) == uf_connected(n, pairs)
 
 
 class TestTextFormat:

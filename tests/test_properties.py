@@ -325,6 +325,21 @@ def _kruskal(n, ii, jj, conf):
 
 
 @given(tied_graph())
+def test_propagate_follows_every_tree_edge(case):
+    n, edges = case
+    g = gm.build(n, edges)
+    try:
+        tree = tree_init.maximum_spanning_tree(g)
+    except NotConnectedError:
+        return
+    R = tree_init.propagate(tree, g)
+    for p, c, k in zip(tree.parents.tolist(), tree.children.tolist(), tree.edges.tolist()):
+        # The graph stores r_ij ~ R_j R_i^T with i < j.
+        rel = g.rotations[k] if g.ii[k] == p else g.rotations[k].T
+        np.testing.assert_allclose(R[c] @ R[p].T, rel, rtol=0, atol=1e-12)
+
+
+@given(tied_graph())
 def test_spanning_tree_matches_kruskal(case):
     n, edges = case
     g = gm.build(n, edges)
@@ -332,13 +347,18 @@ def test_spanning_tree_matches_kruskal(case):
     if len(forest) < n - 1:
         with pytest.raises(NotConnectedError) as err:
             tree_init.maximum_spanning_tree(g)
-        assert err.value.components == gm.components(n, g.ii, g.jj)
+        comps = gm.components(n, g.ii, g.jj)
+        assert err.value.components == comps[:NotConnectedError.LISTED]
+        assert err.value.count == len(comps)
         return
     tree = tree_init.maximum_spanning_tree(g)
-    assert {(min(te.parent, te.child), max(te.parent, te.child))
-            for te in tree.parent_edges} == forest
+    parents, children = tree.parents.tolist(), tree.children.tolist()
+    assert {(min(p, c), max(p, c)) for p, c in zip(parents, children)} == forest
+    # Each tree edge is the graph edge of its pair.
+    assert [{p, c} for p, c in zip(parents, children)] == [
+        {i, j} for i, j in zip(g.ii[tree.edges].tolist(), g.jj[tree.edges].tolist())]
     # Breadth-first order: every parent is the root or an earlier child.
     seen = {tree.root}
-    for te in tree.parent_edges:
-        assert te.parent in seen and te.child not in seen
-        seen.add(te.child)
+    for p, c in zip(parents, children):
+        assert p in seen and c not in seen
+        seen.add(c)

@@ -184,8 +184,6 @@ class TestCaoSolve:
             SolveConfig(max_iterations=0)
         with pytest.raises(InvalidArgumentError):
             SolveConfig(anchor="nope")
-        with pytest.raises(InvalidArgumentError):
-            SolveConfig(anchor="tikhonov", tikhonov_lambda=0.0)
 
     def test_tikhonov_mode_close_to_fix_root(self):
         scene = synth.generate(synth.SyntheticSceneSpec(
@@ -194,8 +192,7 @@ class TestCaoSolve:
         gt = np.stack(g.ground_truth)
         init = cai(g)
         a = solver.cao_solve(g, init, SolveConfig(anchor="fix-root"))
-        b = solver.cao_solve(g, init, SolveConfig(anchor="tikhonov",
-                                                  tikhonov_lambda=1e-10))
+        b = solver.cao_solve(g, init, SolveConfig(anchor="tikhonov"))
         err_a = metrics.error_stats(a.rotations, gt).mean
         err_b = metrics.error_stats(b.rotations, gt).mean
         assert err_b == pytest.approx(err_a, abs=1e-6)
@@ -360,7 +357,7 @@ def _reference_laplacian(n, ii, jj, w, anchor, config):
                        (np.concatenate([ii, jj, ii, jj]),
                         np.concatenate([ii, jj, jj, ii]))), shape=(n, n)).toarray()
     if config.anchor == "tikhonov":
-        return L + config.tikhonov_lambda * np.eye(n)
+        return L + solver.TIKHONOV_LAMBDA * np.eye(n)
     return np.delete(np.delete(L, anchor, axis=0), anchor, axis=1)
 
 

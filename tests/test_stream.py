@@ -257,7 +257,7 @@ def test_rhs_independent_of_chunking(scene_file, chunk_size):
         noise_sigma=math.radians(6), confidence_model="informative", seed=5))
     g = scene.graph
     init = tree_init.propagate(tree_init.maximum_spanning_tree(g), g)
-    whole = solver.EdgeStream.from_graph(g)
+    whole = solver.EdgeStream(g.n_vertices, g.ii, g.jj, g.confidences, g.rotations)
     chunked = stream.FileEdgeStream(path)
     chunked.passes = functools.partial(chunked.passes, chunk_size=chunk_size)
     rhs_w, norms_w = solver._residual_pass(whole, init, whole.confidences)

@@ -68,12 +68,14 @@ class TestGenerate:
             n=10, topology="chain_window", chain_window=3, seed=3))
         for e in scene.graph.edges:
             assert 1 <= e.j - e.i <= 3
-        assert gm.is_connected(scene.graph, -1.0)
+        g = scene.graph
+        assert len(gm.components(g.n_vertices, g.ii, g.jj)) == 1
 
     def test_erdos_connected_or_error(self):
         scene = synth.generate(SyntheticSceneSpec(
             n=12, topology="erdos", erdos_p=0.4, seed=4))
-        assert gm.is_connected(scene.graph, -1.0)
+        g = scene.graph
+        assert len(gm.components(g.n_vertices, g.ii, g.jj)) == 1
         with pytest.raises(GenerationError):
             synth.generate(SyntheticSceneSpec(
                 n=40, topology="erdos", erdos_p=0.01, seed=5))

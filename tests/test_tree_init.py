@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from cara import graph as gm
 from cara import metrics, so3, tree_init
 from cara.errors import NotConnectedError
-from cara.graph import Edge
+from cara.graph import Edge, EdgeStream
 
 
 def make_graph(n, weighted_pairs, seed=0):
@@ -41,19 +42,23 @@ def exhaustive_max_tree_weight(n, weighted_pairs):
     return best
 
 
+def tree_pairs(tree):
+    """The tree's edges as a set of (smaller, larger) vertex pairs."""
+    return set(zip(np.minimum(tree.parents, tree.children).tolist(),
+                   np.maximum(tree.parents, tree.children).tolist()))
+
+
 class TestMaximumSpanningTree:
     def test_triangle_brute_force(self):
         g = make_graph(3, [(0, 1, 0.9), (0, 2, 0.8), (1, 2, 0.1)])
         tree = tree_init.maximum_spanning_tree(g)
-        pairs = {tuple(sorted((te.parent, te.child))) for te in tree.parent_edges}
-        assert pairs == {(0, 1), (0, 2)}
+        assert tree_pairs(tree) == {(0, 1), (0, 2)}
         assert tree.total_confidence == pytest.approx(1.7)
 
     def test_chain_is_unique_tree(self):
         g = make_graph(5, [(i, i + 1, 0.5) for i in range(4)])
         tree = tree_init.maximum_spanning_tree(g)
-        pairs = {tuple(sorted((te.parent, te.child))) for te in tree.parent_edges}
-        assert pairs == {(0, 1), (1, 2), (2, 3), (3, 4)}
+        assert tree_pairs(tree) == {(0, 1), (1, 2), (2, 3), (3, 4)}
 
     def test_exhaustive_oracle_100_seeds(self):
         rng = np.random.default_rng(100)
@@ -77,6 +82,22 @@ class TestMaximumSpanningTree:
             tree_init.maximum_spanning_tree(g)
         assert sorted(map(tuple, err.value.components)) == [(0, 1), (2, 3)]
 
+    def test_huge_n_counts_components_in_bounded_memory(self):
+        # An O(N) allocation at this N fails at once.
+        n = 10 ** 12
+        stream = EdgeStream(n, [0, 5], [1, 7], [0.9, 0.9], np.stack([np.eye(3)] * 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotConnectedError) as err:
+                tree_init.maximum_spanning_tree(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert err.value.count == n - 2
+        assert err.value.components == [[0, 1], [2], [3], [4], [5, 7], [6], [8], [9],
+                                        [10], [11]]
+
     def test_edge_order_invariance(self):
         # equal confidences: tie-breaking must not depend on input order
         rng = np.random.default_rng(5)
@@ -87,8 +108,7 @@ class TestMaximumSpanningTree:
             edges = [Edge(i, j, rots[(i, j)], c) for i, j, c in perm]
             g = gm.build(4, edges)
             tree = tree_init.maximum_spanning_tree(g)
-            trees.append(tuple(sorted((te.parent, te.child)
-                                      for te in tree.parent_edges)))
+            trees.append(tuple(sorted(tree_pairs(tree))))
         assert len(set(trees)) == 1
 
     def test_low_confidence_diagnostic(self):
