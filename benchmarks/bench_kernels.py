@@ -7,8 +7,11 @@ with 30% outlier edges. Then times one ``solver._residual_pass`` over a
 4096-edge stream on 200 vertices, the chunk the solver sweeps at a time,
 and ``maximum_spanning_tree`` (a row per edge) and ``propagate`` (a row per
 tree edge) on the 2000-camera chain scene of seed 3 (window 10, 10% outlier
-edges, informative confidences). Last, it reports the worst error of
-batch_log against scipy's ``as_rotvec``.
+edges, informative confidences). ``_LaplacianPattern.factor`` (a row per
+edge) runs on the 200-camera complete scene of seed 3 (30% outlier edges,
+informative confidences), whose Laplacian takes the dense Cholesky, and on
+that chain scene, whose Laplacian takes SuperLU. Last, it reports the worst
+error of batch_log against scipy's ``as_rotvec``.
 Run as:
 
     python benchmarks/bench_kernels.py [--sizes 1000,10000,100000] [--repeats 5]
@@ -22,6 +25,7 @@ from scipy.spatial.transform import Rotation
 
 from cara import kernels, solver, synth, tree_init
 from cara.graph import CHUNK_RECORDS, EdgeStream
+from cara.tree_init import _pick_root
 
 FAR_ANGLE = 2.69
 FAR_SHARE = 0.08
@@ -29,6 +33,9 @@ SWEEP_VERTICES = 200
 CHAIN = synth.SyntheticSceneSpec(
     n=2000, topology="chain_window", chain_window=10, noise_sigma=math.radians(5.0),
     outlier_edge_fraction=0.1, confidence_model="informative", seed=3)
+DENSE = synth.SyntheticSceneSpec(
+    n=200, noise_sigma=math.radians(5.0), outlier_edge_fraction=0.3,
+    confidence_model="informative", seed=3)
 
 
 def make_inputs(m, seed):
@@ -62,6 +69,13 @@ def sweep_inputs(m, seed):
     stream = EdgeStream(n, ii, jj, rng.random(m), Rotation.random(m, random_state=rng).as_matrix())
     rotations = Rotation.random(n, random_state=rng).as_matrix()
     return stream, rotations, stream.confidences
+
+
+def factor_inputs(g):
+    """(pattern, weights) for one fix-root Laplacian factor of g."""
+    anchor = _pick_root(g.n_vertices, g.ii, g.jj, g.confidences)
+    pattern = solver._LaplacianPattern(g.n_vertices, g.ii, g.jj, anchor, solver.SolveConfig())
+    return pattern, g.confidences
 
 
 def time_call(fn, args, repeats):
@@ -103,6 +117,9 @@ def main():
     tree = tree_init.maximum_spanning_tree(chain)
     row("spanning_tree", tree_init.maximum_spanning_tree, (chain,), len(chain.ii))
     row("propagate", tree_init.propagate, (tree, chain), len(tree.edges))
+    for name, g in (("factor_dense", synth.generate(DENSE).graph), ("factor_sparse", chain)):
+        pattern, w = factor_inputs(g)
+        row(name, pattern.factor, (w,), len(g.ii))
     print(f"\nmax |batch_log - scipy as_rotvec|: {worst_log:.3e}")
 
 

@@ -6,8 +6,11 @@ weighted normal equations. Because every weight block is a scalar times
 the identity, the 3N x 3N system factors into a weighted graph Laplacian
 acting on three right-hand-side columns. The Laplacian is anchored by
 deleting the anchor vertex's row/column (or shifted by lambda * I). Its
-sparse CSC pattern is built once per solve from the edge arrays; each
-weight setting only writes the weights into that pattern and factorizes.
+pattern is built once per solve from the edge arrays; each weight setting
+only writes the weights into that pattern and factorizes. A pattern whose
+stored entries (two per kept edge plus the diagonal) fill at least
+``DENSE_FILL`` of the nk x nk matrix is factored as a dense array by
+LAPACK's Cholesky; a sparser one as a CSC matrix by SuperLU.
 
 :func:`cao_solve` and :func:`irls_solve` run one loop over the edges of
 an :class:`EdgeStream`, swept in fixed-size chunks; ``--stream`` runs it on
@@ -17,8 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -35,6 +40,9 @@ L_HALF_EPS = 1e-5
 WEIGHT_FLOOR = 1e-6
 # Shift of the Laplacian under the tikhonov anchor: (L + lambda * I).
 TIKHONOV_LAMBDA = 1e-8
+# Laplacians with 2 * kept edges + kept vertices >= DENSE_FILL * nk^2 are
+# factored by dense Cholesky, sparser ones by SuperLU.
+DENSE_FILL = 0.25
 # A solve stops once its largest residual angle (rad) is below this.
 RESIDUAL_TOLERANCE = 1e-10
 # IRLS stops once its robust objective changes by at most this fraction.
@@ -51,10 +59,12 @@ class SolveConfig:
     of that system has eigenvalue lambda, so its condition number is about
     the largest weighted degree over lambda, and last-bit changes in the
     residuals or in the factor's summation order move its raw estimates
-    far more than fix-root ones. On a 200-camera complete scene such a
-    change moved raw tikhonov estimates by up to 1e-2 (l_half) and
-    gauge-aligned ones by up to 4e-5 (l_half) and 2e-10 (the other
-    kernels), against 5e-13 under fix-root.
+    far more than fix-root ones. On 200-camera complete scenes, a change
+    in the residuals' rounding moved raw tikhonov estimates by up to 1e-2
+    (l_half) and gauge-aligned ones by up to 4e-5 (l_half) and 2e-10 (the
+    other kernels); switching their factor from SuperLU to dense Cholesky
+    moved them by up to 6.5e-3 raw and 6e-6 aligned (l_half) and 4e-10
+    aligned (the other kernels). Fix-root estimates moved by at most 5e-13.
     """
 
     max_iterations: int = 3
@@ -134,29 +144,36 @@ def cal_loss(g: EpipolarConfidenceGraph, rotations: np.ndarray) -> float:
 def _check_connectivity(n, ii, jj, conf=None):
     """Raise NotConnectedError for a disconnected graph and, given
     confidences, DegenerateWeightsError when its positive-confidence
-    edges leave it disconnected."""
+    edges leave it disconnected. A connected positive-confidence subgraph
+    proves the whole graph connected, so that search runs first and the
+    full graph is searched only when it splits."""
+    if conf is not None:
+        positive = conf > 0
+        split = len(components(n, ii[positive], jj[positive]))
+        if split == 1:
+            return
     comps = components(n, ii, jj)
     if len(comps) > 1:
         raise NotConnectedError(comps)
-    if conf is None:
-        return
-    comps = components(n, ii[conf > 0], jj[conf > 0])
-    if len(comps) > 1:
+    if conf is not None:
         raise DegenerateWeightsError(
-            f"positive-confidence subgraph splits into {len(comps)} components; "
+            f"positive-confidence subgraph splits into {split} components; "
             "the weighted normal equations are singular")
 
 
 class _LaplacianPattern:
-    """CSC pattern of the anchored (fix-root) or lambda-shifted (tikhonov)
+    """Pattern of the anchored (fix-root) or lambda-shifted (tikhonov)
     weighted Laplacian of one edge set, built once per solve.
 
-    One lexsort puts the entries, each kept edge's (lo, hi) and (hi, lo)
-    and each kept vertex's diagonal, in column-then-row order. Its inverse
-    holds their slots in the matrix's data, as three slices ``upper``,
-    ``lower`` and ``diag`` that :meth:`factor` fills. Kept edges avoid the
-    fix-root anchor and count only in their other end's degree. Pairs must
-    be distinct and not loops, as :func:`graph.build` and the stream
+    Kept edges avoid the fix-root anchor and count only in their other
+    end's degree. A dense pattern (see ``DENSE_FILL``) holds each kept
+    edge's flat upper-triangle slot in a Fortran-ordered nk x nk array,
+    which :meth:`factor` fills and hands to ``cho_factor`` in place. A
+    sparse one is a CSC matrix: one lexsort puts the entries, each kept
+    edge's (lo, hi) and (hi, lo) and each kept vertex's diagonal, in
+    column-then-row order, and its inverse holds their slots in the
+    matrix's data, as three slices ``upper``, ``lower`` and ``diag``. Pairs
+    must be distinct and not loops, as :func:`graph.build` and the stream
     reader ensure.
     """
 
@@ -171,6 +188,16 @@ class _LaplacianPattern:
         self.kept = np.flatnonzero((lo >= 0) & (hi >= 0))
         lo, hi = lo[self.kept], hi[self.kept]
         m, nk = len(lo), len(self.keep)
+        self.dense = 2 * m + nk >= DENSE_FILL * nk * nk
+        if self.dense:
+            self.upper = lo + hi.astype(np.intp) * nk
+            # A loop lands on a diagonal slot, a repeated pair on its twin's.
+            filled = np.zeros(nk * nk, dtype=bool)
+            filled[self.upper] = True
+            filled[::nk + 1] = True
+            if np.count_nonzero(filled) < m + nk:
+                raise InvalidArgumentError("the solver needs distinct pairs and no loops")
+            return
         diag = np.arange(nk, dtype=np.int32)
         rows = np.concatenate([lo, hi, diag])
         cols = np.concatenate([hi, lo, diag])
@@ -190,26 +217,41 @@ class _LaplacianPattern:
         """Factorized solve for the Laplacian weighted by ``w``."""
         n, config = self.n, self.config
         deg = np.bincount(self.ii, w, minlength=n) + np.bincount(self.jj, w, minlength=n)
-        data = self.matrix.data
-        off = -w[self.kept]
-        data[self.upper] = off
-        data[self.lower] = off
-        data[self.diag] = deg[self.keep] + self.shift
-        try:
-            lu = spla.splu(self.matrix)
-        except RuntimeError as exc:
-            raise DegenerateWeightsError(f"normal equations are singular: {exc}") from exc
+        if self.dense:
+            nk = len(self.keep)
+            flat = np.zeros(nk * nk)
+            flat[self.upper] = -w[self.kept]
+            flat[::nk + 1] = deg[self.keep] + self.shift
+            try:
+                cho = la.cho_factor(flat.reshape((nk, nk), order="F"),
+                                    overwrite_a=True, check_finite=False)
+            except la.LinAlgError as exc:
+                raise DegenerateWeightsError(f"normal equations are singular: {exc}") from exc
+            pivots = np.diagonal(cho[0]) ** 2
+            solve_kept = partial(la.cho_solve, cho, check_finite=False)
+        else:
+            data = self.matrix.data
+            off = -w[self.kept]
+            data[self.upper] = off
+            data[self.lower] = off
+            data[self.diag] = deg[self.keep] + self.shift
+            try:
+                lu = spla.splu(self.matrix)
+            except RuntimeError as exc:
+                raise DegenerateWeightsError(f"normal equations are singular: {exc}") from exc
+            pivots = np.abs(lu.U.diagonal())
+            solve_kept = lu.solve
         # Fix-root pivots scale with the weights, so that test is relative to
         # the largest; under tikhonov the gauge pivot is about n * lambda
         # whatever the weight scale, so the threshold stays absolute.
         tol = 1e-14 * np.max(w, initial=0.0) if config.anchor == "fix-root" else 1e-14
-        if np.min(np.abs(lu.U.diagonal())) < tol:
+        if np.min(pivots) < tol:
             raise DegenerateWeightsError("normal equations are numerically singular")
         keep = self.keep
 
         def solve(rhs_full):
             delta = np.zeros((n, 3))
-            delta[keep] = lu.solve(rhs_full[keep])
+            delta[keep] = solve_kept(rhs_full[keep])
             return delta
 
         return solve

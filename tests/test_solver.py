@@ -361,47 +361,104 @@ def _reference_laplacian(n, ii, jj, w, anchor, config):
     return np.delete(np.delete(L, anchor, axis=0), anchor, axis=1)
 
 
-@pytest.mark.parametrize("anchor_mode", ["fix-root", "tikhonov"])
-@pytest.mark.parametrize("anchor", [0, 4, 9, 6])
-def test_laplacian_pattern_refill_matches_reference(anchor_mode, anchor):
-    # Vertex 6 has degree 1 (its one edge goes to 2); 0, 4 and 9 are the
-    # first, a middle and the last vertex.
-    rng = np.random.default_rng(30)
+def _dense_pairs(rng):
+    """A 10-vertex graph whose vertex 6 has degree 1 (its one edge goes to
+    2), in shuffled order: its Laplacian takes the dense factor."""
     pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)
              if 6 not in (i, j) and rng.random() < 0.6]
     pairs += [(2, 6), (0, 9), (4, 5), (8, 9)]
-    pairs = sorted(set(pairs))
+    return 10, (2, 6), sorted(set(pairs))
+
+
+def _sparse_pairs(rng):
+    """A window-3 chain on vertices 0..198 plus vertex 199 hanging off 120
+    alone, in shuffled order: its Laplacian takes SuperLU."""
+    pairs = [(i, j) for i in range(199) for j in range(i + 1, min(i + 4, 199))]
+    return 200, (120, 199), pairs + [(120, 199)]
+
+
+def _record_factorizations(monkeypatch):
+    """A list that gets (name, copy of the input) for every ``cho_factor``
+    and ``splu`` call; ``cho_factor`` overwrites its input."""
+    seen = []
+    for module, name in ((solver.la, "cho_factor"), (solver.spla, "splu")):
+        def record(a, *args, _real=getattr(module, name), _name=name, **kwargs):
+            seen.append((_name, a.copy()))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(module, name, record)
+    return seen
+
+
+def _assembled(seen, pattern, w):
+    """The matrix ``pattern.factor(w)`` hands to its factorizer, in full.
+    The dense path fills only the upper triangle of a zeroed array."""
+    seen.clear()
+    pattern.factor(w)
+    ((_, a),) = seen
+    if not pattern.dense:
+        return a.toarray()
+    assert not np.tril(a, -1).any()
+    return np.triu(a) + np.triu(a, 1).T
+
+
+@pytest.mark.parametrize("anchor_mode", ["fix-root", "tikhonov"])
+@pytest.mark.parametrize("make_pairs, anchor, dense", [
+    pytest.param(_dense_pairs, 0, True, id="0"),
+    pytest.param(_dense_pairs, 4, True, id="4"),
+    pytest.param(_dense_pairs, 9, True, id="9"),
+    pytest.param(_dense_pairs, 6, True, id="6"),
+    pytest.param(_sparse_pairs, 0, False, id="sparse-0"),
+    pytest.param(_sparse_pairs, 57, False, id="sparse-57"),
+    pytest.param(_sparse_pairs, 198, False, id="sparse-198"),
+    pytest.param(_sparse_pairs, 199, False, id="sparse-199"),
+])
+def test_laplacian_pattern_refill_matches_reference(monkeypatch, make_pairs, anchor, dense,
+                                                    anchor_mode):
+    # The anchors are the first, a middle and the last vertex, and the one
+    # of degree 1.
+    rng = np.random.default_rng(30)
+    n, pendant, pairs = make_pairs(rng)
     order = rng.permutation(len(pairs))
     ii = np.array([pairs[k][0] for k in order], dtype=np.intp)
     jj = np.array([pairs[k][1] for k in order], dtype=np.intp)
     config = SolveConfig(anchor=anchor_mode)
-    pattern = solver._LaplacianPattern(10, ii, jj, anchor, config)
+    pattern = solver._LaplacianPattern(n, ii, jj, anchor, config)
+    assert pattern.dense == dense
+    seen = _record_factorizations(monkeypatch)
     for _ in range(2):
         w = rng.uniform(0.5, 1.5, len(ii))
         w[rng.choice(len(ii), 3, replace=False)] = 0.0
         w[rng.choice(len(ii), 2, replace=False)] = 1e-5 ** -1.5  # l_half scale
-        w[(ii == 2) & (jj == 6)] = 0.7
-        pattern.factor(w)
-        np.testing.assert_allclose(pattern.matrix.toarray(),
-                                   _reference_laplacian(10, ii, jj, w, anchor, config),
+        w[(ii == pendant[0]) & (jj == pendant[1])] = 0.7
+        np.testing.assert_allclose(_assembled(seen, pattern, w),
+                                   _reference_laplacian(n, ii, jj, w, anchor, config),
                                    rtol=1e-15, atol=0)
 
 
-def test_laplacian_pattern_refill_keeps_degenerate_errors():
-    # On a chain every edge is a bridge: a zero weight disconnects it and a
-    # weight 1e-17 below the rest leaves a pivot under the relative test.
-    n = 6
+def _check_refill_keeps_degenerate_errors(n, dense):
+    # On a chain every edge is a bridge: a zero weight disconnects it, and a
+    # weight 1e-15 or 1e-17 below the rest leaves a pivot under the relative
+    # test (Cholesky may instead meet a pivot that rounding made negative).
     ii, jj = np.arange(n - 1), np.arange(1, n)
     config = SolveConfig()
     pattern = solver._LaplacianPattern(n, ii, jj, 0, config)
+    assert pattern.dense == dense
     rhs = np.random.default_rng(31).standard_normal((n, 3))
     w = np.linspace(0.5, 1.0, n - 1)
     base = pattern.factor(w)(rhs)
-    for bad in (0.0, 1e-17):
-        with pytest.raises(DegenerateWeightsError):
+    for bad in (0.0, 1e-17, 1e-15):
+        with pytest.raises(DegenerateWeightsError, match="normal equations are"):
             pattern.factor(np.where(np.arange(n - 1) == 2, bad, w))
     # the pattern survives a failed refill, and the test is scale-free
     np.testing.assert_allclose(pattern.factor(1e-15 * w)(1e-15 * rhs), base, rtol=1e-12)
+
+
+def test_laplacian_pattern_refill_keeps_degenerate_errors():
+    _check_refill_keeps_degenerate_errors(6, dense=True)
+
+
+def test_laplacian_pattern_refill_keeps_degenerate_errors_sparse():
+    _check_refill_keeps_degenerate_errors(40, dense=False)
 
 
 def test_irls_builds_laplacian_pattern_once(monkeypatch):
@@ -430,8 +487,39 @@ def test_irls_builds_laplacian_pattern_once(monkeypatch):
 def test_laplacian_pattern_rejects_repeated_pairs_and_loops():
     config = SolveConfig()
     for ii, jj in (([0, 1, 0], [1, 2, 1]), ([0, 1, 1], [1, 2, 1])):
+        assert solver._LaplacianPattern(3, np.array(ii[:2]), np.array(jj[:2]), 2,
+                                        config).dense
         with pytest.raises(InvalidArgumentError):
             solver._LaplacianPattern(3, np.array(ii), np.array(jj), 2, config)
+
+
+def test_laplacian_pattern_rejects_repeated_pairs_and_loops_sparse():
+    # A 40-vertex chain plus a repeated pair (either orientation) or a loop.
+    config = SolveConfig()
+    ii, jj = np.arange(39), np.arange(1, 40)
+    assert not solver._LaplacianPattern(40, ii, jj, 39, config).dense
+    for i, j in ((5, 6), (6, 5), (7, 7)):
+        with pytest.raises(InvalidArgumentError):
+            solver._LaplacianPattern(40, np.append(ii, i), np.append(jj, j), 39, config)
+
+
+def test_cao_searches_components_once_when_connected(monkeypatch):
+    # Zero-confidence edges leave the positive subgraph a proper subgraph;
+    # when it is connected, the whole graph need not be searched again.
+    calls = []
+    real = solver.components
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "components", counting)
+    g = synth.generate(synth.SyntheticSceneSpec(
+        n=12, noise_sigma=math.radians(5), outlier_edge_fraction=0.3,
+        confidence_model="informative", seed=0)).graph
+    assert (g.confidences == 0).any()
+    solver.cao_solve(g, cai(g))
+    assert len(calls) == 1
 
 
 def _dense_outlier_graph(seed):
@@ -439,6 +527,22 @@ def _dense_outlier_graph(seed):
     return synth.generate(synth.SyntheticSceneSpec(
         n=200, noise_sigma=math.radians(5), outlier_edge_fraction=0.3,
         confidence_model="informative", seed=seed)).graph
+
+
+@pytest.mark.parametrize("make_graph, factorizer", [
+    (lambda: _dense_outlier_graph(3), "cho_factor"),
+    (lambda: synth.generate(synth.SyntheticSceneSpec(
+        n=2000, topology="chain_window", chain_window=10, noise_sigma=math.radians(5),
+        outlier_edge_fraction=0.1, confidence_model="informative", seed=3)).graph, "splu"),
+], ids=["complete-200", "chain-2000"])
+def test_laplacian_factor_path_follows_fill(monkeypatch, make_graph, factorizer):
+    g = make_graph()
+    anchor = tree_init._pick_root(g.n_vertices, g.ii, g.jj, g.confidences)
+    pattern = solver._LaplacianPattern(g.n_vertices, g.ii, g.jj, anchor, SolveConfig())
+    assert pattern.dense == (factorizer == "cho_factor")
+    seen = _record_factorizations(monkeypatch)
+    pattern.factor(g.confidences)
+    assert [name for name, _ in seen] == [factorizer]
 
 
 @pytest.mark.parametrize("make_graph, kind, reason", [
