@@ -1,11 +1,12 @@
 """Micro-benchmark: the batched SO(3) kernels, one solver sweep and the tree.
 
-Times batch_exp, batch_log and edge_residuals on growing batch sizes, and
-edge_residuals on a residual mix with 8% of rows past 2.69 rad (trace
-below -0.8, where batch_log takes the near-pi branch), as on a dense scene
-with 30% outlier edges. Then times one ``solver._residual_pass`` over a
-4096-edge stream on 200 vertices, the chunk the solver sweeps at a time,
-and ``maximum_spanning_tree`` (a row per edge) and ``propagate`` (a row per
+Times batch_exp, batch_log, batch_quat, quat_residuals (from the
+quaternions of Ri, Rj and Rij) and edge_residuals (from the matrices) on
+growing batch sizes, and edge_residuals on a residual mix with 8% of rows
+past 2.69 rad, as on a dense scene with 30% outlier edges. Then times one
+``solver._residual_pass`` from edge quaternions over a 4096-edge stream on
+200 vertices, the chunk the solver sweeps at a time, and
+``maximum_spanning_tree`` (a row per edge) and ``propagate`` (a row per
 tree edge) on the 2000-camera chain scene of seed 3 (window 10, 10% outlier
 edges, informative confidences). ``_LaplacianPattern.factor`` (a row per
 edge) runs on the 200-camera complete scene of seed 3 (30% outlier edges,
@@ -61,14 +62,15 @@ def far_mix(m, seed):
 
 
 def sweep_inputs(m, seed):
-    """(stream, rotations, weights) for one residual pass over m edges."""
+    """(stream, edge quaternions, rotations, weights) for one residual pass
+    over m edges."""
     rng = np.random.default_rng(seed)
     n = SWEEP_VERTICES
     ii = rng.integers(0, n - 1, m)
     jj = rng.integers(ii + 1, n)
     stream = EdgeStream(n, ii, jj, rng.random(m), Rotation.random(m, random_state=rng).as_matrix())
     rotations = Rotation.random(n, random_state=rng).as_matrix()
-    return stream, rotations, stream.confidences
+    return stream, solver._edge_quaternions(stream), rotations, stream.confidences
 
 
 def factor_inputs(g):
@@ -109,6 +111,9 @@ def main():
             kernels.batch_log(ra) - Rotation.from_matrix(ra).as_rotvec()).max()))
         row("batch_exp", kernels.batch_exp, (v,), m)
         row("batch_log", kernels.batch_log, (ra,), m)
+        row("batch_quat", kernels.batch_quat, (ra,), m)
+        row("quat_residuals", kernels.quat_residuals,
+            tuple(kernels.batch_quat(R) for R in (ra, rb, ra)), m)
         row("edge_residuals", kernels.edge_residuals, (ra, rb, ra), m)
         row("edge_residuals_far8", kernels.edge_residuals, far_mix(m, seed=m), m)
     row("residual_pass", solver._residual_pass, sweep_inputs(CHUNK_RECORDS, seed=0),

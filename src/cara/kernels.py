@@ -1,8 +1,11 @@
-"""Batched SO(3) kernels: exp, log and edge residuals.
+"""Batched SO(3) kernels: exp, log, quaternions and edge residuals.
 
 The solvers' inner loop runs through these, over all edges at once, in
-vectorized numpy. There is one implementation; ``BACKEND`` names it for
-records that log which kernels ran.
+vectorized numpy. Edge residuals are swept in unit quaternions: each
+rotation is converted once by :func:`batch_quat`, and
+:func:`quat_residuals` takes one quaternion product per edge and its
+angle. There is one implementation; ``BACKEND`` names it for records that
+log which kernels ran.
 """
 from __future__ import annotations
 
@@ -12,6 +15,9 @@ BACKEND = "numpy"
 
 _SMALL = 1e-6
 _EYE = np.eye(3)
+# Row k of K = 4 q q^T as indices into its ten distinct entries: the
+# diagonal 4w^2, 4x^2, 4y^2, 4z^2, then 4wx, 4wy, 4wz, 4xy, 4xz, 4yz.
+_K_ROWS = np.array([[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3]])
 
 
 def batch_exp(vs: np.ndarray) -> np.ndarray:
@@ -37,7 +43,7 @@ def batch_exp(vs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_log(Rs: np.ndarray) -> np.ndarray:
+def batch_log(Rs: np.ndarray) -> np.ndarray:
     """(M, 3, 3) rotation matrices -> (M, 3) canonical axis-angle vectors.
 
     The skew part v = 2 sin(theta) * axis and the trace 1 + 2 cos(theta)
@@ -73,11 +79,74 @@ def _batch_log(Rs: np.ndarray) -> np.ndarray:
     return out
 
 
-# Exported under the public name; edge_residuals calls the private one, so
-# a wrapper put on ``kernels.batch_log`` sees only outside callers.
-batch_log = _batch_log
+def batch_quat(Rs: np.ndarray) -> np.ndarray:
+    """(M, 3, 3) rotation matrices -> (4, M) quaternions (w, x, y, z).
+
+    Shepperd's conversion without a per-case loop: K = 4 q q^T is linear
+    in R, and its row k is 4 q_k q, so the row with the largest diagonal
+    entry divided by 2 sqrt(K_kk) is q or -q, whichever has q_k > 0.
+    Both signs describe the same rotation.
+    """
+    r = np.asarray(Rs, dtype=np.float64).reshape(-1, 9).T
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    m = r.shape[1]
+    K = np.empty((10, m))
+    t = r00 + r11 + r22
+    np.add(1.0, t, out=K[0])
+    np.subtract(1.0, t, out=t)
+    for a, raa in ((1, r00), (2, r11), (3, r22)):  # 4 x^2 = 1 - tr + 2 r00, ...
+        np.add(raa, raa, out=K[a])
+        K[a] += t
+    np.subtract(r21, r12, out=K[4])
+    np.subtract(r02, r20, out=K[5])
+    np.subtract(r10, r01, out=K[6])
+    np.add(r01, r10, out=K[7])
+    np.add(r02, r20, out=K[8])
+    np.add(r12, r21, out=K[9])
+    # The largest diagonal entry and its row k, as two pairs then their
+    # winners: a fifth of the time of argmax and max along the first axis.
+    d0, d1, d2, d3 = K[:4]
+    top, top23 = np.maximum(d0, d1), np.maximum(d2, d3)
+    k = np.where(top23 > top, 2 + (d3 > d2), d1 > d0)
+    q = K.take(_K_ROWS.T[:, k] * m + np.arange(m))
+    np.maximum(top, top23, out=top)
+    q /= 2.0 * np.sqrt(top)
+    return q
+
+
+def quat_residuals(qi: np.ndarray, qj: np.ndarray, qij: np.ndarray):
+    """Edge residuals log(Rj^T Rij Ri) from (4, M) quaternions of Ri, Rj
+    and Rij, either sign each: returns (3, M) axis-angle vectors and the
+    (M,) angles.
+
+    The residual's quaternion is conj(qj) * qij * qi = (w, v), its angle
+    theta = 2 atan2(|v|, |w|) and its vector copysign(theta / |v|, w) v
+    (the factor is 2 where |v| = 0). Flipping the sign of w flips v with
+    it, so q and -q give the same vector, and atan2 stays exact near both
+    0 and pi without a branch. At exactly pi either antipodal vector may
+    come out.
+    """
+    jw, jx, jy, jz = qj
+    bw, bx, by, bz = qij
+    pw = jw * bw + jx * bx + jy * by + jz * bz
+    px = jw * bx - jx * bw - jy * bz + jz * by
+    py = jw * by + jx * bz - jy * bw - jz * bx
+    pz = jw * bz - jx * by + jy * bx - jz * bw
+    iw, ix, iy, iz = qi
+    q = np.empty((4, len(iw)))
+    q[0] = pw * iw - px * ix - py * iy - pz * iz
+    q[1] = pw * ix + px * iw + py * iz - pz * iy
+    q[2] = pw * iy - px * iz + py * iw + pz * ix
+    q[3] = pw * iz + px * iy - py * ix + pz * iw
+    w, v = q[0], q[1:]
+    x, y, z = v
+    s = np.sqrt(x * x + y * y + z * z)
+    theta = 2.0 * np.arctan2(s, np.abs(w))
+    v *= np.copysign(np.divide(theta, s, out=np.full_like(s, 2.0), where=s > 0), w)
+    return v, theta
 
 
 def edge_residuals(Ri: np.ndarray, Rj: np.ndarray, Rij: np.ndarray) -> np.ndarray:
-    """Per-edge tangent residuals log(Rj^T @ Rij @ Ri), all (M, 3, 3) stacked."""
-    return _batch_log(np.transpose(Rj, (0, 2, 1)) @ Rij @ Ri)
+    """Per-edge tangent residuals log(Rj^T @ Rij @ Ri), all (M, 3, 3)
+    stacked, as (M, 3): the solver's quaternion sweep on matrices."""
+    return quat_residuals(batch_quat(Ri), batch_quat(Rj), batch_quat(Rij))[0].T

@@ -19,7 +19,9 @@ from .errors import DegenerateInputError, InvalidArgumentError
 # anything worse is rejected.
 ROTATION_TOL = 1e-6
 
-_EYE = np.eye(3)
+_EYE = np.eye(3)[:, :, None]
+# Index i -> i + 1 (mod 3), to take the components of a cross product.
+_ROLL = np.array([1, 2, 0])
 
 
 def is_rotation(m: np.ndarray, tol: float = 1e-9) -> bool:
@@ -56,9 +58,14 @@ def as_rotations(ms: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
     if ms.ndim != 3 or ms.shape[1:] != (3, 3):
         raise InvalidArgumentError(f"expected an (M, 3, 3) stack, got shape {ms.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
-        d = ms.transpose(0, 2, 1) @ ms - _EYE
-        deviation = np.sqrt(np.einsum("kij,kij->k", d, d))
-        bad = ~(deviation <= tol) | (np.linalg.det(ms) < 0)
+        # ||M^T M - I||_F from the column dot products, and det M as
+        # c0 . (c1 x c2); c[a, i] is entry i of column a of every matrix.
+        c = ms.transpose(2, 1, 0).copy()
+        d = np.einsum("aik,bik->abk", c, c) - _EYE
+        deviation = np.sqrt(np.einsum("abk,abk->k", d, d))
+        r1, r2 = c[1:, _ROLL], c[1:, _ROLL[_ROLL]]
+        det = np.einsum("ik,ik->k", c[0], r1[0] * r2[1] - r2[0] * r1[1])
+        bad = ~(deviation <= tol) | (det < 0)
     if bad.any():
         k = int(np.argmax(bad))
         if not np.all(np.isfinite(ms[k])):

@@ -2,12 +2,16 @@
 
 Each iteration linearizes the consistency residuals
 ``log(R_j^T @ r_ij @ R_i)`` around the current estimates and solves the
-weighted normal equations. Because every weight block is a scalar times
-the identity, the 3N x 3N system factors into a weighted graph Laplacian
-acting on three right-hand-side columns. The Laplacian is anchored by
-deleting the anchor vertex's row/column (or shifted by lambda * I). Its
-pattern is built once per solve from the edge arrays; each weight setting
-only writes the weights into that pattern and factorizes. A pattern whose
+weighted normal equations. The residuals are swept in unit quaternions
+(:func:`cara.kernels.quat_residuals`): the edge rotations are converted
+once per solve, or read from a ``--stream`` store that spooled them, and
+the vertex rotations once per sweep. Because every weight block is a
+scalar times the identity, the 3N x 3N system factors into a weighted
+graph Laplacian acting on three right-hand-side columns. The Laplacian
+is anchored by deleting the anchor vertex's row/column (or shifted by
+lambda * I). Its pattern is built once per solve from the edge arrays;
+each weight setting only writes the weights into that pattern and
+factorizes. A pattern whose
 stored entries (two per kept edge plus the diagonal) fill at least
 ``DENSE_FILL`` of the nk x nk matrix is factored as a dense array by
 LAPACK's Cholesky; a sparser one as a CSC matrix by SuperLU.
@@ -64,7 +68,10 @@ class SolveConfig:
     (l_half) and gauge-aligned ones by up to 4e-5 (l_half) and 2e-10 (the
     other kernels); switching their factor from SuperLU to dense Cholesky
     moved them by up to 6.5e-3 raw and 6e-6 aligned (l_half) and 4e-10
-    aligned (the other kernels). Fix-root estimates moved by at most 5e-13.
+    aligned (the other kernels); sweeping the residuals in quaternions
+    instead of matrices moved them by up to 1.0e-2 raw and 1.4e-5 aligned
+    (l_half) and 2.4e-10 aligned (the other kernels). Fix-root estimates
+    moved by at most 9e-13.
     """
 
     max_iterations: int = 3
@@ -257,10 +264,26 @@ class _LaplacianPattern:
         return solve
 
 
-def _residual_pass(stream: EdgeStream, rotations, weights):
+def _edge_quaternions(stream: EdgeStream) -> np.ndarray:
+    """The (4, M) quaternions of the stream's edge rotations: those a
+    ``--stream`` store spooled (its ``quaternions``), or converted here one
+    chunk of ``passes()`` at a time, which keeps the conversion's
+    temporaries to a chunk. Conversion is row by row, so both give the
+    same bits."""
+    quats = getattr(stream, "quaternions", None)
+    if quats is None:
+        quats = np.empty((4, len(stream.ii)))
+        for idx, rots in stream.passes():
+            quats[:, idx] = kernels.batch_quat(rots)
+    return quats
+
+
+def _residual_pass(stream: EdgeStream, edge_quats, rotations, weights):
     """One sweep over the edges: accumulated rhs B^T W db and per-edge
-    residual norms. ``weights`` is a per-edge array, or a function mapping
-    a chunk's residual norms to that chunk's weights.
+    residual norms. ``edge_quats`` are the edges' (4, M) quaternions, and
+    the N vertex rotations are converted once per sweep. ``weights`` is a
+    per-edge array, or a function mapping a chunk's residual norms to that
+    chunk's weights.
 
     Each vertex's rhs terms are summed in edge order whatever the chunking:
     bincount adds its input in order, and each chunk's input starts with
@@ -270,12 +293,14 @@ def _residual_pass(stream: EdgeStream, rotations, weights):
     rhs = np.zeros((3, n))
     norms = np.zeros(len(stream.ii))
     vertices = np.arange(n)
-    for idx, rots in stream.passes():
+    vertex_quats = kernels.batch_quat(rotations)
+    for idx, _ in stream.passes():
         ii = stream.ii.take(idx)
         jj = stream.jj.take(idx)
-        res = kernels.edge_residuals(rotations.take(ii, axis=0),
-                                     rotations.take(jj, axis=0), rots)
-        norms[idx] = np.sqrt(np.einsum("ij,ij->i", res, res))
+        # passes() yields runs of consecutive edges: a view, not a copy
+        res, norms[idx] = kernels.quat_residuals(
+            vertex_quats.take(ii, axis=1), vertex_quats.take(jj, axis=1),
+            edge_quats[:, idx[0]:idx[0] + len(idx)])
         w = weights(norms[idx]) if callable(weights) else weights[idx]
         ends = np.empty(n + 2 * len(idx), dtype=np.intp)
         ends[:n] = vertices
@@ -283,7 +308,7 @@ def _residual_pass(stream: EdgeStream, rotations, weights):
         ends[n + 1::2] = jj
         terms = np.empty((3, len(ends)))
         terms[:, :n] = rhs
-        np.multiply(res.T, w, out=terms[:, n + 1::2])
+        np.multiply(res, w, out=terms[:, n + 1::2])
         np.negative(terms[:, n + 1::2], out=terms[:, n::2])
         rhs = np.stack([np.bincount(ends, terms[k]) for k in range(3)])
     return rhs.T, norms
@@ -315,13 +340,14 @@ def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
         solve, laplacian = laplacian.factor(conf), None
     else:
         weights, cap = kernel.weights, config.irls_max_iterations
+    edge_quats = _edge_quaternions(stream)
     loss_history: list[float] = []
     max_residual_history: list[float] = []
     diagnostics: list[str] = []
     iterations_run = 0
     while True:
         # One sweep gives the norms and the weighted rhs.
-        rhs, norms = _residual_pass(stream, R, weights)
+        rhs, norms = _residual_pass(stream, edge_quats, R, weights)
         loss_history.append(float(conf @ norms ** 2) if kernel is None
                             else float(np.sum(kernel.rho(norms))))
         max_residual_history.append(float(norms.max()) if len(norms) else 0.0)
@@ -341,9 +367,11 @@ def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
                 diagnostics.append(
                     "re-weighting disconnected the graph; weights floored at "
                     f"{WEIGHT_FLOOR}")
-                rhs, _ = _residual_pass(stream, R, w)
+                rhs, _ = _residual_pass(stream, edge_quats, R, w)
             solve = laplacian.factor(w)
         R = _apply_update(R, solve(rhs), anchor, config)
+        if kernel is not None:
+            del w, solve  # refilled at every step: not held through the sweep
         iterations_run += 1
     return SolveReport(R, loss_history, max_residual_history, iterations_run,
                        anchor, diagnostics, stop_reason)

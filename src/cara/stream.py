@@ -2,10 +2,11 @@
 
 The graph file is parsed once. The scan keeps the vertex count, edge
 indices and confidences (O(N + |E|) scalars) and spools every chunk's
-validated rotations to an unlinked temporary file in ``TMPDIR`` (72 bytes
-per edge on disk), which the solver passes read through a read-only
-memory map; no rotation stack is held in memory and the text is not
-parsed again.
+validated rotations, each followed by its quaternion, to an unlinked
+temporary file in ``TMPDIR`` (13 floats, 104 bytes per edge on disk).
+The tree reads the rotations and the solver passes the quaternions, as
+two views of one read-only memory map; no rotation or quaternion stack is
+held in memory and the text is not parsed again.
 
 The scan reads through :class:`cara.graph.RecordReader` and validates
 exactly as :func:`cara.graph.parse` does, so ``--stream`` accepts and
@@ -19,31 +20,46 @@ import tempfile
 
 import numpy as np
 
-from . import graph, solver
+from . import graph, kernels, solver
 from .graph import EdgeStream
 from .solver import RobustKernel, SolveConfig, SolveReport
 from .tree_init import maximum_spanning_tree, propagate
+
+# One spooled edge: its rotation's 9 entries, then its quaternion's 4.
+RECORD_FLOATS = 13
+
+
+def _records(rots):
+    """A chunk's (k, 3, 3) rotations as (k, RECORD_FLOATS) store records."""
+    records = np.empty((len(rots), RECORD_FLOATS))
+    records[:, :9] = rots.reshape(-1, 9)
+    records[:, 9:] = kernels.batch_quat(rots).T
+    return records
 
 
 class FileEdgeStream(EdgeStream):
     """EdgeStream over a graph file on disk, read once by the scan.
 
     Edges are normalized to i < j (the rotation is transposed when the
-    file stores the pair reversed), matching the in-memory builder. The
-    map of the closed, unlinked store keeps it until the stream is
-    dropped, so later changes to ``path`` do not reach the passes.
+    file stores the pair reversed), matching the in-memory builder.
+    ``rotations`` and the (4, M) ``quaternions``, which the solver sweeps
+    instead of converting the rotations, are views of one map of the
+    closed, unlinked store; it lives until the stream is dropped, so later
+    changes to ``path`` do not reach the passes.
     """
 
     def __init__(self, path):
         self.path = path
         with graph.open_text(path) as fh, tempfile.TemporaryFile() as store:
             n, ii, jj, _, conf, _ = graph.read_graph(
-                fh, spool=lambda rots: store.write(np.ascontiguousarray(rots)))
+                fh, spool=lambda rots: store.write(_records(rots)))
             store.flush()
             # mmap cannot map an empty file
-            rots = (np.memmap(store, dtype=float, mode="r", shape=(len(ii), 3, 3))
-                    if len(ii) else np.empty((0, 3, 3)))
-        super().__init__(n, ii, jj, conf, rots)
+            records = (np.memmap(store, dtype=float, mode="r",
+                                 shape=(len(ii), RECORD_FLOATS))
+                       if len(ii) else np.empty((0, RECORD_FLOATS)))
+        super().__init__(n, ii, jj, conf, records[:, :9].reshape(-1, 3, 3))
+        self.quaternions = records[:, 9:].T
 
 
 def initialize_from_stream(stream: EdgeStream) -> tuple[np.ndarray, tuple[str, ...]]:

@@ -21,7 +21,8 @@ def random_batch(m, seed, max_angle=np.pi - 1e-3):
 
 def batch_quat(Rs):
     """(M, 3, 3) rotations -> (M, 4) unit quaternions (w,x,y,z), w >= 0, by
-    Shepperd's branch per row: the near-pi reference for batch_log."""
+    Shepperd's branch per row: the reference for kernels.batch_quat and
+    the near-pi reference for batch_log."""
     Rs = np.ascontiguousarray(Rs, dtype=np.float64)
     d0, d1, d2 = Rs[:, 0, 0], Rs[:, 1, 1], Rs[:, 2, 2]
     t = d0 + d1 + d2
@@ -161,17 +162,105 @@ def test_batch_log_near_pi_products_match_scipy():
                                rtol=0, atol=1e-13)
 
 
-def test_edge_residuals_past_switch_need_no_quaternion(monkeypatch):
-    # The near-pi rows take the symmetric part, not a per-case quaternion loop.
-    def refuse(Rs):
-        raise AssertionError("batch_quat called")
-    monkeypatch.setattr(kernels, "batch_quat", refuse, raising=False)
+def test_edge_residuals_past_switch_keep_their_angle():
+    # 3 rad, past the angle (about 2.69) where batch_log changes branch.
     rng = np.random.default_rng(8)
     Ri, Rj = (ScipyRotation.random(200, random_state=rng).as_matrix() for _ in range(2))
     Rij = Rj @ ScipyRotation.from_rotvec([[0.0, 0.0, 3.0]] * 200).as_matrix() \
         @ np.transpose(Ri, (0, 2, 1))
     res = kernels.edge_residuals(Ri, Rj, Rij)
     np.testing.assert_allclose(np.linalg.norm(res, axis=1), 3.0, rtol=0, atol=1e-13)
+
+
+def _same_sign(q, ref):
+    """q (M, 4) flipped row by row to the sign of ref (M, 4)."""
+    return q * np.where(np.einsum("ij,ij->i", q, ref) < 0, -1.0, 1.0)[:, None]
+
+
+def _axis_angles(rng, angles):
+    axes = rng.standard_normal((len(angles), 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    return axes * np.asarray(angles)[:, None]
+
+
+def test_batch_quat_matches_per_case_reference_and_scipy():
+    # Every Shepperd case wins somewhere: small angles take w, angles near
+    # pi the largest of x, y, z, and exact half turns about the axes have
+    # w = 0.
+    rng = np.random.default_rng(11)
+    vs = np.concatenate([
+        random_batch(2000, 11, max_angle=np.pi),
+        _axis_angles(rng, np.pi - np.logspace(-9, -1, 300)),
+        _axis_angles(rng, np.logspace(-12, -6, 100)),
+        np.pi * np.eye(3), np.zeros((1, 3))])
+    Rs = ScipyRotation.from_rotvec(vs).as_matrix()
+    q = kernels.batch_quat(Rs)
+    assert q.shape == (4, len(vs))
+    ref = batch_quat(Rs)
+    np.testing.assert_allclose(_same_sign(q.T, ref), ref, rtol=0, atol=1e-13)
+    scipy_wxyz = np.roll(ScipyRotation.from_matrix(Rs).as_quat(), 1, axis=1)
+    np.testing.assert_allclose(_same_sign(q.T, scipy_wxyz), scipy_wxyz, rtol=0, atol=1e-13)
+
+
+def test_batch_quat_is_row_by_row():
+    # The solver converts edges per chunk and --stream per scan chunk; both
+    # must give the same bits whatever the chunking.
+    Rs = ScipyRotation.random(1000, random_state=12).as_matrix()
+    whole = kernels.batch_quat(Rs)
+    parts = np.concatenate([kernels.batch_quat(Rs[a:b]) for a, b in
+                            ((0, 1), (1, 8), (8, 500), (500, 1000))], axis=1)
+    assert parts.tobytes() == whole.tobytes()
+
+
+def _residual_inputs(rng, angles):
+    """(Ri, Rj, Rij) whose residuals log(Rj^T Rij Ri) have the given angles."""
+    m = len(angles)
+    Ri, Rj = (ScipyRotation.random(m, random_state=rng).as_matrix() for _ in range(2))
+    Rij = Rj @ ScipyRotation.from_rotvec(_axis_angles(rng, angles)).as_matrix() \
+        @ np.transpose(Ri, (0, 2, 1))
+    return Ri, Rj, Rij
+
+
+@pytest.mark.parametrize("angles", [
+    np.logspace(-12, -6, 200),
+    np.pi - np.logspace(-9, -4, 200),
+    np.random.default_rng(13).uniform(0, np.pi, 200),
+], ids=["tiny", "near_pi", "uniform"])
+def test_quat_residuals_match_scipy(angles):
+    Ri, Rj, Rij = _residual_inputs(np.random.default_rng(14), angles)
+    expected = ScipyRotation.from_matrix(np.transpose(Rj, (0, 2, 1)) @ Rij @ Ri).as_rotvec()
+    res, theta = kernels.quat_residuals(*(kernels.batch_quat(R) for R in (Ri, Rj, Rij)))
+    assert res.shape == (3, len(angles)) and theta.shape == (len(angles),)
+    np.testing.assert_allclose(res.T, expected, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(theta, np.linalg.norm(expected, axis=1), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(kernels.edge_residuals(Ri, Rj, Rij), expected, rtol=0, atol=1e-13)
+
+
+def test_quat_residuals_at_exactly_pi():
+    # w is exactly 0: theta is exactly pi, and the vector is pi times the
+    # axis, of either sign.
+    rng = np.random.default_rng(15)
+    axes = _axis_angles(rng, np.ones(100))
+    half_turns = np.vstack([np.zeros(100), axes.T])
+    identity = np.tile([[1.0], [0.0], [0.0], [0.0]], 100)
+    res, theta = kernels.quat_residuals(half_turns, identity, identity)
+    assert (theta == np.pi).all()
+    expected = ScipyRotation.from_quat(np.roll(half_turns.T, -1, axis=1)).as_rotvec()
+    gap = np.minimum(np.abs(res.T - expected).max(axis=1), np.abs(res.T + expected).max(axis=1))
+    np.testing.assert_allclose(gap, 0.0, rtol=0, atol=1e-13)
+
+
+def test_quat_residuals_same_for_either_quaternion_sign():
+    rng = np.random.default_rng(16)
+    angles = np.concatenate([np.logspace(-12, -6, 100), np.pi - np.logspace(-9, -4, 100),
+                             rng.uniform(0, np.pi, 300)])
+    quats = [kernels.batch_quat(R) for R in _residual_inputs(rng, angles)]
+    res, theta = kernels.quat_residuals(*quats)
+    for _ in range(3):
+        flipped = [q * rng.choice([-1.0, 1.0], len(angles)) for q in quats]
+        res_f, theta_f = kernels.quat_residuals(*flipped)
+        np.testing.assert_array_equal(res_f, res)
+        np.testing.assert_array_equal(theta_f, theta)
 
 
 def test_edge_residuals_definition(impl):
@@ -187,6 +276,11 @@ def test_edge_residuals_definition(impl):
 def test_empty_batch(impl):
     assert impl.batch_exp(np.zeros((0, 3))).shape == (0, 3, 3)
     assert impl.batch_log(np.zeros((0, 3, 3))).shape == (0, 3)
+    empty = impl.batch_quat(np.zeros((0, 3, 3)))
+    assert empty.shape == (4, 0)
+    res, theta = impl.quat_residuals(empty, empty, empty)
+    assert res.shape == (3, 0) and theta.shape == (0,)
+    assert impl.edge_residuals(*3 * [np.zeros((0, 3, 3))]).shape == (0, 3)
 
 
 def test_edge_residuals_bypasses_public_batch_log(monkeypatch):
@@ -212,7 +306,8 @@ def test_bench_kernels_script_runs():
         cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     names = {line.split()[0] for line in done.stdout.splitlines()[2:] if line.strip()}
-    assert {"batch_exp", "batch_log", "edge_residuals", "edge_residuals_far8",
+    assert {"batch_exp", "batch_log", "batch_quat", "quat_residuals", "edge_residuals",
+            "edge_residuals_far8",
             "residual_pass", "spanning_tree", "propagate", "factor_dense",
             "factor_sparse"} <= names, done.stdout
     worst = re.search(r"max \|batch_log - scipy as_rotvec\|: (\S+)", done.stdout)

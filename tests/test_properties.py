@@ -1,7 +1,8 @@
 """Same file, same answer or same error: ``cara solve`` in memory and with
 ``--stream`` on mutated graph files, and the block reader's loadtxt path
 against the per-line reader, for EDGE and vertex records. Also the
-spanning tree against a Kruskal oracle on graphs with tied confidences."""
+spanning tree against a Kruskal oracle on graphs with tied confidences,
+and the rotation check against its former Gram-and-det formula."""
 import contextlib
 import io
 import itertools
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from cara import cli, so3, synth, tree_init
 from cara import graph as gm
-from cara.errors import GraphParseError, NotConnectedError
+from cara.errors import GraphParseError, InvalidArgumentError, NotConnectedError
 
 BASE = gm.serialize(synth.generate(synth.SyntheticSceneSpec(
     n=5, noise_sigma=math.radians(5), confidence_model="informative",
@@ -362,3 +363,48 @@ def test_spanning_tree_matches_kruskal(case):
     for p, c in zip(parents, children):
         assert p in seen and c not in seen
         seen.add(c)
+
+
+def _gram_det_rejects(ms, tol=so3.ROTATION_TOL):
+    """The former ``so3.as_rotations`` test, through the @ Gram product and
+    ``np.linalg.det``: (rejected rows, deviations)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = ms.transpose(0, 2, 1) @ ms - np.eye(3)
+        deviation = np.sqrt(np.einsum("kij,kij->k", d, d))
+        return ~(deviation <= tol) | (np.linalg.det(ms) < 0), deviation
+
+
+@st.composite
+def near_rotations(draw):
+    """Rotations, some reflected, perturbed at scales around ROTATION_TOL,
+    with a few non-finite entries."""
+    rows = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ms = np.stack([so3.random_rotation(rng) for _ in range(rows)])
+    scales = 10.0 ** np.array(draw(st.lists(st.floats(-9.0, -4.0), min_size=rows,
+                                            max_size=rows)))
+    ms += scales[:, None, None] * rng.standard_normal((rows, 3, 3))
+    ms[rng.random(rows) < 0.2] *= -1.0
+    for k in np.flatnonzero(rng.random(rows) < 0.1):
+        ms[k].flat[rng.integers(9)] = rng.choice([np.nan, np.inf, -np.inf])
+    return ms
+
+
+@given(near_rotations())
+def test_rotation_check_agrees_with_gram_and_det(ms):
+    # The column-dot-product deviation and the cofactor determinant accept
+    # and reject the rows the Gram product and np.linalg.det did, except
+    # where the deviation is within rounding (1e-12) of the tolerance.
+    old_bad, deviation = _gram_det_rejects(ms)
+    clear = ~(np.abs(deviation - so3.ROTATION_TOL) <= 1e-12)
+    for m, bad in zip(ms[clear], old_bad[clear]):
+        try:
+            so3.as_rotations(m[None])
+        except InvalidArgumentError:
+            assert bad
+        else:
+            assert not bad
+    if old_bad.any() and clear.all():
+        with pytest.raises(InvalidArgumentError) as err:
+            so3.as_rotations(ms)
+        assert err.value.index == int(np.argmax(old_bad))

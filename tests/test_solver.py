@@ -303,9 +303,12 @@ class TestIrlsSolve:
         assert any("re-weighting disconnected" in d for d in report.diagnostics)
 
         ii, jj, rots, conf = g.edge_arrays()
-        res = kernels.edge_residuals(init[ii], init[jj], rots)
-        w = np.maximum(kernel.weights(np.sqrt(np.einsum("ij,ij->i", res, res))),
-                       solver.WEIGHT_FLOOR)
+        # the sweep weighs by the kernel's angles, not by |res|
+        res, angles = kernels.quat_residuals(kernels.batch_quat(init[ii]),
+                                             kernels.batch_quat(init[jj]),
+                                             kernels.batch_quat(rots))
+        res = res.T
+        w = np.maximum(kernel.weights(angles), solver.WEIGHT_FLOOR)
         assert w[2] == solver.WEIGHT_FLOOR
         rhs = np.zeros((g.n_vertices, 3))
         np.add.at(rhs, np.column_stack([ii, jj]).ravel(),
@@ -572,9 +575,9 @@ def test_cao_drops_laplacian_pattern_before_sweeps(monkeypatch):
 
     real_pass = solver._residual_pass
 
-    def counting_pass(*args):
+    def counting_pass(stream, edge_quats, rotations, weights):
         alive.append(sum(ref() is not None for ref in patterns))
-        return real_pass(*args)
+        return real_pass(stream, edge_quats, rotations, weights)
 
     monkeypatch.setattr(solver, "_LaplacianPattern", RecordedPattern)
     monkeypatch.setattr(solver, "_residual_pass", counting_pass)

@@ -217,9 +217,9 @@ def test_weight_floor_on_file_stream(tmp_path, monkeypatch):
     passes = []
     real_pass = solver._residual_pass
 
-    def recording_pass(edges, rotations, weights):
+    def recording_pass(edges, edge_quats, rotations, weights):
         passes.append((type(edges), callable(weights)))
-        return real_pass(edges, rotations, weights)
+        return real_pass(edges, edge_quats, rotations, weights)
 
     monkeypatch.setattr(solver, "_residual_pass", recording_pass)
     report_s = solver.irls_solve(stream.FileEdgeStream(path), init, kernel, config)
@@ -250,6 +250,23 @@ def test_streaming_equals_in_memory_exactly(scene_file):
     assert report_s.loss_history == report_m.loss_history
 
 
+def test_spooled_quaternions_equal_in_memory_conversion(scene_file):
+    # The scan converts each reader chunk as it spools it; the in-memory
+    # solve converts each chunk of passes(). Both must give the same bits.
+    path, _ = scene_file(SyntheticSceneSpec(
+        n=500, topology="chain_window", chain_window=10,
+        noise_sigma=math.radians(5), outlier_edge_fraction=0.1,
+        confidence_model="informative", seed=4))
+    fs = stream.FileEdgeStream(path)
+    g = gm.parse(path.read_text())
+    assert len(g.ii) > gm.CHUNK_RECORDS
+    np.testing.assert_array_equal(fs.rotations, g.rotations)
+    want = solver._edge_quaternions(g)
+    assert fs.quaternions.shape == want.shape == (4, len(g.ii))
+    assert np.ascontiguousarray(fs.quaternions).tobytes() == want.tobytes()
+    assert solver._edge_quaternions(fs) is fs.quaternions
+
+
 @pytest.mark.parametrize("chunk_size", [1, 7, 4096])
 def test_rhs_independent_of_chunking(scene_file, chunk_size):
     path, scene = scene_file(SyntheticSceneSpec(
@@ -260,8 +277,10 @@ def test_rhs_independent_of_chunking(scene_file, chunk_size):
     whole = solver.EdgeStream(g.n_vertices, g.ii, g.jj, g.confidences, g.rotations)
     chunked = stream.FileEdgeStream(path)
     chunked.passes = functools.partial(chunked.passes, chunk_size=chunk_size)
-    rhs_w, norms_w = solver._residual_pass(whole, init, whole.confidences)
-    rhs_c, norms_c = solver._residual_pass(chunked, init, chunked.confidences)
+    rhs_w, norms_w = solver._residual_pass(whole, solver._edge_quaternions(whole), init,
+                                           whole.confidences)
+    rhs_c, norms_c = solver._residual_pass(chunked, chunked.quaternions, init,
+                                           chunked.confidences)
     np.testing.assert_array_equal(rhs_c, rhs_w)
     np.testing.assert_array_equal(norms_c, norms_w)
     # reference: one unbuffered scatter of the signed terms in edge order
