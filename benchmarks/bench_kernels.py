@@ -4,15 +4,17 @@ Times batch_exp, batch_log, batch_quat, quat_residuals (from the
 quaternions of Ri, Rj and Rij) and edge_residuals (from the matrices) on
 growing batch sizes, and edge_residuals on a residual mix with 8% of rows
 past 2.69 rad, as on a dense scene with 30% outlier edges. Then times one
-``solver._residual_pass`` from edge quaternions over a 4096-edge stream on
-200 vertices, the chunk the solver sweeps at a time, and
-``maximum_spanning_tree`` (a row per edge) and ``propagate`` (a row per
-tree edge) on the 2000-camera chain scene of seed 3 (window 10, 10% outlier
-edges, informative confidences). ``_LaplacianPattern.factor`` (a row per
-edge) runs on the 200-camera complete scene of seed 3 (30% outlier edges,
-informative confidences), whose Laplacian takes the dense Cholesky, and on
-that chain scene, whose Laplacian takes SuperLU. Last, it reports the worst
-error of batch_log against scipy's ``as_rotvec``.
+``solver._residual_pass`` over a 4096-edge stream on 200 vertices, the
+chunk the solver sweeps at a time, whose edge quaternions are converted
+beforehand, and ``EdgeStream.quaternions`` (the conversion each graph
+makes once, a row per edge), ``maximum_spanning_tree`` (a row per edge)
+and ``propagate`` (a row per tree edge) on the 2000-camera chain scene of
+seed 3 (window 10, 10% outlier edges, informative confidences).
+``_LaplacianPattern.factor`` (a row per edge) runs on the 200-camera
+complete scene of seed 3 (30% outlier edges, informative confidences),
+whose Laplacian takes the dense Cholesky, and on that chain scene, whose
+Laplacian takes SuperLU. Last, it reports the worst error of batch_log
+against scipy's ``as_rotvec``.
 Run as:
 
     python benchmarks/bench_kernels.py [--sizes 1000,10000,100000] [--repeats 5]
@@ -62,15 +64,21 @@ def far_mix(m, seed):
 
 
 def sweep_inputs(m, seed):
-    """(stream, edge quaternions, rotations, weights) for one residual pass
-    over m edges."""
+    """(stream, rotations, weights) for one residual pass over m edges; the
+    stream's quaternions are converted here."""
     rng = np.random.default_rng(seed)
     n = SWEEP_VERTICES
     ii = rng.integers(0, n - 1, m)
     jj = rng.integers(ii + 1, n)
     stream = EdgeStream(n, ii, jj, rng.random(m), Rotation.random(m, random_state=rng).as_matrix())
     rotations = Rotation.random(n, random_state=rng).as_matrix()
-    return stream, solver._edge_quaternions(stream), rotations, stream.confidences
+    stream.quaternions  # converted once, outside the timed sweep
+    return stream, rotations, stream.confidences
+
+
+def edge_quaternions(g):
+    """The quaternions of g's edges, converted anew: a graph keeps them."""
+    return EdgeStream(g.n_vertices, g.ii, g.jj, g.confidences, g.rotations).quaternions
 
 
 def factor_inputs(g):
@@ -119,6 +127,7 @@ def main():
     row("residual_pass", solver._residual_pass, sweep_inputs(CHUNK_RECORDS, seed=0),
         CHUNK_RECORDS)
     chain = synth.generate(CHAIN).graph
+    row("edge_quaternions", edge_quaternions, (chain,), len(chain.ii))
     tree = tree_init.maximum_spanning_tree(chain)
     row("spanning_tree", tree_init.maximum_spanning_tree, (chain,), len(chain.ii))
     row("propagate", tree_init.propagate, (tree, chain), len(tree.edges))

@@ -40,13 +40,14 @@ import string
 import warnings
 from array import array
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice, repeat
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from . import so3
+from . import kernels, so3
 from .errors import DuplicateEdgeError, GraphParseError, InvalidArgumentError
 
 CHUNK_RECORDS = 4096
@@ -80,8 +81,9 @@ class EdgeStream:
     """Edges as index and confidence arrays plus an (M, 3, 3) rotation
     array, which may be a read-only memory map.
 
-    ``passes()`` yields (edge_indices, rotations) chunks of consecutive
-    edges covering every edge once; the solver sweeps it once per pass.
+    ``quaternions`` are the rotations' (4, M) unit quaternions, which the
+    solver sweeps; they are converted on first use, or when a graph is
+    made, and kept.
     """
 
     def __init__(self, n_vertices, ii, jj, confidences, rotations):
@@ -101,11 +103,18 @@ class EdgeStream:
         return tuple(map(Edge, self.ii.tolist(), self.jj.tolist(), self.rotations,
                          self.confidences.tolist()))
 
-    def passes(self, chunk_size=CHUNK_RECORDS):
+    @cached_property
+    def quaternions(self) -> np.ndarray:
+        """The (4, M) quaternions of the edge rotations, converted
+        ``CHUNK_RECORDS`` rows at a time, which keeps the conversion's
+        temporaries to a chunk. Conversion is row by row, so any chunking
+        gives the same bits."""
         m = len(self.ii)
-        for start in range(0, m, chunk_size):
-            stop = min(start + chunk_size, m)
-            yield np.arange(start, stop), self.rotations[start:stop]
+        quats = np.empty((4, m))
+        for start in range(0, m, CHUNK_RECORDS):
+            chunk = slice(start, start + CHUNK_RECORDS)
+            quats[:, chunk] = kernels.batch_quat(self.rotations[chunk])
+        return quats
 
 
 def _edge_stream(n, edges) -> EdgeStream:
@@ -125,13 +134,16 @@ class EpipolarConfidenceGraph(EdgeStream):
     """An EdgeStream with optional ground-truth rotations.
 
     ``edges`` is an EdgeStream or a sequence of :class:`Edge` records,
-    taken as given; :func:`build` validates and normalizes them.
+    taken as given; :func:`build` validates and normalizes them. The
+    graph converts its edge rotations to quaternions when it is made, so
+    no solve allocates them.
     """
 
     def __init__(self, n_vertices, edges, ground_truth=None):
         s = _edge_stream(n_vertices, edges)
         super().__init__(n_vertices, s.ii, s.jj, s.confidences, s.rotations)
         self.ground_truth = ground_truth
+        self.quaternions  # converted now, not by its first solve
 
 
 def _validated_edges(n, ii, jj, rots, conf):

@@ -4,17 +4,17 @@ Each iteration linearizes the consistency residuals
 ``log(R_j^T @ r_ij @ R_i)`` around the current estimates and solves the
 weighted normal equations. The residuals are swept in unit quaternions
 (:func:`cara.kernels.quat_residuals`): the edge rotations are converted
-once per solve, or read from a ``--stream`` store that spooled them, and
-the vertex rotations once per sweep. Because every weight block is a
-scalar times the identity, the 3N x 3N system factors into a weighted
-graph Laplacian acting on three right-hand-side columns. The Laplacian
-is anchored by deleting the anchor vertex's row/column (or shifted by
-lambda * I). Its pattern is built once per solve from the edge arrays;
-each weight setting only writes the weights into that pattern and
-factorizes. A pattern whose
-stored entries (two per kept edge plus the diagonal) fill at least
-``DENSE_FILL`` of the nk x nk matrix is factored as a dense array by
-LAPACK's Cholesky; a sparser one as a CSC matrix by SuperLU.
+once per graph (:attr:`cara.graph.EdgeStream.quaternions`), or read from
+a ``--stream`` store that spooled them, and the vertex rotations once per
+sweep. Because every weight block is a scalar times the identity, the
+3N x 3N system factors into a weighted graph Laplacian acting on three
+right-hand-side columns. The Laplacian is anchored by deleting the anchor
+vertex's row/column (or shifted by lambda * I). Its pattern is built once
+per solve from the edge arrays; each weight setting only writes the
+weights into that pattern and factorizes. A pattern whose stored entries
+(two per kept edge plus the diagonal) fill at least ``DENSE_FILL`` of the
+nk x nk matrix is factored as a dense array by LAPACK's Cholesky; a
+sparser one as a CSC matrix by SuperLU.
 
 :func:`cao_solve` and :func:`irls_solve` run one loop over the edges of
 an :class:`EdgeStream`, swept in fixed-size chunks; ``--stream`` runs it on
@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from . import kernels
 from .errors import DegenerateWeightsError, InvalidArgumentError, NotConnectedError
-from .graph import EdgeStream, EpipolarConfidenceGraph, components
+from .graph import CHUNK_RECORDS, EdgeStream, EpipolarConfidenceGraph, components
 from .tree_init import _pick_root
 
 KERNEL_KINDS = ("confidence", "l2", "l_half", "cauchy", "geman_mcclure")
@@ -264,26 +264,12 @@ class _LaplacianPattern:
         return solve
 
 
-def _edge_quaternions(stream: EdgeStream) -> np.ndarray:
-    """The (4, M) quaternions of the stream's edge rotations: those a
-    ``--stream`` store spooled (its ``quaternions``), or converted here one
-    chunk of ``passes()`` at a time, which keeps the conversion's
-    temporaries to a chunk. Conversion is row by row, so both give the
-    same bits."""
-    quats = getattr(stream, "quaternions", None)
-    if quats is None:
-        quats = np.empty((4, len(stream.ii)))
-        for idx, rots in stream.passes():
-            quats[:, idx] = kernels.batch_quat(rots)
-    return quats
-
-
-def _residual_pass(stream: EdgeStream, edge_quats, rotations, weights):
+def _residual_pass(stream: EdgeStream, rotations, weights):
     """One sweep over the edges: accumulated rhs B^T W db and per-edge
-    residual norms. ``edge_quats`` are the edges' (4, M) quaternions, and
-    the N vertex rotations are converted once per sweep. ``weights`` is a
-    per-edge array, or a function mapping a chunk's residual norms to that
-    chunk's weights.
+    residual norms, ``CHUNK_RECORDS`` edges at a time. The edges'
+    quaternions are the stream's own, and the N vertex rotations are
+    converted once per sweep. ``weights`` is a per-edge array, or a
+    function mapping a chunk's residual norms to that chunk's weights.
 
     Each vertex's rhs terms are summed in edge order whatever the chunking:
     bincount adds its input in order, and each chunk's input starts with
@@ -294,15 +280,14 @@ def _residual_pass(stream: EdgeStream, edge_quats, rotations, weights):
     norms = np.zeros(len(stream.ii))
     vertices = np.arange(n)
     vertex_quats = kernels.batch_quat(rotations)
-    for idx, _ in stream.passes():
-        ii = stream.ii.take(idx)
-        jj = stream.jj.take(idx)
-        # passes() yields runs of consecutive edges: a view, not a copy
-        res, norms[idx] = kernels.quat_residuals(
+    for start in range(0, len(norms), CHUNK_RECORDS):
+        chunk = slice(start, start + CHUNK_RECORDS)
+        ii, jj = stream.ii[chunk], stream.jj[chunk]
+        res, norms[chunk] = kernels.quat_residuals(
             vertex_quats.take(ii, axis=1), vertex_quats.take(jj, axis=1),
-            edge_quats[:, idx[0]:idx[0] + len(idx)])
-        w = weights(norms[idx]) if callable(weights) else weights[idx]
-        ends = np.empty(n + 2 * len(idx), dtype=np.intp)
+            stream.quaternions[:, chunk])
+        w = weights(norms[chunk]) if callable(weights) else weights[chunk]
+        ends = np.empty(n + 2 * len(ii), dtype=np.intp)
         ends[:n] = vertices
         ends[n::2] = ii
         ends[n + 1::2] = jj
@@ -340,14 +325,13 @@ def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
         solve, laplacian = laplacian.factor(conf), None
     else:
         weights, cap = kernel.weights, config.irls_max_iterations
-    edge_quats = _edge_quaternions(stream)
     loss_history: list[float] = []
     max_residual_history: list[float] = []
     diagnostics: list[str] = []
     iterations_run = 0
     while True:
         # One sweep gives the norms and the weighted rhs.
-        rhs, norms = _residual_pass(stream, edge_quats, R, weights)
+        rhs, norms = _residual_pass(stream, R, weights)
         loss_history.append(float(conf @ norms ** 2) if kernel is None
                             else float(np.sum(kernel.rho(norms))))
         max_residual_history.append(float(norms.max()) if len(norms) else 0.0)
@@ -367,7 +351,7 @@ def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
                 diagnostics.append(
                     "re-weighting disconnected the graph; weights floored at "
                     f"{WEIGHT_FLOOR}")
-                rhs, _ = _residual_pass(stream, edge_quats, R, w)
+                rhs, _ = _residual_pass(stream, R, w)
             solve = laplacian.factor(w)
         R = _apply_update(R, solve(rhs), anchor, config)
         if kernel is not None:

@@ -4,7 +4,7 @@ The graph file is parsed once. The scan keeps the vertex count, edge
 indices and confidences (O(N + |E|) scalars) and spools every chunk's
 validated rotations, each followed by its quaternion, to an unlinked
 temporary file in ``TMPDIR`` (13 floats, 104 bytes per edge on disk).
-The tree reads the rotations and the solver passes the quaternions, as
+The tree reads the rotations and the solver's sweeps read the quaternions, as
 two views of one read-only memory map; no rotation or quaternion stack is
 held in memory and the text is not parsed again.
 
@@ -45,7 +45,7 @@ class FileEdgeStream(EdgeStream):
     ``rotations`` and the (4, M) ``quaternions``, which the solver sweeps
     instead of converting the rotations, are views of one map of the
     closed, unlinked store; it lives until the stream is dropped, so later
-    changes to ``path`` do not reach the passes.
+    changes to ``path`` do not reach the solve.
     """
 
     def __init__(self, path):

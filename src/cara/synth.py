@@ -21,6 +21,12 @@ TOPOLOGIES = ("complete", "erdos", "chain_window")
 CONFIDENCE_MODELS = ("oracle", "informative", "constant", "adversarial")
 
 ERDOS_MAX_RETRIES = 100
+# Oracle confidence of an outlier edge.
+ORACLE_EPS = 0.01
+# Informative confidences: a Gaussian of the edge's error (rad) with this
+# scale, plus uniform jitter of this half-width, clipped to [0, 1].
+INFORMATIVE_SCALE = math.radians(10.0)
+INFORMATIVE_JITTER = 0.05
 
 
 @dataclass(frozen=True)
@@ -32,9 +38,6 @@ class SyntheticSceneSpec:
     noise_sigma: float = 0.0              # radians
     outlier_edge_fraction: float = 0.0
     confidence_model: str = "oracle"
-    oracle_eps: float = 0.01
-    informative_scale: float = math.radians(10.0)
-    informative_jitter: float = 0.05
     constant_confidence: float = 1.0
     seed: int = 0
 
@@ -50,12 +53,6 @@ class SyntheticSceneSpec:
             raise InvalidArgumentError("outlier_edge_fraction must be in [0, 1]")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise InvalidArgumentError("noise_sigma must be finite and nonnegative")
-        if not 0.0 <= self.oracle_eps <= 1.0:
-            raise InvalidArgumentError("oracle_eps must be in [0, 1]")
-        if not self.informative_scale > 0.0:
-            raise InvalidArgumentError("informative_scale must be positive")
-        if not 0.0 <= self.informative_jitter < math.inf:
-            raise InvalidArgumentError("informative_jitter must be finite and nonnegative")
         if not 0.0 <= self.constant_confidence <= 1.0:
             raise InvalidArgumentError("constant_confidence must be in [0, 1]")
         if self.topology == "chain_window" and self.chain_window < 1:
@@ -109,10 +106,10 @@ def _confidences(spec: SyntheticSceneSpec, inlier: np.ndarray,
                  errors: np.ndarray, rng) -> np.ndarray:
     m = len(errors)
     if spec.confidence_model == "oracle":
-        return np.where(inlier, 1.0, spec.oracle_eps)
+        return np.where(inlier, 1.0, ORACLE_EPS)
     if spec.confidence_model == "informative":
-        base = np.exp(-errors ** 2 / (2.0 * spec.informative_scale ** 2))
-        jitter = rng.uniform(-spec.informative_jitter, spec.informative_jitter, m)
+        base = np.exp(-errors ** 2 / (2.0 * INFORMATIVE_SCALE ** 2))
+        jitter = rng.uniform(-INFORMATIVE_JITTER, INFORMATIVE_JITTER, m)
         return np.clip(base + jitter, 0.0, 1.0)
     if spec.confidence_model == "constant":
         return np.full(m, spec.constant_confidence)

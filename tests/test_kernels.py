@@ -308,8 +308,8 @@ def test_bench_kernels_script_runs():
     names = {line.split()[0] for line in done.stdout.splitlines()[2:] if line.strip()}
     assert {"batch_exp", "batch_log", "batch_quat", "quat_residuals", "edge_residuals",
             "edge_residuals_far8",
-            "residual_pass", "spanning_tree", "propagate", "factor_dense",
-            "factor_sparse"} <= names, done.stdout
+            "residual_pass", "edge_quaternions", "spanning_tree", "propagate",
+            "factor_dense", "factor_sparse"} <= names, done.stdout
     worst = re.search(r"max \|batch_log - scipy as_rotvec\|: (\S+)", done.stdout)
     assert worst is not None, done.stdout
     assert float(worst.group(1)) <= 1e-12

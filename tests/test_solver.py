@@ -575,9 +575,9 @@ def test_cao_drops_laplacian_pattern_before_sweeps(monkeypatch):
 
     real_pass = solver._residual_pass
 
-    def counting_pass(stream, edge_quats, rotations, weights):
+    def counting_pass(stream, rotations, weights):
         alive.append(sum(ref() is not None for ref in patterns))
-        return real_pass(stream, edge_quats, rotations, weights)
+        return real_pass(stream, rotations, weights)
 
     monkeypatch.setattr(solver, "_LaplacianPattern", RecordedPattern)
     monkeypatch.setattr(solver, "_residual_pass", counting_pass)
@@ -592,3 +592,27 @@ def test_cao_drops_laplacian_pattern_before_sweeps(monkeypatch):
     report = solver.irls_solve(g, cai(g), RobustKernel(kind="cauchy"))
     assert report.iterations_run > 2
     assert len(patterns) == 1 and alive == [1] * (report.iterations_run + 1)
+
+
+def test_solves_convert_no_edge_rotation(monkeypatch):
+    # A graph converts its edge rotations to quaternions once, a chunk at a
+    # time, when it is made; each solve converts only the N vertex
+    # rotations per sweep.
+    rows = []
+    real_quat = kernels.batch_quat
+
+    def counting_quat(rotations):
+        rows.append(len(rotations))
+        return real_quat(rotations)
+
+    monkeypatch.setattr(kernels, "batch_quat", counting_quat)
+    g = synth.generate(synth.SyntheticSceneSpec(
+        n=500, topology="chain_window", chain_window=10,
+        noise_sigma=math.radians(5), seed=34)).graph
+    m, n, chunk = len(g.ii), g.n_vertices, gm.CHUNK_RECORDS
+    assert m > chunk and rows == [chunk, m - chunk]
+    init = cai(g)
+    for _ in range(2):
+        rows.clear()
+        report = solver.cao_solve(g, init)
+        assert rows == [n] * (report.iterations_run + 1)

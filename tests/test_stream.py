@@ -1,4 +1,3 @@
-import functools
 import gc
 import math
 import os
@@ -40,11 +39,8 @@ def test_passes_reproduce_rotations(scene_file):
     path, scene = scene_file(SyntheticSceneSpec(
         n=12, noise_sigma=math.radians(5), seed=1))
     fs = stream.FileEdgeStream(path)
-    rots = scene.graph.edge_arrays()[2]
-    collected = np.empty_like(rots)
-    for idx, chunk in fs.passes(chunk_size=7):
-        collected[idx] = chunk
-    np.testing.assert_array_equal(collected, rots)
+    np.testing.assert_array_equal(fs.rotations, scene.graph.rotations)
+    np.testing.assert_array_equal(fs.quaternions, scene.graph.quaternions)
 
 
 def test_streaming_matches_in_memory(scene_file):
@@ -217,9 +213,9 @@ def test_weight_floor_on_file_stream(tmp_path, monkeypatch):
     passes = []
     real_pass = solver._residual_pass
 
-    def recording_pass(edges, edge_quats, rotations, weights):
+    def recording_pass(edges, rotations, weights):
         passes.append((type(edges), callable(weights)))
-        return real_pass(edges, edge_quats, rotations, weights)
+        return real_pass(edges, rotations, weights)
 
     monkeypatch.setattr(solver, "_residual_pass", recording_pass)
     report_s = solver.irls_solve(stream.FileEdgeStream(path), init, kernel, config)
@@ -251,8 +247,9 @@ def test_streaming_equals_in_memory_exactly(scene_file):
 
 
 def test_spooled_quaternions_equal_in_memory_conversion(scene_file):
-    # The scan converts each reader chunk as it spools it; the in-memory
-    # solve converts each chunk of passes(). Both must give the same bits.
+    # The scan converts each reader chunk as it spools it; a parsed graph
+    # converts its rotations CHUNK_RECORDS rows at a time. Both must give
+    # the same bits.
     path, _ = scene_file(SyntheticSceneSpec(
         n=500, topology="chain_window", chain_window=10,
         noise_sigma=math.radians(5), outlier_edge_fraction=0.1,
@@ -261,26 +258,24 @@ def test_spooled_quaternions_equal_in_memory_conversion(scene_file):
     g = gm.parse(path.read_text())
     assert len(g.ii) > gm.CHUNK_RECORDS
     np.testing.assert_array_equal(fs.rotations, g.rotations)
-    want = solver._edge_quaternions(g)
-    assert fs.quaternions.shape == want.shape == (4, len(g.ii))
-    assert np.ascontiguousarray(fs.quaternions).tobytes() == want.tobytes()
-    assert solver._edge_quaternions(fs) is fs.quaternions
+    assert fs.quaternions.shape == g.quaternions.shape == (4, len(g.ii))
+    assert np.ascontiguousarray(fs.quaternions).tobytes() == g.quaternions.tobytes()
+    # the store's view, not a conversion
+    assert isinstance(fs.quaternions, np.memmap)
 
 
 @pytest.mark.parametrize("chunk_size", [1, 7, 4096])
-def test_rhs_independent_of_chunking(scene_file, chunk_size):
+def test_rhs_independent_of_chunking(scene_file, monkeypatch, chunk_size):
     path, scene = scene_file(SyntheticSceneSpec(
         n=40, topology="chain_window", chain_window=5,
         noise_sigma=math.radians(6), confidence_model="informative", seed=5))
     g = scene.graph
     init = tree_init.propagate(tree_init.maximum_spanning_tree(g), g)
     whole = solver.EdgeStream(g.n_vertices, g.ii, g.jj, g.confidences, g.rotations)
+    rhs_w, norms_w = solver._residual_pass(whole, init, whole.confidences)
     chunked = stream.FileEdgeStream(path)
-    chunked.passes = functools.partial(chunked.passes, chunk_size=chunk_size)
-    rhs_w, norms_w = solver._residual_pass(whole, solver._edge_quaternions(whole), init,
-                                           whole.confidences)
-    rhs_c, norms_c = solver._residual_pass(chunked, chunked.quaternions, init,
-                                           chunked.confidences)
+    monkeypatch.setattr(solver, "CHUNK_RECORDS", chunk_size)
+    rhs_c, norms_c = solver._residual_pass(chunked, init, chunked.confidences)
     np.testing.assert_array_equal(rhs_c, rhs_w)
     np.testing.assert_array_equal(norms_c, norms_w)
     # reference: one unbuffered scatter of the signed terms in edge order
@@ -303,10 +298,8 @@ def test_store_outlives_the_file(scene_file, change):
         path.unlink()
     else:
         path.write_text(f"N 2\nEDGE 0 1 {' '.join(['0'] * 9)} 0.5\n")
-    collected = np.empty_like(scene.graph.edge_arrays()[2])
-    for idx, chunk in fs.passes(chunk_size=64):
-        collected[idx] = chunk
-    np.testing.assert_array_equal(collected, scene.graph.edge_arrays()[2])
+    np.testing.assert_array_equal(fs.rotations, scene.graph.rotations)
+    np.testing.assert_array_equal(fs.quaternions, scene.graph.quaternions)
     init, _ = stream.initialize_from_stream(fs)
     report = solver.cao_solve(fs, init)
     np.testing.assert_array_equal(report.rotations, expected.rotations)
@@ -326,7 +319,7 @@ def test_dropped_stream_leaves_no_fd(scene_file):
     gc.collect()
     before = _open_fds()
     fs = stream.FileEdgeStream(path)
-    assert sum(len(idx) for idx, _ in fs.passes(chunk_size=5)) == len(fs.ii)
+    assert np.isfinite(fs.rotations).all() and np.isfinite(fs.quaternions).all()
     stream.initialize_from_stream(fs)
     del fs
     gc.collect()
