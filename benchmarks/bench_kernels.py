@@ -1,20 +1,21 @@
 """Micro-benchmark: the batched SO(3) kernels, one solver sweep and the tree.
 
 Times batch_exp, batch_log, batch_quat, quat_residuals (from the
-quaternions of Ri, Rj and Rij) and edge_residuals (from the matrices) on
-growing batch sizes, and edge_residuals on a residual mix with 8% of rows
+(2, M) complex quaternion pairs of Ri, Rj and Rij, contiguous as the
+sweep's gathers are) and edge_residuals (from the matrices) on growing
+batch sizes, and edge_residuals on a residual mix with 8% of rows
 past 2.69 rad, as on a dense scene with 30% outlier edges. Then times one
 ``solver._residual_pass`` over a 4096-edge stream on 200 vertices, the
-chunk the solver sweeps at a time, whose edge quaternions are converted
-beforehand, and ``EdgeStream.quaternions`` (the conversion each graph
-makes once, a row per edge), ``maximum_spanning_tree`` (a row per edge)
-and ``propagate`` (a row per tree edge) on the 2000-camera chain scene of
-seed 3 (window 10, 10% outlier edges, informative confidences).
-``_LaplacianPattern.factor`` (a row per edge) runs on the 200-camera
-complete scene of seed 3 (30% outlier edges, informative confidences),
-whose Laplacian takes the dense Cholesky, and on that chain scene, whose
-Laplacian takes SuperLU. Last, it reports the worst error of batch_log
-against scipy's ``as_rotvec``.
+chunk the solver sweeps at a time, whose edge quaternion pairs are
+converted beforehand, and ``EdgeStream.quaternions`` (the conversion to
+pairs each graph makes once, a row per edge), ``maximum_spanning_tree``
+(a row per edge) and ``propagate`` (a row per tree edge) on the
+2000-camera chain scene of seed 3 (window 10, 10% outlier edges,
+informative confidences). ``_LaplacianPattern.factor`` (a row per edge)
+runs on the 200-camera complete scene of seed 3 (30% outlier edges,
+informative confidences), whose Laplacian takes the dense Cholesky, and
+on that chain scene, whose Laplacian takes SuperLU. Last, it reports the
+worst error of batch_log against scipy's ``as_rotvec``.
 Run as:
 
     python benchmarks/bench_kernels.py [--sizes 1000,10000,100000] [--repeats 5]
@@ -65,7 +66,7 @@ def far_mix(m, seed):
 
 def sweep_inputs(m, seed):
     """(stream, rotations, weights) for one residual pass over m edges; the
-    stream's quaternions are converted here."""
+    stream's quaternion pairs are converted here."""
     rng = np.random.default_rng(seed)
     n = SWEEP_VERTICES
     ii = rng.integers(0, n - 1, m)
@@ -77,7 +78,7 @@ def sweep_inputs(m, seed):
 
 
 def edge_quaternions(g):
-    """The quaternions of g's edges, converted anew: a graph keeps them."""
+    """The quaternion pairs of g's edges, converted anew: a graph keeps them."""
     return EdgeStream(g.n_vertices, g.ii, g.jj, g.confidences, g.rotations).quaternions
 
 
@@ -121,7 +122,7 @@ def main():
         row("batch_log", kernels.batch_log, (ra,), m)
         row("batch_quat", kernels.batch_quat, (ra,), m)
         row("quat_residuals", kernels.quat_residuals,
-            tuple(kernels.batch_quat(R) for R in (ra, rb, ra)), m)
+            tuple(np.ascontiguousarray(kernels.batch_quat(R)) for R in (ra, rb, ra)), m)
         row("edge_residuals", kernels.edge_residuals, (ra, rb, ra), m)
         row("edge_residuals_far8", kernels.edge_residuals, far_mix(m, seed=m), m)
     row("residual_pass", solver._residual_pass, sweep_inputs(CHUNK_RECORDS, seed=0),

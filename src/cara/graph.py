@@ -81,9 +81,9 @@ class EdgeStream:
     """Edges as index and confidence arrays plus an (M, 3, 3) rotation
     array, which may be a read-only memory map.
 
-    ``quaternions`` are the rotations' (4, M) unit quaternions, which the
-    solver sweeps; they are converted on first use, or when a graph is
-    made, and kept.
+    ``quaternions`` are the rotations' unit quaternions as (2, M) complex
+    pairs (see :func:`cara.kernels.batch_quat`), which the solver sweeps;
+    they are converted on first use, or when a graph is made, and kept.
     """
 
     def __init__(self, n_vertices, ii, jj, confidences, rotations):
@@ -105,16 +105,16 @@ class EdgeStream:
 
     @cached_property
     def quaternions(self) -> np.ndarray:
-        """The (4, M) quaternions of the edge rotations, converted
-        ``CHUNK_RECORDS`` rows at a time, which keeps the conversion's
-        temporaries to a chunk. Conversion is row by row, so any chunking
-        gives the same bits."""
+        """The edge rotations' quaternions as (2, M) complex pairs
+        (a, b) = (w + x i, y + z i), converted ``CHUNK_RECORDS`` rows at a
+        time, which keeps the conversion's temporaries to a chunk.
+        Conversion is row by row, so any chunking gives the same bits."""
         m = len(self.ii)
-        quats = np.empty((4, m))
+        pairs = np.empty((2, m), dtype=complex)
         for start in range(0, m, CHUNK_RECORDS):
             chunk = slice(start, start + CHUNK_RECORDS)
-            quats[:, chunk] = kernels.batch_quat(self.rotations[chunk])
-        return quats
+            pairs[:, chunk] = kernels.batch_quat(self.rotations[chunk])
+        return pairs
 
 
 def _edge_stream(n, edges) -> EdgeStream:

@@ -1,11 +1,13 @@
 """Batched SO(3) kernels: exp, log, quaternions and edge residuals.
 
 The solvers' inner loop runs through these, over all edges at once, in
-vectorized numpy. Edge residuals are swept in unit quaternions: each
-rotation is converted once by :func:`batch_quat`, and
-:func:`quat_residuals` takes one quaternion product per edge and its
-angle. There is one implementation; ``BACKEND`` names it for records that
-log which kernels ran.
+vectorized numpy. Edge residuals are swept in unit quaternions, each held
+as a Cayley-Dickson pair of complex numbers (w + x i, y + z i), so that
+numpy multiplies quaternions with complex multiplies: each rotation is
+converted once by :func:`batch_quat` to a column of a (2, M) complex
+array, and :func:`quat_residuals` takes one quaternion product per edge
+and its angle. There is one implementation; ``BACKEND`` names it for
+records that log which kernels ran.
 """
 from __future__ import annotations
 
@@ -80,8 +82,11 @@ def batch_log(Rs: np.ndarray) -> np.ndarray:
 
 
 def batch_quat(Rs: np.ndarray) -> np.ndarray:
-    """(M, 3, 3) rotation matrices -> (4, M) quaternions (w, x, y, z).
+    """(M, 3, 3) rotation matrices -> (2, M) complex quaternion pairs.
 
+    The quaternion w + x i + y j + z k is stored as its Cayley-Dickson
+    pair a = w + x i, b = y + z i (see :func:`quat_residuals`); the pairs
+    are a view of an (M, 2) complex array whose rows hold (w, x, y, z).
     Shepperd's conversion without a per-case loop: K = 4 q q^T is linear
     in R, and its row k is 4 q_k q, so the row with the largest diagonal
     entry divided by 2 sqrt(K_kk) is q or -q, whichever has q_k > 0.
@@ -108,41 +113,81 @@ def batch_quat(Rs: np.ndarray) -> np.ndarray:
     d0, d1, d2, d3 = K[:4]
     top, top23 = np.maximum(d0, d1), np.maximum(d2, d3)
     k = np.where(top23 > top, 2 + (d3 > d2), d1 > d0)
-    q = K.take(_K_ROWS.T[:, k] * m + np.arange(m))
+    q = K.take(_K_ROWS[k] * m + np.arange(m)[:, None])  # (M, 4): w, x, y, z
     np.maximum(top, top23, out=top)
-    q /= 2.0 * np.sqrt(top)
-    return q
+    q /= (2.0 * np.sqrt(top))[:, None]
+    return q.view(complex).T
+
+
+def _add(a, b, out):
+    """a + b for complex arrays, as float adds: numpy's complex add is
+    about half as fast as its complex multiply."""
+    np.add(a.view(float), b.view(float), out=out.view(float))
+
+
+def _subtract(a, b, out):
+    np.subtract(a.view(float), b.view(float), out=out.view(float))
 
 
 def quat_residuals(qi: np.ndarray, qj: np.ndarray, qij: np.ndarray):
-    """Edge residuals log(Rj^T Rij Ri) from (4, M) quaternions of Ri, Rj
-    and Rij, either sign each: returns (3, M) axis-angle vectors and the
-    (M,) angles.
+    """Edge residuals log(Rj^T Rij Ri) from the (2, M) quaternion pairs of
+    Ri, Rj and Rij (see :func:`batch_quat`), either sign each: returns
+    (3, M) axis-angle vectors and the (M,) angles.
 
-    The residual's quaternion is conj(qj) * qij * qi = (w, v), its angle
-    theta = 2 atan2(|v|, |w|) and its vector copysign(theta / |v|, w) v
-    (the factor is 2 where |v| = 0). Flipping the sign of w flips v with
-    it, so q and -q give the same vector, and atan2 stays exact near both
-    0 and pi without a branch. At exactly pi either antipodal vector may
-    come out.
+    A pair (a, b) is the quaternion a + b j with complex a and b, and
+    (a1, b1) (a2, b2) = (a1 a2 - b1 conj(b2), a1 b2 + b1 conj(a2)), four
+    complex multiplies where the Hamilton product takes sixteen real
+    ones. The residual's quaternion is conj(qj) qij qi = (w, v), with
+    conj(a, b) = (conj(a), -b); its angle is theta = 2 atan2(|v|, |w|)
+    and its vector copysign(theta / |v|, w) v (the factor is 2 where
+    |v| = 0). Flipping the sign of w flips v with it, so q and -q give the
+    same vector, and atan2 stays exact near both 0 and pi without a
+    branch. At exactly pi either antipodal vector may come out.
     """
-    jw, jx, jy, jz = qj
-    bw, bx, by, bz = qij
-    pw = jw * bw + jx * bx + jy * by + jz * bz
-    px = jw * bx - jx * bw - jy * bz + jz * by
-    py = jw * by + jx * bz - jy * bw - jz * bx
-    pz = jw * bz - jx * by + jy * bx - jz * bw
-    iw, ix, iy, iz = qi
-    q = np.empty((4, len(iw)))
-    q[0] = pw * iw - px * ix - py * iy - pz * iz
-    q[1] = pw * ix + px * iw + py * iz - pz * iy
-    q[2] = pw * iy - px * iz + py * iw + pz * ix
-    q[3] = pw * iz + px * iy - py * ix + pz * iw
-    w, v = q[0], q[1:]
-    x, y, z = v
-    s = np.sqrt(x * x + y * y + z * z)
-    theta = 2.0 * np.arctan2(s, np.abs(w))
-    v *= np.copysign(np.divide(theta, s, out=np.full_like(s, 2.0), where=s > 0), w)
+    (ai, bi), (aj, bj), (e, f) = qi, qj, qij
+    m = len(e)
+    # No complex multiply writes over one of its inputs: numpy computes a
+    # one-element product written over an input without FMA and every
+    # other product with it, so the bits would depend on the chunking.
+    pa, pb = np.empty((2, m), complex)
+    t, u = np.empty((2, m), complex)
+    # (pa, pb) = conj(qj) qij = (conj(aj) e + bj conj(f), conj(aj) f - bj conj(e))
+    np.conjugate(aj, out=t)
+    np.multiply(t, e, out=pa)
+    np.multiply(t, f, out=pb)
+    np.conjugate(f, out=t)
+    np.multiply(bj, t, out=u)
+    _add(pa, u, out=pa)
+    np.conjugate(e, out=t)
+    np.multiply(bj, t, out=u)
+    _subtract(pb, u, out=pb)
+    # (ra, rb) = p qi = (pa ai - pb conj(bi), pa bi + conj(conj(pb) ai))
+    np.conjugate(bi, out=u)
+    np.multiply(pb, u, out=t)
+    ra = np.multiply(pa, ai, out=u)
+    _subtract(ra, t, out=ra)
+    rb = np.multiply(pa, bi, out=t)
+    np.conjugate(pb, out=pb)
+    np.multiply(pb, ai, out=pa)
+    np.conjugate(pa, out=pa)
+    _add(rb, pa, out=rb)
+    del pa, pb
+    w, x, y, z = ra.real, ra.imag, rb.real, rb.imag
+    s = x * x
+    s += y * y
+    s += z * z
+    np.sqrt(s, out=s)
+    theta = np.abs(w)
+    np.arctan2(s, theta, out=theta)
+    theta *= 2.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = theta / s
+    scale[s == 0.0] = 2.0
+    del s
+    np.copysign(scale, w, out=scale)
+    v = np.empty((3, m))
+    for row, c in zip(v, (x, y, z)):
+        np.multiply(c, scale, out=row)
     return v, theta
 
 

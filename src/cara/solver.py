@@ -2,16 +2,18 @@
 
 Each iteration linearizes the consistency residuals
 ``log(R_j^T @ r_ij @ R_i)`` around the current estimates and solves the
-weighted normal equations. The residuals are swept in unit quaternions
-(:func:`cara.kernels.quat_residuals`): the edge rotations are converted
-once per graph (:attr:`cara.graph.EdgeStream.quaternions`), or read from
-a ``--stream`` store that spooled them, and the vertex rotations once per
-sweep. Because every weight block is a scalar times the identity, the
-3N x 3N system factors into a weighted graph Laplacian acting on three
-right-hand-side columns. The Laplacian is anchored by deleting the anchor
-vertex's row/column (or shifted by lambda * I). Its pattern is built once
-per solve from the edge arrays; each weight setting only writes the
-weights into that pattern and factorizes. A pattern whose stored entries
+weighted normal equations. The residuals are swept in unit quaternions,
+held as (2, M) complex pairs (:func:`cara.kernels.quat_residuals`): the
+edge rotations are converted once per graph
+(:attr:`cara.graph.EdgeStream.quaternions`), or read from a ``--stream``
+store that spooled them, and the N vertex rotations once per sweep. A
+robust kernel's weights are computed in that sweep, chunk by chunk, and
+kept for the step's factor. Because every weight block is a scalar times
+the identity, the 3N x 3N system factors into a weighted graph Laplacian
+acting on three right-hand-side columns. The Laplacian is anchored by
+deleting the anchor vertex's row/column (or shifted by lambda * I). Its
+pattern is built once per solve from the edge arrays; each weight setting
+only writes the weights into that pattern and factorizes. A pattern whose stored entries
 (two per kept edge plus the diagonal) fill at least ``DENSE_FILL`` of the
 nk x nk matrix is factored as a dense array by LAPACK's Cholesky; a
 sparser one as a CSC matrix by SuperLU.
@@ -63,15 +65,12 @@ class SolveConfig:
     of that system has eigenvalue lambda, so its condition number is about
     the largest weighted degree over lambda, and last-bit changes in the
     residuals or in the factor's summation order move its raw estimates
-    far more than fix-root ones. On 200-camera complete scenes, a change
-    in the residuals' rounding moved raw tikhonov estimates by up to 1e-2
-    (l_half) and gauge-aligned ones by up to 4e-5 (l_half) and 2e-10 (the
-    other kernels); switching their factor from SuperLU to dense Cholesky
-    moved them by up to 6.5e-3 raw and 6e-6 aligned (l_half) and 4e-10
-    aligned (the other kernels); sweeping the residuals in quaternions
-    instead of matrices moved them by up to 1.0e-2 raw and 1.4e-5 aligned
-    (l_half) and 2.4e-10 aligned (the other kernels). Fix-root estimates
-    moved by at most 9e-13.
+    far more than fix-root ones. Each such change so far (the residuals'
+    rounding, the factor, matrices to quaternions, quaternions to complex
+    pairs) moved raw tikhonov estimates on 200-camera complete scenes by
+    at most 1.0e-2 (l_half) and gauge-aligned ones by at most 4e-5
+    (l_half) and 2.4e-10 (the other kernels), and raw ones on 2000-camera
+    chains by at most 7.7e-8. Fix-root estimates moved by at most 9e-13.
     """
 
     max_iterations: int = 3
@@ -265,11 +264,12 @@ class _LaplacianPattern:
 
 
 def _residual_pass(stream: EdgeStream, rotations, weights):
-    """One sweep over the edges: accumulated rhs B^T W db and per-edge
-    residual norms, ``CHUNK_RECORDS`` edges at a time. The edges'
-    quaternions are the stream's own, and the N vertex rotations are
-    converted once per sweep. ``weights`` is a per-edge array, or a
-    function mapping a chunk's residual norms to that chunk's weights.
+    """One sweep over the edges: accumulated rhs B^T W db, per-edge
+    residual norms and the per-edge weights, ``CHUNK_RECORDS`` edges at a
+    time. The edges' quaternion pairs are the stream's own, and the N
+    vertex rotations are converted to pairs once per sweep. ``weights`` is
+    a per-edge array, returned as given, or a function mapping a chunk's
+    residual norms to that chunk's weights, which are collected.
 
     Each vertex's rhs terms are summed in edge order whatever the chunking:
     bincount adds its input in order, and each chunk's input starts with
@@ -278,15 +278,18 @@ def _residual_pass(stream: EdgeStream, rotations, weights):
     n = stream.n_vertices
     rhs = np.zeros((3, n))
     norms = np.zeros(len(stream.ii))
+    per_edge = np.empty_like(norms) if callable(weights) else weights
     vertices = np.arange(n)
-    vertex_quats = kernels.batch_quat(rotations)
+    vertex_pairs = kernels.batch_quat(rotations)
     for start in range(0, len(norms), CHUNK_RECORDS):
         chunk = slice(start, start + CHUNK_RECORDS)
         ii, jj = stream.ii[chunk], stream.jj[chunk]
         res, norms[chunk] = kernels.quat_residuals(
-            vertex_quats.take(ii, axis=1), vertex_quats.take(jj, axis=1),
+            vertex_pairs.take(ii, axis=1), vertex_pairs.take(jj, axis=1),
             stream.quaternions[:, chunk])
-        w = weights(norms[chunk]) if callable(weights) else weights[chunk]
+        if callable(weights):
+            per_edge[chunk] = weights(norms[chunk])
+        w = per_edge[chunk]
         ends = np.empty(n + 2 * len(ii), dtype=np.intp)
         ends[:n] = vertices
         ends[n::2] = ii
@@ -296,7 +299,7 @@ def _residual_pass(stream: EdgeStream, rotations, weights):
         np.multiply(res, w, out=terms[:, n + 1::2])
         np.negative(terms[:, n + 1::2], out=terms[:, n::2])
         rhs = np.stack([np.bincount(ends, terms[k]) for k in range(3)])
-    return rhs.T, norms
+    return rhs.T, norms, per_edge
 
 
 def _apply_update(rotations, delta, anchor, config):
@@ -330,8 +333,8 @@ def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
     diagnostics: list[str] = []
     iterations_run = 0
     while True:
-        # One sweep gives the norms and the weighted rhs.
-        rhs, norms = _residual_pass(stream, R, weights)
+        # One sweep gives the norms, the weights and the weighted rhs.
+        rhs, norms, w = _residual_pass(stream, R, weights)
         loss_history.append(float(conf @ norms ** 2) if kernel is None
                             else float(np.sum(kernel.rho(norms))))
         max_residual_history.append(float(norms.max()) if len(norms) else 0.0)
@@ -345,13 +348,12 @@ def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
         if stop_reason:
             break
         if kernel is not None:
-            w = kernel.weights(norms)
             if not (w > 0).all() and len(components(n, ii[w > 0], jj[w > 0])) > 1:
                 w = np.maximum(w, WEIGHT_FLOOR)
                 diagnostics.append(
                     "re-weighting disconnected the graph; weights floored at "
                     f"{WEIGHT_FLOOR}")
-                rhs, _ = _residual_pass(stream, R, w)
+                rhs = _residual_pass(stream, R, w)[0]
             solve = laplacian.factor(w)
         R = _apply_update(R, solve(rhs), anchor, config)
         if kernel is not None:

@@ -2,11 +2,12 @@
 
 The graph file is parsed once. The scan keeps the vertex count, edge
 indices and confidences (O(N + |E|) scalars) and spools every chunk's
-validated rotations, each followed by its quaternion, to an unlinked
-temporary file in ``TMPDIR`` (13 floats, 104 bytes per edge on disk).
-The tree reads the rotations and the solver's sweeps read the quaternions, as
-two views of one read-only memory map; no rotation or quaternion stack is
-held in memory and the text is not parsed again.
+validated rotations, each followed by its quaternion (w, x, y, z), to an
+unlinked temporary file in ``TMPDIR`` (13 floats, 104 bytes per edge on
+disk). The tree reads the rotations as floats and the solver's sweeps read
+the quaternions as complex pairs (w + x i, y + z i), two views of one
+read-only memory map; no rotation or quaternion stack is held in memory
+and the text is not parsed again.
 
 The scan reads through :class:`cara.graph.RecordReader` and validates
 exactly as :func:`cara.graph.parse` does, so ``--stream`` accepts and
@@ -33,7 +34,7 @@ def _records(rots):
     """A chunk's (k, 3, 3) rotations as (k, RECORD_FLOATS) store records."""
     records = np.empty((len(rots), RECORD_FLOATS))
     records[:, :9] = rots.reshape(-1, 9)
-    records[:, 9:] = kernels.batch_quat(rots).T
+    records[:, 9:] = kernels.batch_quat(rots).T.view(float)
     return records
 
 
@@ -42,10 +43,10 @@ class FileEdgeStream(EdgeStream):
 
     Edges are normalized to i < j (the rotation is transposed when the
     file stores the pair reversed), matching the in-memory builder.
-    ``rotations`` and the (4, M) ``quaternions``, which the solver sweeps
-    instead of converting the rotations, are views of one map of the
-    closed, unlinked store; it lives until the stream is dropped, so later
-    changes to ``path`` do not reach the solve.
+    ``rotations`` and the (2, M) complex ``quaternions``, which the solver
+    sweeps instead of converting the rotations, are views of one map of
+    the closed, unlinked store; it lives until the stream is dropped, so
+    later changes to ``path`` do not reach the solve.
     """
 
     def __init__(self, path):
@@ -59,7 +60,7 @@ class FileEdgeStream(EdgeStream):
                                  shape=(len(ii), RECORD_FLOATS))
                        if len(ii) else np.empty((0, RECORD_FLOATS)))
         super().__init__(n, ii, jj, conf, records[:, :9].reshape(-1, 3, 3))
-        self.quaternions = records[:, 9:].T
+        self.quaternions = records[:, 9:].view(complex).T
 
 
 def initialize_from_stream(stream: EdgeStream) -> tuple[np.ndarray, tuple[str, ...]]:

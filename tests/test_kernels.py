@@ -172,6 +172,16 @@ def test_edge_residuals_past_switch_keep_their_angle():
     np.testing.assert_allclose(np.linalg.norm(res, axis=1), 3.0, rtol=0, atol=1e-13)
 
 
+def _wxyz(pairs):
+    """(2, M) complex quaternion pairs -> (M, 4) floats (w, x, y, z)."""
+    return np.ascontiguousarray(pairs.T).view(float)
+
+
+def _pairs(wxyz):
+    """(M, 4) floats (w, x, y, z) -> (2, M) complex quaternion pairs."""
+    return np.ascontiguousarray(wxyz).view(complex).T
+
+
 def _same_sign(q, ref):
     """q (M, 4) flipped row by row to the sign of ref (M, 4)."""
     return q * np.where(np.einsum("ij,ij->i", q, ref) < 0, -1.0, 1.0)[:, None]
@@ -194,12 +204,13 @@ def test_batch_quat_matches_per_case_reference_and_scipy():
         _axis_angles(rng, np.logspace(-12, -6, 100)),
         np.pi * np.eye(3), np.zeros((1, 3))])
     Rs = ScipyRotation.from_rotvec(vs).as_matrix()
-    q = kernels.batch_quat(Rs)
-    assert q.shape == (4, len(vs))
+    pairs = kernels.batch_quat(Rs)
+    assert pairs.shape == (2, len(vs)) and pairs.dtype == complex
+    q = _wxyz(pairs)
     ref = batch_quat(Rs)
-    np.testing.assert_allclose(_same_sign(q.T, ref), ref, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(_same_sign(q, ref), ref, rtol=0, atol=1e-13)
     scipy_wxyz = np.roll(ScipyRotation.from_matrix(Rs).as_quat(), 1, axis=1)
-    np.testing.assert_allclose(_same_sign(q.T, scipy_wxyz), scipy_wxyz, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(_same_sign(q, scipy_wxyz), scipy_wxyz, rtol=0, atol=1e-13)
 
 
 def test_batch_quat_is_row_by_row():
@@ -241,11 +252,11 @@ def test_quat_residuals_at_exactly_pi():
     # axis, of either sign.
     rng = np.random.default_rng(15)
     axes = _axis_angles(rng, np.ones(100))
-    half_turns = np.vstack([np.zeros(100), axes.T])
-    identity = np.tile([[1.0], [0.0], [0.0], [0.0]], 100)
-    res, theta = kernels.quat_residuals(half_turns, identity, identity)
+    half_turns = np.column_stack([np.zeros(100), axes])
+    identity = _pairs(np.tile([1.0, 0.0, 0.0, 0.0], (100, 1)))
+    res, theta = kernels.quat_residuals(_pairs(half_turns), identity, identity)
     assert (theta == np.pi).all()
-    expected = ScipyRotation.from_quat(np.roll(half_turns.T, -1, axis=1)).as_rotvec()
+    expected = ScipyRotation.from_quat(np.roll(half_turns, -1, axis=1)).as_rotvec()
     gap = np.minimum(np.abs(res.T - expected).max(axis=1), np.abs(res.T + expected).max(axis=1))
     np.testing.assert_allclose(gap, 0.0, rtol=0, atol=1e-13)
 
@@ -277,7 +288,7 @@ def test_empty_batch(impl):
     assert impl.batch_exp(np.zeros((0, 3))).shape == (0, 3, 3)
     assert impl.batch_log(np.zeros((0, 3, 3))).shape == (0, 3)
     empty = impl.batch_quat(np.zeros((0, 3, 3)))
-    assert empty.shape == (4, 0)
+    assert empty.shape == (2, 0) and empty.dtype == complex
     res, theta = impl.quat_residuals(empty, empty, empty)
     assert res.shape == (3, 0) and theta.shape == (0,)
     assert impl.edge_residuals(*3 * [np.zeros((0, 3, 3))]).shape == (0, 3)

@@ -2,7 +2,8 @@
 ``--stream`` on mutated graph files, and the block reader's loadtxt path
 against the per-line reader, for EDGE and vertex records. Also the
 spanning tree against a Kruskal oracle on graphs with tied confidences,
-and the rotation check against its former Gram-and-det formula."""
+the rotation check against its former Gram-and-det formula, and the
+quaternion-pair residual kernel against the matrix log."""
 import contextlib
 import io
 import itertools
@@ -18,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cara import cli, so3, synth, tree_init
+from cara import cli, kernels, so3, synth, tree_init
 from cara import graph as gm
 from cara.errors import GraphParseError, InvalidArgumentError, NotConnectedError
 
@@ -408,3 +409,40 @@ def test_rotation_check_agrees_with_gram_and_det(ms):
         with pytest.raises(InvalidArgumentError) as err:
             so3.as_rotations(ms)
         assert err.value.index == int(np.argmax(old_bad))
+
+
+@st.composite
+def residual_edges(draw):
+    """(Ri, Rj, Rij, signs) for a few edges whose residuals
+    log(Rj^T Rij Ri) have angles in [0, pi], some tiny and some within
+    1e-8 of pi, and a sign for each input quaternion of each edge."""
+    rows = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    angles = np.array(draw(st.lists(st.one_of(
+        st.floats(0.0, math.pi),
+        st.floats(0.0, 1e-6),
+        st.floats(0.0, 1e-8).map(lambda d: math.pi - d)), min_size=rows, max_size=rows)))
+    axes = rng.standard_normal((rows, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    Ri, Rj = (np.stack([so3.random_rotation(rng) for _ in range(rows)]) for _ in range(2))
+    Rij = Rj @ kernels.batch_exp(axes * angles[:, None]) @ Ri.transpose(0, 2, 1)
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=3 * rows,
+                                   max_size=3 * rows))).reshape(3, rows)
+    return Ri, Rj, Rij, signs
+
+
+@given(residual_edges())
+def test_pair_kernel_matches_matrix_log(case):
+    # Whichever sign each input quaternion has, the pair kernel gives the
+    # residual's vector and angle to 1e-13; within rounding of pi either
+    # antipodal vector is the residual.
+    Ri, Rj, Rij, signs = case
+    res, theta = kernels.quat_residuals(
+        *(kernels.batch_quat(R) * sign for R, sign in zip((Ri, Rj, Rij), signs)))
+    for got, angle, P in zip(res.T, theta, Rj.transpose(0, 2, 1) @ Rij @ Ri):
+        want = so3.log_map(P)
+        gap = np.abs(got - want).max()
+        if math.pi - np.linalg.norm(want) <= 1e-13:
+            gap = min(gap, np.abs(got + want).max())
+        assert gap <= 1e-13
+        assert abs(angle - np.linalg.norm(want)) <= 1e-13

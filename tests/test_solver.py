@@ -616,3 +616,24 @@ def test_solves_convert_no_edge_rotation(monkeypatch):
         rows.clear()
         report = solver.cao_solve(g, init)
         assert rows == [n] * (report.iterations_run + 1)
+
+
+@pytest.mark.parametrize("kind", ["l2", "l_half", "cauchy", "geman_mcclure"])
+def test_irls_weighs_each_edge_once_per_step(monkeypatch, kind):
+    # The sweep computes each edge's weight a chunk at a time, and the step
+    # factors with those weights instead of weighing every edge again.
+    rows = []
+    real_weights = RobustKernel.weights
+
+    def counting_weights(self, x):
+        rows.append(len(x))
+        return real_weights(self, x)
+
+    monkeypatch.setattr(RobustKernel, "weights", counting_weights)
+    g = synth.generate(synth.SyntheticSceneSpec(
+        n=500, topology="chain_window", chain_window=10,
+        noise_sigma=math.radians(5), outlier_edge_fraction=0.1, seed=35)).graph
+    m, chunk = len(g.ii), gm.CHUNK_RECORDS
+    report = solver.irls_solve(g, cai(g), RobustKernel(kind=kind))
+    assert m > chunk and report.iterations_run >= 2
+    assert rows == [chunk, m - chunk] * (report.iterations_run + 1)

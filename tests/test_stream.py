@@ -258,7 +258,8 @@ def test_spooled_quaternions_equal_in_memory_conversion(scene_file):
     g = gm.parse(path.read_text())
     assert len(g.ii) > gm.CHUNK_RECORDS
     np.testing.assert_array_equal(fs.rotations, g.rotations)
-    assert fs.quaternions.shape == g.quaternions.shape == (4, len(g.ii))
+    assert fs.quaternions.shape == g.quaternions.shape == (2, len(g.ii))
+    assert fs.quaternions.dtype == g.quaternions.dtype == complex
     assert np.ascontiguousarray(fs.quaternions).tobytes() == g.quaternions.tobytes()
     # the store's view, not a conversion
     assert isinstance(fs.quaternions, np.memmap)
@@ -272,12 +273,13 @@ def test_rhs_independent_of_chunking(scene_file, monkeypatch, chunk_size):
     g = scene.graph
     init = tree_init.propagate(tree_init.maximum_spanning_tree(g), g)
     whole = solver.EdgeStream(g.n_vertices, g.ii, g.jj, g.confidences, g.rotations)
-    rhs_w, norms_w = solver._residual_pass(whole, init, whole.confidences)
+    rhs_w, norms_w, w_w = solver._residual_pass(whole, init, whole.confidences)
     chunked = stream.FileEdgeStream(path)
     monkeypatch.setattr(solver, "CHUNK_RECORDS", chunk_size)
-    rhs_c, norms_c = solver._residual_pass(chunked, init, chunked.confidences)
+    rhs_c, norms_c, w_c = solver._residual_pass(chunked, init, chunked.confidences)
     np.testing.assert_array_equal(rhs_c, rhs_w)
     np.testing.assert_array_equal(norms_c, norms_w)
+    assert w_w is whole.confidences and w_c is chunked.confidences
     # reference: one unbuffered scatter of the signed terms in edge order
     ii, jj, rots, conf = g.edge_arrays()
     wres = conf[:, None] * kernels.edge_residuals(init[ii], init[jj], rots)
