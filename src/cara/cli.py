@@ -7,6 +7,7 @@ usage error. Angles cross the CLI boundary in degrees, radians inside.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -85,32 +86,38 @@ def _solve_settings_from_args(args) -> tuple[SolveConfig, RobustKernel]:
     return SolveConfig(anchor=args.anchor, **iters), kernel
 
 
-def _solve(g, init, kernel: RobustKernel, config: SolveConfig):
-    """cao_solve for the confidence kernel, irls_solve for any other."""
+def _solve(edges, kernel: RobustKernel, config: SolveConfig, dump_tree=False):
+    """The ``cara solve`` pipeline over any EdgeStream, parsed or
+    file-backed: spanning tree (printed if asked), propagation, then
+    cao_solve for the confidence kernel and irls_solve for any other. The
+    tree is dropped before the sweeps; its diagnostics lead the report's."""
+    tree = maximum_spanning_tree(edges)
+    if dump_tree:
+        print(f"spanning tree root {tree.root} "
+              f"(total confidence {tree.total_confidence:.6g})")
+        for parent, child, c in zip(tree.parents.tolist(), tree.children.tolist(),
+                                    edges.confidences[tree.edges].tolist()):
+            print(f"  {parent} -> {child}  c={c:.6g}")
+    init, diagnostics = propagate(tree, edges), tree.diagnostics
+    del tree
     if kernel.kind == "confidence":
-        return cao_solve(g, init, config)
-    return irls_solve(g, init, kernel, config)
+        report = cao_solve(edges, init, config)
+    else:
+        report = irls_solve(edges, init, kernel, config)
+    report.diagnostics[:0] = diagnostics
+    return report
 
 
 def cmd_solve(args) -> int:
     config, kernel = _solve_settings_from_args(args)
+    solve = functools.partial(_solve, kernel=kernel, config=config,
+                              dump_tree=args.dump_tree)
     if args.stream:
-        if args.dump_tree:
-            raise UsageError("--stream does not support --dump-tree")
-        report = stream.solve_file_streaming(args.infile, config, kernel)
+        report = stream.solve_file_streaming(args.infile, solve)
     else:
         with graphmod.open_text(args.infile) as fh:
             g = graphmod.parse(fh)
-        tree = maximum_spanning_tree(g)
-        if args.dump_tree:
-            print(f"spanning tree root {tree.root} "
-                  f"(total confidence {tree.total_confidence:.6g})")
-            for parent, child, c in zip(tree.parents.tolist(), tree.children.tolist(),
-                                        g.confidences[tree.edges].tolist()):
-                print(f"  {parent} -> {child}  c={c:.6g}")
-        report = _solve(g, propagate(tree, g), kernel, config)
-        # The tree's diagnostics come first, as on --stream.
-        report.diagnostics[:0] = tree.diagnostics
+        report = solve(g)
     for warning in report.diagnostics:
         print(f"warning: {warning}", file=sys.stderr)
     print("loss history: " + " ".join(f"{x:.6e}" for x in report.loss_history))
@@ -187,15 +194,10 @@ BENCH_HEADER = ("scenario,kernel,confidence_model,n,k_outliers,sigma_deg,"
                 "mean_error_deg,median_error_deg,acc3,acc5,acc10,wall_ms,seed")
 
 
-def _solve_scene(scene, kernel: RobustKernel, config: SolveConfig):
-    g = scene.graph
-    return _solve(g, propagate(maximum_spanning_tree(g), g), kernel, config)
-
-
 def _bench_row(scenario, kernel_kind, scene, seed):
     config = SolveConfig()
     start = time.perf_counter()
-    report = _solve_scene(scene, RobustKernel(kind=kernel_kind), config)
+    report = _solve(scene.graph, RobustKernel(kind=kernel_kind), config)
     wall_ms = 1000.0 * (time.perf_counter() - start)
     stats = metrics.error_stats(report.rotations,
                                 np.stack(scene.graph.ground_truth))

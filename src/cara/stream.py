@@ -12,8 +12,10 @@ and the text is not parsed again.
 The scan reads through :class:`cara.graph.RecordReader` and validates
 exactly as :func:`cara.graph.parse` does, so ``--stream`` accepts and
 rejects exactly the files the in-memory path does, with the same error
-line. Its :class:`FileEdgeStream` then takes the in-memory steps (tree,
-then :mod:`cara.solver`), so the estimates match bit for bit for every kernel.
+line. This module has no solve step of its own: ``cara solve --stream``
+hands the :class:`FileEdgeStream` to the one pipeline that also solves a
+parsed graph, :func:`cara.cli._solve`, so the spanning tree, the warnings
+and the estimates match bit for bit for every kernel.
 """
 from __future__ import annotations
 
@@ -21,10 +23,8 @@ import tempfile
 
 import numpy as np
 
-from . import graph, kernels, solver
+from . import graph, kernels
 from .graph import EdgeStream
-from .solver import RobustKernel, SolveConfig, SolveReport
-from .tree_init import maximum_spanning_tree, propagate
 
 # One spooled edge: its rotation's 9 entries, then its quaternion's 4.
 RECORD_FLOATS = 13
@@ -63,25 +63,7 @@ class FileEdgeStream(EdgeStream):
         self.quaternions = records[:, 9:].view(complex).T
 
 
-def initialize_from_stream(stream: EdgeStream) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Spanning-tree initialization, as in memory; only the N-1 tree
-    rotations are read from the store. Returns (rotations, the tree's
-    diagnostics); the tree's index arrays are dropped before the solve."""
-    tree = maximum_spanning_tree(stream)
-    return propagate(tree, stream), tree.diagnostics
-
-
-def solve_file_streaming(path, config: SolveConfig | None = None,
-                         kernel: RobustKernel | None = None) -> SolveReport:
-    """Full streaming pipeline: scan, tree-initialize, then solve (cao for
-    the default confidence kernel, IRLS for the others): the in-memory
-    ``cara solve`` steps and checks in the same order. The report's
-    diagnostics start with the spanning tree's."""
-    stream = FileEdgeStream(path)
-    init, diagnostics = initialize_from_stream(stream)
-    if kernel is None or kernel.kind == "confidence":
-        report = solver.cao_solve(stream, init, config)
-    else:
-        report = solver.irls_solve(stream, init, kernel, config)
-    report.diagnostics[:0] = diagnostics
-    return report
+def solve_file_streaming(path, solve):
+    """``solve(FileEdgeStream(path))``: ``cara solve --stream`` passes the
+    pipeline :func:`cara.cli._solve`, with its settings bound."""
+    return solve(FileEdgeStream(path))

@@ -5,6 +5,7 @@ records a single PASS/FAIL line with the measured margins; the lines are
 echoed in a summary section after the run (see tests/conftest.py). Run with
 `pytest tests/test_acceptance.py -v`.
 """
+import functools
 import itertools
 import math
 import time
@@ -13,7 +14,7 @@ import numpy as np
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from cara import graph as gm
-from cara import metrics, so3, solver, stream, synth, tree_init
+from cara import cli, metrics, so3, solver, stream, synth, tree_init
 from cara.graph import Edge
 from cara.solver import RobustKernel, SolveConfig
 from cara.synth import SyntheticSceneSpec
@@ -266,7 +267,8 @@ def test_11_streaming_scale(tmp_path):
     path = tmp_path / "large.graph"
     path.write_text(gm.serialize(scene.graph))
     start = time.perf_counter()
-    report_s = stream.solve_file_streaming(path)
+    report_s = stream.solve_file_streaming(
+        path, functools.partial(cli._solve, kernel=RobustKernel(), config=SolveConfig()))
     elapsed = time.perf_counter() - start
     report_m = solver.cao_solve(scene.graph, _cai(scene.graph))
     gap = float(np.abs(report_s.rotations - report_m.rotations).max())

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from cara import cli
+from cara import cli, stream
 from cara import graph as gm
 
 
@@ -94,10 +94,10 @@ def test_stream_matches_in_memory(tmp_path, capsys):
     assert np.abs(ra - rb).max() < 1e-12
 
 
-# --stream solves with the in-memory cao_solve or irls_solve, so every kernel
-# under either anchor gives the same exit code, warnings, stdout and
-# estimate bytes on both paths. Vertex 40 hangs on one weak edge, so both
-# print the spanning tree's warning.
+# --stream hands its file-backed edges to the in-memory pipeline, so every
+# kernel under either anchor, with and without --dump-tree, gives the same
+# exit code, warnings, stdout and estimate bytes on both paths. Vertex 40
+# hangs on one weak edge, so both print the spanning tree's warning.
 @pytest.mark.parametrize("anchor", ["fix-root", "tikhonov"])
 @pytest.mark.parametrize("kernel", ["confidence", "l2", "cauchy", "geman-mcclure",
                                     "l-half"])
@@ -110,18 +110,43 @@ def test_stream_and_memory_solve_alike(tmp_path, capsys, kernel, anchor):
     graph_path = tmp_path / "weak.graph"
     graph_path.write_text(gm.serialize(gm.build(
         41, list(g.edges) + [gm.Edge(0, 40, np.eye(3), 0.005)])))
+    est = tmp_path / "est.txt"
     capsys.readouterr()
-    results = []
-    for extra in ([], ["--stream"]):
-        est = tmp_path / f"est{len(results)}.txt"
-        code = run(["solve", "--in", str(graph_path), "--kernel", kernel,
-                    "--anchor", anchor, "--out", str(est)] + extra)
-        out, err = capsys.readouterr()
-        lines = [line for line in out.splitlines() if not line.startswith("wrote ")]
-        results.append((code, err, lines, est.read_bytes()))
-    assert results[0][:2] == (0, "warning: 1 spanning-tree edge(s) have confidence "
+    for flags in ([], ["--dump-tree"]):
+        results = []
+        for extra in ([], ["--stream"]):
+            code = run(["solve", "--in", str(graph_path), "--kernel", kernel,
+                        "--anchor", anchor, "--out", str(est)] + flags + extra)
+            out, err = capsys.readouterr()
+            results.append((code, out, err, est.read_bytes()))
+        assert results[0][0] == 0
+        assert results[0][2] == ("warning: 1 spanning-tree edge(s) have confidence "
                                  "< 0.01: (0,40)\n")
-    assert results[1] == results[0]
+        assert results[0][1].startswith("spanning tree root") == bool(flags)
+        assert results[1] == results[0]
+
+
+# perfbench captures what cli.cao_solve returns on the in-memory path and
+# what stream.solve_file_streaming returns under --stream. Each must be
+# called once per `cara solve` and return the report whose rotations --out
+# holds; a refactor that drops either name fails every chain benchmark op.
+@pytest.mark.parametrize("extra", [[], ["--stream"]], ids=["memory", "stream"])
+def test_solve_calls_benchmarked_names_once(tmp_path, capsys, monkeypatch, extra):
+    graph_path = tmp_path / "g.graph"
+    est = tmp_path / "est.txt"
+    run(["generate", "--n", "12", "--sigma-deg", "5", "--seed", "2",
+         "--out", str(graph_path)])
+    returned = {"cao_solve": [], "solve_file_streaming": []}
+    for owner, name in ((cli, "cao_solve"), (stream, "solve_file_streaming")):
+        def recording(*args, real=getattr(owner, name), out=returned[name], **kwargs):
+            out.append(real(*args, **kwargs))
+            return out[-1]
+        monkeypatch.setattr(owner, name, recording)
+    assert run(["solve", "--in", str(graph_path), "--out", str(est)] + extra) == 0
+    assert len(returned["cao_solve"]) == 1
+    assert len(returned["solve_file_streaming"]) == len(extra)
+    report = returned["solve_file_streaming" if extra else "cao_solve"][0]
+    assert cli._read_rotations(str(est)).tobytes() == report.rotations.tobytes()
 
 
 @pytest.mark.parametrize("extra", [[], ["--stream"]], ids=["memory", "stream"])
@@ -172,32 +197,25 @@ def test_solve_reads_input_line_by_line(tmp_path, capsys, monkeypatch):
     assert reads == []
     assert (tmp_path / "a.est").read_bytes() == (tmp_path / "b.est").read_bytes()
 
-def test_stream_rejects_dump_tree(tmp_path, capsys):
-    graph_path = tmp_path / "g.graph"
-    run(["generate", "--n", "7", "--seed", "5", "--out", str(graph_path)])
-    capsys.readouterr()
-    assert run(["solve", "--in", str(graph_path), "--stream", "--dump-tree"]) == 64
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage error:")
-
 
 def test_dump_tree(tmp_path, capsys):
-    # A path tree whose edges 4-3, 3-0 and 2-1 are stored the other way.
+    # A path tree whose edges 4-3, 3-0 and 2-1 are stored the other way;
+    # --stream prints it as the in-memory path does.
     graph_path = tmp_path / "g.graph"
     run(["generate", "--n", "5", "--seed", "6", "--sigma-deg", "5",
          "--outlier-frac", "0.2", "--confidence-model", "informative",
          "--out", str(graph_path)])
     capsys.readouterr()
-    assert run(["solve", "--in", str(graph_path), "--dump-tree"]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[:5] == [
-        "spanning tree root 4 (total confidence 3.60379)",
-        "  4 -> 3  c=0.89305",
-        "  3 -> 0  c=0.906075",
-        "  0 -> 2  c=0.846649",
-        "  2 -> 1  c=0.958018",
-    ]
+    for extra in ([], ["--stream"]):
+        assert run(["solve", "--in", str(graph_path), "--dump-tree"] + extra) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[:5] == [
+            "spanning tree root 4 (total confidence 3.60379)",
+            "  4 -> 3  c=0.89305",
+            "  3 -> 0  c=0.906075",
+            "  0 -> 2  c=0.846649",
+            "  2 -> 1  c=0.958018",
+        ]
 
 
 def test_eval_zero_errors(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import os
@@ -7,10 +8,16 @@ import numpy as np
 import pytest
 
 from cara import graph as gm
-from cara import kernels, so3, solver, stream, synth, tree_init
+from cara import cli, kernels, so3, solver, stream, synth, tree_init
 from cara.errors import DegenerateWeightsError, GraphParseError, NotConnectedError
 from cara.graph import Edge
 from cara.synth import SyntheticSceneSpec
+
+
+def _solve_file(path, kernel=solver.RobustKernel(), config=solver.SolveConfig()):
+    """``cara solve --stream``'s pipeline on the graph file at ``path``."""
+    return stream.solve_file_streaming(
+        path, functools.partial(cli._solve, kernel=kernel, config=config))
 
 
 @pytest.fixture
@@ -48,7 +55,7 @@ def test_streaming_matches_in_memory(scene_file):
         n=60, topology="chain_window", chain_window=6,
         noise_sigma=math.radians(6), outlier_edge_fraction=0.1,
         confidence_model="informative", seed=2))
-    report_s = stream.solve_file_streaming(path)
+    report_s = _solve_file(path)
     g = gm.parse(path.read_text())
     init = tree_init.propagate(tree_init.maximum_spanning_tree(g), g)
     report_m = solver.cao_solve(g, init)
@@ -61,7 +68,8 @@ def test_streaming_init_matches_in_memory(scene_file):
         n=30, noise_sigma=math.radians(4), confidence_model="informative",
         seed=3))
     fs = stream.FileEdgeStream(path)
-    init_s, diagnostics_s = stream.initialize_from_stream(fs)
+    tree_s = tree_init.maximum_spanning_tree(fs)
+    init_s, diagnostics_s = tree_init.propagate(tree_s, fs), tree_s.diagnostics
     g = gm.parse(path.read_text())
     tree = tree_init.maximum_spanning_tree(g)
     init_m = tree_init.propagate(tree, g)
@@ -74,7 +82,7 @@ def test_disconnected_file(tmp_path):
     path = tmp_path / "bad.graph"
     path.write_text(gm.serialize(g))
     with pytest.raises(NotConnectedError):
-        stream.solve_file_streaming(path)
+        _solve_file(path)
 
 
 def test_zero_confidence_cut_file(tmp_path):
@@ -82,7 +90,7 @@ def test_zero_confidence_cut_file(tmp_path):
     path = tmp_path / "bad.graph"
     path.write_text(gm.serialize(g))
     with pytest.raises(DegenerateWeightsError):
-        stream.solve_file_streaming(path)
+        _solve_file(path)
 
 
 def test_parse_errors_carry_line_numbers(tmp_path):
@@ -137,14 +145,14 @@ def _assert_same_report(a, b):
 
 
 def test_streaming_is_one_cao_solve(tmp_path, monkeypatch):
-    # --stream runs the in-memory steps: tree, then one solver.cao_solve
-    # over the memory-mapped edges, then the tree's warnings first.
+    # --stream runs the in-memory pipeline: tree, then one cao_solve, looked
+    # up in cli, over the memory-mapped edges, then the tree's warnings first.
     path, g, tree = _weak_bridge_file(tmp_path)
     report_m = solver.cao_solve(g, tree_init.propagate(tree, g))
     calls = []
-    _recording(monkeypatch, solver, "cao_solve", calls)
-    _recording(monkeypatch, solver, "irls_solve", calls)
-    report_s = stream.solve_file_streaming(path)
+    _recording(monkeypatch, cli, "cao_solve", calls)
+    _recording(monkeypatch, cli, "irls_solve", calls)
+    report_s = _solve_file(path)
     assert len(calls) == 1 and calls[0][0] == "cao_solve"
     assert isinstance(calls[0][1], stream.FileEdgeStream)
     _assert_same_report(report_s, report_m)
@@ -156,9 +164,9 @@ def test_streaming_robust_kernel_is_one_irls_solve(tmp_path, monkeypatch):
     kernel = solver.RobustKernel(kind="cauchy")
     report_m = solver.irls_solve(g, tree_init.propagate(tree, g), kernel)
     calls = []
-    _recording(monkeypatch, solver, "cao_solve", calls)
-    _recording(monkeypatch, solver, "irls_solve", calls)
-    report_s = stream.solve_file_streaming(path, kernel=kernel)
+    _recording(monkeypatch, cli, "cao_solve", calls)
+    _recording(monkeypatch, cli, "irls_solve", calls)
+    report_s = _solve_file(path, kernel=kernel)
     assert len(calls) == 1 and calls[0][0] == "irls_solve"
     assert isinstance(calls[0][1], stream.FileEdgeStream)
     assert report_m.iterations_run > 2
@@ -239,7 +247,7 @@ def test_streaming_equals_in_memory_exactly(scene_file):
         n=500, topology="chain_window", chain_window=10,
         noise_sigma=math.radians(5), outlier_edge_fraction=0.1,
         confidence_model="informative", seed=4))
-    report_s = stream.solve_file_streaming(path)
+    report_s = _solve_file(path)
     report_m = _in_memory_solve(path)
     assert len(stream.FileEdgeStream(path).ii) > gm.CHUNK_RECORDS
     np.testing.assert_array_equal(report_s.rotations, report_m.rotations)
@@ -302,7 +310,7 @@ def test_store_outlives_the_file(scene_file, change):
         path.write_text(f"N 2\nEDGE 0 1 {' '.join(['0'] * 9)} 0.5\n")
     np.testing.assert_array_equal(fs.rotations, scene.graph.rotations)
     np.testing.assert_array_equal(fs.quaternions, scene.graph.quaternions)
-    init, _ = stream.initialize_from_stream(fs)
+    init = tree_init.propagate(tree_init.maximum_spanning_tree(fs), fs)
     report = solver.cao_solve(fs, init)
     np.testing.assert_array_equal(report.rotations, expected.rotations)
 
@@ -322,7 +330,7 @@ def test_dropped_stream_leaves_no_fd(scene_file):
     before = _open_fds()
     fs = stream.FileEdgeStream(path)
     assert np.isfinite(fs.rotations).all() and np.isfinite(fs.quaternions).all()
-    stream.initialize_from_stream(fs)
+    tree_init.propagate(tree_init.maximum_spanning_tree(fs), fs)
     del fs
     gc.collect()
     assert _open_fds() == before
