@@ -85,7 +85,7 @@ def edge_quaternions(g):
 def factor_inputs(g):
     """(pattern, weights) for one fix-root Laplacian factor of g."""
     anchor = _pick_root(g.n_vertices, g.ii, g.jj, g.confidences)
-    pattern = solver._LaplacianPattern(g.n_vertices, g.ii, g.jj, anchor, solver.SolveConfig())
+    pattern = solver._LaplacianPattern(g.n_vertices, g.ii, g.jj, anchor)
     return pattern, g.confidences
 
 

@@ -83,7 +83,7 @@ def _solve_settings_from_args(args) -> tuple[SolveConfig, RobustKernel]:
         raise InvalidArgumentError(f"--iters must be >= 1, got {args.iters}")
     cap = "max_iterations" if kernel.kind == "confidence" else "irls_max_iterations"
     iters = {} if args.iters is None else {cap: args.iters}
-    return SolveConfig(anchor=args.anchor, **iters), kernel
+    return SolveConfig(**iters), kernel
 
 
 def _solve(edges, kernel: RobustKernel, config: SolveConfig, dump_tree=False):
@@ -298,7 +298,6 @@ def build_parser() -> Parser:
     p.add_argument("--iters", type=int, default=None,
                    help=f"iteration cap (default {SolveConfig.max_iterations}; "
                         f"{SolveConfig.irls_max_iterations} under a robust kernel)")
-    p.add_argument("--anchor", default="fix-root", choices=["fix-root", "tikhonov"])
     p.add_argument("--stream", action="store_true",
                    help="edge-by-edge file ingestion (low memory)")
     p.add_argument("--dump-tree", action="store_true")

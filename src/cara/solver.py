@@ -10,13 +10,14 @@ store that spooled them, and the N vertex rotations once per sweep. A
 robust kernel's weights are computed in that sweep, chunk by chunk, and
 kept for the step's factor. Because every weight block is a scalar times
 the identity, the 3N x 3N system factors into a weighted graph Laplacian
-acting on three right-hand-side columns. The Laplacian is anchored by
-deleting the anchor vertex's row/column (or shifted by lambda * I). Its
-pattern is built once per solve from the edge arrays; each weight setting
-only writes the weights into that pattern and factorizes. A pattern whose stored entries
-(two per kept edge plus the diagonal) fill at least ``DENSE_FILL`` of the
-nk x nk matrix is factored as a dense array by LAPACK's Cholesky; a
-sparser one as a CSC matrix by SuperLU.
+acting on three right-hand-side columns. The gauge is fixed by deleting
+the anchor (root) vertex's row and column, so that vertex keeps its
+initial rotation. The pattern is built once per solve from the edge
+arrays; each weight setting only writes the weights into that pattern and
+factorizes. A pattern whose stored entries (two per kept edge plus the
+diagonal) fill at least ``DENSE_FILL`` of the nk x nk matrix is factored
+as a dense array by LAPACK's Cholesky; a sparser one as a CSC matrix by
+SuperLU.
 
 :func:`cao_solve` and :func:`irls_solve` run one loop over the edges of
 an :class:`EdgeStream`, swept in fixed-size chunks; ``--stream`` runs it on
@@ -44,8 +45,6 @@ KERNEL_KINDS = ("confidence", "l2", "l_half", "cauchy", "geman_mcclure")
 L_HALF_EPS = 1e-5
 # Weight floor applied when IRLS re-weighting disconnects the graph.
 WEIGHT_FLOOR = 1e-6
-# Shift of the Laplacian under the tikhonov anchor: (L + lambda * I).
-TIKHONOV_LAMBDA = 1e-8
 # Laplacians with 2 * kept edges + kept vertices >= DENSE_FILL * nk^2 are
 # factored by dense Cholesky, sparser ones by SuperLU.
 DENSE_FILL = 0.25
@@ -58,30 +57,14 @@ IRLS_REL_TOL = 1e-8
 @dataclass
 class SolveConfig:
     """Solver settings: the iteration caps of the confidence solve and of
-    IRLS, and the anchor. The tolerances and lambda are module constants.
-
-    ``anchor="fix-root"`` pins the strongest vertex; ``"tikhonov"`` adds
-    ``TIKHONOV_LAMBDA * I`` to the Laplacian instead. The gauge direction
-    of that system has eigenvalue lambda, so its condition number is about
-    the largest weighted degree over lambda, and last-bit changes in the
-    residuals or in the factor's summation order move its raw estimates
-    far more than fix-root ones. Each such change so far (the residuals'
-    rounding, the factor, matrices to quaternions, quaternions to complex
-    pairs) moved raw tikhonov estimates on 200-camera complete scenes by
-    at most 1.0e-2 (l_half) and gauge-aligned ones by at most 4e-5
-    (l_half) and 2.4e-10 (the other kernels), and raw ones on 2000-camera
-    chains by at most 7.7e-8. Fix-root estimates moved by at most 9e-13.
-    """
+    IRLS. The tolerances are module constants."""
 
     max_iterations: int = 3
-    anchor: str = "fix-root"          # "fix-root" | "tikhonov"
     irls_max_iterations: int = 20
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidArgumentError("max_iterations must be >= 1")
-        if self.anchor not in ("fix-root", "tikhonov"):
-            raise InvalidArgumentError(f"unknown anchor mode {self.anchor!r}")
         if self.irls_max_iterations < 1:
             raise InvalidArgumentError("irls_max_iterations must be >= 1")
 
@@ -168,11 +151,11 @@ def _check_connectivity(n, ii, jj, conf=None):
 
 
 class _LaplacianPattern:
-    """Pattern of the anchored (fix-root) or lambda-shifted (tikhonov)
-    weighted Laplacian of one edge set, built once per solve.
+    """Pattern of the anchored weighted Laplacian of one edge set, built
+    once per solve: the anchor vertex's row and column are deleted.
 
-    Kept edges avoid the fix-root anchor and count only in their other
-    end's degree. A dense pattern (see ``DENSE_FILL``) holds each kept
+    Kept edges avoid the anchor and count only in their other end's
+    degree. A dense pattern (see ``DENSE_FILL``) holds each kept
     edge's flat upper-triangle slot in a Fortran-ordered nk x nk array,
     which :meth:`factor` fills and hands to ``cho_factor`` in place. A
     sparse one is a CSC matrix: one lexsort puts the entries, each kept
@@ -183,11 +166,9 @@ class _LaplacianPattern:
     reader ensure.
     """
 
-    def __init__(self, n, ii, jj, anchor, config):
-        self.n, self.ii, self.jj, self.config = n, ii, jj, config
-        fix_root = config.anchor == "fix-root"
-        self.shift = 0.0 if fix_root else TIKHONOV_LAMBDA
-        self.keep = np.delete(np.arange(n), anchor) if fix_root else np.arange(n)
+    def __init__(self, n, ii, jj, anchor):
+        self.n, self.ii, self.jj = n, ii, jj
+        self.keep = np.delete(np.arange(n), anchor)
         pos = np.full(n, -1, dtype=np.int32)
         pos[self.keep] = np.arange(len(self.keep), dtype=np.int32)
         lo, hi = pos[np.minimum(ii, jj)], pos[np.maximum(ii, jj)]
@@ -220,14 +201,15 @@ class _LaplacianPattern:
             raise InvalidArgumentError("the solver needs distinct pairs and no loops")
 
     def factor(self, w):
-        """Factorized solve for the Laplacian weighted by ``w``."""
-        n, config = self.n, self.config
+        """Factorized solve for the Laplacian weighted by ``w``. The solve
+        returns zeros in the anchor's row."""
+        n = self.n
         deg = np.bincount(self.ii, w, minlength=n) + np.bincount(self.jj, w, minlength=n)
         if self.dense:
             nk = len(self.keep)
             flat = np.zeros(nk * nk)
             flat[self.upper] = -w[self.kept]
-            flat[::nk + 1] = deg[self.keep] + self.shift
+            flat[::nk + 1] = deg[self.keep]
             try:
                 cho = la.cho_factor(flat.reshape((nk, nk), order="F"),
                                     overwrite_a=True, check_finite=False)
@@ -240,18 +222,16 @@ class _LaplacianPattern:
             off = -w[self.kept]
             data[self.upper] = off
             data[self.lower] = off
-            data[self.diag] = deg[self.keep] + self.shift
+            data[self.diag] = deg[self.keep]
             try:
                 lu = spla.splu(self.matrix)
             except RuntimeError as exc:
                 raise DegenerateWeightsError(f"normal equations are singular: {exc}") from exc
             pivots = np.abs(lu.U.diagonal())
             solve_kept = lu.solve
-        # Fix-root pivots scale with the weights, so that test is relative to
-        # the largest; under tikhonov the gauge pivot is about n * lambda
-        # whatever the weight scale, so the threshold stays absolute.
-        tol = 1e-14 * np.max(w, initial=0.0) if config.anchor == "fix-root" else 1e-14
-        if np.min(pivots) < tol:
+        # The pivots scale with the weights, so the test is relative to the
+        # largest.
+        if np.min(pivots) < 1e-14 * np.max(w, initial=0.0):
             raise DegenerateWeightsError("normal equations are numerically singular")
         keep = self.keep
 
@@ -302,13 +282,6 @@ def _residual_pass(stream: EdgeStream, rotations, weights):
     return rhs.T, norms, per_edge
 
 
-def _apply_update(rotations, delta, anchor, config):
-    if config.anchor == "fix-root":
-        delta = delta.copy()
-        delta[anchor] = 0.0
-    return rotations @ kernels.batch_exp(delta)
-
-
 def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
            config: SolveConfig) -> SolveReport:
     """The one solve loop. ``kernel=None`` weights the edges by their fixed
@@ -320,7 +293,7 @@ def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
     if R.shape != (n, 3, 3):
         raise InvalidArgumentError(f"expected {n} initial rotations, got {R.shape}")
     anchor = _pick_root(n, ii, jj, conf)
-    laplacian = _LaplacianPattern(n, ii, jj, anchor, config)
+    laplacian = _LaplacianPattern(n, ii, jj, anchor)
     if kernel is None:
         # Only the factor lives through the sweeps: holding the pattern too
         # raised the --stream peak by a quarter.
@@ -355,7 +328,7 @@ def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
                     f"{WEIGHT_FLOOR}")
                 rhs = _residual_pass(stream, R, w)[0]
             solve = laplacian.factor(w)
-        R = _apply_update(R, solve(rhs), anchor, config)
+        R = R @ kernels.batch_exp(solve(rhs))
         if kernel is not None:
             del w, solve  # refilled at every step: not held through the sweep
         iterations_run += 1

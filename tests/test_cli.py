@@ -95,13 +95,13 @@ def test_stream_matches_in_memory(tmp_path, capsys):
 
 
 # --stream hands its file-backed edges to the in-memory pipeline, so every
-# kernel under either anchor, with and without --dump-tree, gives the same
-# exit code, warnings, stdout and estimate bytes on both paths. Vertex 40
-# hangs on one weak edge, so both print the spanning tree's warning.
-@pytest.mark.parametrize("anchor", ["fix-root", "tikhonov"])
+# kernel, with and without --dump-tree, gives the same exit code, warnings,
+# stdout and estimate bytes on both paths. Vertex 40 hangs on one weak
+# edge, so both print the spanning tree's warning. The ids name the gauge,
+# fix-root, the one the solver has.
 @pytest.mark.parametrize("kernel", ["confidence", "l2", "cauchy", "geman-mcclure",
-                                    "l-half"])
-def test_stream_and_memory_solve_alike(tmp_path, capsys, kernel, anchor):
+                                    "l-half"], ids=lambda kernel: f"{kernel}-fix-root")
+def test_stream_and_memory_solve_alike(tmp_path, capsys, kernel):
     scene_path = tmp_path / "scene.graph"
     run(["generate", "--n", "40", "--topology", "chain-window", "--window", "5",
          "--sigma-deg", "5", "--outlier-frac", "0.1", "--confidence-model",
@@ -116,7 +116,7 @@ def test_stream_and_memory_solve_alike(tmp_path, capsys, kernel, anchor):
         results = []
         for extra in ([], ["--stream"]):
             code = run(["solve", "--in", str(graph_path), "--kernel", kernel,
-                        "--anchor", anchor, "--out", str(est)] + flags + extra)
+                        "--out", str(est)] + flags + extra)
             out, err = capsys.readouterr()
             results.append((code, out, err, est.read_bytes()))
         assert results[0][0] == 0
@@ -423,7 +423,8 @@ def test_no_edges_exit_3_alike(tmp_path, capsys):
 
 
 # Out-of-range flag values are usage errors on every command and path: exit
-# 64 before any file is read, never 2 or a traceback.
+# 64 before any file is read, never 2 or a traceback. So is the removed
+# --anchor flag: fix-root is the solver's one gauge.
 @pytest.mark.parametrize("argv", [
     ["eval", "--thresholds", "abc"],
     ["eval", "--thresholds", ""],
@@ -438,6 +439,8 @@ def test_no_edges_exit_3_alike(tmp_path, capsys):
     ["solve", "--kernel", "cauchy", "--alpha-deg", "nan"],
     ["solve", "--kernel", "cauchy", "--alpha-deg", "nan", "--stream"],
     ["solve", "--kernel", "geman-mcclure", "--alpha-deg", "inf"],
+    ["solve", "--anchor", "tikhonov"],
+    ["solve", "--anchor", "tikhonov", "--stream"],
     ["generate", "--sigma-deg", "nan"],
     ["generate", "--sigma-deg", "inf"],
     ["generate", "--seed", "-1"],

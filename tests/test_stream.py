@@ -174,9 +174,10 @@ def test_streaming_robust_kernel_is_one_irls_solve(tmp_path, monkeypatch):
     assert report_s.diagnostics == list(tree.diagnostics) + report_m.diagnostics
 
 
-@pytest.mark.parametrize("anchor", ["fix-root", "tikhonov"])
-@pytest.mark.parametrize("kind", ["l2", "cauchy", "geman_mcclure", "l_half"])
-def test_irls_on_file_stream_equals_parsed_graph(scene_file, kind, anchor):
+# The ids name the gauge, fix-root, the one the solver has.
+@pytest.mark.parametrize("kind", ["l2", "cauchy", "geman_mcclure", "l_half"],
+                         ids=lambda kind: f"{kind}-fix-root")
+def test_irls_on_file_stream_equals_parsed_graph(scene_file, kind):
     # more than one chunk of edges, so the weights are drawn chunk by chunk
     path, _ = scene_file(SyntheticSceneSpec(
         n=500, topology="chain_window", chain_window=10,
@@ -187,9 +188,8 @@ def test_irls_on_file_stream_equals_parsed_graph(scene_file, kind, anchor):
     g = gm.parse(path.read_text())
     init = tree_init.propagate(tree_init.maximum_spanning_tree(g), g)
     kernel = solver.RobustKernel(kind=kind)
-    config = solver.SolveConfig(anchor=anchor)
-    report_s = solver.irls_solve(fs, init, kernel, config)
-    report_m = solver.irls_solve(g, init, kernel, config)
+    report_s = solver.irls_solve(fs, init, kernel)
+    report_m = solver.irls_solve(g, init, kernel)
     _assert_same_report(report_s, report_m)
     assert report_s.diagnostics == report_m.diagnostics
 
