@@ -24,35 +24,36 @@ _EYE = np.eye(3)[:, :, None]
 _ROLL = np.array([1, 2, 0])
 
 
-def is_rotation(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """True if m is orthonormal with determinant +1 within tol."""
+def is_rotation(m: np.ndarray) -> bool:
+    """True if m is orthonormal with determinant +1 within 1e-9."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3) or not np.all(np.isfinite(m)):
         return False
-    return (np.linalg.norm(m.T @ m - np.eye(3)) <= tol
-            and abs(np.linalg.det(m) - 1.0) <= tol)
+    return (np.linalg.norm(m.T @ m - np.eye(3)) <= 1e-9
+            and abs(np.linalg.det(m) - 1.0) <= 1e-9)
 
 
-def as_rotation(m: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
-    """Validate m as a rotation, re-projecting small (<= tol) deviations.
+def as_rotation(m: np.ndarray) -> np.ndarray:
+    """Validate m as a rotation, re-projecting deviations <= ROTATION_TOL.
 
     Raises InvalidArgumentError if the deviation from orthonormality
-    exceeds tol (this tolerates file-format rounding without accepting
-    arbitrary matrices).
+    exceeds ROTATION_TOL (this tolerates file-format rounding without
+    accepting arbitrary matrices).
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise InvalidArgumentError(f"expected a 3x3 matrix, got shape {m.shape}")
-    return as_rotations(m[None], tol)[0]
+    return as_rotations(m[None])[0]
 
 
-def as_rotations(ms: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
+def as_rotations(ms: np.ndarray) -> np.ndarray:
     """:func:`as_rotation` over an (M, 3, 3) stack in one vectorized pass.
 
     A matrix is rejected if it has a non-finite entry, deviates from
-    orthonormality by more than tol, or has a negative determinant; the
-    InvalidArgumentError carries the first rejected row as ``index``. Only
-    rows deviating by more than 1e-12 are re-projected (into a copy).
+    orthonormality by more than ROTATION_TOL, or has a negative
+    determinant; the InvalidArgumentError carries the first rejected row as
+    ``index``. Only rows deviating by more than 1e-12 are re-projected (into
+    a copy).
     """
     ms = np.asarray(ms, dtype=float)
     if ms.ndim != 3 or ms.shape[1:] != (3, 3):
@@ -65,7 +66,7 @@ def as_rotations(ms: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
         deviation = np.sqrt(np.einsum("abk,abk->k", d, d))
         r1, r2 = c[1:, _ROLL], c[1:, _ROLL[_ROLL]]
         det = np.einsum("ik,ik->k", c[0], r1[0] * r2[1] - r2[0] * r1[1])
-        bad = ~(deviation <= tol) | (det < 0)
+        bad = ~(deviation <= ROTATION_TOL) | (det < 0)
     if bad.any():
         k = int(np.argmax(bad))
         if not np.all(np.isfinite(ms[k])):

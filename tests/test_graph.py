@@ -1,12 +1,8 @@
 import errno
 import math
 import os
-import re
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,20 +450,3 @@ def test_write_text_failure_cuts_at_written_bytes(tmp_path, failing_writes):
     assert err.value.errno == errno.ENOSPC
     assert path.read_bytes() == b"z" * 100
     assert len(opened) == 1 and closed == opened
-
-
-def test_bench_ingest_script_runs():
-    # Nothing else runs the ingest micro-benchmark, so a renamed reader
-    # would break it silently.
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run(
-        [sys.executable, str(root / "benchmarks" / "bench_ingest.py"),
-         "--n", "30", "--window", "3", "--repeats", "1"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    for name in ("parse(graph file)", "_read_rotations(estimates)",
-                 "_read_rotations(graph file)"):
-        assert re.search(re.escape(name) + r" +\d+\.\d+ +\d+\.\d+\n", done.stdout), done.stdout

@@ -1,9 +1,3 @@
-import os
-import re
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
@@ -64,31 +58,29 @@ def log_from_quat(q):
     return scale[:, None] * q[:, 1:]
 
 
-# One implementation; the case id names it.
-@pytest.fixture(params=[kernels.BACKEND])
-def impl(request):
-    return kernels
-
-
-def test_batch_exp_matches_scalar(impl):
+def test_batch_exp_matches_scalar():
     vs = random_batch(500, 0)
-    np.testing.assert_allclose(impl.batch_exp(vs), ScipyRotation.from_rotvec(vs).as_matrix(),
+    np.testing.assert_allclose(kernels.batch_exp(vs), ScipyRotation.from_rotvec(vs).as_matrix(),
                                rtol=0, atol=1e-14)
 
 
-def test_batch_log_matches_scipy(impl):
+def test_batch_log_matches_scipy():
     vs = random_batch(500, 1)
     Rs = ScipyRotation.from_rotvec(vs).as_matrix()
-    np.testing.assert_allclose(impl.batch_log(Rs), vs, atol=1e-9)
+    out = kernels.batch_log(Rs)
+    np.testing.assert_allclose(out, vs, atol=1e-9)
+    # Angles up to pi - 1e-3 on both sides of the switch near 2.69 rad.
+    np.testing.assert_allclose(out, ScipyRotation.from_matrix(Rs).as_rotvec(),
+                               rtol=0, atol=1e-12)
 
 
-def test_batch_log_near_pi(impl):
+def test_batch_log_near_pi():
     rng = np.random.default_rng(2)
     axes = rng.standard_normal((200, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     vs = axes * (np.pi - 1e-5)
     Rs = ScipyRotation.from_rotvec(vs).as_matrix()
-    np.testing.assert_allclose(impl.batch_log(Rs), vs, atol=1e-7)
+    np.testing.assert_allclose(kernels.batch_log(Rs), vs, atol=1e-7)
 
 
 def _batch_exp_identity_first(vs):
@@ -120,7 +112,7 @@ def test_batch_exp_bit_identical_to_identity_first(m):
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_batch_log_across_switch_and_tiny_angles(impl):
+def test_batch_log_across_switch_and_tiny_angles():
     # batch_log takes the skew part above trace -0.8 (theta below ~2.69) and
     # the symmetric part below it; tiny angles take the series, zero included.
     # The skew part loses the axis near pi, so those rows must switch.
@@ -130,7 +122,7 @@ def test_batch_log_across_switch_and_tiny_angles(impl):
     angles = np.concatenate([rng.uniform(2.5, 2.9, 200), np.logspace(-12, -5, 190),
                              np.zeros(10), np.pi - np.logspace(-9, -3, 100)])
     Rs = ScipyRotation.from_rotvec(axes * angles[:, None]).as_matrix()
-    out = impl.batch_log(Rs)
+    out = kernels.batch_log(Rs)
     np.testing.assert_allclose(out, ScipyRotation.from_matrix(Rs).as_rotvec(),
                                rtol=0, atol=1e-14)
 
@@ -274,24 +266,24 @@ def test_quat_residuals_same_for_either_quaternion_sign():
         np.testing.assert_array_equal(theta_f, theta)
 
 
-def test_edge_residuals_definition(impl):
+def test_edge_residuals_definition():
     rng = np.random.default_rng(3)
     m = 100
     Ri = np.stack([so3.random_rotation(rng) for _ in range(m)])
     Rj = np.stack([so3.random_rotation(rng) for _ in range(m)])
     Rij = np.stack([so3.random_rotation(rng) for _ in range(m)])
     expected = ScipyRotation.from_matrix(np.transpose(Rj, (0, 2, 1)) @ Rij @ Ri).as_rotvec()
-    np.testing.assert_allclose(impl.edge_residuals(Ri, Rj, Rij), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(kernels.edge_residuals(Ri, Rj, Rij), expected, rtol=0, atol=1e-12)
 
 
-def test_empty_batch(impl):
-    assert impl.batch_exp(np.zeros((0, 3))).shape == (0, 3, 3)
-    assert impl.batch_log(np.zeros((0, 3, 3))).shape == (0, 3)
-    empty = impl.batch_quat(np.zeros((0, 3, 3)))
+def test_empty_batch():
+    assert kernels.batch_exp(np.zeros((0, 3))).shape == (0, 3, 3)
+    assert kernels.batch_log(np.zeros((0, 3, 3))).shape == (0, 3)
+    empty = kernels.batch_quat(np.zeros((0, 3, 3)))
     assert empty.shape == (2, 0) and empty.dtype == complex
-    res, theta = impl.quat_residuals(empty, empty, empty)
+    res, theta = kernels.quat_residuals(empty, empty, empty)
     assert res.shape == (3, 0) and theta.shape == (0,)
-    assert impl.edge_residuals(*3 * [np.zeros((0, 3, 3))]).shape == (0, 3)
+    assert kernels.edge_residuals(*3 * [np.zeros((0, 3, 3))]).shape == (0, 3)
 
 
 def test_edge_residuals_bypasses_public_batch_log(monkeypatch):
@@ -302,25 +294,3 @@ def test_edge_residuals_bypasses_public_batch_log(monkeypatch):
     R = np.broadcast_to(np.eye(3), (4, 3, 3))
     np.testing.assert_array_equal(kernels.edge_residuals(R, R, R), np.zeros((4, 3)))
     assert calls == []
-
-
-def test_bench_kernels_script_runs():
-    # Nothing else runs the micro-benchmark, so a renamed kernel would
-    # break it silently.
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run(
-        [sys.executable, str(root / "benchmarks" / "bench_kernels.py"),
-         "--sizes", "10,100", "--repeats", "1"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    names = {line.split()[0] for line in done.stdout.splitlines()[2:] if line.strip()}
-    assert {"batch_exp", "batch_log", "batch_quat", "quat_residuals", "edge_residuals",
-            "edge_residuals_far8",
-            "residual_pass", "edge_quaternions", "spanning_tree", "propagate",
-            "factor_dense", "factor_sparse"} <= names, done.stdout
-    worst = re.search(r"max \|batch_log - scipy as_rotvec\|: (\S+)", done.stdout)
-    assert worst is not None, done.stdout
-    assert float(worst.group(1)) <= 1e-12
