@@ -351,10 +351,7 @@ def main(argv=None) -> int:
             if exc.count > len(exc.components):
                 print(f"  ... and {exc.count - len(exc.components)} more", file=sys.stderr)
         return EXIT_UNSOLVABLE
-    except (GraphParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CaraError as exc:
+    except (CaraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -6,8 +6,8 @@ as a Cayley-Dickson pair of complex numbers (w + x i, y + z i), so that
 numpy multiplies quaternions with complex multiplies: each rotation is
 converted once by :func:`batch_quat` to a column of a (2, M) complex
 array, and :func:`quat_residuals` takes one quaternion product per edge
-and its angle. There is one implementation; ``BACKEND`` names it for
-records that log which kernels ran.
+and its log, the one :func:`batch_log` takes of each rotation's own. There
+is one implementation; ``BACKEND`` names it for records of what ran.
 """
 from __future__ import annotations
 
@@ -46,39 +46,11 @@ def batch_exp(vs: np.ndarray) -> np.ndarray:
 
 
 def batch_log(Rs: np.ndarray) -> np.ndarray:
-    """(M, 3, 3) rotation matrices -> (M, 3) canonical axis-angle vectors.
-
-    The skew part v = 2 sin(theta) * axis and the trace 1 + 2 cos(theta)
-    give theta = atan2(|v|, tr - 1) and the vector theta / |v| * v for all
-    rows at once. Near pi the skew part vanishes and loses the axis, so
-    rows with tr < -0.8 (theta above about 2.69) take it from the
-    symmetric part instead: R + R^T - (tr - 1) I = 2 (1 - cos theta) a a^T,
-    whose column with the largest diagonal entry is the axis a up to a
-    sign, and the sign is that of v. Either antipodal axis may come out at
-    exactly pi.
-    """
-    Rs = np.ascontiguousarray(Rs, dtype=np.float64)
-    v = np.stack([Rs[:, 2, 1] - Rs[:, 1, 2], Rs[:, 0, 2] - Rs[:, 2, 0],
-                  Rs[:, 1, 0] - Rs[:, 0, 1]], axis=1)
-    tr = Rs[:, 0, 0] + Rs[:, 1, 1] + Rs[:, 2, 2]
-    s = np.sqrt(np.einsum("ij,ij->i", v, v))
-    theta = np.arctan2(s, tr - 1.0)
-    small = theta < _SMALL
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(small, 0.5 + theta * theta / 12.0, theta / s)
-    out = scale[:, None] * v
-    far = np.flatnonzero(tr < -0.8)
-    if far.size:
-        B = Rs.take(far, axis=0)
-        B += B.transpose(0, 2, 1)
-        diag = B.reshape(-1, 9)[:, ::4]  # a view: B's diagonal
-        diag -= (tr[far] - 1.0)[:, None]
-        axis = B[np.arange(far.size), :, diag.argmax(axis=1)]
-        dot = np.einsum("ij,ij->i", axis, v.take(far, axis=0))
-        axis *= np.copysign(theta[far] / np.sqrt(np.einsum("ij,ij->i", axis, axis)),
-                            dot)[:, None]
-        out[far] = axis
-    return out
+    """(M, 3, 3) rotation matrices -> (M, 3) canonical axis-angle vectors,
+    from their quaternions as :func:`quat_residuals` takes its log. At
+    exactly pi either antipodal vector may come out."""
+    a, b = batch_quat(Rs)
+    return _log_tail(a, b)[0].T
 
 
 def batch_quat(Rs: np.ndarray) -> np.ndarray:
@@ -129,6 +101,28 @@ def _subtract(a, b, out):
     np.subtract(a.view(float), b.view(float), out=out.view(float))
 
 
+def _log_tail(ra, rb):
+    """Log of the (M,) quaternion pairs (ra, rb), either sign each: (3, M)
+    axis-angle vectors and (M,) angles (see :func:`quat_residuals`)."""
+    w, x, y, z = ra.real, ra.imag, rb.real, rb.imag
+    s = x * x
+    s += y * y
+    s += z * z
+    np.sqrt(s, out=s)
+    theta = np.abs(w)
+    np.arctan2(s, theta, out=theta)
+    theta *= 2.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = theta / s
+    scale[s == 0.0] = 2.0
+    del s
+    np.copysign(scale, w, out=scale)
+    v = np.empty((3, len(ra)))
+    for row, c in zip(v, (x, y, z)):
+        np.multiply(c, scale, out=row)
+    return v, theta
+
+
 def quat_residuals(qi: np.ndarray, qj: np.ndarray, qij: np.ndarray):
     """Edge residuals log(Rj^T Rij Ri) from the (2, M) quaternion pairs of
     Ri, Rj and Rij (see :func:`batch_quat`), either sign each: returns
@@ -172,23 +166,7 @@ def quat_residuals(qi: np.ndarray, qj: np.ndarray, qij: np.ndarray):
     np.conjugate(pa, out=pa)
     _add(rb, pa, out=rb)
     del pa, pb
-    w, x, y, z = ra.real, ra.imag, rb.real, rb.imag
-    s = x * x
-    s += y * y
-    s += z * z
-    np.sqrt(s, out=s)
-    theta = np.abs(w)
-    np.arctan2(s, theta, out=theta)
-    theta *= 2.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = theta / s
-    scale[s == 0.0] = 2.0
-    del s
-    np.copysign(scale, w, out=scale)
-    v = np.empty((3, m))
-    for row, c in zip(v, (x, y, z)):
-        np.multiply(c, scale, out=row)
-    return v, theta
+    return _log_tail(ra, rb)
 
 
 def edge_residuals(Ri: np.ndarray, Rj: np.ndarray, Rij: np.ndarray) -> np.ndarray:

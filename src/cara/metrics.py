@@ -55,9 +55,9 @@ def error_stats(estimates, ground_truth,
     gauge = align(est, gt)
     aligned = est @ gauge
     # Angle of gt^T @ aligned per camera. Computed through batch_log,
-    # whose atan2 of the skew part against the trace (the symmetric part's
-    # axis near pi) agrees with arccos((trace - 1) / 2) but stays accurate near zero
-    # angle, where arccos loses half the significant digits.
+    # whose 2 atan2(|v|, |w|) of the unit quaternion agrees with
+    # arccos((trace - 1) / 2) but stays accurate near zero angle, where
+    # arccos loses half the significant digits, and near pi.
     rel = np.transpose(gt, (0, 2, 1)) @ aligned
     errors = np.linalg.norm(kernels.batch_log(rel), axis=1)
     errors_deg = np.degrees(errors)

@@ -104,9 +104,9 @@ def matrix_from_quat(q: np.ndarray) -> np.ndarray:
 def log_map(R: np.ndarray) -> np.ndarray:
     """Rotation matrix to canonical axis-angle vector (norm in [0, pi]).
 
-    Validates R, then calls ``kernels.batch_log``, which takes the axis from
-    the symmetric part of R near pi. At exactly pi either antipodal axis
-    may be returned.
+    Validates R, then calls ``kernels.batch_log``, which takes the angle
+    2 atan2(|v|, |w|) of R's unit quaternion (w, v). At exactly pi either
+    antipodal axis may be returned.
     """
     return kernels.batch_log(as_rotation(R)[None])[0]
 

@@ -46,11 +46,10 @@ class FileEdgeStream(EdgeStream):
     ``rotations`` and the (2, M) complex ``quaternions``, which the solver
     sweeps instead of converting the rotations, are views of one map of
     the closed, unlinked store; it lives until the stream is dropped, so
-    later changes to ``path`` do not reach the solve.
+    later changes to the file do not reach the solve.
     """
 
     def __init__(self, path):
-        self.path = path
         with graph.open_text(path) as fh, tempfile.TemporaryFile() as store:
             n, ii, jj, _, conf, _ = graph.read_graph(
                 fh, spool=lambda rots: store.write(_records(rots)))

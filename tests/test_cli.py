@@ -322,8 +322,11 @@ def _solve_both(tmp_path, text, capsys):
     (f"N 3\nEDGE 0 1 {ROW} 0.9\nEDGE 1 2 {ROW} 0.9\nEDGE 1 0 {ROW} 0.5\n", 4),
     (f"N 3\nEDGE 0 1 {ROW} 0.9\nEDGE 1 3 {ROW} 0.9\n", 3),
     (f"N 100000000000000000000\nEDGE 0 1 {ROW} 0.9\n", 1),
+    ("N 1\n", 0),
+    (f"N 3 4\nEDGE 0 1 {ROW} 0.9\n", 1),
+    (f"N 3\nVERTEX_GT 0 1 0 0\nEDGE 0 1 {ROW} 0.9\nEDGE 1 2 {ROW} 0.9\n", 2),
 ], ids=["non-rotation", "nan", "duplicate-N", "bad-N", "duplicate-pair",
-        "out-of-range", "N-past-intp"])
+        "out-of-range", "N-past-intp", "N-below-2", "N-two-fields", "short-vertex"])
 def test_stream_and_memory_reject_alike(tmp_path, capsys, text, line):
     for code, err in _solve_both(tmp_path, text, capsys):
         assert code == 2
@@ -387,6 +390,20 @@ def test_eval_rejects_duplicate_vertex(tmp_path, capsys):
     assert _eval_file(tmp_path, f"N 2\nVERTEX_EST 0 {ROW}\nVERTEX_EST 0 {ROW}\n"
                                 f"VERTEX_EST 1 {ROW}\n") == 2
     assert "line 3:" in capsys.readouterr().err
+
+
+def test_eval_degenerate_alignment_exit_2(tmp_path, capsys):
+    # I and diag(1, -1, -1) against two identities: the alignment sum
+    # diag(2, 0, 0) has rank 1, so no gauge rotation can be projected.
+    gt = tmp_path / "gt.graph"
+    gt.write_text(f"N 2\nVERTEX_GT 0 {ROW}\nVERTEX_GT 1 {ROW}\n")
+    est = tmp_path / "est.txt"
+    est.write_text(f"N 2\nVERTEX_EST 0 {ROW}\nVERTEX_EST 1 1 0 0 0 -1 0 0 0 -1\n")
+    assert run(["eval", "--est", str(est), "--gt", str(gt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("data, line", [

@@ -15,8 +15,8 @@ def random_batch(m, seed, max_angle=np.pi - 1e-3):
 
 def batch_quat(Rs):
     """(M, 3, 3) rotations -> (M, 4) unit quaternions (w,x,y,z), w >= 0, by
-    Shepperd's branch per row: the reference for kernels.batch_quat and
-    the near-pi reference for batch_log."""
+    Shepperd's branch per row: the reference for kernels.batch_quat and,
+    through log_from_quat, for batch_log on products of rotations."""
     Rs = np.ascontiguousarray(Rs, dtype=np.float64)
     d0, d1, d2 = Rs[:, 0, 0], Rs[:, 1, 1], Rs[:, 2, 2]
     t = d0 + d1 + d2
@@ -69,7 +69,7 @@ def test_batch_log_matches_scipy():
     Rs = ScipyRotation.from_rotvec(vs).as_matrix()
     out = kernels.batch_log(Rs)
     np.testing.assert_allclose(out, vs, atol=1e-9)
-    # Angles up to pi - 1e-3 on both sides of the switch near 2.69 rad.
+    # Angles up to pi - 1e-3.
     np.testing.assert_allclose(out, ScipyRotation.from_matrix(Rs).as_rotvec(),
                                rtol=0, atol=1e-12)
 
@@ -113,9 +113,9 @@ def test_batch_exp_bit_identical_to_identity_first(m):
 
 
 def test_batch_log_across_switch_and_tiny_angles():
-    # batch_log takes the skew part above trace -0.8 (theta below ~2.69) and
-    # the symmetric part below it; tiny angles take the series, zero included.
-    # The skew part loses the axis near pi, so those rows must switch.
+    # Angles of 2.5-2.9 rad around trace -0.8 (theta ~2.69), tiny angles,
+    # zero, and angles within 1e-9 of pi, where a matrix's skew part no
+    # longer carries the axis; batch_log has no branch for any of them.
     rng = np.random.default_rng(5)
     axes = rng.standard_normal((500, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
@@ -127,9 +127,9 @@ def test_batch_log_across_switch_and_tiny_angles():
                                rtol=0, atol=1e-14)
 
 
-def test_batch_log_skew_path_matches_quaternion_on_products():
+def test_batch_log_matches_quaternion_on_products():
     # Products of rotations, as in edge_residuals, are orthogonal only to
-    # ~1e-15; batch_log must still agree with the Shepperd quaternion.
+    # ~1e-15; batch_log must still agree with the per-row Shepperd reference.
     rng = np.random.default_rng(6)
     Ri, Rj, Rij = (ScipyRotation.random(5000, random_state=rng).as_matrix()
                    for _ in range(3))
@@ -139,8 +139,8 @@ def test_batch_log_skew_path_matches_quaternion_on_products():
 
 
 def test_batch_log_near_pi_products_match_scipy():
-    # Products of rotations past the switch (tr < -0.8), some within 1e-9 of
-    # pi, where the axis comes from the symmetric part.
+    # Products of rotations with tr < -0.8 (theta above ~2.69), some within
+    # 1e-9 of pi, where a matrix's skew part no longer carries the axis.
     rng = np.random.default_rng(7)
     axes = rng.standard_normal((3000, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
@@ -155,7 +155,8 @@ def test_batch_log_near_pi_products_match_scipy():
 
 
 def test_edge_residuals_past_switch_keep_their_angle():
-    # 3 rad, past the angle (about 2.69) where batch_log changes branch.
+    # 3 rad, past trace -0.8 (theta ~2.69), where a matrix's skew part
+    # loses the axis.
     rng = np.random.default_rng(8)
     Ri, Rj = (ScipyRotation.random(200, random_state=rng).as_matrix() for _ in range(2))
     Rij = Rj @ ScipyRotation.from_rotvec([[0.0, 0.0, 3.0]] * 200).as_matrix() \

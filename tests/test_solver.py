@@ -572,8 +572,9 @@ def test_cao_drops_laplacian_pattern_before_sweeps(monkeypatch):
 
 def test_solves_convert_no_edge_rotation(monkeypatch):
     # A graph converts its edge rotations to quaternions once, a chunk at a
-    # time, when it is made; each solve converts only the N vertex
-    # rotations per sweep.
+    # time, when it is made (after synth converts the m edge-error
+    # products once for their geodesic errors); each solve converts only
+    # the N vertex rotations per sweep.
     rows = []
     real_quat = kernels.batch_quat
 
@@ -586,7 +587,7 @@ def test_solves_convert_no_edge_rotation(monkeypatch):
         n=500, topology="chain_window", chain_window=10,
         noise_sigma=math.radians(5), seed=34)).graph
     m, n, chunk = len(g.ii), g.n_vertices, gm.CHUNK_RECORDS
-    assert m > chunk and rows == [chunk, m - chunk]
+    assert m > chunk and rows == [m, chunk, m - chunk]
     init = cai(g)
     for _ in range(2):
         rows.clear()
