@@ -8,7 +8,10 @@ edge rotations are converted once per graph
 (:attr:`cara.graph.EdgeStream.quaternions`), or read from a ``--stream``
 store that spooled them, and the N vertex rotations once per sweep. A
 robust kernel's weights are computed in that sweep, chunk by chunk, and
-kept for the step's factor. Because every weight block is a scalar times
+kept for the step's factor. Each chunk's weighted residuals are added into
+the running right-hand side by scipy's compiled product with the chunk's
+signed incidence matrix, edge by edge in order, so the rhs has the same
+bits for any chunk size. Because every weight block is a scalar times
 the identity, the 3N x 3N system factors into a weighted graph Laplacian
 acting on three right-hand-side columns. The gauge is fixed by deleting
 the anchor (root) vertex's row and column, so that vertex keeps its
@@ -33,6 +36,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from . import kernels
 from .errors import DegenerateWeightsError, InvalidArgumentError, NotConnectedError
@@ -251,17 +255,27 @@ def _residual_pass(stream: EdgeStream, rotations, weights):
     a per-edge array, returned as given, or a function mapping a chunk's
     residual norms to that chunk's weights, which are collected.
 
-    Each vertex's rhs terms are summed in edge order whatever the chunking:
-    bincount adds its input in order, and each chunk's input starts with
-    the running totals, followed by each edge's -w*res and +w*res.
+    Each chunk's terms go into the running rhs through scipy's compiled
+    CSC product with the chunk's signed incidence: column e holds edge e's
+    ends, (ii[e], -1) and (jj[e], +1), and the product walks the columns in
+    order, adding each edge's -w*res and +w*res into its ends' rows. So
+    each vertex's terms are summed in edge order from the running total,
+    whatever the chunking. The +-1 coefficients make each product exact,
+    with or without FMA, so the sums are bit-identical to an in-order
+    scatter. The product does not bound-check: the vertex ids must lie in
+    [0, n), as :func:`_solve`'s connectivity search checks first.
     """
-    n = stream.n_vertices
-    rhs = np.zeros((3, n))
-    norms = np.zeros(len(stream.ii))
+    n, m = stream.n_vertices, len(stream.ii)
+    rhs = np.zeros((n, 3))
+    norms = np.zeros(m)
     per_edge = np.empty_like(norms) if callable(weights) else weights
-    vertices = np.arange(n)
+    width = min(m, CHUNK_RECORDS)
+    indptr = np.arange(0, 2 * width + 1, 2, dtype=np.intp)
+    sign = np.tile([-1.0, 1.0], width)
+    ends = np.empty(2 * width, dtype=np.intp)
+    wres = np.empty((width, 3))
     vertex_pairs = kernels.batch_quat(rotations)
-    for start in range(0, len(norms), CHUNK_RECORDS):
+    for start in range(0, m, CHUNK_RECORDS):
         chunk = slice(start, start + CHUNK_RECORDS)
         ii, jj = stream.ii[chunk], stream.jj[chunk]
         res, norms[chunk] = kernels.quat_residuals(
@@ -269,17 +283,15 @@ def _residual_pass(stream: EdgeStream, rotations, weights):
             stream.quaternions[:, chunk])
         if callable(weights):
             per_edge[chunk] = weights(norms[chunk])
-        w = per_edge[chunk]
-        ends = np.empty(n + 2 * len(ii), dtype=np.intp)
-        ends[:n] = vertices
-        ends[n::2] = ii
-        ends[n + 1::2] = jj
-        terms = np.empty((3, len(ends)))
-        terms[:, :n] = rhs
-        np.multiply(res, w, out=terms[:, n + 1::2])
-        np.negative(terms[:, n + 1::2], out=terms[:, n::2])
-        rhs = np.stack([np.bincount(ends, terms[k]) for k in range(3)])
-    return rhs.T, norms, per_edge
+        k = len(ii)
+        ends[:2 * k:2], ends[1:2 * k:2] = ii, jj
+        np.multiply(res, per_edge[chunk], out=wres[:k].T)
+        # The one scipy product that adds into an output it is given; the
+        # public csc @ x would need identity columns to carry the rhs.
+        # rhs.ravel() is a view only because rhs is C-contiguous.
+        _sparsetools.csc_matvecs(n, k, 3, indptr[:k + 1], ends[:2 * k],
+                                 sign[:2 * k], wres[:k].ravel(), rhs.ravel())
+    return rhs, norms, per_edge
 
 
 def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,

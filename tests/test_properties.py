@@ -2,8 +2,9 @@
 ``--stream`` on mutated graph files, and the block reader's loadtxt path
 against the per-line reader, for EDGE and vertex records. Also the
 spanning tree against a Kruskal oracle on graphs with tied confidences,
-the rotation check against its former Gram-and-det formula, and the
-quaternion-pair residual kernel against scipy's matrix log."""
+the rotation check against its former Gram-and-det formula, the
+quaternion-pair residual kernel against scipy's matrix log, and the
+sweep's rhs against an in-order scatter of its edges' terms."""
 import contextlib
 import io
 import itertools
@@ -20,7 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cara import cli, kernels, so3, synth, tree_init
+from cara import cli, kernels, so3, solver, synth, tree_init
 from cara import graph as gm
 from cara.errors import GraphParseError, InvalidArgumentError, NotConnectedError
 
@@ -447,3 +448,64 @@ def test_pair_kernel_matches_matrix_log(case):
             gap = min(gap, np.abs(got + want).max())
         assert gap <= 1e-13
         assert abs(angle - np.linalg.norm(want)) <= 1e-13
+
+
+# Zero, the smallest subnormal, tiny and unit weights, and the l_half
+# weight cap.
+SCATTER_WEIGHTS = [0.0, 5e-324, 1e-300, 1e-12, 0.3, 1.0, solver.L_HALF_EPS ** -1.5]
+
+
+@st.composite
+def weighted_graph(draw):
+    """(stream, vertex rotations, chunk size): 2-8 vertices, distinct
+    pairs i < j in a drawn order, random rotations and drawn weights."""
+    n = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                          min_size=1, unique=True))
+    w = draw(st.lists(st.sampled_from(SCATTER_WEIGHTS), min_size=len(pairs),
+                      max_size=len(pairs)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ii, jj = np.array(pairs).T
+    edge_rotations = np.stack([so3.random_rotation(rng) for _ in pairs])
+    rotations = np.stack([so3.random_rotation(rng) for _ in range(n)])
+    chunk = draw(st.sampled_from([1, 2, 3, 4096]))
+    return gm.EdgeStream(n, ii, jj, w, edge_rotations), rotations, chunk
+
+
+def _scatter(stream, rotations, order):
+    """rhs of a Python loop over the edges in ``order``: each edge's
+    w * residual subtracted at i and added at j."""
+    ii, jj, rots, w = stream.edge_arrays()
+    res = kernels.edge_residuals(rotations[ii], rotations[jj], rots)
+    ref = np.zeros((stream.n_vertices, 3))
+    for e in order:
+        t = w[e] * res[e]
+        ref[ii[e]] -= t
+        ref[jj[e]] += t
+    return ref
+
+
+@given(weighted_graph())
+def test_sweep_rhs_is_an_in_order_scatter(case):
+    # Each vertex sums its terms in edge order from the running total,
+    # across chunks of any size, bit for bit.
+    stream, rotations, chunk = case
+    with mock.patch.object(solver, "CHUNK_RECORDS", chunk):
+        rhs = solver._residual_pass(stream, rotations, stream.confidences)[0]
+    ref = _scatter(stream, rotations, range(len(stream.ii)))
+    assert rhs.tobytes() == ref.tobytes()
+
+
+def test_sweep_rhs_order_is_visible():
+    # A star around vertex 0 whose in-order sum differs from its reversed
+    # sum, so the exact comparison above can see a reordered scatter.
+    rng = np.random.default_rng(0)
+    n = 5
+    stream = gm.EdgeStream(n, np.zeros(n - 1, dtype=int), np.arange(1, n),
+                           [SCATTER_WEIGHTS[-1], 0.3, 1.0, 0.3],
+                           np.stack([so3.random_rotation(rng) for _ in range(n - 1)]))
+    rotations = np.stack([so3.random_rotation(rng) for _ in range(n)])
+    in_order = _scatter(stream, rotations, range(n - 1))
+    assert in_order.tobytes() != _scatter(stream, rotations, range(n - 2, -1, -1)).tobytes()
+    rhs = solver._residual_pass(stream, rotations, stream.confidences)[0]
+    assert rhs.tobytes() == in_order.tobytes()
