@@ -115,9 +115,10 @@ def cmd_solve(args) -> int:
     if args.stream:
         report = stream.solve_file_streaming(args.infile, solve)
     else:
+        # The graph is the solve's argument only, so it is freed with the
+        # solve's frame, before the estimates are written.
         with graphmod.open_text(args.infile) as fh:
-            g = graphmod.parse(fh)
-        report = solve(g)
+            report = solve(graphmod.parse(fh))
     for warning in report.diagnostics:
         print(f"warning: {warning}", file=sys.stderr)
     print("loss history: " + " ".join(f"{x:.6e}" for x in report.loss_history))
@@ -167,9 +168,9 @@ def cmd_eval(args) -> int:
                                  f"vs {gt.shape[0]} ground truth")
     stats = metrics.error_stats(est, gt, _thresholds_from_args(args))
 
-    print(f"{'camera':>8} {'error_deg':>12}")
-    for idx, err in enumerate(stats.per_camera_errors):
-        print(f"{idx:>8} {math.degrees(err):>12.6f}")
+    degrees = list(map(math.degrees, stats.per_camera_errors.tolist()))
+    print(f"{'camera':>8} {'error_deg':>12}\n"
+          + "".join(map("%8d %12.6f\n".__mod__, enumerate(degrees))), end="")
     print(f"mean   {math.degrees(stats.mean):.6f} deg")
     print(f"median {math.degrees(stats.median):.6f} deg")
     for t, frac in stats.accuracy.items():
@@ -177,8 +178,7 @@ def cmd_eval(args) -> int:
 
     if args.out:
         lines = ["# cara-eval v1", "camera,error_deg"]
-        for idx, err in enumerate(stats.per_camera_errors):
-            lines.append(f"{idx},{math.degrees(err):.12g}")
+        lines += [f"{idx},{deg:.12g}" for idx, deg in enumerate(degrees)]
         lines.append(f"mean,{math.degrees(stats.mean):.12g}")
         lines.append(f"median,{math.degrees(stats.median):.12g}")
         for t, frac in stats.accuracy.items():
@@ -199,8 +199,7 @@ def _bench_row(scenario, kernel_kind, scene, seed):
     start = time.perf_counter()
     report = _solve(scene.graph, RobustKernel(kind=kernel_kind), config)
     wall_ms = 1000.0 * (time.perf_counter() - start)
-    stats = metrics.error_stats(report.rotations,
-                                np.stack(scene.graph.ground_truth))
+    stats = metrics.error_stats(report.rotations, scene.graph.ground_truth)
     spec = scene.spec
     k_out = int(np.sum(~scene.edge_labels))
     return (f"{scenario},{kernel_kind},{spec.confidence_model},"

@@ -39,7 +39,7 @@ import stat
 import string
 import warnings
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 
@@ -131,12 +131,13 @@ def _edge_stream(n, edges) -> EdgeStream:
 
 
 class EpipolarConfidenceGraph(EdgeStream):
-    """An EdgeStream with optional ground-truth rotations.
+    """An EdgeStream with optional ground-truth rotations, an (N, 3, 3)
+    array or None.
 
     ``edges`` is an EdgeStream or a sequence of :class:`Edge` records,
-    taken as given; :func:`build` validates and normalizes them. The
-    graph converts its edge rotations to quaternions when it is made, so
-    no solve allocates them.
+    taken as given, as is the ground truth; :func:`build` validates and
+    normalizes both. The graph converts its edge rotations to quaternions
+    when it is made, so no solve allocates them.
     """
 
     def __init__(self, n_vertices, edges, ground_truth=None):
@@ -189,6 +190,8 @@ def build(n: int, edges, ground_truth=None) -> EpipolarConfidenceGraph:
 
     An edge given as (j, i, r) is stored as (i, j, r.T). Duplicate pairs,
     out-of-range indices and confidences outside [0, 1] are rejected.
+    Ground truth, any sequence of N rotations, is validated and stored as
+    an (N, 3, 3) array.
     """
     if n < 2:
         raise InvalidArgumentError(f"need at least 2 vertices, got {n}")
@@ -201,7 +204,7 @@ def build(n: int, edges, ground_truth=None) -> EpipolarConfidenceGraph:
         if len(ground_truth) != n:
             raise InvalidArgumentError(
                 f"ground truth has {len(ground_truth)} rotations, expected {n}")
-        ground_truth = tuple(so3.as_rotations(np.array(ground_truth, dtype=float)))
+        ground_truth = so3.as_rotations(np.array(ground_truth, dtype=float))
     return EpipolarConfidenceGraph(n, EdgeStream(n, ii, jj, s.confidences, rots),
                                    ground_truth)
 
@@ -518,21 +521,26 @@ def write_text(path, text: str) -> None:
 def read_graph(lines, spool=None):
     """Read and validate a whole graph file given as an iterable of lines.
 
-    Returns (n, ii, jj, rots, conf, ground_truth). With ``spool``, every
-    chunk's validated (k, 3, 3) rotations are passed to ``spool(rots)`` and
-    dropped, so memory stays O(N + |E|) scalars, and rots and ground_truth
-    are None.
+    Returns (n, ii, jj, rots, conf, ground_truth), the ground truth as an
+    (N, 3, 3) array, or None without VERTEX_GT records. Each field's
+    per-block pieces are dropped as the field is joined. With ``spool``,
+    every chunk's validated (k, 3, 3) rotations are passed to
+    ``spool(rots)`` and dropped, so memory stays O(N + |E|) scalars, and
+    rots and ground_truth are None.
     """
     reader = RecordReader()
-    chunks = []
+    fields = ("edge_lines", "ii", "jj", "conf")
+    if spool is None:
+        fields += ("rots", "vertex_ids", "vertex_rots")
+    pieces = {name: [] for name in fields}
     for rec in reader.chunks(lines):
         if spool is not None:
             spool(rec.rots)
-            rec = replace(rec, rots=None, vertex_rots=None)
-        chunks.append(rec)
+        for name, out in pieces.items():
+            out.append(getattr(rec, name))
 
     def cat(name):
-        return np.concatenate([getattr(rec, name) for rec in chunks])
+        return np.concatenate(pieces.pop(name))
 
     n, ii, jj = reader.n, cat("ii"), cat("jj")
     if n < 2:
@@ -541,6 +549,7 @@ def read_graph(lines, spool=None):
     if k is not None:
         raise GraphParseError(int(cat("edge_lines")[k]),
                               f"duplicate edge for pair ({ii[k]},{jj[k]})")
+    del pieces["edge_lines"]
     ground_truth = None
     if reader.vertex_ids:
         if len(reader.vertex_ids) != n:
@@ -551,9 +560,8 @@ def read_graph(lines, spool=None):
             raise GraphParseError(
                 0, f"incomplete ground truth, missing vertices {first}{more}")
         if spool is None:
-            gt = np.empty((n, 3, 3))
-            gt[cat("vertex_ids")] = cat("vertex_rots")
-            ground_truth = tuple(gt)
+            ground_truth = np.empty((n, 3, 3))
+            ground_truth[cat("vertex_ids")] = cat("vertex_rots")
     return n, ii, jj, cat("rots") if spool is None else None, cat("conf"), ground_truth
 
 

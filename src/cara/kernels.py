@@ -138,14 +138,20 @@ def quat_residuals(qi: np.ndarray, qj: np.ndarray, qij: np.ndarray):
     same vector, and atan2 stays exact near both 0 and pi without a
     branch. At exactly pi either antipodal vector may come out.
     """
-    (ai, bi), (aj, bj), (e, f) = qi, qj, qij
+    return residual_log(conj_product(qj, qij), qi)
+
+
+def conj_product(qj: np.ndarray, qij: np.ndarray) -> np.ndarray:
+    """conj(qj) qij as a (2, M) array of pairs: the first half of
+    :func:`quat_residuals`."""
+    (aj, bj), (e, f) = qj, qij
     m = len(e)
     # No complex multiply writes over one of its inputs: numpy computes a
     # one-element product written over an input without FMA and every
     # other product with it, so the bits would depend on the chunking.
-    pa, pb = np.empty((2, m), complex)
+    pa, pb = p = np.empty((2, m), complex)
     t, u = np.empty((2, m), complex)
-    # (pa, pb) = conj(qj) qij = (conj(aj) e + bj conj(f), conj(aj) f - bj conj(e))
+    # (pa, pb) = (conj(aj) e + bj conj(f), conj(aj) f - bj conj(e))
     np.conjugate(aj, out=t)
     np.multiply(t, e, out=pa)
     np.multiply(t, f, out=pb)
@@ -155,6 +161,15 @@ def quat_residuals(qi: np.ndarray, qj: np.ndarray, qij: np.ndarray):
     np.conjugate(e, out=t)
     np.multiply(bj, t, out=u)
     _subtract(pb, u, out=pb)
+    return p
+
+
+def residual_log(p: np.ndarray, qi: np.ndarray):
+    """Log of the (2, M) pairs p qi, as (3, M) vectors and (M,) angles: the
+    second half of :func:`quat_residuals`. ``p`` is written over, and
+    inputs passed as temporaries are freed before the log is taken."""
+    (pa, pb), (ai, bi) = p, qi
+    t, u = np.empty((2, len(pa)), complex)
     # (ra, rb) = p qi = (pa ai - pb conj(bi), pa bi + conj(conj(pb) ai))
     np.conjugate(bi, out=u)
     np.multiply(pb, u, out=t)
@@ -165,7 +180,7 @@ def quat_residuals(qi: np.ndarray, qj: np.ndarray, qij: np.ndarray):
     np.multiply(pb, ai, out=pa)
     np.conjugate(pa, out=pa)
     _add(rb, pa, out=rb)
-    del pa, pb
+    del p, pa, pb, qi, ai, bi
     return _log_tail(ra, rb)
 
 

@@ -198,7 +198,8 @@ class _LaplacianPattern:
         self.upper, self.lower, self.diag = slots[:m], slots[m:2 * m], slots[2 * m:]
         indptr = np.zeros(nk + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=nk), out=indptr[1:])
-        self.matrix = sp.csc_matrix((np.zeros(len(order)), rows[order], indptr),
+        rows = rows[order]  # the unsorted rows go before the data is allocated
+        self.matrix = sp.csc_matrix((np.zeros(len(order)), rows, indptr),
                                     shape=(nk, nk))
         # A repeated pair or a loop repeats a row within a column.
         if not self.matrix.has_canonical_format:
@@ -278,9 +279,11 @@ def _residual_pass(stream: EdgeStream, rotations, weights):
     for start in range(0, m, CHUNK_RECORDS):
         chunk = slice(start, start + CHUNK_RECORDS)
         ii, jj = stream.ii[chunk], stream.jj[chunk]
-        res, norms[chunk] = kernels.quat_residuals(
-            vertex_pairs.take(ii, axis=1), vertex_pairs.take(jj, axis=1),
-            stream.quaternions[:, chunk])
+        # qi is gathered once conj(qj) qij is formed and qj is freed.
+        res, norms[chunk] = kernels.residual_log(
+            kernels.conj_product(vertex_pairs.take(jj, axis=1),
+                                 stream.quaternions[:, chunk]),
+            vertex_pairs.take(ii, axis=1))
         if callable(weights):
             per_edge[chunk] = weights(norms[chunk])
         k = len(ii)
@@ -341,6 +344,7 @@ def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
                 rhs = _residual_pass(stream, R, w)[0]
             solve = laplacian.factor(w)
         R = R @ kernels.batch_exp(solve(rhs))
+        del rhs, norms  # the next sweep makes its own
         if kernel is not None:
             del w, solve  # refilled at every step: not held through the sweep
         iterations_run += 1

@@ -140,7 +140,7 @@ class TestTextFormat:
         rng.shuffle(pairs)
         for i, j in pairs[:1000]:
             edges.append(Edge(i, j, so3.random_rotation(rng), rng.random()))
-        g = gm.build(n, edges)
+        g = gm.build(n, edges, [so3.random_rotation(rng) for _ in range(n)])
         text = gm.serialize(g)
         assert gm.serialize(gm.parse(text)) == text
 
@@ -266,6 +266,85 @@ def test_parsed_graph_holds_arrays_not_edge_records():
     rebuilt = gm.EpipolarConfidenceGraph(g.n_vertices, g.edges, g.ground_truth)
     for a, b in zip(rebuilt.edge_arrays(), g.edge_arrays()):
         np.testing.assert_array_equal(a, b)
+
+
+def _is_gt_array(gt, n):
+    return (isinstance(gt, np.ndarray) and gt.shape == (n, 3, 3)
+            and gt.dtype == np.float64)
+
+
+def test_ground_truth_is_one_array():
+    # build, parse and synth.generate hold ground truth as one (N, 3, 3)
+    # array whose rows have the bytes of the rotations given, read or drawn.
+    rng = np.random.default_rng(5)
+    gt = [so3.random_rotation(rng) for _ in range(6)]
+    edges = [Edge(i, i + 1, gt[i + 1] @ gt[i].T, 0.5) for i in range(5)]
+    built = gm.build(6, edges, ground_truth=gt)
+    assert _is_gt_array(built.ground_truth, 6)
+    assert built.ground_truth.tobytes() == b"".join(r.tobytes() for r in gt)
+
+    # Vertex records in any order land at their ids.
+    lines = gm.serialize(built).splitlines()
+    lines[1:7] = lines[6:0:-1]
+    parsed = gm.parse("\n".join(lines) + "\n")
+    assert _is_gt_array(parsed.ground_truth, 6)
+    assert parsed.ground_truth.tobytes() == built.ground_truth.tobytes()
+
+    # Ground-truth quaternions are the seed's first draw.
+    spec = synth.SyntheticSceneSpec(n=9, noise_sigma=0.1, seed=11)
+    drawn = synth._quat_rotations(np.random.default_rng(11).standard_normal((9, 4)))
+    generated = synth.generate(spec).graph.ground_truth
+    assert _is_gt_array(generated, 9)
+    assert generated.tobytes() == b"".join(r.tobytes() for r in drawn)
+
+
+def test_read_graph_fields_across_blocks(monkeypatch, tmp_path):
+    # 16-line blocks: the fourth holds the last 3 VERTEX_GT lines and the
+    # first 13 EDGE lines, and EDGE runs cross every later boundary. Each
+    # field the blocks are joined into has the bytes of the graph written,
+    # in memory and on the --stream scan, which spools the rotations.
+    monkeypatch.setattr(gm, "BLOCK_LINES", 16)
+    g = synth.generate(synth.SyntheticSceneSpec(
+        n=50, topology="chain_window", chain_window=3,
+        noise_sigma=math.radians(5), outlier_edge_fraction=0.2, seed=2)).graph
+    text = gm.serialize(g)
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    want = [a.tobytes() for a in (g.ii, g.jj, g.rotations, g.confidences, g.ground_truth)]
+
+    with gm.open_text(path) as fh:
+        n, *fields = gm.read_graph(fh)
+    assert n == 50 and [a.tobytes() for a in fields] == want
+
+    spooled = []
+    with gm.open_text(path) as fh:
+        n, ii, jj, rots, conf, gt = gm.read_graph(fh, spool=spooled.append)
+    assert n == 50 and rots is None and gt is None and len(spooled) > 2
+    assert [a.tobytes() for a in (ii, jj, np.concatenate(spooled), conf)] == want[:4]
+
+    s = stream.FileEdgeStream(path)
+    assert [a.tobytes() for a in (s.ii, s.jj, s.rotations, s.confidences)] == want[:4]
+
+
+def test_parse_peak_memory_is_bounded(tmp_path):
+    # Parsing the 2000-camera chain file peaks at 3.96 MB: each field's
+    # block pieces are dropped as the field is joined. Keeping every
+    # field's pieces to the end reads 4.45 MB.
+    g = synth.generate(synth.SyntheticSceneSpec(
+        n=2000, topology="chain_window", chain_window=10,
+        noise_sigma=math.radians(5), seed=0)).graph
+    path = tmp_path / "g.graph"
+    gm.write_text(path, gm.serialize(g))
+    del g
+    tracemalloc.start()
+    try:
+        with gm.open_text(path) as fh:
+            g = gm.parse(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.ii) > 19000
+    assert peak <= 4.08e6
 
 
 def test_per_line_reader_sees_only_header_blocks(monkeypatch, tmp_path):

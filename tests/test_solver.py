@@ -619,9 +619,10 @@ def test_irls_weighs_each_edge_once_per_step(monkeypatch, kind):
 
 def test_sweep_peak_memory_is_bounded():
     # One sweep of the 2000-camera chain holds its chunk buffers and its
-    # outputs, 1.19 MB measured; copying the rhs into each chunk's scatter
-    # input reads 1.27 MB. The bound keeps the fixed-memory --stream sweep
-    # from growing.
+    # outputs, 1.03 MB measured; gathering both ends' vertex pairs before
+    # the product reads 1.19 MB, and copying the rhs into each chunk's
+    # scatter input too 1.27 MB. The bound keeps the fixed-memory --stream
+    # sweep from growing.
     g = synth.generate(synth.SyntheticSceneSpec(
         n=2000, topology="chain_window", chain_window=10,
         noise_sigma=math.radians(5), seed=0)).graph
@@ -634,4 +635,21 @@ def test_sweep_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(g.ii) > 4 * gm.CHUNK_RECORDS
-    assert peak <= 1.23e6
+    assert peak <= 1.06e6
+
+
+def test_pattern_peak_memory_is_bounded():
+    # The sparse pattern of the 2000-camera chain peaks at 1.55 MB: its
+    # unsorted row indices are freed before the matrix's data is
+    # allocated. Sorting them while the data is allocated reads 1.71 MB.
+    g = synth.generate(synth.SyntheticSceneSpec(
+        n=2000, topology="chain_window", chain_window=10,
+        noise_sigma=math.radians(5), seed=0)).graph
+    tracemalloc.start()
+    try:
+        pattern = solver._LaplacianPattern(g.n_vertices, g.ii, g.jj, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not pattern.dense
+    assert peak <= 1.6e6
