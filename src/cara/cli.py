@@ -86,11 +86,10 @@ def _solve_settings_from_args(args) -> tuple[SolveConfig, RobustKernel]:
     return SolveConfig(**iters), kernel
 
 
-def _solve(edges, kernel: RobustKernel, config: SolveConfig, dump_tree=False):
-    """The ``cara solve`` pipeline over any EdgeStream, parsed or
-    file-backed: spanning tree (printed if asked), propagation, then
-    cao_solve for the confidence kernel and irls_solve for any other. The
-    tree is dropped before the sweeps; its diagnostics lead the report's."""
+def _initialize(edges, dump_tree=False):
+    """The initial estimate: spanning tree (printed if asked), then
+    propagation, the pipeline's last read of the edge rotations. Returns
+    the initial rotations and the tree's diagnostics; the tree is dropped."""
     tree = maximum_spanning_tree(edges)
     if dump_tree:
         print(f"spanning tree root {tree.root} "
@@ -98,8 +97,12 @@ def _solve(edges, kernel: RobustKernel, config: SolveConfig, dump_tree=False):
         for parent, child, c in zip(tree.parents.tolist(), tree.children.tolist(),
                                     edges.confidences[tree.edges].tolist()):
             print(f"  {parent} -> {child}  c={c:.6g}")
-    init, diagnostics = propagate(tree, edges), tree.diagnostics
-    del tree
+    return propagate(tree, edges), tree.diagnostics
+
+
+def _average(edges, init, diagnostics, kernel: RobustKernel, config: SolveConfig):
+    """cao_solve from ``init`` for the confidence kernel, irls_solve for any
+    other; ``diagnostics`` lead the report's."""
     if kernel.kind == "confidence":
         report = cao_solve(edges, init, config)
     else:
@@ -108,17 +111,37 @@ def _solve(edges, kernel: RobustKernel, config: SolveConfig, dump_tree=False):
     return report
 
 
+def _solve(edges, kernel: RobustKernel, config: SolveConfig, dump_tree=False):
+    """The ``cara solve`` pipeline over any EdgeStream, parsed or
+    file-backed: :func:`_initialize`, then :func:`_average`. The edges are
+    only read, so a caller's graph can be solved again."""
+    return _average(edges, *_initialize(edges, dump_tree), kernel, config)
+
+
+def _solve_file(path, kernel: RobustKernel, config: SolveConfig, dump_tree=False):
+    """In-memory ``cara solve`` of a graph file, the pipeline of :func:`_solve`
+    on a graph it parses and owns. Once propagated, the graph, with its
+    (M, 3, 3) rotation stack and its ground truth, is dropped for a stream
+    of its indices, confidences and quaternion pairs, which is all the
+    sweeps read; so the rotations are gone before the Laplacian is
+    factored, and the stream goes with this frame, before the caller
+    writes the estimates."""
+    with graphmod.open_text(path) as fh:
+        g = graphmod.parse(fh)
+    init, diagnostics = _initialize(g, dump_tree)
+    edges = graphmod.EdgeStream(g.n_vertices, g.ii, g.jj, g.confidences, None,
+                                g.quaternions)
+    del g
+    return _average(edges, init, diagnostics, kernel, config)
+
+
 def cmd_solve(args) -> int:
     config, kernel = _solve_settings_from_args(args)
-    solve = functools.partial(_solve, kernel=kernel, config=config,
-                              dump_tree=args.dump_tree)
     if args.stream:
-        report = stream.solve_file_streaming(args.infile, solve)
+        report = stream.solve_file_streaming(args.infile, functools.partial(
+            _solve, kernel=kernel, config=config, dump_tree=args.dump_tree))
     else:
-        # The graph is the solve's argument only, so it is freed with the
-        # solve's frame, before the estimates are written.
-        with graphmod.open_text(args.infile) as fh:
-            report = solve(graphmod.parse(fh))
+        report = _solve_file(args.infile, kernel, config, args.dump_tree)
     for warning in report.diagnostics:
         print(f"warning: {warning}", file=sys.stderr)
     print("loss history: " + " ".join(f"{x:.6e}" for x in report.loss_history))

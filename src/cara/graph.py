@@ -83,15 +83,20 @@ class EdgeStream:
 
     ``quaternions`` are the rotations' unit quaternions as (2, M) complex
     pairs (see :func:`cara.kernels.batch_quat`), which the solver sweeps;
-    they are converted on first use, or when a graph is made, and kept.
+    unless given, they are converted on first use, or when a graph is made,
+    and kept. A stream given its quaternions may have None for rotations:
+    the solver's sweeps read the pairs alone, while the spanning tree,
+    propagation and :attr:`edges` need the rotations.
     """
 
-    def __init__(self, n_vertices, ii, jj, confidences, rotations):
+    def __init__(self, n_vertices, ii, jj, confidences, rotations, quaternions=None):
         self.n_vertices = int(n_vertices)
         self.ii = np.ascontiguousarray(ii, dtype=np.intp)
         self.jj = np.ascontiguousarray(jj, dtype=np.intp)
         self.confidences = np.asarray(confidences, dtype=float)
-        self.rotations = np.asarray(rotations, dtype=float)
+        self.rotations = None if rotations is None else np.asarray(rotations, dtype=float)
+        if quaternions is not None:
+            self.quaternions = quaternions
 
     def edge_arrays(self):
         """Edges as (idx_i, idx_j, rotations, confidences) arrays."""
@@ -452,7 +457,9 @@ class RecordReader:
             failures.append(GraphParseError(v_lines[exc.index], str(exc)))
         if failures:
             raise min(failures, key=lambda f: f.line_number)
-        return Records(e_lines, ii, jj, rots, vals[:, 9].copy(),
+        # Copies, 72 and 8 B an edge, so that no piece keeps the block's
+        # (k, 10) floats alive until read_graph joins it.
+        return Records(e_lines, ii, jj, np.ascontiguousarray(rots), vals[:, 9].copy(),
                        np.array(v_ids, dtype=np.intp), v_rots)
 
     def _other_record(self, parts) -> int | None:
@@ -523,10 +530,11 @@ def read_graph(lines, spool=None):
 
     Returns (n, ii, jj, rots, conf, ground_truth), the ground truth as an
     (N, 3, 3) array, or None without VERTEX_GT records. Each field's
-    per-block pieces are dropped as the field is joined. With ``spool``,
-    every chunk's validated (k, 3, 3) rotations are passed to
-    ``spool(rots)`` and dropped, so memory stays O(N + |E|) scalars, and
-    rots and ground_truth are None.
+    per-block pieces are dropped as the field is joined: the indices, then
+    the rotations, whose pieces are each block's own, then the ground
+    truth and the confidences. With ``spool``, every chunk's validated
+    (k, 3, 3) rotations are passed to ``spool(rots)`` and dropped, so
+    memory stays O(N + |E|) scalars, and rots and ground_truth are None.
     """
     reader = RecordReader()
     fields = ("edge_lines", "ii", "jj", "conf")
@@ -550,6 +558,7 @@ def read_graph(lines, spool=None):
         raise GraphParseError(int(cat("edge_lines")[k]),
                               f"duplicate edge for pair ({ii[k]},{jj[k]})")
     del pieces["edge_lines"]
+    rots = cat("rots") if spool is None else None
     ground_truth = None
     if reader.vertex_ids:
         if len(reader.vertex_ids) != n:
@@ -562,7 +571,7 @@ def read_graph(lines, spool=None):
         if spool is None:
             ground_truth = np.empty((n, 3, 3))
             ground_truth[cat("vertex_ids")] = cat("vertex_rots")
-    return n, ii, jj, cat("rots") if spool is None else None, cat("conf"), ground_truth
+    return n, ii, jj, rots, cat("conf"), ground_truth
 
 
 def parse(source) -> EpipolarConfidenceGraph:

@@ -13,9 +13,10 @@ The scan reads through :class:`cara.graph.RecordReader` and validates
 exactly as :func:`cara.graph.parse` does, so ``--stream`` accepts and
 rejects exactly the files the in-memory path does, with the same error
 line. This module has no solve step of its own: ``cara solve --stream``
-hands the :class:`FileEdgeStream` to the one pipeline that also solves a
-parsed graph, :func:`cara.cli._solve`, so the spanning tree, the warnings
-and the estimates match bit for bit for every kernel.
+hands the :class:`FileEdgeStream` to :func:`cara.cli._solve`, whose two
+steps (spanning tree and propagation, then the sweeps) also solve a parsed
+graph, so the spanning tree, the warnings and the estimates match bit for
+bit for every kernel.
 """
 from __future__ import annotations
 
@@ -58,8 +59,8 @@ class FileEdgeStream(EdgeStream):
             records = (np.memmap(store, dtype=float, mode="r",
                                  shape=(len(ii), RECORD_FLOATS))
                        if len(ii) else np.empty((0, RECORD_FLOATS)))
-        super().__init__(n, ii, jj, conf, records[:, :9].reshape(-1, 3, 3))
-        self.quaternions = records[:, 9:].view(complex).T
+        super().__init__(n, ii, jj, conf, records[:, :9].reshape(-1, 3, 3),
+                         records[:, 9:].view(complex).T)
 
 
 def solve_file_streaming(path, solve):

@@ -70,7 +70,10 @@ def maximum_spanning_tree(g: EdgeStream) -> SpanningTree:
     order = np.lexsort((jj, ii, -conf))
     rank = np.empty(len(order))
     rank[order] = np.arange(1, len(order) + 1)
-    mst = csgraph.minimum_spanning_tree(sp.csr_matrix((rank, (ii, jj)), shape=(n, n)))
+    # The ranks' CSR is this function's own, so scipy may work in it
+    # rather than in a copy.
+    mst = csgraph.minimum_spanning_tree(sp.csr_matrix((rank, (ii, jj)), shape=(n, n)),
+                                        overwrite=True)
     if mst.nnz < n - 1:
         raise NotConnectedError(components(n, ii, jj))
     tree = order[np.sort(mst.data).astype(np.intp) - 1]

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cara import cli, metrics, stream, synth
+from cara import cli, metrics, solver, stream, synth
 from cara import graph as gm
 
 
@@ -54,12 +54,18 @@ def test_solve_noise_free(tmp_path, capsys):
 
 
 def test_solve_peak_memory_is_bounded(tmp_path, capsys):
-    # In-memory cara solve of the 2000-camera chain holds each array once:
-    # 4.64 MB measured, 4.67 MB on a process's first solve. Joining every
-    # field's blocks at once, ground truth as a tuple of row views, the
-    # graph held through --out, the previous sweep's outputs held through
-    # the next, the pattern's unsorted rows alive while its data is
-    # allocated and both vertex gathers alive in a sweep read 5.27 MB.
+    # In-memory cara solve of the 2000-camera chain holds each array once,
+    # and the edge rotations only until the tree is propagated: 3.71 MB
+    # measured, 3.73 MB on a process's first solve; the parse sets the
+    # peak. The spanning tree working in a copy of its ranks reads
+    # 3.81-3.84 MB, and the rotations joined after the ground truth
+    # 3.83 MB. With the graph held through the sweeps, that copy and each
+    # block's rotations a view of its (k, 10) floats, it read 4.64 MB
+    # (4.69 MB on a first solve); with every field's blocks joined at
+    # once, ground truth as a tuple of row views, the graph held through
+    # --out, the previous sweep's outputs held through the next, the
+    # pattern's unsorted rows alive while its data is allocated and both
+    # vertex gathers alive in a sweep, 5.27 MB.
     g = synth.generate(synth.SyntheticSceneSpec(
         n=2000, topology="chain_window", chain_window=10,
         noise_sigma=math.radians(5), seed=0)).graph
@@ -73,7 +79,7 @@ def test_solve_peak_memory_is_bounded(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak <= 4.8e6
+    assert peak <= 3.80e6
 
 
 def test_solve_frees_graph_before_writing(tmp_path, monkeypatch, capsys):
@@ -95,6 +101,52 @@ def test_solve_frees_graph_before_writing(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_write_estimates", write)
     assert run(["solve", "--in", str(graph_path), "--out", str(tmp_path / "est")]) == 0
     assert alive == [False]
+
+
+@pytest.mark.parametrize("kernel", ["confidence", "cauchy"])
+def test_solve_frees_edge_rotations_before_factoring(tmp_path, monkeypatch, capsys,
+                                                     kernel):
+    # Only the spanning tree and propagation read the parsed (M, 3, 3)
+    # rotation stack; the sweeps read the quaternion pairs, so the stack is
+    # freed before the Laplacian is first factored.
+    graph_path = tmp_path / "g.graph"
+    run(["generate", "--n", "7", "--sigma-deg", "5", "--seed", "3",
+         "--out", str(graph_path)])
+    refs, alive = [], []
+    real_parse, real_factor = gm.parse, solver._LaplacianPattern.factor
+
+    def parse(source):
+        g = real_parse(source)
+        refs.append(weakref.ref(g.rotations))
+        return g
+
+    def factor(self, w):
+        alive.append(refs[0]() is not None)
+        return real_factor(self, w)
+
+    monkeypatch.setattr(gm, "parse", parse)
+    monkeypatch.setattr(solver._LaplacianPattern, "factor", factor)
+    assert run(["solve", "--in", str(graph_path), "--kernel", kernel]) == 0
+    assert alive and not any(alive)
+
+
+@pytest.mark.parametrize("kind", ["confidence", "cauchy"])
+def test_solve_leaves_callers_graph_alone(kind):
+    # cara bench, and the kernels-dense benchmark, solve one graph they hold
+    # again and again: the pipeline must not alter it or drop its arrays.
+    g = synth.generate(synth.SyntheticSceneSpec(
+        n=30, noise_sigma=math.radians(5), outlier_edge_fraction=0.3,
+        confidence_model="informative", seed=3)).graph
+    arrays = (g.ii, g.jj, g.confidences, g.rotations, g.quaternions, g.ground_truth)
+    before = [a.tobytes() for a in arrays]
+    reports = [cli._solve(g, solver.RobustKernel(kind=kind), solver.SolveConfig())
+               for _ in range(2)]
+    assert reports[0].rotations.tobytes() == reports[1].rotations.tobytes()
+    assert reports[0].loss_history == reports[1].loss_history
+    assert reports[0].diagnostics == reports[1].diagnostics
+    after = (g.ii, g.jj, g.confidences, g.rotations, g.quaternions, g.ground_truth)
+    assert all(a is b for a, b in zip(arrays, after))
+    assert [a.tobytes() for a in after] == before
 
 
 def test_solve_missing_file(capsys):

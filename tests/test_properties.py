@@ -4,7 +4,10 @@ against the per-line reader, for EDGE and vertex records. Also the
 spanning tree against a Kruskal oracle on graphs with tied confidences,
 the rotation check against its former Gram-and-det formula, the
 quaternion-pair residual kernel against scipy's matrix log, and the
-sweep's rhs against an in-order scatter of its edges' terms."""
+sweep's rhs against an in-order scatter of its edges' terms. And the
+solver's contract on random small valid graphs: every kernel exits 0 or 3
+with the same stderr and estimates on both paths, and the confidence
+solve is invariant to the confidences' scale."""
 import contextlib
 import io
 import itertools
@@ -509,3 +512,127 @@ def test_sweep_rhs_order_is_visible():
     assert in_order.tobytes() != _scatter(stream, rotations, range(n - 2, -1, -1)).tobytes()
     rhs = solver._residual_pass(stream, rotations, stream.confidences)[0]
     assert rhs.tobytes() == in_order.tobytes()
+
+
+# Confidences from zero and the subnormals up, as a hostile front-end may
+# write them; a drawn graph takes these or uniform ones.
+HOSTILE_CONFIDENCES = [0.0, 5e-324, 1e-310, 1e-300, 1e-12, 0.3, 1.0]
+EDGE_KINDS = ("exact", "noisy", "random", "half_turn", "rescaled")
+SOLVE_KERNELS = ("confidence", "l2", "l-half", "cauchy", "geman-mcclure")
+
+
+@st.composite
+def small_graph_file(draw):
+    """(text, sparse): a valid graph file of 2-7 vertices with about 60% of
+    all pairs as edges, each exact, noisy, a random or exact half-turn
+    outlier, or off by 1 + 1e-9 (re-projected on reading), 30% written as
+    (j, i, R^T); and whether to factor every Laplacian by SuperLU, which
+    small graphs otherwise never reach."""
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        pick = lambda: float(rng.choice(HOSTILE_CONFIDENCES))
+    else:
+        pick = lambda: float(rng.uniform())
+    truth = [so3.random_rotation(rng) for _ in range(n)]
+    lines = []
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.uniform() >= 0.6:
+            continue
+        rot = truth[j] @ truth[i].T
+        kind = EDGE_KINDS[rng.integers(len(EDGE_KINDS))]
+        if kind == "noisy":
+            rot = so3.exp_map(rng.normal(scale=0.1, size=3)) @ rot
+        elif kind == "random":
+            rot = so3.random_rotation(rng)
+        elif kind == "half_turn":
+            axis = rng.standard_normal(3)
+            axis /= np.linalg.norm(axis)
+            rot = (2.0 * np.outer(axis, axis) - np.eye(3)) @ rot
+        elif kind == "rescaled":
+            rot = rot * (1.0 + 1e-9)
+        if rng.uniform() < 0.3:
+            i, j, rot = j, i, rot.T
+        lines.append(" ".join(["EDGE", str(i), str(j)] + _fmt(rot) + [f"{pick():.17g}"]))
+    rng.shuffle(lines)
+    return "\n".join([f"N {n}"] + lines) + "\n", draw(st.booleans())
+
+
+@given(small_graph_file())
+@hypothesis.settings(max_examples=40)
+def test_solve_contract_on_small_graphs(case):
+    # Every kernel, on both paths: exit 0 or 3 and never an exception, the
+    # same stderr and estimate bytes, estimates written as rotations, and
+    # only finite numbers printed.
+    text, sparse = case
+    fill = math.inf if sparse else solver.DENSE_FILL
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(solver, "DENSE_FILL", fill):
+        tmp = Path(tmp)
+        path = tmp / "g.graph"
+        path.write_text(text)
+        for kernel in SOLVE_KERNELS:
+            results = []
+            for extra in ([], ["--stream"]):
+                est = tmp / ("s.est" if extra else "m.est")
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(["solve", "--in", str(path), "--out", str(est),
+                                     "--kernel", kernel] + extra)
+                assert code in (0, 3), (kernel, extra, err.getvalue())
+                results.append((code, err.getvalue(), est.read_bytes() if code == 0 else None))
+                if code == 0:
+                    losses, residual = out.getvalue().splitlines()[:2]
+                    numbers = (losses.removeprefix("loss history: ").split()
+                               + residual.split("final max residual: ")[1].split()[:1])
+                    assert all(math.isfinite(float(x)) for x in numbers), (kernel, numbers)
+                    # the written floats, not re-projected as a reader would
+                    rots = np.array([line.split()[2:] for line in
+                                     est.read_text().splitlines()[1:]], dtype=float)
+                    rots = rots.reshape(-1, 3, 3)
+                    gram = np.einsum("nij,nkj->nik", rots, rots)
+                    assert np.abs(gram - np.eye(3)).max() <= 1e-12, kernel
+                    assert (np.linalg.det(rots) > 0).all(), kernel
+            assert results[0] == results[1], kernel
+
+
+@st.composite
+def scaled_graph(draw):
+    """(stream, initial rotations, scale): a connected graph of 3-11
+    vertices, a random spanning tree plus random extra pairs, about 20% of
+    edges random outliers, the rest noisy; about 15% of the extra edges
+    weigh 0 and the others at least 0.01, so every scale down to 1e-305
+    keeps the weights normal floats. The initial rotations are chained
+    along the maximum spanning tree."""
+    n = draw(st.integers(3, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    order = rng.permutation(n)
+    pairs = {tuple(sorted((int(order[k]), int(order[rng.integers(k)]))))
+             for k in range(1, n)}
+    tree = set(pairs)
+    pairs |= {p for p in itertools.combinations(range(n), 2) if rng.uniform() < 0.3}
+    pairs = sorted(pairs)
+    truth = [so3.random_rotation(rng) for _ in range(n)]
+    rots = np.stack([so3.random_rotation(rng) if rng.uniform() < 0.2
+                     else so3.exp_map(rng.normal(scale=0.05, size=3)) @ truth[j] @ truth[i].T
+                     for i, j in pairs])
+    conf = rng.uniform(0.01, 1.0, len(pairs))
+    conf[[p not in tree and rng.uniform() < 0.15 for p in pairs]] = 0.0
+    ii, jj = np.array(pairs).T
+    stream = gm.EdgeStream(n, ii, jj, conf, rots)
+    init = tree_init.propagate(tree_init.maximum_spanning_tree(stream), stream)
+    return stream, init, 10.0 ** draw(st.floats(-305.0, 3.0))
+
+
+@given(scaled_graph())
+def test_cao_invariant_to_confidence_scale(case):
+    # The anchor and the relative pivot test follow the weights' scale, so
+    # the confidence solve from one start gives the same rotations at any
+    # scale of its confidences, zeros included.
+    stream, init, scale = case
+    base = solver.cao_solve(stream, init)
+    scaled = solver.cao_solve(gm.EdgeStream(stream.n_vertices, stream.ii, stream.jj,
+                                            stream.confidences * scale, stream.rotations),
+                              init)
+    assert scaled.anchor_vertex == base.anchor_vertex
+    np.testing.assert_allclose(scaled.rotations, base.rotations, rtol=0, atol=1e-12)
