@@ -1,5 +1,9 @@
 """Command-line front-end: generate / solve / eval / bench.
 
+``cara solve`` is one pipeline, :func:`_solve`, over any EdgeStream: the
+parsed graph's indices, confidences and quaternion pairs in memory, or the
+``--stream`` scan's. Past the validator no step reads the edge rotations.
+
 Exit codes: 0 success, 2 I/O or parse failure, 3 unsolvable input (a
 disconnected or degenerate graph, or no connected scene to generate), 64
 usage error. Angles cross the CLI boundary in degrees, radians inside.
@@ -86,10 +90,13 @@ def _solve_settings_from_args(args) -> tuple[SolveConfig, RobustKernel]:
     return SolveConfig(**iters), kernel
 
 
-def _initialize(edges, dump_tree=False):
-    """The initial estimate: spanning tree (printed if asked), then
-    propagation, the pipeline's last read of the edge rotations. Returns
-    the initial rotations and the tree's diagnostics; the tree is dropped."""
+def _solve(edges, kernel: RobustKernel, config: SolveConfig, dump_tree=False):
+    """The ``cara solve`` pipeline over any EdgeStream, parsed, pair-only or
+    file-backed: spanning tree (printed if asked), propagation, then
+    cao_solve for the confidence kernel or irls_solve for any other, with
+    the tree's diagnostics first. It reads the edges' indices, confidences
+    and quaternion pairs and alters nothing, so a caller's graph can be
+    solved again."""
     tree = maximum_spanning_tree(edges)
     if dump_tree:
         print(f"spanning tree root {tree.root} "
@@ -97,12 +104,8 @@ def _initialize(edges, dump_tree=False):
         for parent, child, c in zip(tree.parents.tolist(), tree.children.tolist(),
                                     edges.confidences[tree.edges].tolist()):
             print(f"  {parent} -> {child}  c={c:.6g}")
-    return propagate(tree, edges), tree.diagnostics
-
-
-def _average(edges, init, diagnostics, kernel: RobustKernel, config: SolveConfig):
-    """cao_solve from ``init`` for the confidence kernel, irls_solve for any
-    other; ``diagnostics`` lead the report's."""
+    init, diagnostics = propagate(tree, edges), tree.diagnostics
+    del tree
     if kernel.kind == "confidence":
         report = cao_solve(edges, init, config)
     else:
@@ -111,28 +114,18 @@ def _average(edges, init, diagnostics, kernel: RobustKernel, config: SolveConfig
     return report
 
 
-def _solve(edges, kernel: RobustKernel, config: SolveConfig, dump_tree=False):
-    """The ``cara solve`` pipeline over any EdgeStream, parsed or
-    file-backed: :func:`_initialize`, then :func:`_average`. The edges are
-    only read, so a caller's graph can be solved again."""
-    return _average(edges, *_initialize(edges, dump_tree), kernel, config)
-
-
 def _solve_file(path, kernel: RobustKernel, config: SolveConfig, dump_tree=False):
-    """In-memory ``cara solve`` of a graph file, the pipeline of :func:`_solve`
-    on a graph it parses and owns. Once propagated, the graph, with its
-    (M, 3, 3) rotation stack and its ground truth, is dropped for a stream
-    of its indices, confidences and quaternion pairs, which is all the
-    sweeps read; so the rotations are gone before the Laplacian is
-    factored, and the stream goes with this frame, before the caller
-    writes the estimates."""
+    """In-memory ``cara solve`` of a graph file: :func:`_solve` on a stream
+    of the parsed graph's indices, confidences and quaternion pairs. The
+    graph, with its (M, 3, 3) rotation stack and its ground truth, is
+    dropped before the spanning tree, and the stream goes with this frame,
+    before the caller writes the estimates."""
     with graphmod.open_text(path) as fh:
         g = graphmod.parse(fh)
-    init, diagnostics = _initialize(g, dump_tree)
     edges = graphmod.EdgeStream(g.n_vertices, g.ii, g.jj, g.confidences, None,
                                 g.quaternions)
     del g
-    return _average(edges, init, diagnostics, kernel, config)
+    return _solve(edges, kernel, config, dump_tree)
 
 
 def cmd_solve(args) -> int:

@@ -85,8 +85,10 @@ class EdgeStream:
     pairs (see :func:`cara.kernels.batch_quat`), which the solver sweeps;
     unless given, they are converted on first use, or when a graph is made,
     and kept. A stream given its quaternions may have None for rotations:
-    the solver's sweeps read the pairs alone, while the spanning tree,
-    propagation and :attr:`edges` need the rotations.
+    the spanning tree, propagation, the solver's sweeps and
+    :func:`cara.solver.cal_loss` read the indices, confidences and pairs
+    alone, and only :attr:`edges`, :func:`serialize` and :func:`build`
+    need the rotations.
     """
 
     def __init__(self, n_vertices, ii, jj, confidences, rotations, quaternions=None):

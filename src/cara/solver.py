@@ -40,7 +40,7 @@ from scipy.sparse import _sparsetools
 
 from . import kernels
 from .errors import DegenerateWeightsError, InvalidArgumentError, NotConnectedError
-from .graph import CHUNK_RECORDS, EdgeStream, EpipolarConfidenceGraph, components
+from .graph import CHUNK_RECORDS, EdgeStream, components
 from .tree_init import _pick_root
 
 KERNEL_KINDS = ("confidence", "l2", "l_half", "cauchy", "geman_mcclure")
@@ -121,16 +121,18 @@ class SolveReport:
     stop_reason: str = ""  # residual_tolerance | relative_tolerance | iteration_cap
 
 
-def cal_loss(g: EpipolarConfidenceGraph, rotations: np.ndarray) -> float:
-    """Confidence-weighted sum of squared geodesic residuals."""
+def cal_loss(g: EdgeStream, rotations: np.ndarray) -> float:
+    """Confidence-weighted sum of squared geodesic residuals, swept over
+    the stream's quaternion pairs, so any EdgeStream will do."""
     rotations = np.asarray(rotations, dtype=float)
     if rotations.shape != (g.n_vertices, 3, 3):
         raise InvalidArgumentError(
             f"expected {g.n_vertices} rotations, got shape {rotations.shape}")
-    ii, jj, rots, conf = g.edge_arrays()
+    ii, jj, conf = g.ii, g.jj, g.confidences
     if len(conf) == 0:
         return 0.0
-    res = kernels.edge_residuals(rotations[ii], rotations[jj], rots)
+    q = kernels.batch_quat(rotations)
+    res = kernels.quat_residuals(q[:, ii], q[:, jj], g.quaternions)[0].T
     return float(conf @ np.einsum("ij,ij->i", res, res))
 
 
@@ -356,7 +358,7 @@ def cao_solve(stream: EdgeStream, initial_rotations,
               config: SolveConfig | None = None) -> SolveReport:
     """Confidence-weighted optimization (fixed weights c_ij) over any
     :class:`EdgeStream`: a parsed graph, or the memory-mapped edges of a
-    ``--stream`` file. Memory O(N + |E|) beyond the stream's rotations."""
+    ``--stream`` file. Memory O(N + |E|) beyond the stream's quaternion pairs."""
     return _solve(stream, initial_rotations, None, config or SolveConfig())
 
 

@@ -165,7 +165,7 @@ def corrupt_with_outlier_vertices(scene: SyntheticScene, k: int,
     spec = scene.spec
     n_old = scene.graph.n_vertices
     n_new = n_old + k
-    gt = np.concatenate([np.stack(scene.graph.ground_truth),
+    gt = np.concatenate([scene.graph.ground_truth,
                          _quat_rotations(rng.standard_normal((k, 4)))])
 
     # Lexicographic order: each old vertex to every new one, then new to new.

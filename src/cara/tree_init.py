@@ -3,8 +3,10 @@
 The tree is scipy's minimum spanning tree over each edge's rank under
 (-c, i, j), so the highest-confidence edges win and ties break toward
 the smallest pair; absolute rotations are then chained outward from the
-root in breadth-first order. Both take any :class:`cara.graph.EdgeStream`,
-so the in-memory graph and the ``--stream`` file scan share them.
+root in breadth-first order, as products of the edges' quaternion pairs.
+Both take any :class:`cara.graph.EdgeStream` and read its indices,
+confidences and pairs, never its rotation stack, so the in-memory graph,
+its pairs alone and the ``--stream`` file scan share them.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
+from . import so3
 from .errors import InvalidArgumentError, NotConnectedError
 from .graph import EdgeStream, components
 
@@ -102,19 +105,27 @@ def maximum_spanning_tree(g: EdgeStream) -> SpanningTree:
 def propagate(tree: SpanningTree, g: EdgeStream) -> np.ndarray:
     """Chain relative rotations from the root: (N, 3, 3) absolute rotations.
 
-    R_root = I and R_child = R_edge @ R_parent in breadth-first order, with
-    R_edge transposed where the graph stores the pair as (child, parent).
+    q_root = 1 and q_child = q_edge q_parent in breadth-first order, over
+    the edges' quaternion pairs (a, b) (see :func:`cara.kernels.quat_residuals`),
+    with q_edge conjugated to (conj(a), -b) where the graph stores the pair
+    as (child, parent). The N products are normalized and converted to
+    matrices once.
     """
     n = g.n_vertices
     if len(tree.edges) != n - 1:
         raise InvalidArgumentError(f"tree has {len(tree.edges)} edges, expected {n - 1}")
-    rots = g.rotations.take(tree.edges, axis=0)
+    ea, eb = g.quaternions.take(tree.edges, axis=1)
     flip = tree.parents != g.ii.take(tree.edges)
-    rots[flip] = rots[flip].transpose(0, 2, 1)
-    rotations = np.full((n, 3, 3), np.nan)
-    rotations[tree.root] = np.eye(3)
-    for parent, child, rot in zip(tree.parents.tolist(), tree.children.tolist(), rots):
-        rotations[child] = rot @ rotations[parent]
-    if np.isnan(rotations[:, 0, 0]).any():
+    np.conjugate(ea, out=ea, where=flip)
+    np.negative(eb, out=eb, where=flip)
+    q = [(np.nan, np.nan)] * n
+    q[tree.root] = (1.0, 0.0)
+    for parent, child, e, f in zip(tree.parents.tolist(), tree.children.tolist(),
+                                   ea.tolist(), eb.tolist()):
+        a, b = q[parent]
+        q[child] = (e * a - f * b.conjugate(), e * b + f * a.conjugate())
+    q = np.array(q, dtype=complex)
+    if np.isnan(q[:, 0]).any():
         raise InvalidArgumentError("spanning tree does not cover every vertex")
-    return rotations
+    q /= np.linalg.norm(q.view(float), axis=1, keepdims=True)
+    return so3.matrix_from_quat(q.view(float))

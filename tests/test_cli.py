@@ -55,7 +55,7 @@ def test_solve_noise_free(tmp_path, capsys):
 
 def test_solve_peak_memory_is_bounded(tmp_path, capsys):
     # In-memory cara solve of the 2000-camera chain holds each array once,
-    # and the edge rotations only until the tree is propagated: 3.71 MB
+    # and the edge rotations only while the file is parsed: 3.71 MB
     # measured, 3.73 MB on a process's first solve; the parse sets the
     # peak. The spanning tree working in a copy of its ranks reads
     # 3.81-3.84 MB, and the rotations joined after the ground truth
@@ -106,28 +106,36 @@ def test_solve_frees_graph_before_writing(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("kernel", ["confidence", "cauchy"])
 def test_solve_frees_edge_rotations_before_factoring(tmp_path, monkeypatch, capsys,
                                                      kernel):
-    # Only the spanning tree and propagation read the parsed (M, 3, 3)
-    # rotation stack; the sweeps read the quaternion pairs, so the stack is
-    # freed before the Laplacian is first factored.
+    # Past the validator nothing reads the parsed (M, 3, 3) rotation stack:
+    # the spanning tree reads the indices and confidences, propagation and
+    # the sweeps the quaternion pairs. So the stack is freed before the
+    # tree is built, and so before the Laplacian is first factored.
     graph_path = tmp_path / "g.graph"
     run(["generate", "--n", "7", "--sigma-deg", "5", "--seed", "3",
          "--out", str(graph_path)])
     refs, alive = [], []
     real_parse, real_factor = gm.parse, solver._LaplacianPattern.factor
+    real_tree = cli.maximum_spanning_tree
 
     def parse(source):
         g = real_parse(source)
         refs.append(weakref.ref(g.rotations))
         return g
 
+    def tree(edges):
+        alive.append(("tree", refs[0]() is not None))
+        return real_tree(edges)
+
     def factor(self, w):
-        alive.append(refs[0]() is not None)
+        alive.append(("factor", refs[0]() is not None))
         return real_factor(self, w)
 
     monkeypatch.setattr(gm, "parse", parse)
+    monkeypatch.setattr(cli, "maximum_spanning_tree", tree)
     monkeypatch.setattr(solver._LaplacianPattern, "factor", factor)
     assert run(["solve", "--in", str(graph_path), "--kernel", kernel]) == 0
-    assert alive and not any(alive)
+    assert alive[0] == ("tree", False)
+    assert len(alive) > 1 and not any(live for _, live in alive)
 
 
 @pytest.mark.parametrize("kind", ["confidence", "cauchy"])

@@ -302,7 +302,7 @@ def test_read_graph_fields_across_blocks(monkeypatch, tmp_path):
     # 16-line blocks: the fourth holds the last 3 VERTEX_GT lines and the
     # first 13 EDGE lines, and EDGE runs cross every later boundary. Each
     # field the blocks are joined into has the bytes of the graph written,
-    # in memory and on the --stream scan, which spools the rotations.
+    # in memory and on the --stream scan, which spools their quaternion pairs.
     monkeypatch.setattr(gm, "BLOCK_LINES", 16)
     g = synth.generate(synth.SyntheticSceneSpec(
         n=50, topology="chain_window", chain_window=3,
@@ -323,7 +323,9 @@ def test_read_graph_fields_across_blocks(monkeypatch, tmp_path):
     assert [a.tobytes() for a in (ii, jj, np.concatenate(spooled), conf)] == want[:4]
 
     s = stream.FileEdgeStream(path)
-    assert [a.tobytes() for a in (s.ii, s.jj, s.rotations, s.confidences)] == want[:4]
+    assert [a.tobytes() for a in (s.ii, s.jj, s.confidences)] == want[:2] + want[3:4]
+    assert s.rotations is None and isinstance(s.quaternions, np.memmap)
+    assert np.ascontiguousarray(s.quaternions).tobytes() == gm.parse(text).quaternions.tobytes()
 
 
 def test_parse_peak_memory_is_bounded(tmp_path):

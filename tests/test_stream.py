@@ -42,12 +42,19 @@ def test_scan_collects_scalars(scene_file):
     np.testing.assert_array_equal(fs.confidences, conf)
 
 
+def _assert_spooled_pairs(fs, g):
+    """``fs`` holds no rotations, and its quaternion pairs are a view of
+    the store with the bytes of the parsed graph ``g``'s."""
+    assert fs.rotations is None
+    assert isinstance(fs.quaternions, np.memmap)
+    assert np.ascontiguousarray(fs.quaternions).tobytes() == g.quaternions.tobytes()
+
+
 def test_passes_reproduce_rotations(scene_file):
-    path, scene = scene_file(SyntheticSceneSpec(
+    path, _ = scene_file(SyntheticSceneSpec(
         n=12, noise_sigma=math.radians(5), seed=1))
     fs = stream.FileEdgeStream(path)
-    np.testing.assert_array_equal(fs.rotations, scene.graph.rotations)
-    np.testing.assert_array_equal(fs.quaternions, scene.graph.quaternions)
+    _assert_spooled_pairs(fs, gm.parse(path.read_text()))
 
 
 def test_streaming_matches_in_memory(scene_file):
@@ -74,7 +81,7 @@ def test_streaming_init_matches_in_memory(scene_file):
     tree = tree_init.maximum_spanning_tree(g)
     init_m = tree_init.propagate(tree, g)
     assert diagnostics_s == tree.diagnostics
-    np.testing.assert_allclose(init_s, init_m, atol=1e-15)
+    np.testing.assert_array_equal(init_s, init_m)
 
 
 def test_disconnected_file(tmp_path):
@@ -197,7 +204,7 @@ def test_irls_on_file_stream_equals_parsed_graph(scene_file, kind):
 def test_weight_floor_on_file_stream(tmp_path, monkeypatch):
     # The stream twin of test_solver's weight-floor test: on a chain one
     # zero weight disconnects the graph, and the floored rhs is swept again
-    # over the memory-mapped rotations.
+    # over the memory-mapped quaternion pairs.
     scene = synth.generate(SyntheticSceneSpec(
         n=8, topology="chain_window", chain_window=1,
         noise_sigma=math.radians(5), seed=26))
@@ -265,12 +272,31 @@ def test_spooled_quaternions_equal_in_memory_conversion(scene_file):
     fs = stream.FileEdgeStream(path)
     g = gm.parse(path.read_text())
     assert len(g.ii) > gm.CHUNK_RECORDS
-    np.testing.assert_array_equal(fs.rotations, g.rotations)
+    assert fs.rotations is None
     assert fs.quaternions.shape == g.quaternions.shape == (2, len(g.ii))
     assert fs.quaternions.dtype == g.quaternions.dtype == complex
     assert np.ascontiguousarray(fs.quaternions).tobytes() == g.quaternions.tobytes()
     # the store's view, not a conversion
     assert isinstance(fs.quaternions, np.memmap)
+
+
+def test_cal_loss_on_file_stream_equals_parsed_graph(scene_file):
+    # cal_loss reads the stream's pairs, so it takes a file stream, whose
+    # rotations are None, or a pair-only stream, and gives the parsed
+    # graph's bits; more than one chunk of edges.
+    path, scene = scene_file(SyntheticSceneSpec(
+        n=500, topology="chain_window", chain_window=10,
+        noise_sigma=math.radians(5), outlier_edge_fraction=0.1,
+        confidence_model="informative", seed=4))
+    g = gm.parse(path.read_text())
+    assert len(g.ii) > gm.CHUNK_RECORDS
+    rotations = tree_init.propagate(tree_init.maximum_spanning_tree(g), g)
+    pairs_only = gm.EdgeStream(g.n_vertices, g.ii, g.jj, g.confidences, None,
+                               g.quaternions)
+    for R in (rotations, scene.graph.ground_truth):
+        expected = solver.cal_loss(g, R)
+        assert solver.cal_loss(stream.FileEdgeStream(path), R) == expected
+        assert solver.cal_loss(pairs_only, R) == expected
 
 
 @pytest.mark.parametrize("chunk_size", [1, 7, 4096])
@@ -299,17 +325,17 @@ def test_rhs_independent_of_chunking(scene_file, monkeypatch, chunk_size):
 
 @pytest.mark.parametrize("change", ["delete", "overwrite"])
 def test_store_outlives_the_file(scene_file, change):
-    path, scene = scene_file(SyntheticSceneSpec(
+    path, _ = scene_file(SyntheticSceneSpec(
         n=30, noise_sigma=math.radians(4), confidence_model="informative",
         seed=6))
     expected = _in_memory_solve(path)
+    g = gm.parse(path.read_text())
     fs = stream.FileEdgeStream(path)
     if change == "delete":
         path.unlink()
     else:
         path.write_text(f"N 2\nEDGE 0 1 {' '.join(['0'] * 9)} 0.5\n")
-    np.testing.assert_array_equal(fs.rotations, scene.graph.rotations)
-    np.testing.assert_array_equal(fs.quaternions, scene.graph.quaternions)
+    _assert_spooled_pairs(fs, g)
     init = tree_init.propagate(tree_init.maximum_spanning_tree(fs), fs)
     report = solver.cao_solve(fs, init)
     np.testing.assert_array_equal(report.rotations, expected.rotations)
@@ -329,7 +355,7 @@ def test_dropped_stream_leaves_no_fd(scene_file):
     gc.collect()
     before = _open_fds()
     fs = stream.FileEdgeStream(path)
-    assert np.isfinite(fs.rotations).all() and np.isfinite(fs.quaternions).all()
+    _assert_spooled_pairs(fs, gm.parse(path.read_text()))
     tree_init.propagate(tree_init.maximum_spanning_tree(fs), fs)
     del fs
     gc.collect()
