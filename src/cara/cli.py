@@ -1,8 +1,9 @@
 """Command-line front-end: generate / solve / eval / bench.
 
-``cara solve`` is one pipeline, :func:`_solve`, over any EdgeStream: the
-parsed graph's indices, confidences and quaternion pairs in memory, or the
-``--stream`` scan's. Past the validator no step reads the edge rotations.
+``cara solve`` reads the file with the one scan of :mod:`cara.stream`,
+which keeps the indices, confidences and quaternion pairs, in memory or,
+under ``--stream``, in a memory-mapped store; it builds no graph, rotation
+stack or ground truth. One pipeline, :func:`_solve`, solves either stream.
 
 Exit codes: 0 success, 2 I/O or parse failure, 3 unsolvable input (a
 disconnected or degenerate graph, or no connected scene to generate), 64
@@ -91,12 +92,12 @@ def _solve_settings_from_args(args) -> tuple[SolveConfig, RobustKernel]:
 
 
 def _solve(edges, kernel: RobustKernel, config: SolveConfig, dump_tree=False):
-    """The ``cara solve`` pipeline over any EdgeStream, parsed, pair-only or
-    file-backed: spanning tree (printed if asked), propagation, then
-    cao_solve for the confidence kernel or irls_solve for any other, with
-    the tree's diagnostics first. It reads the edges' indices, confidences
-    and quaternion pairs and alters nothing, so a caller's graph can be
-    solved again."""
+    """The ``cara solve`` pipeline over any EdgeStream, a caller's graph
+    or a file's pair-only stream: spanning tree (printed if asked),
+    propagation, then cao_solve for the confidence kernel or irls_solve
+    for any other, with the tree's diagnostics first. It reads the edges'
+    indices, confidences and quaternion pairs and alters nothing, so a
+    caller's graph can be solved again."""
     tree = maximum_spanning_tree(edges)
     if dump_tree:
         print(f"spanning tree root {tree.root} "
@@ -114,27 +115,14 @@ def _solve(edges, kernel: RobustKernel, config: SolveConfig, dump_tree=False):
     return report
 
 
-def _solve_file(path, kernel: RobustKernel, config: SolveConfig, dump_tree=False):
-    """In-memory ``cara solve`` of a graph file: :func:`_solve` on a stream
-    of the parsed graph's indices, confidences and quaternion pairs. The
-    graph, with its (M, 3, 3) rotation stack and its ground truth, is
-    dropped before the spanning tree, and the stream goes with this frame,
-    before the caller writes the estimates."""
-    with graphmod.open_text(path) as fh:
-        g = graphmod.parse(fh)
-    edges = graphmod.EdgeStream(g.n_vertices, g.ii, g.jj, g.confidences, None,
-                                g.quaternions)
-    del g
-    return _solve(edges, kernel, config, dump_tree)
-
-
 def cmd_solve(args) -> int:
     config, kernel = _solve_settings_from_args(args)
+    solve = functools.partial(_solve, kernel=kernel, config=config,
+                              dump_tree=args.dump_tree)
     if args.stream:
-        report = stream.solve_file_streaming(args.infile, functools.partial(
-            _solve, kernel=kernel, config=config, dump_tree=args.dump_tree))
+        report = stream.solve_file_streaming(args.infile, solve)
     else:
-        report = _solve_file(args.infile, kernel, config, args.dump_tree)
+        report = solve(stream.read_edge_stream(args.infile))
     for warning in report.diagnostics:
         print(f"warning: {warning}", file=sys.stderr)
     print("loss history: " + " ".join(f"{x:.6e}" for x in report.loss_history))

@@ -16,7 +16,7 @@ Records may appear in any order except that ``N`` must come first.
 Estimate files (``cara solve --out``) hold ``VERTEX_EST <id> <9 floats>``
 records instead of VERTEX_GT and EDGE.
 
-Every path that reads the format (:func:`parse`, the ``--stream`` scan,
+Every path that reads the format (:func:`parse`, the ``cara solve`` scan,
 ``cara eval``) opens files with :func:`open_text` and uses one
 :class:`RecordReader` and one rotation validator, so all accept and reject
 the same files and report the same first offending line, also for bytes
@@ -78,17 +78,17 @@ class Edge:
 
 
 class EdgeStream:
-    """Edges as index and confidence arrays plus an (M, 3, 3) rotation
-    array, which may be a read-only memory map.
+    """Edges as index and confidence arrays plus an (M, 3, 3) rotation array.
 
     ``quaternions`` are the rotations' unit quaternions as (2, M) complex
     pairs (see :func:`cara.kernels.batch_quat`), which the solver sweeps;
     unless given, they are converted on first use, or when a graph is made,
-    and kept. A stream given its quaternions may have None for rotations:
-    the spanning tree, propagation, the solver's sweeps and
-    :func:`cara.solver.cal_loss` read the indices, confidences and pairs
-    alone, and only :attr:`edges`, :func:`serialize` and :func:`build`
-    need the rotations.
+    and kept. A stream given its quaternions may have None for rotations,
+    as ``cara solve``'s streams do: the spanning tree, propagation, the
+    solver's sweeps and :func:`cara.solver.cal_loss` read the indices,
+    confidences and pairs alone, and only :attr:`edges` (which raises
+    InvalidArgumentError without them), :func:`serialize` and
+    :func:`build` need the rotations.
     """
 
     def __init__(self, n_vertices, ii, jj, confidences, rotations, quaternions=None):
@@ -100,13 +100,11 @@ class EdgeStream:
         if quaternions is not None:
             self.quaternions = quaternions
 
-    def edge_arrays(self):
-        """Edges as (idx_i, idx_j, rotations, confidences) arrays."""
-        return self.ii, self.jj, self.rotations, self.confidences
-
     @property
     def edges(self) -> tuple[Edge, ...]:
         """The edges as :class:`Edge` records, built anew on every read."""
+        if self.rotations is None:
+            raise InvalidArgumentError("edge stream holds quaternion pairs only, no rotations")
         return tuple(map(Edge, self.ii.tolist(), self.jj.tolist(), self.rotations,
                          self.confidences.tolist()))
 
@@ -246,10 +244,10 @@ def serialize(g: EpipolarConfidenceGraph) -> str:
     lines = [f"N {g.n_vertices}"]
     if g.ground_truth is not None:
         lines += vertex_lines("VERTEX_GT", g.ground_truth)
-    ii, jj, rots, conf = g.edge_arrays()
     line = "EDGE %d %d" + _NINE_FLOATS + " %.17g"
     lines += [line % (i, j, *r, c) for i, j, r, c in zip(
-        ii.tolist(), jj.tolist(), rots.reshape(-1, 9).tolist(), conf.tolist())]
+        g.ii.tolist(), g.jj.tolist(), g.rotations.reshape(-1, 9).tolist(),
+        g.confidences.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -534,9 +532,11 @@ def read_graph(lines, spool=None):
     (N, 3, 3) array, or None without VERTEX_GT records. Each field's
     per-block pieces are dropped as the field is joined: the indices, then
     the rotations, whose pieces are each block's own, then the ground
-    truth and the confidences. With ``spool``, every chunk's validated
-    (k, 3, 3) rotations are passed to ``spool(rots)`` and dropped, so
-    memory stays O(N + |E|) scalars, and rots and ground_truth are None.
+    truth and the confidences. With ``spool``, as in both ``cara solve``
+    paths (:func:`cara.stream.scan_pairs`), each chunk's validated (k, 3, 3)
+    rotations go to ``spool(rots)`` and are dropped, VERTEX_GT records are
+    checked but not kept, memory stays O(N + |E|) scalars, and rots and
+    ground_truth are None.
     """
     reader = RecordReader()
     fields = ("edge_lines", "ii", "jj", "conf")

@@ -1,21 +1,15 @@
-"""Fixed-memory file ingestion for large graphs.
+"""File ingestion for ``cara solve``: one scan of a graph file, two stores.
 
-The graph file is parsed once. The scan keeps the vertex count, edge
-indices and confidences (O(N + |E|) scalars) and spools the quaternion
-pair (w + x i, y + z i) of every chunk's validated rotations to an
-unlinked temporary file in ``TMPDIR`` (32 bytes per edge on disk). The
-spanning tree reads the indices and confidences; propagation and the
-solver's sweeps read the pairs, a read-only memory map of the store. No
-rotation or quaternion stack is held in memory and the text is not parsed
-again.
-
-The scan reads through :class:`cara.graph.RecordReader` and validates
-exactly as :func:`cara.graph.parse` does, so ``--stream`` accepts and
-rejects exactly the files the in-memory path does, with the same error
-line. This module has no solve step of its own: ``cara solve --stream``
-hands the :class:`FileEdgeStream` to :func:`cara.cli._solve`, which also
-solves the in-memory path's pairs of a parsed graph, so the spanning tree,
-the warnings and the estimates match bit for bit for every kernel.
+:func:`scan_pairs` parses the file once through :func:`cara.graph.read_graph`,
+which validates exactly as :func:`cara.graph.parse` does. It keeps the
+vertex count, edge indices and confidences (O(N + |E|) scalars) and hands
+the quaternion pairs (w + x i, y + z i) of each chunk's rotations to a
+sink; no rotation stack or ground truth is kept. The two paths differ only
+in where the pairs go: :func:`read_edge_stream` (in memory) joins them
+once in RAM, :class:`FileEdgeStream` (``--stream``) writes them to an
+unlinked temporary file in ``TMPDIR`` (32 bytes per edge) and maps it.
+Both accept and reject the same files with the same error line, and give
+:func:`cara.cli._solve` the same pairs, so the same estimates bit for bit.
 """
 from __future__ import annotations
 
@@ -27,20 +21,35 @@ from . import graph, kernels
 from .graph import EdgeStream
 
 
-class FileEdgeStream(EdgeStream):
-    """EdgeStream over a graph file on disk, read once by the scan.
+def scan_pairs(path, sink):
+    """Read and validate the graph file at ``path`` in one pass, handing
+    each chunk's quaternion pairs, (2, k) complex with edges normalized to
+    i < j, to ``sink``. Returns (n, ii, jj, confidences)."""
+    with graph.open_text(path) as fh:
+        n, ii, jj, _, conf, _ = graph.read_graph(
+            fh, spool=lambda rots: sink(kernels.batch_quat(rots)))
+    return n, ii, jj, conf
 
-    Edges are normalized to i < j (the rotation is transposed when the
-    file stores the pair reversed), matching the in-memory builder.
+
+def read_edge_stream(path) -> EdgeStream:
+    """The in-memory ``cara solve``'s edges: a pair-only EdgeStream of the
+    file at ``path``, its pairs joined in RAM once the scan is done."""
+    pieces = []
+    n, ii, jj, conf = scan_pairs(path, pieces.append)
+    return EdgeStream(n, ii, jj, conf, None, np.concatenate(pieces, axis=1))
+
+
+class FileEdgeStream(EdgeStream):
+    """Pair-only EdgeStream of a graph file on disk, read once by the scan.
+
     ``rotations`` is None; the (2, M) complex ``quaternions`` are a view
     of a map of the closed, unlinked store, which lives until the stream
     is dropped, so later changes to the file do not reach the solve.
     """
 
     def __init__(self, path):
-        with graph.open_text(path) as fh, tempfile.TemporaryFile() as store:
-            n, ii, jj, _, conf, _ = graph.read_graph(
-                fh, spool=lambda rots: store.write(kernels.batch_quat(rots).T))
+        with tempfile.TemporaryFile() as store:
+            n, ii, jj, conf = scan_pairs(path, lambda q: store.write(q.T))
             store.flush()
             # mmap cannot map an empty file
             pairs = (np.memmap(store, dtype=complex, mode="r", shape=(len(ii), 2))

@@ -163,9 +163,10 @@ def corrupt_with_outlier_vertices(scene: SyntheticScene, k: int,
         return scene
     rng = np.random.default_rng(seed)
     spec = scene.spec
-    n_old = scene.graph.n_vertices
+    old = scene.graph
+    n_old = old.n_vertices
     n_new = n_old + k
-    gt = np.concatenate([scene.graph.ground_truth,
+    gt = np.concatenate([old.ground_truth,
                          _quat_rotations(rng.standard_normal((k, 4)))])
 
     # Lexicographic order: each old vertex to every new one, then new to new.
@@ -177,10 +178,10 @@ def corrupt_with_outlier_vertices(scene: SyntheticScene, k: int,
     inlier = np.zeros(len(new_ii), dtype=bool)
     conf = _confidences(spec, inlier, errors, rng)
 
-    ii, jj, old_rots, old_conf = scene.graph.edge_arrays()
-    edges = EdgeStream(n_new, np.concatenate([ii, new_ii]), np.concatenate([jj, new_jj]),
-                       np.concatenate([old_conf, conf]),
-                       np.concatenate([old_rots, rotations]))
+    edges = EdgeStream(n_new, np.concatenate([old.ii, new_ii]),
+                       np.concatenate([old.jj, new_jj]),
+                       np.concatenate([old.confidences, conf]),
+                       np.concatenate([old.rotations, rotations]))
     g = graphmod.build(n_new, edges, ground_truth=gt)
     return SyntheticScene(
         g,
@@ -198,7 +199,7 @@ def confidence_error_table(scene: SyntheticScene, n_bins: int):
     """
     if n_bins < 1:
         raise InvalidArgumentError("n_bins must be >= 1")
-    conf = scene.graph.edge_arrays()[3]
+    conf = scene.graph.confidences
     idx = np.minimum((conf * n_bins).astype(int), n_bins - 1)
     rows = []
     for b in range(n_bins):

@@ -64,7 +64,7 @@ def maximum_spanning_tree(g: EdgeStream) -> SpanningTree:
     (min(i,j), max(i,j)) pair; the minimum spanning tree of those distinct
     ranks is unique and independent of edge input order.
     """
-    ii, jj, _, conf = g.edge_arrays()
+    ii, jj, conf = g.ii, g.jj, g.confidences
     n = g.n_vertices
     # Checked before any O(n) allocation, so a huge N record costs O(M).
     if len(ii) < n - 1:

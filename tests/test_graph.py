@@ -264,8 +264,8 @@ def test_parsed_graph_holds_arrays_not_edge_records():
     for a in (g.ii, g.jj):
         assert a.dtype == np.intp and a.flags.c_contiguous
     rebuilt = gm.EpipolarConfidenceGraph(g.n_vertices, g.edges, g.ground_truth)
-    for a, b in zip(rebuilt.edge_arrays(), g.edge_arrays()):
-        np.testing.assert_array_equal(a, b)
+    for name in ("ii", "jj", "rotations", "confidences"):
+        np.testing.assert_array_equal(getattr(rebuilt, name), getattr(g, name))
 
 
 def _is_gt_array(gt, n):
@@ -377,8 +377,8 @@ def test_per_line_reader_sees_only_header_blocks(monkeypatch, tmp_path):
         read()
         assert reads == [(1, 1)]
     parsed = gm.parse(text)
-    for a, b in zip(parsed.edge_arrays(), g.edge_arrays()):
-        assert a.tobytes() == b.tobytes()
+    for name in ("ii", "jj", "rotations", "confidences"):
+        assert getattr(parsed, name).tobytes() == getattr(g, name).tobytes()
 
 
 
@@ -388,7 +388,8 @@ def _parsed(read):
         g = read()
     except GraphParseError as exc:
         return exc.line_number, str(exc)
-    return [a.tobytes() for a in (*g.edge_arrays(), np.stack(g.ground_truth))]
+    return [a.tobytes() for a in (g.ii, g.jj, g.rotations, g.confidences,
+                                  np.stack(g.ground_truth))]
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])

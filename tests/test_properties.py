@@ -478,8 +478,8 @@ def weighted_graph(draw):
 def _scatter(stream, rotations, order):
     """rhs of a Python loop over the edges in ``order``: each edge's
     w * residual subtracted at i and added at j."""
-    ii, jj, rots, w = stream.edge_arrays()
-    res = kernels.edge_residuals(rotations[ii], rotations[jj], rots)
+    ii, jj, w = stream.ii, stream.jj, stream.confidences
+    res = kernels.edge_residuals(rotations[ii], rotations[jj], stream.rotations)
     ref = np.zeros((stream.n_vertices, 3))
     for e in order:
         t = w[e] * res[e]

@@ -289,7 +289,7 @@ class TestIrlsSolve:
         report = solver.irls_solve(g, init, kernel, config)
         assert any("re-weighting disconnected" in d for d in report.diagnostics)
 
-        ii, jj, rots, conf = g.edge_arrays()
+        ii, jj, rots, conf = g.ii, g.jj, g.rotations, g.confidences
         # the sweep weighs by the kernel's angles, not by |res|
         res, angles = kernels.quat_residuals(kernels.batch_quat(init[ii]),
                                              kernels.batch_quat(init[jj]),

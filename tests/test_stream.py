@@ -9,7 +9,8 @@ import pytest
 
 from cara import graph as gm
 from cara import cli, kernels, so3, solver, stream, synth, tree_init
-from cara.errors import DegenerateWeightsError, GraphParseError, NotConnectedError
+from cara.errors import (DegenerateWeightsError, GraphParseError, InvalidArgumentError,
+                         NotConnectedError)
 from cara.graph import Edge
 from cara.synth import SyntheticSceneSpec
 
@@ -35,11 +36,10 @@ def test_scan_collects_scalars(scene_file):
         n=12, noise_sigma=math.radians(5), confidence_model="informative",
         seed=0))
     fs = stream.FileEdgeStream(path)
-    ii, jj, rots, conf = scene.graph.edge_arrays()
     assert fs.n_vertices == 12
-    np.testing.assert_array_equal(fs.ii, ii)
-    np.testing.assert_array_equal(fs.jj, jj)
-    np.testing.assert_array_equal(fs.confidences, conf)
+    np.testing.assert_array_equal(fs.ii, scene.graph.ii)
+    np.testing.assert_array_equal(fs.jj, scene.graph.jj)
+    np.testing.assert_array_equal(fs.confidences, scene.graph.confidences)
 
 
 def _assert_spooled_pairs(fs, g):
@@ -48,6 +48,14 @@ def _assert_spooled_pairs(fs, g):
     assert fs.rotations is None
     assert isinstance(fs.quaternions, np.memmap)
     assert np.ascontiguousarray(fs.quaternions).tobytes() == g.quaternions.tobytes()
+
+
+@pytest.mark.parametrize("read", [stream.read_edge_stream, stream.FileEdgeStream],
+                         ids=["memory", "file"])
+def test_pair_only_stream_has_no_edge_records(scene_file, read):
+    path, _ = scene_file(SyntheticSceneSpec(n=5, seed=0))
+    with pytest.raises(InvalidArgumentError, match="quaternion pairs only"):
+        read(path).edges
 
 
 def test_passes_reproduce_rotations(scene_file):
@@ -262,20 +270,24 @@ def test_streaming_equals_in_memory_exactly(scene_file):
 
 
 def test_spooled_quaternions_equal_in_memory_conversion(scene_file):
-    # The scan converts each reader chunk as it spools it; a parsed graph
-    # converts its rotations CHUNK_RECORDS rows at a time. Both must give
-    # the same bits.
+    # The scan converts each reader chunk as it spools it, to the store or
+    # to memory; a parsed graph converts its rotations CHUNK_RECORDS rows
+    # at a time. All must give the same bits.
     path, _ = scene_file(SyntheticSceneSpec(
         n=500, topology="chain_window", chain_window=10,
         noise_sigma=math.radians(5), outlier_edge_fraction=0.1,
         confidence_model="informative", seed=4))
-    fs = stream.FileEdgeStream(path)
+    fs, ms = stream.FileEdgeStream(path), stream.read_edge_stream(path)
     g = gm.parse(path.read_text())
     assert len(g.ii) > gm.CHUNK_RECORDS
-    assert fs.rotations is None
-    assert fs.quaternions.shape == g.quaternions.shape == (2, len(g.ii))
-    assert fs.quaternions.dtype == g.quaternions.dtype == complex
-    assert np.ascontiguousarray(fs.quaternions).tobytes() == g.quaternions.tobytes()
+    for s in (fs, ms):
+        assert s.rotations is None
+        assert s.quaternions.shape == g.quaternions.shape == (2, len(g.ii))
+        assert s.quaternions.dtype == g.quaternions.dtype == complex
+        assert np.ascontiguousarray(s.quaternions).tobytes() == g.quaternions.tobytes()
+        for name in ("ii", "jj", "confidences"):
+            assert getattr(s, name).tobytes() == getattr(g, name).tobytes()
+        assert s.n_vertices == g.n_vertices
     # the store's view, not a conversion
     assert isinstance(fs.quaternions, np.memmap)
 
@@ -315,8 +327,8 @@ def test_rhs_independent_of_chunking(scene_file, monkeypatch, chunk_size):
     np.testing.assert_array_equal(norms_c, norms_w)
     assert w_w is whole.confidences and w_c is chunked.confidences
     # reference: one unbuffered scatter of the signed terms in edge order
-    ii, jj, rots, conf = g.edge_arrays()
-    wres = conf[:, None] * kernels.edge_residuals(init[ii], init[jj], rots)
+    ii, jj, conf = g.ii, g.jj, g.confidences
+    wres = conf[:, None] * kernels.edge_residuals(init[ii], init[jj], g.rotations)
     ref = np.zeros((g.n_vertices, 3))
     np.add.at(ref, np.column_stack([ii, jj]).ravel(),
               np.stack([-wres, wres], axis=1).reshape(-1, 3))

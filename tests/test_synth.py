@@ -52,7 +52,7 @@ class TestGenerate:
         scene = synth.generate(SyntheticSceneSpec(
             n=9, noise_sigma=math.radians(5), outlier_edge_fraction=0.25,
             confidence_model="oracle", seed=2))
-        conf = scene.graph.edge_arrays()[3]
+        conf = scene.graph.confidences
         assert np.all(conf[scene.edge_labels] == 1.0)
         assert np.all(conf[~scene.edge_labels] == synth.ORACLE_EPS)
 
@@ -147,7 +147,7 @@ def reference_corrupt(scene, k, seed):
 
 def assert_matches_reference(g, labels, errors, ref, first_edge=0):
     pairs, gt, rotations, conf, inlier, ref_errors = ref
-    ii, jj, rots, c = (a[first_edge:] for a in g.edge_arrays())
+    ii, jj, rots, c = (a[first_edge:] for a in (g.ii, g.jj, g.rotations, g.confidences))
     np.testing.assert_array_equal(np.stack([ii, jj], axis=1), pairs)
     np.testing.assert_array_equal(labels[first_edge:], inlier)
     np.testing.assert_allclose(np.stack(g.ground_truth), gt, rtol=0, atol=1e-14)
