@@ -2,6 +2,7 @@ import builtins
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -102,6 +103,68 @@ def test_solve_reads_pairs_only(tmp_path, monkeypatch, capsys, extra):
     assert run(["solve", "--in", str(graph_path), "--out", str(tmp_path / "est")]
                + extra) == 0
     assert reads == [(True, None, None)]
+
+
+def test_solve_frees_graph_before_writing(tmp_path, monkeypatch, capsys):
+    # The in-memory path's edge stream, all that cara solve keeps of the
+    # file, is dropped with the pipeline, before the estimates are written.
+    graph_path = tmp_path / "g.graph"
+    run(["generate", "--n", "7", "--seed", "3", "--out", str(graph_path)])
+    refs, alive = [], []
+    real_read, real_write = stream.read_edge_stream, cli._write_estimates
+
+    def read_edge_stream(path):
+        edges = real_read(path)
+        refs.append(weakref.ref(edges))
+        return edges
+
+    def write(path, rotations):
+        alive.append(refs[0]() is not None)
+        real_write(path, rotations)
+
+    monkeypatch.setattr(stream, "read_edge_stream", read_edge_stream)
+    monkeypatch.setattr(cli, "_write_estimates", write)
+    assert run(["solve", "--in", str(graph_path), "--out", str(tmp_path / "est")]) == 0
+    assert len(refs) == 1 and alive == [False]
+
+
+@pytest.mark.parametrize("kernel", ["confidence", "cauchy"])
+def test_solve_frees_edge_rotations_before_factoring(tmp_path, monkeypatch, capsys,
+                                                     kernel):
+    # The edge rotations exist only block by block while the scan turns them
+    # into quaternion pairs, and the spanning tree only until propagation
+    # is done: every block and the tree are freed before the Laplacian is
+    # first factored.
+    graph_path = tmp_path / "g.graph"
+    run(["generate", "--n", "7", "--sigma-deg", "5", "--seed", "3",
+         "--out", str(graph_path)])
+    refs, alive = [], []
+    real_read, real_tree = gm.read_graph, cli.maximum_spanning_tree
+    real_factor = solver._LaplacianPattern.factor
+
+    def read_graph(lines, spool=None):
+        def watch(rots):
+            root = rots
+            while isinstance(root.base, np.ndarray):
+                root = root.base
+            refs.append(weakref.ref(root))
+            spool(rots)
+        return real_read(lines, watch)
+
+    def maximum_spanning_tree(edges):
+        tree = real_tree(edges)
+        refs.append(weakref.ref(tree))
+        return tree
+
+    def factor(self, w):
+        alive.append(any(ref() is not None for ref in refs))
+        return real_factor(self, w)
+
+    monkeypatch.setattr(gm, "read_graph", read_graph)
+    monkeypatch.setattr(cli, "maximum_spanning_tree", maximum_spanning_tree)
+    monkeypatch.setattr(solver._LaplacianPattern, "factor", factor)
+    assert run(["solve", "--in", str(graph_path), "--kernel", kernel]) == 0
+    assert len(refs) >= 2 and alive and not any(alive)
 
 
 @pytest.mark.parametrize("kind", ["confidence", "cauchy"])
