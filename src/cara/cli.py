@@ -136,17 +136,14 @@ def cmd_solve(args) -> int:
 
 # ---------------------------------------------------------------- eval
 
-def _read_rotations(path):
-    """(N, 3, 3) validated rotations from VERTEX_EST or VERTEX_GT records."""
+def _read_rotations(path, what):
+    """(N, 3, 3) rotations from VERTEX_EST or VERTEX_GT records; ``what`` names them."""
     reader = graphmod.RecordReader(vertex_tags=("VERTEX_EST", "VERTEX_GT"),
                                    skip_tags=("EDGE",))
     with graphmod.open_text(path) as fh:
         records = list(reader.chunks(fh))
-    n = reader.n
-    if len(reader.vertex_ids) != n:
-        raise GraphParseError(0, f"file {path} does not carry rotations for all "
-                                 f"{n} vertices")
-    rotations = np.empty((n, 3, 3))
+    reader.require_all_vertices(what)
+    rotations = np.empty((reader.n, 3, 3))
     for rec in records:
         rotations[rec.vertex_ids] = rec.vertex_rots
     return rotations
@@ -165,8 +162,8 @@ def _thresholds_from_args(args) -> list[float]:
 
 
 def cmd_eval(args) -> int:
-    est = _read_rotations(args.est)
-    gt = _read_rotations(args.gt)
+    est = _read_rotations(args.est, "estimates")
+    gt = _read_rotations(args.gt, "ground truth")
     if est.shape != gt.shape:
         raise GraphParseError(0, f"vertex count mismatch: {est.shape[0]} estimates "
                                  f"vs {gt.shape[0]} ground truth")

@@ -18,16 +18,16 @@ records instead of VERTEX_GT and EDGE.
 
 Every path that reads the format (:func:`parse`, the ``cara solve`` scan,
 ``cara eval``) opens files with :func:`open_text` and uses one
-:class:`RecordReader` and one rotation validator, so all accept and reject
-the same files and report the same first offending line, also for bytes
-that are not UTF-8. :func:`parse` takes the text or the open file; from a
-file it reads line by line and never holds the whole text. The reader takes
-the input in blocks of lines and cuts a block into runs of EDGE lines,
-vertex lines and other lines (the N record, comments). A run of plain EDGE
-or vertex lines is converted by one ``np.loadtxt`` call, any other run line
-by line, and the per-line reader decides what is accepted. Duplicate edge
-pairs are found once the whole file is read; a missing N or incomplete
-ground truth is reported as line 0.
+:class:`RecordReader`, so all accept and reject the same files and report
+the same first offending line, also for bytes that are not UTF-8.
+:func:`parse` takes the text or the open file; from a file it reads line by
+line and never holds the whole text. The reader cuts each block of lines
+into runs of EDGE lines, vertex lines and other lines (the N record,
+comments). A run of plain EDGE or vertex lines is converted by one
+``np.loadtxt`` call, any other run line by line, which decides the syntax;
+one validator each checks edge and vertex values from either path.
+Duplicate edge pairs are found once the whole file is read; a missing N or
+a missing vertex record is reported as line 0.
 
 Every file cara writes (graphs, labels, estimates, eval and bench CSV) goes
 through :func:`write_text`, which rewrites an existing file in place.
@@ -86,9 +86,9 @@ class EdgeStream:
     and kept. A stream given its quaternions may have None for rotations,
     as ``cara solve``'s streams do: the spanning tree, propagation, the
     solver's sweeps and :func:`cara.solver.cal_loss` read the indices,
-    confidences and pairs alone, and only :attr:`edges` (which raises
-    InvalidArgumentError without them), :func:`serialize` and
-    :func:`build` need the rotations.
+    confidences and pairs alone. Only :attr:`edges`, :func:`build` and
+    :class:`EpipolarConfidenceGraph`, which raise InvalidArgumentError
+    without them, and :func:`serialize` need the rotations.
     """
 
     def __init__(self, n_vertices, ii, jj, confidences, rotations, quaternions=None):
@@ -103,9 +103,8 @@ class EdgeStream:
     @property
     def edges(self) -> tuple[Edge, ...]:
         """The edges as :class:`Edge` records, built anew on every read."""
-        if self.rotations is None:
-            raise InvalidArgumentError("edge stream holds quaternion pairs only, no rotations")
-        return tuple(map(Edge, self.ii.tolist(), self.jj.tolist(), self.rotations,
+        rotations = _edge_stream(self.n_vertices, self).rotations
+        return tuple(map(Edge, self.ii.tolist(), self.jj.tolist(), rotations,
                          self.confidences.tolist()))
 
     @cached_property
@@ -123,16 +122,16 @@ class EdgeStream:
 
 
 def _edge_stream(n, edges) -> EdgeStream:
-    """``edges`` as an EdgeStream: itself, or the columns of Edge records."""
+    """``edges`` as an EdgeStream with rotations: itself, or the columns of
+    Edge records. A pair-only stream raises InvalidArgumentError."""
     if isinstance(edges, EdgeStream):
+        if edges.rotations is None:
+            raise InvalidArgumentError("edge stream holds quaternion pairs only, no rotations")
         return edges
     edges = list(edges)
-    m = len(edges)
-    return EdgeStream(
-        n, np.fromiter((e.i for e in edges), dtype=np.intp, count=m),
-        np.fromiter((e.j for e in edges), dtype=np.intp, count=m),
-        np.fromiter((e.confidence for e in edges), dtype=float, count=m),
-        np.stack([e.rotation for e in edges]) if m else np.zeros((0, 3, 3)))
+    return EdgeStream(n, [e.i for e in edges], [e.j for e in edges],
+                      [e.confidence for e in edges],
+                      np.stack([e.rotation for e in edges]) if edges else np.zeros((0, 3, 3)))
 
 
 class EpipolarConfidenceGraph(EdgeStream):
@@ -176,6 +175,22 @@ def _validated_edges(n, ii, jj, rots, conf):
         rots[flip] = rots[flip].transpose(0, 2, 1)
         ii, jj = np.minimum(ii, jj), np.maximum(ii, jj)
     return ii, jj, rots
+
+
+def _validated_vertices(n, seen, ids, tags, rots):
+    """Validate vertex rows, Python int ids in [0, n) new to the rows and
+    ``seen``, and add them to ``seen``. Raises InvalidArgumentError whose
+    ``index`` is the first offending row; on it, a bad id beats a rotation."""
+    new, k = set(ids), len(ids)
+    if ids and (len(new) < k or not seen.isdisjoint(new) or min(new) < 0 or max(new) >= n):
+        k = next(k for k, idx in enumerate(ids)
+                 if not 0 <= idx < n or idx in seen or ids.index(idx) < k)
+    rots = so3.as_rotations(rots[:k])
+    if k < len(ids):
+        raise InvalidArgumentError(f"vertex id {ids[k]} out of range" if not 0 <= ids[k] < n
+                                   else f"duplicate {tags[k]} {ids[k]}", index=k)
+    seen |= new
+    return np.array(ids, dtype=np.intp), rots
 
 
 def _first_duplicate(ii, jj) -> int | None:
@@ -293,14 +308,13 @@ class RecordReader:
         - Fast path: a run of EDGE lines or of vertex lines, after the N
           record and in plain ASCII, goes through one ``np.loadtxt`` call,
           taken only when it returns one row per line with the run's tags.
-          Vertex ids are checked for range and repeats, and the rotations
-          validated, all at once; a run that fails any check goes to the
-          per-line path. Where ``skip_tags`` holds EDGE, a run of EDGE lines
-          is passed over and yields nothing.
+          Where ``skip_tags`` holds EDGE, a run of EDGE lines is passed over
+          and yields nothing.
         - Per-line path: every other run is read one line at a time with
-          ``int()`` and ``float()``. This path is the arbiter: the fast path
-          takes only runs that it reads to the same numbers, so both accept
-          and reject the same lines.
+          ``int()`` and ``float()``. It decides the syntax: the fast path
+          takes only runs that it reads to the same numbers. Both paths
+          hand the numbers to one validator of values (ids, repeats,
+          rotations, confidences), so both accept and reject the same lines.
 
         Raises GraphParseError at the first offending line, or with line 0
         when the input has no N record.
@@ -351,30 +365,20 @@ class RecordReader:
     def _fast_records(self, kind, start, run, text) -> Records | None:
         """The run's records from one ``np.loadtxt`` call, or None when the
         per-line reader must decide the run."""
+        lines = np.arange(start, start + len(run))
         if kind == _EDGE:
             rows = self._rows(run, text, _EDGE_ROW, _PLAIN_BYTES)
             if rows is None or not (rows["tag"] == "EDGE").all():
                 return None
-            return self._records(np.arange(start, start + len(run)),
-                                 rows["ij"].astype(np.intp),
+            return self._records(lines, rows["ij"].astype(np.intp),
                                  np.ascontiguousarray(rows["vals"]))
         if kind == _VERTEX:
             rows = self._rows(run, text, self._vertex_row, _VERTEX_BYTES)
             if rows is None or not np.isin(rows["tag"], self.vertex_tags).all():
                 return None
-            ids = rows["id"].astype(np.intp)
-            seen = set(ids.tolist())
-            if (int(ids.min()) < 0 or int(ids.max()) >= self.n or len(seen) < len(ids)
-                    or not self.vertex_ids.isdisjoint(seen)):
-                return None
-            try:
-                rots = so3.as_rotations(np.ascontiguousarray(rows["vals"]).reshape(-1, 3, 3))
-            except InvalidArgumentError:
-                return None
-            self.vertex_ids |= seen
-            no_edges = np.empty(0, dtype=np.intp)
-            return Records(no_edges, no_edges, no_edges, np.empty((0, 3, 3)),
-                           np.empty(0), ids, rots)
+            return self._records(np.arange(0), np.empty((0, 2), np.intp), np.empty((0, 10)),
+                                 lines, rows["id"].tolist(), rows["tag"],
+                                 np.ascontiguousarray(rows["vals"]))
         return None
 
     def _rows(self, run, text, dtype, plain_bytes):
@@ -406,7 +410,7 @@ class RecordReader:
         """Records of ``block``, lines numbered from ``start``, one line at a
         time with ``int()`` and ``float()``."""
         e_lines, e_ints, e_floats = [], array("q"), array("d")
-        v_lines, v_ids, v_floats = [], [], []
+        v_lines, v_ids, v_tags, v_floats = [], [], [], []
         failures = []
         for lineno, raw in enumerate(block, start):
             if not raw.isascii():
@@ -429,38 +433,41 @@ class RecordReader:
                     e_floats.extend(map(float, parts[3:]))
                     e_lines.append(lineno)
                 elif (idx := self._other_record(parts)) is not None:
-                    v_floats += [float(x) for x in parts[2:]]
                     v_lines.append(lineno)
                     v_ids.append(idx)
+                    v_tags.append(parts[0])
+                    v_floats += [float(x) for x in parts[2:]]
             except (ValueError, OverflowError) as exc:
                 del e_ints[2 * len(e_lines):], e_floats[10 * len(e_lines):]
                 failures.append(GraphParseError(lineno, str(exc)))
                 break
-        return self._records(
-            np.array(e_lines, dtype=np.intp),
-            np.frombuffer(e_ints, dtype=np.int64).reshape(-1, 2).astype(np.intp),
-            np.frombuffer(e_floats).reshape(-1, 10), v_lines, v_ids, v_floats, failures)
+        ij = np.frombuffer(e_ints, dtype=np.int64).reshape(-1, 2).astype(np.intp)
+        return self._records(np.array(e_lines, dtype=np.intp), ij,
+                             np.frombuffer(e_floats).reshape(-1, 10),
+                             v_lines, v_ids, v_tags, v_floats, failures)
 
-    def _records(self, e_lines, ij, vals, v_lines=(), v_ids=(), v_floats=(),
+    def _records(self, e_lines, ij, vals, v_lines=(), v_ids=(), v_tags=(), v_vals=(),
                  failures=()) -> Records:
         """Validate a block's converted numbers into :class:`Records`; the
-        earliest offending line wins, whichever check found it."""
-        failures = list(failures)
+        earliest offending line wins, whichever check found it. The last
+        vertex id may lack numbers that failed to convert; a bad id wins."""
+        checked = []
+        try:
+            v_ids, v_rots = _validated_vertices(self.n, self.vertex_ids, v_ids, v_tags,
+                                                np.reshape(v_vals, (-1, 3, 3)))
+        except InvalidArgumentError as exc:
+            checked.append(GraphParseError(int(v_lines[exc.index]), str(exc)))
         try:
             ii, jj, rots = _validated_edges(self.n or 0, ij[:, 0], ij[:, 1],
                                             vals[:, :9].reshape(-1, 3, 3), vals[:, 9])
         except InvalidArgumentError as exc:
-            failures.append(GraphParseError(int(e_lines[exc.index]), str(exc)))
-        try:
-            v_rots = so3.as_rotations(np.array(v_floats).reshape(-1, 3, 3))
-        except InvalidArgumentError as exc:
-            failures.append(GraphParseError(v_lines[exc.index], str(exc)))
-        if failures:
+            checked.append(GraphParseError(int(e_lines[exc.index]), str(exc)))
+        if failures := checked + list(failures):
             raise min(failures, key=lambda f: f.line_number)
         # Copies, 72 and 8 B an edge, so that no piece keeps the block's
         # (k, 10) floats alive until read_graph joins it.
         return Records(e_lines, ii, jj, np.ascontiguousarray(rots), vals[:, 9].copy(),
-                       np.array(v_ids, dtype=np.intp), v_rots)
+                       v_ids, v_rots)
 
     def _other_record(self, parts) -> int | None:
         """Every record but a well-formed EDGE: takes n from the N record,
@@ -484,14 +491,16 @@ class RecordReader:
         else:
             if len(parts) != 11:
                 raise ValueError(f"{tag} needs id + 9 floats")
-            idx = int(parts[1])
-            if not 0 <= idx < self.n:
-                raise ValueError(f"vertex id {idx} out of range")
-            if idx in self.vertex_ids:
-                raise ValueError(f"duplicate {tag} {idx}")
-            self.vertex_ids.add(idx)
-            return idx
+            return int(parts[1])
         return None
+
+    def require_all_vertices(self, what: str) -> None:
+        """Raise GraphParseError (line 0) naming ``what`` and the first 10
+        missing ids unless all N vertices were read; allocates nothing of N."""
+        if count := self.n - len(self.vertex_ids):
+            first = list(islice((v for v in range(self.n) if v not in self.vertex_ids), 10))
+            more = f" and {count - len(first)} more" if count > len(first) else ""
+            raise GraphParseError(0, f"incomplete {what}, missing vertices {first}{more}")
 
 
 def open_text(path):
@@ -563,13 +572,7 @@ def read_graph(lines, spool=None):
     rots = cat("rots") if spool is None else None
     ground_truth = None
     if reader.vertex_ids:
-        if len(reader.vertex_ids) != n:
-            ids = reader.vertex_ids
-            count = n - len(ids)
-            first = list(islice((v for v in range(n) if v not in ids), 10))
-            more = f" and {count - len(first)} more" if count > len(first) else ""
-            raise GraphParseError(
-                0, f"incomplete ground truth, missing vertices {first}{more}")
+        reader.require_all_vertices("ground truth")
         if spool is None:
             ground_truth = np.empty((n, 3, 3))
             ground_truth[cat("vertex_ids")] = cat("vertex_rots")

@@ -58,6 +58,8 @@ def as_rotations(ms: np.ndarray) -> np.ndarray:
     ms = np.asarray(ms, dtype=float)
     if ms.ndim != 3 or ms.shape[1:] != (3, 3):
         raise InvalidArgumentError(f"expected an (M, 3, 3) stack, got shape {ms.shape}")
+    if not len(ms):  # every reader block validates its edges and vertices, often none
+        return ms
     with np.errstate(invalid="ignore", over="ignore"):
         # ||M^T M - I||_F from the column dot products, and det M as
         # c0 . (c1 x c2); c[a, i] is entry i of column a of every matrix.

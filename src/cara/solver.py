@@ -122,18 +122,16 @@ class SolveReport:
 
 
 def cal_loss(g: EdgeStream, rotations: np.ndarray) -> float:
-    """Confidence-weighted sum of squared geodesic residuals, swept over
-    the stream's quaternion pairs, so any EdgeStream will do."""
+    """Confidence-weighted sum of squared residual angles, swept over the
+    stream's quaternion pairs, so any EdgeStream will do; the expression of
+    a solve's ``loss_history``, so a solve's first entry has the same bits."""
     rotations = np.asarray(rotations, dtype=float)
     if rotations.shape != (g.n_vertices, 3, 3):
         raise InvalidArgumentError(
             f"expected {g.n_vertices} rotations, got shape {rotations.shape}")
-    ii, jj, conf = g.ii, g.jj, g.confidences
-    if len(conf) == 0:
-        return 0.0
     q = kernels.batch_quat(rotations)
-    res = kernels.quat_residuals(q[:, ii], q[:, jj], g.quaternions)[0].T
-    return float(conf @ np.einsum("ij,ij->i", res, res))
+    theta = kernels.quat_residuals(q[:, g.ii], q[:, g.jj], g.quaternions)[1]
+    return float(g.confidences @ theta ** 2)
 
 
 def _check_connectivity(n, ii, jj, conf=None):

@@ -224,8 +224,8 @@ def test_stream_matches_in_memory(tmp_path, capsys):
     assert run(["solve", "--in", str(graph_path), "--out", str(est_a)]) == 0
     assert run(["solve", "--in", str(graph_path), "--stream",
                 "--out", str(est_b)]) == 0
-    ra = cli._read_rotations(str(est_a))
-    rb = cli._read_rotations(str(est_b))
+    ra = cli._read_rotations(str(est_a), "estimates")
+    rb = cli._read_rotations(str(est_b), "estimates")
     assert np.abs(ra - rb).max() < 1e-12
 
 
@@ -281,7 +281,7 @@ def test_solve_calls_benchmarked_names_once(tmp_path, capsys, monkeypatch, extra
     assert len(returned["cao_solve"]) == 1
     assert len(returned["solve_file_streaming"]) == len(extra)
     report = returned["solve_file_streaming" if extra else "cao_solve"][0]
-    assert cli._read_rotations(str(est)).tobytes() == report.rotations.tobytes()
+    assert cli._read_rotations(str(est), "estimates").tobytes() == report.rotations.tobytes()
 
 
 @pytest.mark.parametrize("extra", [[], ["--stream"]], ids=["memory", "stream"])
@@ -380,8 +380,8 @@ def test_eval_stdout_is_pinned(tmp_path, capsys):
     run(["solve", "--in", str(graph_path), "--out", str(est_path)])
     capsys.readouterr()
     assert run(["eval", "--est", str(est_path), "--gt", str(graph_path)]) == 0
-    stats = metrics.error_stats(cli._read_rotations(est_path),
-                                cli._read_rotations(graph_path))
+    stats = metrics.error_stats(cli._read_rotations(est_path, "estimates"),
+                                cli._read_rotations(graph_path, "ground truth"))
     want = [f"{'camera':>8} {'error_deg':>12}"]
     want += [f"{idx:>8} {math.degrees(err):>12.6f}"
              for idx, err in enumerate(stats.per_camera_errors)]
@@ -546,6 +546,25 @@ def test_eval_rejects_duplicate_vertex(tmp_path, capsys):
     assert _eval_file(tmp_path, f"N 2\nVERTEX_EST 0 {ROW}\nVERTEX_EST 0 {ROW}\n"
                                 f"VERTEX_EST 1 {ROW}\n") == 2
     assert "line 3:" in capsys.readouterr().err
+
+
+def test_missing_vertex_same_error_on_solve_and_eval(tmp_path, capsys):
+    # One completeness check for every reader: cara solve on both paths and
+    # cara eval report a file without VERTEX_GT 3 (or VERTEX_EST 3) alike.
+    g = synth.generate(synth.SyntheticSceneSpec(n=5, seed=1)).graph
+    text = "".join(line + "\n" for line in gm.serialize(g).splitlines()
+                   if not line.startswith("VERTEX_GT 3 "))
+    want = (2, "error: line 0: incomplete ground truth, missing vertices [3]\n")
+    assert _solve_both(tmp_path, text, capsys) == [want, want]
+    est = tmp_path / "est.txt"
+    lines = gm.vertex_lines("VERTEX_EST", g.ground_truth)
+    est.write_text("N 5\n" + "".join(line + "\n" for line in lines))
+    code = run(["eval", "--est", str(est), "--gt", str(tmp_path / "g.graph")])
+    assert (code, capsys.readouterr().err) == want
+    est.write_text("N 5\n" + "".join(line + "\n" for line in lines[:3] + lines[4:]))
+    code = run(["eval", "--est", str(est), "--gt", str(tmp_path / "g.graph")])
+    assert (code, capsys.readouterr().err) == (
+        2, "error: line 0: incomplete estimates, missing vertices [3]\n")
 
 
 def test_eval_degenerate_alignment_exit_2(tmp_path, capsys):

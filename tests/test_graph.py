@@ -329,12 +329,12 @@ def test_read_graph_fields_across_blocks(monkeypatch, tmp_path):
 
 
 def test_parse_peak_memory_is_bounded(tmp_path):
-    # Parsing the 2000-camera chain file peaks at 3.67 MB: each field's
-    # block pieces are dropped as the field is joined, each block's
-    # rotations are its own 72 B an edge, and they are joined before the
-    # ground truth is built. With the rotations as views of each block's
-    # (k, 10) floats, joined last, it read 3.96 MB; keeping every field's
-    # pieces to the end as well, 4.45 MB.
+    # Parsing the 2000-camera chain file (19 945 edges) peaks as the
+    # rotations are joined: the blocks' pieces and the joined stack, 72 B
+    # an edge each, over the joined indices and the confidence and ground
+    # truth pieces, 3.68 MB. The bound holds while each block keeps only
+    # its own rotations, not a view of its (k, 10) floats, and each field's
+    # pieces are dropped as it is joined, before the next field is joined.
     g = synth.generate(synth.SyntheticSceneSpec(
         n=2000, topology="chain_window", chain_window=10,
         noise_sigma=math.radians(5), seed=0)).graph
@@ -352,6 +352,18 @@ def test_parse_peak_memory_is_bounded(tmp_path):
     assert peak <= 3.77e6
 
 
+def _spy_per_line_reads(monkeypatch):
+    """The (first line, line count) of every block the per-line reader reads."""
+    reads, per_line = [], gm.RecordReader._read
+
+    def spy(self, start, block):
+        reads.append((start, len(block)))
+        return per_line(self, start, block)
+
+    monkeypatch.setattr(gm.RecordReader, "_read", spy)
+    return reads
+
+
 def test_per_line_reader_sees_only_header_blocks(monkeypatch, tmp_path):
     # N and 5 VERTEX_GT lines fill the first two 4-line blocks, and the
     # second ends with 2 of the 10 EDGE lines. Blocks are cut at the N line
@@ -363,22 +375,57 @@ def test_per_line_reader_sees_only_header_blocks(monkeypatch, tmp_path):
     path = tmp_path / "g.graph"
     path.write_text(text)
     monkeypatch.setattr(gm, "BLOCK_LINES", 4)
-    reads = []
-    per_line = gm.RecordReader._read
-
-    def spy(self, start, block):
-        reads.append((start, len(block)))
-        return per_line(self, start, block)
-
-    monkeypatch.setattr(gm.RecordReader, "_read", spy)
+    reads = _spy_per_line_reads(monkeypatch)
     for read in (lambda: gm.parse(text), lambda: stream.FileEdgeStream(path),
-                 lambda: cli._read_rotations(path)):
+                 lambda: cli._read_rotations(path, "ground truth")):
         reads.clear()
         read()
         assert reads == [(1, 1)]
     parsed = gm.parse(text)
     for name in ("ii", "jj", "rotations", "confidences"):
         assert getattr(parsed, name).tobytes() == getattr(g, name).tobytes()
+
+
+@pytest.mark.parametrize("line, row, error", [
+    (4, "VERTEX_GT 1 " + ROW, "duplicate VERTEX_GT 1"),
+    (5, "VERTEX_GT 0 " + ROW, "duplicate VERTEX_GT 0"),
+    (4, "VERTEX_GT 5 " + ROW, "vertex id 5 out of range"),
+    (4, "VERTEX_GT 2 2 0 0 0 2 0 0 0 2",
+     "matrix is not a rotation (orthonormality deviation 5.196e+00)"),
+], ids=["repeat-in-run", "repeat-across-blocks", "range", "not-rotation"])
+def test_bad_vertex_values_stay_on_fast_path(monkeypatch, tmp_path, line, row, error):
+    # The blocks of test_per_line_reader_sees_only_header_blocks, with one
+    # vertex line given a bad value: every ingest rejects it at its line
+    # from the loadtxt numbers, and the per-line reader still sees only N.
+    lines = gm.serialize(synth.generate(synth.SyntheticSceneSpec(n=5, seed=1)).graph
+                         ).splitlines()
+    lines[line - 1] = row
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    monkeypatch.setattr(gm, "BLOCK_LINES", 4)
+    reads = _spy_per_line_reads(monkeypatch)
+    for read in (lambda: gm.parse(text), lambda: stream.FileEdgeStream(path),
+                 lambda: cli._read_rotations(path, "ground truth")):
+        reads.clear()
+        with pytest.raises(GraphParseError) as err:
+            read()
+        assert str(err.value) == f"line {line}: {error}"
+        assert reads == [(1, 1)]
+
+
+@pytest.mark.parametrize("idx", [2**63, -2**63 - 1, 10**30])
+def test_vertex_id_past_int64_is_out_of_range(tmp_path, idx):
+    # loadtxt cannot read the id, so the per-line reader converts it with
+    # int(); the validator then compares Python ints, on every ingest.
+    text = f"N 2\nVERTEX_GT 0 {ROW}\nVERTEX_GT {idx} {ROW}\nEDGE 0 1 {ROW} 0.5\n"
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    for read in (lambda: gm.parse(text), lambda: stream.FileEdgeStream(path),
+                 lambda: cli._read_rotations(path, "ground truth")):
+        with pytest.raises(GraphParseError) as err:
+            read()
+        assert str(err.value) == f"line 3: vertex id {idx} out of range"
 
 
 
@@ -422,14 +469,7 @@ def test_block_of_many_runs_read_line_by_line(monkeypatch):
     monkeypatch.setattr(gm, "BLOCK_LINES", 20)
     text = gm.serialize(synth.generate(synth.SyntheticSceneSpec(n=5, seed=1)).graph)
     commented = "".join(line + "\n# note\n" for line in text.splitlines())
-    reads = []
-    per_line = gm.RecordReader._read
-
-    def spy(self, start, block):
-        reads.append((start, len(block)))
-        return per_line(self, start, block)
-
-    monkeypatch.setattr(gm.RecordReader, "_read", spy)
+    reads = _spy_per_line_reads(monkeypatch)
     got = _parsed(lambda: gm.parse(commented))
     assert reads == [(1, 20), (21, 12)]
     assert got == _parsed(lambda: gm.parse(text))

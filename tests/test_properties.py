@@ -143,8 +143,8 @@ def test_stream_and_memory_agree(case):
         if code_m == 2:
             assert err_m == err_s
         if code_m == 0:
-            gap = np.abs(cli._read_rotations(tmp / "m.est")
-                         - cli._read_rotations(tmp / "s.est")).max()
+            gap = np.abs(cli._read_rotations(tmp / "m.est", "estimates")
+                         - cli._read_rotations(tmp / "s.est", "estimates")).max()
             assert gap <= 1e-12, kinds
 
 

@@ -65,6 +65,15 @@ class TestCalLoss:
             expected += e.confidence * angle ** 2
         assert solver.cal_loss(g, rotations) == pytest.approx(expected, abs=1e-12)
 
+    def test_equals_first_loss_of_solve(self):
+        # The solve's own expression, conf @ theta ** 2, so the same bits;
+        # an einsum of the residual vectors differs here in the last bit.
+        g = synth.generate(synth.SyntheticSceneSpec(
+            n=200, topology="complete", noise_sigma=math.radians(5),
+            outlier_edge_fraction=0.1, confidence_model="informative", seed=1)).graph
+        init = cai(g)
+        assert solver.cal_loss(g, init) == solver.cao_solve(g, init).loss_history[0]
+
     def test_size_mismatch(self):
         g, gt = noise_free_graph(4, 5)
         with pytest.raises(InvalidArgumentError):

@@ -58,6 +58,17 @@ def test_pair_only_stream_has_no_edge_records(scene_file, read):
         read(path).edges
 
 
+@pytest.mark.parametrize("read", [stream.read_edge_stream, stream.FileEdgeStream],
+                         ids=["memory", "file"])
+@pytest.mark.parametrize("make", [gm.build, gm.EpipolarConfidenceGraph],
+                         ids=["build", "graph"])
+def test_pair_only_stream_makes_no_graph(scene_file, read, make):
+    path, _ = scene_file(SyntheticSceneSpec(n=5, seed=0))
+    s = read(path)
+    with pytest.raises(InvalidArgumentError, match="quaternion pairs only"):
+        make(s.n_vertices, s)
+
+
 def test_passes_reproduce_rotations(scene_file):
     path, _ = scene_file(SyntheticSceneSpec(
         n=12, noise_sigma=math.radians(5), seed=1))
