@@ -479,6 +479,8 @@ class RecordReader:
             if len(parts) != 2:
                 raise ValueError("N record needs one integer")
             n = int(parts[1])
+            if n < 1:
+                raise ValueError(f"N must be at least 1, got {n}")
             if n > _MAX_INDEX:
                 raise ValueError(f"N {n} exceeds the largest index {_MAX_INDEX}")
             self.n = n

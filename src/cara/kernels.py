@@ -18,31 +18,37 @@ BACKEND = "numpy"
 _SMALL = 1e-6
 _EYE = np.eye(3)
 # Row k of K = 4 q q^T as indices into its ten distinct entries: the
-# diagonal 4w^2, 4x^2, 4y^2, 4z^2, then 4wx, 4wy, 4wz, 4xy, 4xz, 4yz.
-_K_ROWS = np.array([[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3]])
+# diagonal 4w^2, 4x^2, 4y^2, 4z^2, then 4wx, 4wz, 4wy, 4xy, 4yz, 4xz.
+_K_ROWS = np.array([[0, 4, 6, 5], [4, 1, 7, 9], [6, 7, 2, 8], [5, 9, 8, 3]])
 
 
 def batch_exp(vs: np.ndarray) -> np.ndarray:
-    """(M, 3) axis-angle vectors -> (M, 3, 3) rotation matrices."""
+    """(M, 3) axis-angle vectors -> (M, 3, 3) rotation matrices,
+    I + a K + b K^2 with K the skew matrix of v, a = sin(theta) / theta and
+    b = (1 - cos(theta)) / theta^2, or their series below ``_SMALL``."""
     vs = np.ascontiguousarray(vs, dtype=np.float64)
     m = vs.shape[0]
     theta2 = np.einsum("ij,ij->i", vs, vs)
     theta = np.sqrt(theta2)
-    small = theta < _SMALL
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(small, 1.0 - theta2 / 6.0, np.sin(theta) / theta)
-        b = np.where(small, 0.5 - theta2 / 24.0,
-                     (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2))
-    K = np.zeros((m, 3, 3))
-    K[:, 0, 1] = -vs[:, 2]
-    K[:, 0, 2] = vs[:, 1]
-    K[:, 1, 0] = vs[:, 2]
-    K[:, 1, 2] = -vs[:, 0]
-    K[:, 2, 0] = -vs[:, 1]
-    K[:, 2, 1] = vs[:, 0]
-    out = a[:, None, None] * K + b[:, None, None] * (K @ K)
-    out += _EYE
-    return out
+    big = ~(theta < _SMALL)  # a NaN angle takes sin(theta) / theta
+    a = 1.0 - theta2 / 6.0
+    np.divide(np.sin(theta), theta, out=a, where=big)
+    b = 0.5 - theta2 / 24.0
+    np.divide(1.0 - np.cos(theta), theta2, out=b, where=big)
+    # K = [[0, -z, y], [z, 0, -x], [-y, x, 0]], row by row in 9 entries:
+    # y, z at 2:4, x at 7, -x, -y at 5:7 and -z at 1.
+    K = np.zeros((m, 9))
+    K[:, 2:4] = vs[:, 1:]
+    K[:, 7] = vs[:, 0]
+    np.negative(vs[:, :2], out=K[:, 5:7])
+    np.negative(vs[:, 2], out=K[:, 1])
+    K = K.reshape(m, 3, 3)
+    KK = K @ K
+    np.multiply(a[:, None, None], K, out=K)
+    np.multiply(b[:, None, None], KK, out=KK)
+    K += KK
+    K += _EYE
+    return K
 
 
 def batch_log(Rs: np.ndarray) -> np.ndarray:
@@ -64,30 +70,34 @@ def batch_quat(Rs: np.ndarray) -> np.ndarray:
     entry divided by 2 sqrt(K_kk) is q or -q, whichever has q_k > 0.
     Both signs describe the same rotation.
     """
-    r = np.asarray(Rs, dtype=np.float64).reshape(-1, 9).T
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    r = np.asarray(Rs, dtype=np.float64).reshape(-1, 9).T  # r[3 i + j] = R_ij
     m = r.shape[1]
     K = np.empty((10, m))
-    t = r00 + r11 + r22
+    diag = r[::4]
+    t = r[0] + r[4]
+    t += r[8]
     np.add(1.0, t, out=K[0])
     np.subtract(1.0, t, out=t)
-    for a, raa in ((1, r00), (2, r11), (3, r22)):  # 4 x^2 = 1 - tr + 2 r00, ...
-        np.add(raa, raa, out=K[a])
-        K[a] += t
-    np.subtract(r21, r12, out=K[4])
-    np.subtract(r02, r20, out=K[5])
-    np.subtract(r10, r01, out=K[6])
-    np.add(r01, r10, out=K[7])
-    np.add(r02, r20, out=K[8])
-    np.add(r12, r21, out=K[9])
+    np.add(diag, diag, out=K[1:4])  # 4 x^2 = 2 r00 + 1 - tr, ...
+    K[1:4] += t
+    # Pairs of entries at a fixed stride in r, two at a time.
+    np.subtract(r[7:2:-4], r[5:0:-4], out=K[4:6])  # r21 - r12, r10 - r01
+    np.subtract(r[2], r[6], out=K[6])               # r02 - r20
+    np.add(r[1:6:4], r[3:8:4], out=K[7:9])          # r01 + r10, r12 + r21
+    np.add(r[2], r[6], out=K[9])                    # r02 + r20
     # The largest diagonal entry and its row k, as two pairs then their
     # winners: a fifth of the time of argmax and max along the first axis.
-    d0, d1, d2, d3 = K[:4]
-    top, top23 = np.maximum(d0, d1), np.maximum(d2, d3)
-    k = np.where(top23 > top, 2 + (d3 > d2), d1 > d0)
-    q = K.take(_K_ROWS[k] * m + np.arange(m)[:, None])  # (M, 4): w, x, y, z
-    np.maximum(top, top23, out=top)
-    q /= (2.0 * np.sqrt(top))[:, None]
+    tops = np.maximum(K[0:4:2], K[1:4:2])   # max(d0, d1), max(d2, d3)
+    later = np.greater(K[1:4:2], K[0:4:2])  # d1 > d0, d3 > d2
+    k = np.where(tops[1] > tops[0], later[1] + 2, later[0])
+    idx = _K_ROWS.take(k, axis=0)
+    idx *= m
+    idx += np.arange(m)[:, None]
+    q = K.take(idx)  # (M, 4): w, x, y, z
+    top = np.maximum(tops[0], tops[1])
+    np.sqrt(top, out=top)
+    top += top
+    q /= top[:, None]
     return q.view(complex).T
 
 
@@ -106,20 +116,23 @@ def _log_tail(ra, rb):
     axis-angle vectors and (M,) angles (see :func:`quat_residuals`)."""
     w, x, y, z = ra.real, ra.imag, rb.real, rb.imag
     s = x * x
-    s += y * y
-    s += z * z
+    t = y * y
+    s += t
+    np.multiply(z, z, out=t)
+    s += t
     np.sqrt(s, out=s)
     theta = np.abs(w)
     np.arctan2(s, theta, out=theta)
-    theta *= 2.0
+    theta += theta
+    # theta / |v|, and its limit 2 where |v| = 0.
     with np.errstate(invalid="ignore", divide="ignore"):
-        scale = theta / s
-    scale[s == 0.0] = 2.0
-    del s
-    np.copysign(scale, w, out=scale)
+        np.divide(theta, s, out=t)
+    t[s == 0.0] = 2.0
+    np.copysign(t, w, out=t)
     v = np.empty((3, len(ra)))
-    for row, c in zip(v, (x, y, z)):
-        np.multiply(c, scale, out=row)
+    np.multiply(x, t, out=v[0])
+    np.multiply(y, t, out=v[1])
+    np.multiply(z, t, out=v[2])
     return v, theta
 
 

@@ -41,31 +41,52 @@ def _check_pair(estimates, ground_truth):
     return est, gt
 
 
+def _gauge(est, gt):
+    """S* for a checked pair: the summed R_i^T Rhat_i projected onto SO(3)."""
+    return project_to_so3(np.einsum("nji,njk->ik", est, gt))
+
+
 def align(estimates, ground_truth) -> np.ndarray:
     """Gauge rotation S* minimizing the summed chordal distance."""
-    est, gt = _check_pair(estimates, ground_truth)
-    acc = np.einsum("nji,njk->ik", est, gt)  # sum of R_i^T Rhat_i
-    return project_to_so3(acc)
+    return _gauge(*_check_pair(estimates, ground_truth))
 
 
 def error_stats(estimates, ground_truth,
                 thresholds_deg=DEFAULT_THRESHOLDS_DEG) -> AlignedErrorStats:
-    """Aligned per-camera errors plus mean / median / accuracy summaries."""
+    """Aligned per-camera errors plus mean / median / accuracy summaries.
+
+    The median and every accuracy come from one sorted copy of the errors,
+    with the bits of ``np.median`` and ``np.mean(errors_deg <= t)``: NaN
+    errors sort last and make the median NaN, and a NaN threshold counts
+    no camera.
+    """
     est, gt = _check_pair(estimates, ground_truth)
-    gauge = align(est, gt)
-    aligned = est @ gauge
-    # Angle of gt^T @ aligned per camera. Computed through batch_log,
+    gauge = _gauge(est, gt)
+    # Angle of gt^T @ (est @ gauge) per camera. Computed through batch_log,
     # whose 2 atan2(|v|, |w|) of the unit quaternion agrees with
     # arccos((trace - 1) / 2) but stays accurate near zero angle, where
     # arccos loses half the significant digits, and near pi.
-    rel = np.transpose(gt, (0, 2, 1)) @ aligned
+    rel = np.transpose(gt, (0, 2, 1)) @ (est @ gauge)
     errors = np.linalg.norm(kernels.batch_log(rel), axis=1)
-    errors_deg = np.degrees(errors)
-    accuracy = {float(t): float(np.mean(errors_deg <= t)) for t in thresholds_deg}
+    n = len(errors)
+    mean = float(errors.sum()) / n
+    ranked = np.sort(errors)
+    half = n // 2
+    if ranked[-1] != ranked[-1]:
+        # A NaN error, carried as the mean carries it: np.sort would
+        # replace it by the canonical NaN, np.median keeps its bits.
+        median = mean
+    elif n % 2:
+        median = float(ranked[half])
+    else:
+        median = (float(ranked[half - 1]) + float(ranked[half])) / 2
+    keys = [float(t) for t in thresholds_deg]
+    counts = np.degrees(ranked).searchsorted(keys, side="right").tolist()
+    accuracy = {t: c / n if t == t else 0.0 for t, c in zip(keys, counts)}
     return AlignedErrorStats(
         per_camera_errors=errors,
-        mean=float(np.mean(errors)),
-        median=float(np.median(errors)),
+        mean=mean,
+        median=median,
         accuracy=accuracy,
         gauge=gauge,
     )
@@ -74,6 +95,5 @@ def error_stats(estimates, ground_truth,
 def alignment_loss(estimates, ground_truth) -> float:
     """Mean Frobenius distance between aligned estimates and ground truth."""
     est, gt = _check_pair(estimates, ground_truth)
-    gauge = align(est, gt)
-    diff = est @ gauge - gt
+    diff = est @ _gauge(est, gt) - gt
     return float(np.mean(np.linalg.norm(diff, axis=(1, 2))))

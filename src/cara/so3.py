@@ -20,8 +20,6 @@ from .errors import DegenerateInputError, InvalidArgumentError
 ROTATION_TOL = 1e-6
 
 _EYE = np.eye(3)[:, :, None]
-# Index i -> i + 1 (mod 3), to take the components of a cross product.
-_ROLL = np.array([1, 2, 0])
 
 
 def is_rotation(m: np.ndarray) -> bool:
@@ -62,23 +60,36 @@ def as_rotations(ms: np.ndarray) -> np.ndarray:
         return ms
     with np.errstate(invalid="ignore", over="ignore"):
         # ||M^T M - I||_F from the column dot products, and det M as
-        # c0 . (c1 x c2); c[a, i] is entry i of column a of every matrix.
-        c = ms.transpose(2, 1, 0).copy()
-        d = np.einsum("aik,bik->abk", c, c) - _EYE
+        # c0 . (c1 x c2); c[a, i] is entry i of column a of every matrix,
+        # and c[a, 3:] repeats c[a, :2], so that c[a, 1:4] and c[a, 2:5]
+        # are the column rolled by one and by two.
+        c = np.empty((3, 5, len(ms)))
+        c[:, :3] = ms.transpose(2, 1, 0)
+        c[:, 3:] = c[:, :2]
+        cols = c[:, :3]
+        d = np.einsum("aik,bik->abk", cols, cols)
+        d -= _EYE
         deviation = np.sqrt(np.einsum("abk,abk->k", d, d))
-        r1, r2 = c[1:, _ROLL], c[1:, _ROLL[_ROLL]]
-        det = np.einsum("ik,ik->k", c[0], r1[0] * r2[1] - r2[0] * r1[1])
-        bad = ~(deviation <= ROTATION_TOL) | (det < 0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if not np.all(np.isfinite(ms[k])):
+        # Only the sign of det M is read, and it is near +-1 wherever the
+        # deviation passes, so its terms are summed in any order.
+        cross = c[1, 1:4] * c[2, 2:5]
+        cross -= c[1, 2:5] * c[2, 1:4]
+        cross *= cols[0]
+        det = cross[0] + cross[1]
+        det += cross[2]
+        # A NaN or overflowed entry makes its row's deviation, and so the
+        # largest one, NaN or inf.
+        worst = deviation.max()
+        if not worst <= ROTATION_TOL or det.min() < 0:
+            k = int(np.argmax(~(deviation <= ROTATION_TOL) | (det < 0)))
+            if not np.all(np.isfinite(ms[k])):
+                raise InvalidArgumentError(
+                    "rotation matrix contains non-finite entries", index=k)
             raise InvalidArgumentError(
-                "rotation matrix contains non-finite entries", index=k)
-        raise InvalidArgumentError(
-            f"matrix is not a rotation (orthonormality deviation {deviation[k]:.3e})",
-            index=k)
-    fix = deviation > 1e-12
-    if fix.any():
+                f"matrix is not a rotation (orthonormality deviation {deviation[k]:.3e})",
+                index=k)
+    if worst > 1e-12:
+        fix = deviation > 1e-12
         ms = ms.copy()
         ms[fix] = [project_to_so3(m) for m in ms[fix]]
     return ms
@@ -87,20 +98,22 @@ def as_rotations(ms: np.ndarray) -> np.ndarray:
 def exp_map(v: np.ndarray) -> np.ndarray:
     """Axis-angle vector to rotation matrix (Rodrigues formula)."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,) or not np.all(np.isfinite(v)):
+    if v.shape != (3,) or not all(map(math.isfinite, v.tolist())):
         raise InvalidArgumentError("tangent vector must be a finite 3-vector")
     return kernels.batch_exp(v[None])[0]
 
 
 def matrix_from_quat(q: np.ndarray) -> np.ndarray:
     """Rotation matrices from unit quaternions (w, x, y, z), (..., 4) -> (..., 3, 3)."""
-    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    w, x, y, z = np.asarray(q, dtype=float).T
+    # Column by column: m[j][i] is entry (i, j), so m.T puts the matrix
+    # axes last and in order.
     m = np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        [1 - 2 * (y * y + z * z), 2 * (x * y + w * z), 2 * (x * z - w * y)],
+        [2 * (x * y - w * z), 1 - 2 * (x * x + z * z), 2 * (y * z + w * x)],
+        [2 * (x * z + w * y), 2 * (y * z - w * x), 1 - 2 * (x * x + y * y)],
     ])
-    return np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1)))
+    return np.ascontiguousarray(m.T)
 
 
 def log_map(R: np.ndarray) -> np.ndarray:
@@ -115,12 +128,14 @@ def log_map(R: np.ndarray) -> np.ndarray:
 
 def riemannian_distance(X: np.ndarray, Y: np.ndarray) -> float:
     """Geodesic angle between two rotations: ||log(X Y^T)||."""
-    return float(np.linalg.norm(log_map(np.asarray(X) @ np.asarray(Y).T)))
+    return rotation_angle(np.asarray(X) @ np.asarray(Y).T)
 
 
 def rotation_angle(R: np.ndarray) -> float:
-    """Rotation angle of R in [0, pi]."""
-    return float(np.linalg.norm(log_map(R)))
+    """Rotation angle of R in [0, pi]: ||log(R)||, as ``np.linalg.norm``
+    takes it (the square root of v . v)."""
+    v = log_map(R)
+    return math.sqrt(v.dot(v))
 
 
 def euler_to_rotation(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -198,16 +213,26 @@ def perturb(R: np.ndarray, sigma: float,
 
 
 def project_to_so3(M: np.ndarray) -> np.ndarray:
-    """Nearest rotation to M in Frobenius norm (SVD with det correction)."""
+    """Nearest rotation to M in Frobenius norm (SVD with det correction).
+
+    With M = U S Vt, R = U Vt when det(U Vt) = +1 and U diag(1, 1, -1) Vt
+    when it is -1. The sign comes from the triple product of the rows of
+    U Vt, and the correction negates U's last column: the bits of
+    ``U @ np.diag([1, 1, d]) @ Vt``, without a LAPACK ``det``.
+    """
     M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3) or not np.all(np.isfinite(M)):
+    if M.shape != (3, 3) or not all(map(math.isfinite, M.ravel().tolist())):
         raise InvalidArgumentError("expected a finite 3x3 matrix")
     U, s, Vt = np.linalg.svd(M)
     if s[1] < 1e-12:
         raise DegenerateInputError(
             "matrix is (numerically) rank-deficient; projection is not unique")
-    d = np.sign(np.linalg.det(U @ Vt))
-    if d == 0:
+    R = U @ Vt
+    (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if det == 0:
         raise DegenerateInputError("degenerate singular vectors")
-    R = U @ np.diag([1.0, 1.0, d]) @ Vt
+    if det < 0:
+        U[:, 2] = -U[:, 2]
+        R = U @ Vt
     return R

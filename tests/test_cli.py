@@ -479,10 +479,12 @@ def _solve_both(tmp_path, text, capsys):
     (f"N 3\nEDGE 0 1 {ROW} 0.9\nEDGE 1 3 {ROW} 0.9\n", 3),
     (f"N 100000000000000000000\nEDGE 0 1 {ROW} 0.9\n", 1),
     ("N 1\n", 0),
+    (f"N 0\nEDGE 0 1 {ROW} 0.9\n", 1),
     (f"N 3 4\nEDGE 0 1 {ROW} 0.9\n", 1),
     (f"N 3\nVERTEX_GT 0 1 0 0\nEDGE 0 1 {ROW} 0.9\nEDGE 1 2 {ROW} 0.9\n", 2),
 ], ids=["non-rotation", "nan", "duplicate-N", "bad-N", "duplicate-pair",
-        "out-of-range", "N-past-intp", "N-below-2", "N-two-fields", "short-vertex"])
+        "out-of-range", "N-past-intp", "N-below-2", "N-below-1", "N-two-fields",
+        "short-vertex"])
 def test_stream_and_memory_reject_alike(tmp_path, capsys, text, line):
     for code, err in _solve_both(tmp_path, text, capsys):
         assert code == 2
@@ -534,6 +536,14 @@ def _eval_file(tmp_path, body):
 def test_eval_bad_vertex_id_exit_2(tmp_path, capsys):
     assert _eval_file(tmp_path, f"N 2\nVERTEX_EST a {ROW}\nVERTEX_EST 1 {ROW}\n") == 2
     assert "line 2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [-3, 0])
+def test_eval_rejects_n_below_1_at_its_line(tmp_path, capsys, n):
+    assert _eval_file(tmp_path, f"N {n}\n") == 2
+    err = capsys.readouterr().err
+    assert f"line 1: N must be at least 1, got {n}" in err
+    assert "Traceback" not in err
 
 
 def test_eval_rejects_non_rotation(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
@@ -295,3 +297,59 @@ def test_edge_residuals_bypasses_public_batch_log(monkeypatch):
     R = np.broadcast_to(np.eye(3), (4, 3, 3))
     np.testing.assert_array_equal(kernels.edge_residuals(R, R, R), np.zeros((4, 3)))
     assert calls == []
+
+
+def golden_stacks(m):
+    """Seeded (M, 3) axis-angle vectors, half uniform in [0, pi) and half at
+    fixed angles (0, below and above the series cut-off, 1e-3, 0.5, 2,
+    within 1e-7 of pi and pi), and scipy's (M, 3, 3) matrices of them with
+    every 16th nudged off orthonormality by ~1e-9, which as_rotations
+    re-projects."""
+    rng = np.random.default_rng(m)
+    vs = rng.standard_normal((m, 3))
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    scales = np.array([0.0, 1e-9, 3e-7, 1e-3, 0.5, 2.0, np.pi - 1e-7, np.pi])
+    angles = np.where(rng.random(m) < 0.5, rng.uniform(0.0, np.pi, m),
+                      scales[rng.integers(0, len(scales), m)])
+    vs *= angles[:, None]
+    Rs = ScipyRotation.from_rotvec(vs).as_matrix()
+    Rs[::16] += 1e-9 * rng.standard_normal(Rs[::16].shape)
+    return vs, Rs
+
+
+def _sha256(a):
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(repr((a.dtype.str, a.shape)).encode() + a.tobytes()).hexdigest()
+
+
+# sha256 of what each function returns on golden_stacks(M), recorded before
+# the kernels were rewritten with fewer numpy calls per call: a rewrite
+# that moves one bit fails here.
+GOLDEN_SHA256 = {
+    1: {"batch_quat": "b24c55469fe69816ca1044080e01878d047ea828927e71bf8fd3cdd22fb6fc52",
+        "batch_log": "cb5f5d1a944fe2147ec01971790584d369877494087406866846da765b84a51e",
+        "batch_exp": "7cb60066317a6bdc21eef8f2bd395676971464417b5aca4d86711a04bbcb0b72",
+        "as_rotations": "bff00f73e4e8c3b6be12a4381324307dbf4262581ed8cf39d1591474eaf0667a"},
+    200: {"batch_quat": "f91127e42cef56ccf297e8c83f192300dce5a8fe1dd252279fcd095d7b789c3d",
+          "batch_log": "5bd5ac6738cc767e1e6deb3985e226f19147b13aeb69f46521e3f0574462cfda",
+          "batch_exp": "456ad3bc00635b2e7ea030fddfb5f8e73eb72d588849e6cd7a590d54cfbd697c",
+          "as_rotations": "2a2a5dde66f1d524fc91646c5cb6d7082aa292a5abf04e5eeb1b36be23e2e8f5"},
+    4096: {"batch_quat": "173884dcb67d4a3c660d1750ce6650cff91b43a27fdf3f9359b061f00d5aedc6",
+           "batch_log": "4d289c71f3a4c0acd1c35aa0904cda428eb8a01ef88be30e1a577f0f35a734ed",
+           "batch_exp": "cdd2bf4a1b130d8f772ee8e1c6f4f571c54bb108c8570a8b87932572ee346af4",
+           "as_rotations": "3e76464eb8d27a8df53faa607d1668b77d21f23481390bdefa3cbd80ce033853"},
+    19_900: {"batch_quat": "8132891f1bbd2410ba26f43604f2e491241a12da061392b2f4c9c4d2902b8870",
+             "batch_log": "c6a1d470d0965c72262092cecd68248650b21835ac1f7381dd57c12811f23442",
+             "batch_exp": "f203fb2eb8133ce5297292e5c98c40f6560ef6d340bb5ba16afdf971501c0adf",
+             "as_rotations": "5d6ec4eeaf180d16f798f8a1e66a68fd0915140672c643d40e13255b6b496347"},
+}
+
+
+@pytest.mark.parametrize("m", sorted(GOLDEN_SHA256))
+def test_kernels_keep_their_golden_bits(m):
+    vs, Rs = golden_stacks(m)
+    got = {"batch_quat": _sha256(kernels.batch_quat(Rs)),
+           "batch_log": _sha256(kernels.batch_log(Rs)),
+           "batch_exp": _sha256(kernels.batch_exp(vs)),
+           "as_rotations": _sha256(so3.as_rotations(Rs))}
+    assert got == GOLDEN_SHA256[m]

@@ -7,7 +7,8 @@ quaternion-pair residual kernel against scipy's matrix log, and the
 sweep's rhs against an in-order scatter of its edges' terms. And the
 solver's contract on random small valid graphs: every kernel exits 0 or 3
 with the same stderr and estimates on both paths, and the confidence
-solve is invariant to the confidences' scale."""
+solve is invariant to the confidences' scale. And ``metrics.error_stats``
+byte for byte against its plain numpy formulas."""
 import contextlib
 import io
 import itertools
@@ -21,12 +22,13 @@ import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cara import cli, kernels, so3, solver, synth, tree_init
+from cara import cli, kernels, metrics, so3, solver, synth, tree_init
 from cara import graph as gm
-from cara.errors import GraphParseError, InvalidArgumentError, NotConnectedError
+from cara.errors import (DegenerateInputError, GraphParseError, InvalidArgumentError,
+                         NotConnectedError)
 
 BASE = gm.serialize(synth.generate(synth.SyntheticSceneSpec(
     n=5, noise_sigma=math.radians(5), confidence_model="informative",
@@ -636,3 +638,77 @@ def test_cao_invariant_to_confidence_scale(case):
                               init)
     assert scaled.anchor_vertex == base.anchor_vertex
     np.testing.assert_allclose(scaled.rotations, base.rotations, rtol=0, atol=1e-12)
+
+
+def reference_error_stats(est, gt, thresholds_deg):
+    """error_stats in plain numpy: the projection through ``np.linalg.det``
+    and ``np.diag``, ``np.median`` and one ``np.mean(deg <= t)`` per
+    threshold. The library must reproduce its bits."""
+    acc = np.einsum("nji,njk->ik", est, gt)
+    if not np.all(np.isfinite(acc)):
+        raise InvalidArgumentError("expected a finite 3x3 matrix")
+    U, s, Vt = np.linalg.svd(acc)
+    if s[1] < 1e-12:
+        raise DegenerateInputError(
+            "matrix is (numerically) rank-deficient; projection is not unique")
+    gauge = U @ np.diag([1.0, 1.0, np.sign(np.linalg.det(U @ Vt))]) @ Vt
+    rel = np.transpose(gt, (0, 2, 1)) @ (est @ gauge)
+    errors = np.linalg.norm(kernels.batch_log(rel), axis=1)
+    deg = np.degrees(errors)
+    return metrics.AlignedErrorStats(
+        per_camera_errors=errors, mean=float(np.mean(errors)),
+        median=float(np.median(errors)),
+        accuracy={float(t): float(np.mean(deg <= t)) for t in thresholds_deg},
+        gauge=gauge)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _outcome(f, *args):
+    """What f(*args) returns, as bytes, or the error it raises."""
+    try:
+        with np.errstate(all="ignore"):  # the overflowing cameras
+            stats = f(*args)
+    except (InvalidArgumentError, DegenerateInputError) as e:
+        return type(e), str(e)
+    return (_bits(stats.per_camera_errors), _bits(stats.mean), _bits(stats.median),
+            [(_bits(t), _bits(a)) for t, a in stats.accuracy.items()], _bits(stats.gauge))
+
+
+# A broken camera: "scaled" is twice a rotation, "mirror" has det -1, and
+# "overflow" (1.7e308 everywhere, against a 1e-10 ground truth) overflows
+# once aligned, so its error comes out NaN.
+BROKEN = ["scaled", "mirror", "overflow"]
+THRESHOLD = st.one_of(st.sampled_from([3.0, 5.0, 10.0, 0.0, 180.0]),
+                      st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(n=st.integers(1, 9), seed=st.integers(0, 2 ** 16), sigma=st.sampled_from(
+    [0.0, 1e-9, 0.05, 1.0, 3.0]), broken=st.lists(st.tuples(st.integers(0, 8),
+    st.sampled_from(BROKEN)), max_size=3), thresholds=st.lists(THRESHOLD, max_size=6))
+@example(n=1, seed=3, sigma=0.0, broken=[], thresholds=[0.0])
+@example(n=2, seed=0, sigma=0.05, broken=[], thresholds=[10.0, 3.0, 3.0, -math.inf, math.inf])
+@example(n=4, seed=1, sigma=0.05, broken=[(0, "overflow")], thresholds=[math.nan, 5.0, math.nan])
+@example(n=5, seed=2, sigma=1.0, broken=[(1, "overflow"), (3, "overflow")], thresholds=[3.0])
+def test_error_stats_bits_match_plain_numpy(n, seed, sigma, broken, thresholds):
+    rng = np.random.default_rng(seed)
+    gt = ScipyRotation.random(n, random_state=rng).as_matrix()
+    noise = ScipyRotation.from_rotvec(sigma * rng.standard_normal((n, 3))).as_matrix()
+    est = gt @ noise @ so3.random_rotation(rng)
+    for k, kind in broken:
+        k %= n
+        if kind == "scaled":
+            with np.errstate(over="ignore"):  # an overflow camera doubled
+                est[k] *= 2.0
+        elif kind == "mirror":
+            est[k] = -est[k]
+        else:
+            est[k], gt[k] = 1.7e308, 1e-10 * gt[k]
+    want = _outcome(reference_error_stats, est, gt, thresholds)
+    if not isinstance(want[0], type):
+        # One threshold exactly at an error.
+        thresholds = thresholds + [float(np.degrees(np.frombuffer(want[0])[0]))]
+        want = _outcome(reference_error_stats, est, gt, thresholds)
+    assert _outcome(metrics.error_stats, est, gt, thresholds) == want
