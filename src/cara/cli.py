@@ -138,15 +138,11 @@ def cmd_solve(args) -> int:
 
 def _read_rotations(path, what):
     """(N, 3, 3) rotations from VERTEX_EST or VERTEX_GT records; ``what`` names them."""
-    reader = graphmod.RecordReader(vertex_tags=("VERTEX_EST", "VERTEX_GT"),
-                                   skip_tags=("EDGE",))
+    reader = graphmod.RecordReader(vertex_tags=("VERTEX_EST", "VERTEX_GT"), skip_edges=True)
     with graphmod.open_text(path) as fh:
-        records = list(reader.chunks(fh))
+        pieces = [(rec.vertex_ids, rec.vertex_rots) for rec in reader.chunks(fh)]
     reader.require_all_vertices(what)
-    rotations = np.empty((reader.n, 3, 3))
-    for rec in records:
-        rotations[rec.vertex_ids] = rec.vertex_rots
-    return rotations
+    return graphmod.vertex_stack(reader.n, pieces)
 
 
 def _thresholds_from_args(args) -> list[float]:

@@ -20,14 +20,16 @@ Every path that reads the format (:func:`parse`, the ``cara solve`` scan,
 ``cara eval``) opens files with :func:`open_text` and uses one
 :class:`RecordReader`, so all accept and reject the same files and report
 the same first offending line, also for bytes that are not UTF-8.
-:func:`parse` takes the text or the open file; from a file it reads line by
-line and never holds the whole text. The reader cuts each block of lines
-into runs of EDGE lines, vertex lines and other lines (the N record,
-comments). A run of plain EDGE or vertex lines is converted by one
-``np.loadtxt`` call, any other run line by line, which decides the syntax;
-one validator each checks edge and vertex values from either path.
-Duplicate edge pairs are found once the whole file is read; a missing N or
-a missing vertex record is reported as line 0.
+:func:`parse` and the scan both read through :func:`read_graph`, whose sink
+gets each block's records: :func:`parse` keeps rotations and ground truth,
+the scan quaternion pairs. :func:`parse` takes the text or an open file,
+which it reads line by line, never holding the whole text. The reader cuts
+each block of lines into runs of EDGE lines, vertex lines and other lines
+(the N record, comments). A run of plain EDGE or vertex lines is converted
+by one ``np.loadtxt`` call, any other run line by line, which decides the
+syntax; one validator each checks edge and vertex values from either path.
+Duplicate edge pairs are found once the whole file is read; a missing N or a
+missing vertex record is reported as line 0.
 
 Every file cara writes (graphs, labels, estimates, eval and bench CSV) goes
 through :func:`write_text`, which rewrites an existing file in place.
@@ -83,12 +85,12 @@ class EdgeStream:
     ``quaternions`` are the rotations' unit quaternions as (2, M) complex
     pairs (see :func:`cara.kernels.batch_quat`), which the solver sweeps;
     unless given, they are converted on first use, or when a graph is made,
-    and kept. A stream given its quaternions may have None for rotations,
-    as ``cara solve``'s streams do: the spanning tree, propagation, the
-    solver's sweeps and :func:`cara.solver.cal_loss` read the indices,
-    confidences and pairs alone. Only :attr:`edges`, :func:`build` and
-    :class:`EpipolarConfidenceGraph`, which raise InvalidArgumentError
-    without them, and :func:`serialize` need the rotations.
+    and kept. A stream given its quaternions may have None for rotations, as
+    ``cara solve``'s streams do: the spanning tree, propagation, the solver's
+    sweeps and :func:`cara.solver.cal_loss` read the indices, confidences and
+    pairs alone. Only :attr:`edges`, :func:`build`, :func:`serialize` and
+    :class:`EpipolarConfidenceGraph` need the rotations (or raise
+    InvalidArgumentError).
     """
 
     def __init__(self, n_vertices, ii, jj, confidences, rotations, quaternions=None):
@@ -253,15 +255,17 @@ def vertex_lines(tag: str, rotations) -> list[str]:
     return [line % (idx, *r) for idx, r in enumerate(np.reshape(rotations, (-1, 9)).tolist())]
 
 
-def serialize(g: EpipolarConfidenceGraph) -> str:
-    """Graph to canonical text; floats carry 17 significant digits so
-    parse(serialize(g)) reproduces every value bit-exactly."""
+def serialize(g: EdgeStream) -> str:
+    """Graph, or any EdgeStream with rotations, to canonical text; floats
+    carry 17 significant digits so parse(serialize(g)) reproduces every
+    value bit-exactly. A pair-only stream raises InvalidArgumentError."""
+    rotations = _edge_stream(g.n_vertices, g).rotations
     lines = [f"N {g.n_vertices}"]
-    if g.ground_truth is not None:
+    if getattr(g, "ground_truth", None) is not None:
         lines += vertex_lines("VERTEX_GT", g.ground_truth)
     line = "EDGE %d %d" + _NINE_FLOATS + " %.17g"
     lines += [line % (i, j, *r, c) for i, j, r, c in zip(
-        g.ii.tolist(), g.jj.tolist(), g.rotations.reshape(-1, 9).tolist(),
+        g.ii.tolist(), g.jj.tolist(), rotations.reshape(-1, 9).tolist(),
         g.confidences.tolist())]
     return "\n".join(lines) + "\n"
 
@@ -281,14 +285,14 @@ class Records:
 class RecordReader:
     """Tokenizer and validator of the text format, one block of lines at a time.
 
-    ``vertex_tags`` are the vertex records read, ``skip_tags`` the records
-    passed over unread. After reading, ``n`` holds the N record and
-    ``vertex_ids`` every vertex id seen.
+    ``vertex_tags`` are the vertex records read; with ``skip_edges``, EDGE
+    records are passed over unread. After reading, ``n`` holds the N
+    record and ``vertex_ids`` every vertex id seen.
     """
 
-    def __init__(self, vertex_tags=("VERTEX_GT",), skip_tags=()):
+    def __init__(self, vertex_tags=("VERTEX_GT",), skip_edges=False):
         self.vertex_tags = vertex_tags
-        self.skip_tags = skip_tags
+        self.skip_edges = skip_edges
         self.n = None
         self.vertex_ids: set[int] = set()
         self._vertex_heads = tuple(t + " " for t in vertex_tags)
@@ -308,8 +312,6 @@ class RecordReader:
         - Fast path: a run of EDGE lines or of vertex lines, after the N
           record and in plain ASCII, goes through one ``np.loadtxt`` call,
           taken only when it returns one row per line with the run's tags.
-          Where ``skip_tags`` holds EDGE, a run of EDGE lines is passed over
-          and yields nothing.
         - Per-line path: every other run is read one line at a time with
           ``int()`` and ``float()``. It decides the syntax: the fast path
           takes only runs that it reads to the same numbers. Both paths
@@ -324,7 +326,7 @@ class RecordReader:
             for kind, lo, hi in self._runs(block):
                 run = block[lo:hi]
                 text = "".join(run)
-                if kind == _EDGE and "EDGE" in self.skip_tags:
+                if kind == _EDGE and self.skip_edges:
                     # ASCII, so no line holds an invalid byte, and every line
                     # a skipped record: nothing in the run is read.
                     if not (text.isascii()
@@ -420,10 +422,8 @@ class RecordReader:
                     failures.append(GraphParseError(lineno, "invalid UTF-8"))
                     break
             body = raw.partition("#")[0]
-            if self.skip_tags:  # a skipped record is known by its first token
-                head = body.split(None, 1)
-                if head and head[0] in self.skip_tags:
-                    continue
+            if self.skip_edges and body.split(None, 1)[:1] == ["EDGE"]:
+                continue
             parts = body.split()
             if not parts:
                 continue
@@ -464,8 +464,8 @@ class RecordReader:
             checked.append(GraphParseError(int(e_lines[exc.index]), str(exc)))
         if failures := checked + list(failures):
             raise min(failures, key=lambda f: f.line_number)
-        # Copies, 72 and 8 B an edge, so that no piece keeps the block's
-        # (k, 10) floats alive until read_graph joins it.
+        # Copies, 72 and 8 B an edge, so that no piece a caller keeps holds
+        # the block's (k, 10) floats alive.
         return Records(e_lines, ii, jj, np.ascontiguousarray(rots), vals[:, 9].copy(),
                        v_ids, v_rots)
 
@@ -536,27 +536,16 @@ def write_text(path, text: str) -> None:
             os.close(fd)
 
 
-def read_graph(lines, spool=None):
-    """Read and validate a whole graph file given as an iterable of lines.
-
-    Returns (n, ii, jj, rots, conf, ground_truth), the ground truth as an
-    (N, 3, 3) array, or None without VERTEX_GT records. Each field's
-    per-block pieces are dropped as the field is joined: the indices, then
-    the rotations, whose pieces are each block's own, then the ground
-    truth and the confidences. With ``spool``, as in both ``cara solve``
-    paths (:func:`cara.stream.scan_pairs`), each chunk's validated (k, 3, 3)
-    rotations go to ``spool(rots)`` and are dropped, VERTEX_GT records are
-    checked but not kept, memory stays O(N + |E|) scalars, and rots and
-    ground_truth are None.
-    """
+def read_graph(lines, sink):
+    """Read and validate a graph file given as an iterable of lines, handing
+    each block's validated :class:`Records` to ``sink``. Joins only the edge
+    indices, lines and confidences, dropping each field's pieces as it joins
+    them; checks N >= 2, duplicate pairs and, given VERTEX_GT records, that
+    every vertex has one. Returns (n, ii, jj, conf)."""
     reader = RecordReader()
-    fields = ("edge_lines", "ii", "jj", "conf")
-    if spool is None:
-        fields += ("rots", "vertex_ids", "vertex_rots")
-    pieces = {name: [] for name in fields}
+    pieces = {name: [] for name in ("edge_lines", "ii", "jj", "conf")}
     for rec in reader.chunks(lines):
-        if spool is not None:
-            spool(rec.rots)
+        sink(rec)
         for name, out in pieces.items():
             out.append(getattr(rec, name))
 
@@ -571,14 +560,17 @@ def read_graph(lines, spool=None):
         raise GraphParseError(int(cat("edge_lines")[k]),
                               f"duplicate edge for pair ({ii[k]},{jj[k]})")
     del pieces["edge_lines"]
-    rots = cat("rots") if spool is None else None
-    ground_truth = None
     if reader.vertex_ids:
         reader.require_all_vertices("ground truth")
-        if spool is None:
-            ground_truth = np.empty((n, 3, 3))
-            ground_truth[cat("vertex_ids")] = cat("vertex_rots")
-    return n, ii, jj, rots, cat("conf"), ground_truth
+    return n, ii, jj, cat("conf")
+
+
+def vertex_stack(n, pieces):
+    """(n, 3, 3) stack of ``(ids, rots)`` pieces that cover every id once."""
+    stack = np.empty((n, 3, 3))
+    for ids, rots in pieces:
+        stack[ids] = rots
+    return stack
 
 
 def parse(source) -> EpipolarConfidenceGraph:
@@ -590,5 +582,15 @@ def parse(source) -> EpipolarConfidenceGraph:
         lines = source.split("\n")
         if not lines[-1]:
             lines.pop()  # after the final newline: it would send its run line by line
-    n, ii, jj, rots, conf, ground_truth = read_graph(lines)
+    rots, ground_truth = [], []
+
+    def keep(rec):
+        rots.append(rec.rots)
+        if len(rec.vertex_ids):
+            ground_truth.append((rec.vertex_ids, rec.vertex_rots))
+
+    # Each list of pieces is dropped as it is joined, before the quaternions.
+    n, ii, jj, conf = read_graph(lines, keep)
+    rots = np.concatenate(rots)
+    ground_truth = vertex_stack(n, ground_truth) if ground_truth else None
     return EpipolarConfidenceGraph(n, EdgeStream(n, ii, jj, conf, rots), ground_truth)

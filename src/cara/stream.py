@@ -1,13 +1,14 @@
 """File ingestion for ``cara solve``: one scan of a graph file, two stores.
 
-:func:`scan_pairs` parses the file once through :func:`cara.graph.read_graph`,
-which validates exactly as :func:`cara.graph.parse` does. It keeps the
-vertex count, edge indices and confidences (O(N + |E|) scalars) and hands
-the quaternion pairs (w + x i, y + z i) of each chunk's rotations to a
-sink; no rotation stack or ground truth is kept. The two paths differ only
-in where the pairs go: :func:`read_edge_stream` (in memory) joins them
-once in RAM, :class:`FileEdgeStream` (``--stream``) writes them to an
-unlinked temporary file in ``TMPDIR`` (32 bytes per edge) and maps it.
+:func:`scan_pairs` reads the file once through :func:`cara.graph.read_graph`,
+the reader of :func:`cara.graph.parse`, so it validates exactly as it does.
+It keeps the vertex count, edge indices and confidences (O(N + |E|)
+scalars) and hands the quaternion pairs (w + x i, y + z i) of each block's
+rotations to a sink; no rotation stack or ground truth is kept. The two
+paths differ only in where the pairs go: :func:`read_edge_stream` (in
+memory) joins them once in RAM, :class:`FileEdgeStream` (``--stream``)
+writes them to an unlinked temporary file in ``TMPDIR`` (32 bytes per
+edge) and maps it.
 Both accept and reject the same files with the same error line, and give
 :func:`cara.cli._solve` the same pairs, so the same estimates bit for bit.
 """
@@ -22,13 +23,11 @@ from .graph import EdgeStream
 
 
 def scan_pairs(path, sink):
-    """Read and validate the graph file at ``path`` in one pass, handing
-    each chunk's quaternion pairs, (2, k) complex with edges normalized to
-    i < j, to ``sink``. Returns (n, ii, jj, confidences)."""
+    """Read and validate the graph file at ``path`` in one pass of
+    :func:`cara.graph.read_graph`, handing each block's quaternion pairs,
+    (2, k) complex with edges i < j, to ``sink``. Returns (n, ii, jj, conf)."""
     with graph.open_text(path) as fh:
-        n, ii, jj, _, conf, _ = graph.read_graph(
-            fh, spool=lambda rots: sink(kernels.batch_quat(rots)))
-    return n, ii, jj, conf
+        return graph.read_graph(fh, lambda rec: sink(kernels.batch_quat(rec.rots)))
 
 
 def read_edge_stream(path) -> EdgeStream:

@@ -118,13 +118,16 @@ def propagate(tree: SpanningTree, g: EdgeStream) -> np.ndarray:
     flip = tree.parents != g.ii.take(tree.edges)
     np.conjugate(ea, out=ea, where=flip)
     np.negative(eb, out=eb, where=flip)
-    q = [(np.nan, np.nan)] * n
-    q[tree.root] = (1.0, 0.0)
+    # Two lists, not N (a, b) tuples, which CPython's free list would keep.
+    qa, qb = [np.nan] * n, [np.nan] * n
+    qa[tree.root], qb[tree.root] = 1.0, 0.0
     for parent, child, e, f in zip(tree.parents.tolist(), tree.children.tolist(),
                                    ea.tolist(), eb.tolist()):
-        a, b = q[parent]
-        q[child] = (e * a - f * b.conjugate(), e * b + f * a.conjugate())
-    q = np.array(q, dtype=complex)
+        a, b = qa[parent], qb[parent]
+        qa[child], qb[child] = e * a - f * b.conjugate(), e * b + f * a.conjugate()
+    q = np.empty((n, 2), dtype=complex)
+    q[:, 0], q[:, 1] = qa, qb
+    del qa, qb
     if np.isnan(q[:, 0]).any():
         raise InvalidArgumentError("spanning tree does not cover every vertex")
     q /= np.linalg.norm(q.view(float), axis=1, keepdims=True)

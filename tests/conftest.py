@@ -1,6 +1,8 @@
 import errno
+import gc
 import os
 import sys
+import tracemalloc
 
 import pytest
 
@@ -25,6 +27,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)``, for every test with a memory bound: what ``fn()``
+    returns and the peak of the memory it allocated, traced by tracemalloc.
+    A full collection runs first: it empties CPython's free lists, which
+    tracemalloc counts as allocated, so every bound is read from the same
+    state whatever ran before."""
+    def run(fn):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+    return run
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 import builtins
 import math
 import os
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -53,15 +52,17 @@ def test_solve_noise_free(tmp_path, capsys):
     assert text.count("VERTEX_EST") == 7
 
 
-def test_solve_peak_memory_is_bounded(tmp_path, capsys):
+def test_solve_peak_memory_is_bounded(tmp_path, capsys, traced_peak):
     # In-memory cara solve of the 2000-camera chain holds no rotation stack
     # (72 B an edge), ground truth or graph: the scan keeps the indices,
     # confidences and each block's quaternion pairs (32 B an edge), joined
-    # once, so the read peaks near 2.5 MB. cao_solve sets the peak, 3.06 MB
-    # measured, holding each of its arrays once; the bound leaves 3% over
+    # once, so the read peaks near 2.5 MB. cao_solve sets the peak, 3.07 MB
+    # measured, holding each of its arrays once; the bound leaves 2% over
     # that, less than one more edge-rotation stack or parsed graph would
-    # take. The first solve of a process also imports modules and fills
-    # caches (0.1 MB more), so the traced solve is the second.
+    # take, or propagation's N (a, b) tuples, which would stay on CPython's
+    # tuple free list (0.1 MB). The first solve of a process also imports
+    # modules and fills caches (0.1 MB more), so the traced solve is the
+    # second.
     g = synth.generate(synth.SyntheticSceneSpec(
         n=2000, topology="chain_window", chain_window=10,
         noise_sigma=math.radians(5), seed=0)).graph
@@ -70,12 +71,7 @@ def test_solve_peak_memory_is_bounded(tmp_path, capsys):
     del g
     argv = ["solve", "--in", str(graph_path), "--out", str(est_path)]
     assert run(argv) == 0
-    tracemalloc.start()
-    try:
-        code = run(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: run(argv))
     assert code == 0
     assert peak <= 3.14e6
 
@@ -83,26 +79,31 @@ def test_solve_peak_memory_is_bounded(tmp_path, capsys):
 @pytest.mark.parametrize("extra", [[], ["--stream"]], ids=["memory", "stream"])
 def test_solve_reads_pairs_only(tmp_path, monkeypatch, capsys, extra):
     # Past the validator nothing reads the edge rotations or the ground
-    # truth, so both paths scan the file in spool mode: no graph is
-    # parsed, and no rotation stack or ground truth is ever joined.
+    # truth, so both paths read the file once with read_graph, whose sink
+    # turns the blocks' rotations, 21 in all, into quaternion pairs: no
+    # graph is parsed, and parse alone joins a rotation stack or ground
+    # truth.
     graph_path = tmp_path / "g.graph"
     run(["generate", "--n", "7", "--sigma-deg", "5", "--seed", "3",
          "--out", str(graph_path)])
-    reads, real_read = [], gm.read_graph
+    reads, rows, real_read = [], [], gm.read_graph
 
     def parse(source):
         raise AssertionError("cara solve parsed a graph")
 
-    def read_graph(lines, spool=None):
-        out = real_read(lines, spool)
-        reads.append((spool is not None, out[3], out[5]))
+    def read_graph(lines, sink):
+        def watch(rec):
+            rows.append(len(rec.rots))
+            sink(rec)
+        out = real_read(lines, watch)
+        reads.append(out[0])
         return out
 
     monkeypatch.setattr(gm, "parse", parse)
     monkeypatch.setattr(gm, "read_graph", read_graph)
     assert run(["solve", "--in", str(graph_path), "--out", str(tmp_path / "est")]
                + extra) == 0
-    assert reads == [(True, None, None)]
+    assert reads == [7] and sum(rows) == 21
 
 
 def test_solve_frees_graph_before_writing(tmp_path, monkeypatch, capsys):
@@ -142,13 +143,13 @@ def test_solve_frees_edge_rotations_before_factoring(tmp_path, monkeypatch, caps
     real_read, real_tree = gm.read_graph, cli.maximum_spanning_tree
     real_factor = solver._LaplacianPattern.factor
 
-    def read_graph(lines, spool=None):
-        def watch(rots):
-            root = rots
+    def read_graph(lines, sink):
+        def watch(rec):
+            root = rec.rots
             while isinstance(root.base, np.ndarray):
                 root = root.base
-            refs.append(weakref.ref(root))
-            spool(rots)
+            refs.extend((weakref.ref(rec), weakref.ref(root)))
+            sink(rec)
         return real_read(lines, watch)
 
     def maximum_spanning_tree(edges):

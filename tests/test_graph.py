@@ -132,6 +132,18 @@ class TestTextFormat:
         for a, b in zip(g.ground_truth, g2.ground_truth):
             assert np.array_equal(a, b)
 
+    def test_edge_stream_serializes_without_ground_truth(self):
+        # Any EdgeStream with rotations serializes; only ground truth
+        # writes VERTEX_GT records.
+        g = random_graph(6, 0.7, 4, with_gt=True)
+        s = gm.EdgeStream(g.n_vertices, g.ii, g.jj, g.confidences, g.rotations)
+        text = gm.serialize(s)
+        assert text.splitlines() == [line for line in gm.serialize(g).splitlines()
+                                     if not line.startswith("VERTEX_GT")]
+        parsed = gm.parse(text)
+        assert parsed.ground_truth is None
+        assert parsed.rotations.tobytes() == g.rotations.tobytes()
+
     def test_roundtrip_byte_exact_1000_edges(self):
         rng = np.random.default_rng(17)
         n = 60
@@ -194,17 +206,17 @@ class TestTextFormat:
         with pytest.raises(GraphParseError):
             gm.parse("\n".join(lines))
 
-    def test_incomplete_ground_truth_message_is_bounded(self):
+    def test_incomplete_ground_truth_message_is_bounded(self, traced_peak):
         # The message names the first 10 missing ids and the count, built
         # without a set of all N ids.
         text = (f"N 1000000\nVERTEX_GT 0 {ROW}\nEDGE 0 1 {ROW} 0.5\n")
-        tracemalloc.start()
-        try:
+
+        def parse():
             with pytest.raises(GraphParseError) as err:
                 gm.parse(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return err
+
+        err, peak = traced_peak(parse)
         assert str(err.value).endswith(
             "incomplete ground truth, missing vertices "
             "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 999989 more")
@@ -245,19 +257,18 @@ def test_first_duplicate_in_file_order():
     assert gm._first_duplicate(ii[:3], jj[:3]) is None
 
 
-def test_parsed_graph_holds_arrays_not_edge_records():
+def test_parsed_graph_holds_arrays_not_edge_records(traced_peak):
     # 8 B each for i, j and c plus 72 B of rotation: no per-edge objects.
     scene = synth.generate(synth.SyntheticSceneSpec(
         n=400, topology="chain_window", chain_window=10, seed=3))
     text = "\n".join(l for l in gm.serialize(scene.graph).splitlines()
                      if not l.startswith("VERTEX_GT"))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+
+    def parse():
         g = gm.parse(text)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+        return g, tracemalloc.get_traced_memory()[0]
+
+    (g, retained), _ = traced_peak(parse)
     m = len(g.ii)
     assert m > 3000 and g.ground_truth is None
     assert retained / m <= 150
@@ -273,7 +284,7 @@ def _is_gt_array(gt, n):
             and gt.dtype == np.float64)
 
 
-def test_ground_truth_is_one_array():
+def test_ground_truth_is_one_array(monkeypatch, tmp_path):
     # build, parse and synth.generate hold ground truth as one (N, 3, 3)
     # array whose rows have the bytes of the rotations given, read or drawn.
     rng = np.random.default_rng(5)
@@ -283,12 +294,21 @@ def test_ground_truth_is_one_array():
     assert _is_gt_array(built.ground_truth, 6)
     assert built.ground_truth.tobytes() == b"".join(r.tobytes() for r in gt)
 
-    # Vertex records in any order land at their ids.
+    # Vertex records in any order land at their ids: here in reverse id
+    # order over three 3-line blocks, parsed from text and from a file, and
+    # read by cara eval's reader.
     lines = gm.serialize(built).splitlines()
     lines[1:7] = lines[6:0:-1]
-    parsed = gm.parse("\n".join(lines) + "\n")
-    assert _is_gt_array(parsed.ground_truth, 6)
-    assert parsed.ground_truth.tobytes() == built.ground_truth.tobytes()
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    monkeypatch.setattr(gm, "BLOCK_LINES", 3)
+    with gm.open_text(path) as fh:
+        from_file = gm.parse(fh).ground_truth
+    for got in (gm.parse(text).ground_truth, from_file,
+                cli._read_rotations(path, "ground truth")):
+        assert _is_gt_array(got, 6)
+        assert got.tobytes() == built.ground_truth.tobytes()
 
     # Ground-truth quaternions are the seed's first draw.
     spec = synth.SyntheticSceneSpec(n=9, noise_sigma=0.1, seed=11)
@@ -301,8 +321,9 @@ def test_ground_truth_is_one_array():
 def test_read_graph_fields_across_blocks(monkeypatch, tmp_path):
     # 16-line blocks: the fourth holds the last 3 VERTEX_GT lines and the
     # first 13 EDGE lines, and EDGE runs cross every later boundary. Each
-    # field the blocks are joined into has the bytes of the graph written,
-    # in memory and on the --stream scan, which spools their quaternion pairs.
+    # field read_graph joins, the rotations of the blocks it hands over and
+    # every field parse joins has the bytes of the graph written; so has
+    # the --stream scan, which spools the blocks' quaternion pairs.
     monkeypatch.setattr(gm, "BLOCK_LINES", 16)
     g = synth.generate(synth.SyntheticSceneSpec(
         n=50, topology="chain_window", chain_window=3,
@@ -313,14 +334,16 @@ def test_read_graph_fields_across_blocks(monkeypatch, tmp_path):
     want = [a.tobytes() for a in (g.ii, g.jj, g.rotations, g.confidences, g.ground_truth)]
 
     with gm.open_text(path) as fh:
-        n, *fields = gm.read_graph(fh)
-    assert n == 50 and [a.tobytes() for a in fields] == want
+        parsed = gm.parse(fh)
+    assert [a.tobytes() for a in (parsed.ii, parsed.jj, parsed.rotations,
+                                  parsed.confidences, parsed.ground_truth)] == want
 
-    spooled = []
+    blocks = []
     with gm.open_text(path) as fh:
-        n, ii, jj, rots, conf, gt = gm.read_graph(fh, spool=spooled.append)
-    assert n == 50 and rots is None and gt is None and len(spooled) > 2
-    assert [a.tobytes() for a in (ii, jj, np.concatenate(spooled), conf)] == want[:4]
+        n, ii, jj, conf = gm.read_graph(fh, blocks.append)
+    rots = np.concatenate([rec.rots for rec in blocks])
+    assert n == 50 and len(blocks) > 2
+    assert [a.tobytes() for a in (ii, jj, rots, conf)] == want[:4]
 
     s = stream.FileEdgeStream(path)
     assert [a.tobytes() for a in (s.ii, s.jj, s.confidences)] == want[:2] + want[3:4]
@@ -328,28 +351,28 @@ def test_read_graph_fields_across_blocks(monkeypatch, tmp_path):
     assert np.ascontiguousarray(s.quaternions).tobytes() == gm.parse(text).quaternions.tobytes()
 
 
-def test_parse_peak_memory_is_bounded(tmp_path):
+def test_parse_peak_memory_is_bounded(tmp_path, traced_peak):
     # Parsing the 2000-camera chain file (19 945 edges) peaks as the
     # rotations are joined: the blocks' pieces and the joined stack, 72 B
-    # an edge each, over the joined indices and the confidence and ground
-    # truth pieces, 3.68 MB. The bound holds while each block keeps only
-    # its own rotations, not a view of its (k, 10) floats, and each field's
-    # pieces are dropped as it is joined, before the next field is joined.
+    # an edge each, over the joined indices and confidences and the ground
+    # truth pieces, 3.55 MB. The bound holds while each block keeps only its
+    # own rotations, not a view of its (k, 10) floats, and read_graph drops
+    # each field's pieces as it joins it, so the index and confidence
+    # pieces are gone before the rotations are joined.
     g = synth.generate(synth.SyntheticSceneSpec(
         n=2000, topology="chain_window", chain_window=10,
         noise_sigma=math.radians(5), seed=0)).graph
     path = tmp_path / "g.graph"
     gm.write_text(path, gm.serialize(g))
     del g
-    tracemalloc.start()
-    try:
+
+    def parse():
         with gm.open_text(path) as fh:
-            g = gm.parse(fh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+            return gm.parse(fh)
+
+    g, peak = traced_peak(parse)
     assert len(g.ii) > 19000
-    assert peak <= 3.77e6
+    assert peak <= 3.60e6
 
 
 def _spy_per_line_reads(monkeypatch):
@@ -480,7 +503,7 @@ def test_skipped_edge_block_still_rejects_invalid_utf8(monkeypatch):
     monkeypatch.setattr(gm, "BLOCK_LINES", 2)
     edge = "EDGE 0 1 1 0 0 0 1 0 0 0 1 0.5\n"
     lines = ["N 2\n", edge, edge, edge.replace("0.5", "0.5\udcff")]
-    reader = gm.RecordReader(vertex_tags=("VERTEX_EST",), skip_tags=("EDGE",))
+    reader = gm.RecordReader(vertex_tags=("VERTEX_EST",), skip_edges=True)
     with pytest.raises(GraphParseError) as err:
         list(reader.chunks(lines))
     assert str(err.value) == "line 4: invalid UTF-8"

@@ -226,7 +226,7 @@ EST = BASE[:1] + [line.replace("VERTEX_GT", "VERTEX_EST") for line in BASE
                   if line.startswith("VERTEX_GT")]
 NOT_ROTATIONS = [2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0]), np.diag([1.0, math.nan, 1.0]),
                  (1.0 + 1e-3) * np.eye(3)]
-EVAL_READER = {"vertex_tags": ("VERTEX_EST", "VERTEX_GT"), "skip_tags": ("EDGE",)}
+EVAL_READER = {"vertex_tags": ("VERTEX_EST", "VERTEX_GT"), "skip_edges": True}
 
 
 @st.composite

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -626,7 +625,7 @@ def test_irls_weighs_each_edge_once_per_step(monkeypatch, kind):
     assert rows == [chunk, m - chunk] * (report.iterations_run + 1)
 
 
-def test_sweep_peak_memory_is_bounded():
+def test_sweep_peak_memory_is_bounded(traced_peak):
     # One sweep of the 2000-camera chain holds its chunk buffers and its
     # outputs, 1.03 MB measured; gathering both ends' vertex pairs before
     # the product reads 1.19 MB, and copying the rhs into each chunk's
@@ -637,28 +636,18 @@ def test_sweep_peak_memory_is_bounded():
         noise_sigma=math.radians(5), seed=0)).graph
     init = cai(g)
     solver._residual_pass(g, init, g.confidences)
-    tracemalloc.start()
-    try:
-        solver._residual_pass(g, init, g.confidences)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: solver._residual_pass(g, init, g.confidences))
     assert len(g.ii) > 4 * gm.CHUNK_RECORDS
     assert peak <= 1.06e6
 
 
-def test_pattern_peak_memory_is_bounded():
+def test_pattern_peak_memory_is_bounded(traced_peak):
     # The sparse pattern of the 2000-camera chain peaks at 1.55 MB: its
     # unsorted row indices are freed before the matrix's data is
     # allocated. Sorting them while the data is allocated reads 1.71 MB.
     g = synth.generate(synth.SyntheticSceneSpec(
         n=2000, topology="chain_window", chain_window=10,
         noise_sigma=math.radians(5), seed=0)).graph
-    tracemalloc.start()
-    try:
-        pattern = solver._LaplacianPattern(g.n_vertices, g.ii, g.jj, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    pattern, peak = traced_peak(lambda: solver._LaplacianPattern(g.n_vertices, g.ii, g.jj, 0))
     assert not pattern.dense
     assert peak <= 1.6e6

@@ -60,8 +60,9 @@ def test_pair_only_stream_has_no_edge_records(scene_file, read):
 
 @pytest.mark.parametrize("read", [stream.read_edge_stream, stream.FileEdgeStream],
                          ids=["memory", "file"])
-@pytest.mark.parametrize("make", [gm.build, gm.EpipolarConfidenceGraph],
-                         ids=["build", "graph"])
+@pytest.mark.parametrize("make", [gm.build, gm.EpipolarConfidenceGraph,
+                                  lambda n, s: gm.serialize(s)],
+                         ids=["build", "graph", "serialize"])
 def test_pair_only_stream_makes_no_graph(scene_file, read, make):
     path, _ = scene_file(SyntheticSceneSpec(n=5, seed=0))
     s = read(path)

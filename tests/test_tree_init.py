@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,17 +81,17 @@ class TestMaximumSpanningTree:
             tree_init.maximum_spanning_tree(g)
         assert sorted(map(tuple, err.value.components)) == [(0, 1), (2, 3)]
 
-    def test_huge_n_counts_components_in_bounded_memory(self):
+    def test_huge_n_counts_components_in_bounded_memory(self, traced_peak):
         # An O(N) allocation at this N fails at once.
         n = 10 ** 12
         stream = EdgeStream(n, [0, 5], [1, 7], [0.9, 0.9], np.stack([np.eye(3)] * 2))
-        tracemalloc.start()
-        try:
+
+        def tree():
             with pytest.raises(NotConnectedError) as err:
                 tree_init.maximum_spanning_tree(stream)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return err
+
+        err, peak = traced_peak(tree)
         assert peak < 1 << 20
         assert err.value.count == n - 2
         assert err.value.components == [[0, 1], [2], [3], [4], [5, 7], [6], [8], [9],
