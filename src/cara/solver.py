@@ -17,10 +17,11 @@ acting on three right-hand-side columns. The gauge is fixed by deleting
 the anchor (root) vertex's row and column, so that vertex keeps its
 initial rotation. The pattern is built once per solve from the edge
 arrays; each weight setting only writes the weights into that pattern and
-factorizes. A pattern whose stored entries (two per kept edge plus the
-diagonal) fill at least ``DENSE_FILL`` of the nk x nk matrix is factored
-as a dense array by LAPACK's Cholesky; a sparser one as a CSC matrix by
-SuperLU.
+factorizes it by LAPACK's Cholesky. A pattern whose stored entries (two
+per kept edge plus the diagonal) fill at least ``DENSE_FILL`` of the
+nk x nk matrix is factored as a dense array; a sparser one as a band,
+its vertices put in reverse Cuthill-McKee order once per solve so that
+the band is narrow.
 
 :func:`cao_solve` and :func:`irls_solve` run one loop over the edges of
 an :class:`EdgeStream`, swept in fixed-size chunks; ``--stream`` runs it on
@@ -35,8 +36,7 @@ from functools import partial
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse import _sparsetools
+from scipy.sparse import _sparsetools, csgraph
 
 from . import kernels
 from .errors import DegenerateWeightsError, InvalidArgumentError, NotConnectedError
@@ -50,7 +50,9 @@ L_HALF_EPS = 1e-5
 # Weight floor applied when IRLS re-weighting disconnects the graph.
 WEIGHT_FLOOR = 1e-6
 # Laplacians with 2 * kept edges + kept vertices >= DENSE_FILL * nk^2 are
-# factored by dense Cholesky, sparser ones by SuperLU.
+# factored by dense Cholesky, sparser ones by banded Cholesky in reverse
+# Cuthill-McKee order. The rule is checked first, so a dense pattern costs
+# no ordering.
 DENSE_FILL = 0.25
 # A solve stops once its largest residual angle (rad) is below this.
 RESIDUAL_TOLERANCE = 1e-10
@@ -156,93 +158,89 @@ def _check_connectivity(n, ii, jj, conf=None):
 
 class _LaplacianPattern:
     """Pattern of the anchored weighted Laplacian of one edge set, built
-    once per solve: the anchor vertex's row and column are deleted.
+    once per solve: the anchor vertex's row and column are deleted, and
+    each weight setting is factored by LAPACK's Cholesky.
 
     Kept edges avoid the anchor and count only in their other end's
-    degree. A dense pattern (see ``DENSE_FILL``) holds each kept
-    edge's flat upper-triangle slot in a Fortran-ordered nk x nk array,
-    which :meth:`factor` fills and hands to ``cho_factor`` in place. A
-    sparse one is a CSC matrix: one lexsort puts the entries, each kept
-    edge's (lo, hi) and (hi, lo) and each kept vertex's diagonal, in
-    column-then-row order, and its inverse holds their slots in the
-    matrix's data, as three slices ``upper``, ``lower`` and ``diag``. Pairs
-    must be distinct and not loops, as :func:`graph.build` and the stream
-    reader ensure.
+    degree. ``order`` lists the kept vertices in the matrix's row order.
+    ``upper`` holds each kept edge's flat upper-triangle slot, and the
+    slice ``diag`` the diagonal's, in a zeroed Fortran-ordered array that
+    :meth:`factor` fills and factors in place. A dense pattern (see
+    ``DENSE_FILL``) keeps the vertex order and the full nk x nk array for
+    ``cho_factor``. A sparse one orders the kept vertices by reverse
+    Cuthill-McKee, which narrows the bandwidth u, and fills the
+    (u + 1) x nk upper band for ``cholesky_banded``. Pairs must be
+    distinct and not loops, as :func:`graph.build` and the stream reader
+    ensure; a pattern that breaks this is rejected.
     """
 
     def __init__(self, n, ii, jj, anchor):
         self.n, self.ii, self.jj = n, ii, jj
-        self.keep = np.delete(np.arange(n), anchor)
+        keep = np.delete(np.arange(n), anchor)
         pos = np.full(n, -1, dtype=np.int32)
-        pos[self.keep] = np.arange(len(self.keep), dtype=np.int32)
+        pos[keep] = np.arange(len(keep), dtype=np.int32)
         lo, hi = pos[np.minimum(ii, jj)], pos[np.maximum(ii, jj)]
         self.kept = np.flatnonzero((lo >= 0) & (hi >= 0))
         lo, hi = lo[self.kept], hi[self.kept]
-        m, nk = len(lo), len(self.keep)
+        m, nk = len(lo), len(keep)
         self.dense = 2 * m + nk >= DENSE_FILL * nk * nk
         if self.dense:
+            self.order, rows = keep, nk
             self.upper = lo + hi.astype(np.intp) * nk
-            # A loop lands on a diagonal slot, a repeated pair on its twin's.
-            filled = np.zeros(nk * nk, dtype=bool)
-            filled[self.upper] = True
-            filled[::nk + 1] = True
-            if np.count_nonzero(filled) < m + nk:
-                raise InvalidArgumentError("the solver needs distinct pairs and no loops")
-            return
-        diag = np.arange(nk, dtype=np.int32)
-        rows = np.concatenate([lo, hi, diag])
-        cols = np.concatenate([hi, lo, diag])
-        order = np.lexsort((rows, cols))
-        slots = np.empty(len(order), dtype=np.int32)
-        slots[order] = np.arange(len(order), dtype=np.int32)
-        self.upper, self.lower, self.diag = slots[:m], slots[m:2 * m], slots[2 * m:]
-        indptr = np.zeros(nk + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=nk), out=indptr[1:])
-        rows = rows[order]  # the unsorted rows go before the data is allocated
-        self.matrix = sp.csc_matrix((np.zeros(len(order)), rows, indptr),
-                                    shape=(nk, nk))
-        # A repeated pair or a loop repeats a row within a column.
-        if not self.matrix.has_canonical_format:
+            self.diag = slice(0, None, nk + 1)
+        else:
+            adjacency = sp.csr_matrix(
+                (np.ones(2 * m, dtype=np.int8),
+                 (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(nk, nk))
+            rcm = csgraph.reverse_cuthill_mckee(adjacency, symmetric_mode=True)
+            del adjacency
+            self.order = keep[rcm]
+            rank = np.empty(nk, dtype=np.int32)
+            rank[rcm] = np.arange(nk, dtype=np.int32)
+            lo, hi = rank[lo], rank[hi]
+            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+            u = int(np.max(hi - lo, initial=0))
+            # (i, j) with i <= j sits at row u + i - j of column j.
+            self.upper = (u + lo) + hi.astype(np.intp) * u
+            rows = u + 1
+            self.diag = slice(u, None, rows)
+        self.shape = (rows, nk)
+        # A loop lands on a diagonal slot, a repeated pair on its twin's.
+        filled = np.zeros(rows * nk, dtype=bool)
+        filled[self.upper] = True
+        filled[self.diag] = True
+        if np.count_nonzero(filled) < m + nk:
             raise InvalidArgumentError("the solver needs distinct pairs and no loops")
 
     def factor(self, w):
         """Factorized solve for the Laplacian weighted by ``w``. The solve
         returns zeros in the anchor's row."""
-        n = self.n
+        n, order = self.n, self.order
         deg = np.bincount(self.ii, w, minlength=n) + np.bincount(self.jj, w, minlength=n)
-        if self.dense:
-            nk = len(self.keep)
-            flat = np.zeros(nk * nk)
-            flat[self.upper] = -w[self.kept]
-            flat[::nk + 1] = deg[self.keep]
-            try:
-                cho = la.cho_factor(flat.reshape((nk, nk), order="F"),
-                                    overwrite_a=True, check_finite=False)
-            except la.LinAlgError as exc:
-                raise DegenerateWeightsError(f"normal equations are singular: {exc}") from exc
-            pivots = np.diagonal(cho[0]) ** 2
-            solve_kept = partial(la.cho_solve, cho, check_finite=False)
-        else:
-            data = self.matrix.data
-            off = -w[self.kept]
-            data[self.upper] = off
-            data[self.lower] = off
-            data[self.diag] = deg[self.keep]
-            try:
-                lu = spla.splu(self.matrix)
-            except RuntimeError as exc:
-                raise DegenerateWeightsError(f"normal equations are singular: {exc}") from exc
-            pivots = np.abs(lu.U.diagonal())
-            solve_kept = lu.solve
+        rows, nk = self.shape
+        flat = np.zeros(rows * nk)
+        flat[self.upper] = -w[self.kept]
+        flat[self.diag] = deg[order]
+        a = flat.reshape(self.shape, order="F")
+        try:
+            if self.dense:
+                cho = la.cho_factor(a, overwrite_a=True, check_finite=False)
+                pivots = np.diagonal(cho[0]) ** 2
+                solve_kept = partial(la.cho_solve, cho, check_finite=False)
+            else:
+                band = la.cholesky_banded(a, overwrite_ab=True, check_finite=False)
+                pivots = band[-1] ** 2
+                solve_kept = partial(la.cho_solve_banded, (band, False), check_finite=False)
+        except la.LinAlgError as exc:
+            raise DegenerateWeightsError(f"normal equations are singular: {exc}") from exc
         # The pivots scale with the weights, so the test is relative to the
         # largest.
         if np.min(pivots) < 1e-14 * np.max(w, initial=0.0):
             raise DegenerateWeightsError("normal equations are numerically singular")
-        keep = self.keep
 
         def solve(rhs_full):
             delta = np.zeros((n, 3))
-            delta[keep] = solve_kept(rhs_full[keep])
+            delta[order] = solve_kept(rhs_full[order])
             return delta
 
         return solve

@@ -528,7 +528,7 @@ def small_graph_file(draw):
     """(text, sparse): a valid graph file of 2-7 vertices with about 60% of
     all pairs as edges, each exact, noisy, a random or exact half-turn
     outlier, or off by 1 + 1e-9 (re-projected on reading), 30% written as
-    (j, i, R^T); and whether to factor every Laplacian by SuperLU, which
+    (j, i, R^T); and whether to factor every Laplacian as a band, which
     small graphs otherwise never reach."""
     n = draw(st.integers(2, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))

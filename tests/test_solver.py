@@ -368,33 +368,42 @@ def _dense_pairs(rng):
 
 def _sparse_pairs(rng):
     """A window-3 chain on vertices 0..198 plus vertex 199 hanging off 120
-    alone, in shuffled order: its Laplacian takes SuperLU."""
+    alone, in shuffled order: its Laplacian takes the banded factor."""
     pairs = [(i, j) for i in range(199) for j in range(i + 1, min(i + 4, 199))]
     return 200, (120, 199), pairs + [(120, 199)]
 
 
 def _record_factorizations(monkeypatch):
     """A list that gets (name, copy of the input) for every ``cho_factor``
-    and ``splu`` call; ``cho_factor`` overwrites its input."""
+    and ``cholesky_banded`` call; both overwrite their input."""
     seen = []
-    for module, name in ((solver.la, "cho_factor"), (solver.spla, "splu")):
-        def record(a, *args, _real=getattr(module, name), _name=name, **kwargs):
+    for name in ("cho_factor", "cholesky_banded"):
+        def record(a, *args, _real=getattr(solver.la, name), _name=name, **kwargs):
             seen.append((_name, a.copy()))
             return _real(a, *args, **kwargs)
-        monkeypatch.setattr(module, name, record)
+        monkeypatch.setattr(solver.la, name, record)
     return seen
 
 
-def _assembled(seen, pattern, w):
-    """The matrix ``pattern.factor(w)`` hands to its factorizer, in full.
-    The dense path fills only the upper triangle of a zeroed array."""
+def _assembled(seen, pattern, w, anchor):
+    """The matrix ``pattern.factor(w)`` hands to its factorizer, in full and
+    in vertex order. The dense path fills only the upper triangle of a
+    zeroed array; the sparse one fills the upper band, in ``order``."""
     seen.clear()
     pattern.factor(w)
     ((_, a),) = seen
-    if not pattern.dense:
-        return a.toarray()
-    assert not np.tril(a, -1).any()
-    return np.triu(a) + np.triu(a, 1).T
+    if pattern.dense:
+        assert not np.tril(a, -1).any()
+    else:  # band row u - d holds the d-th superdiagonal
+        u = len(a) - 1
+        a = sum(np.diag(a[u - d, d:], d) for d in range(u + 1))
+    full = np.triu(a) + np.triu(a, 1).T
+    # order lists the kept vertices; their rank among the kept is the
+    # reference's row.
+    rank = pattern.order - (pattern.order > anchor)
+    out = np.empty_like(full)
+    out[np.ix_(rank, rank)] = full
+    return out
 
 
 # The ids name the anchor vertex and the gauge, fix-root, the one the
@@ -425,7 +434,7 @@ def test_laplacian_pattern_refill_matches_reference(monkeypatch, make_pairs, anc
         w[rng.choice(len(ii), 3, replace=False)] = 0.0
         w[rng.choice(len(ii), 2, replace=False)] = 1e-5 ** -1.5  # l_half scale
         w[(ii == pendant[0]) & (jj == pendant[1])] = 0.7
-        np.testing.assert_allclose(_assembled(seen, pattern, w),
+        np.testing.assert_allclose(_assembled(seen, pattern, w, anchor),
                                    _reference_laplacian(n, ii, jj, w, anchor),
                                    rtol=1e-15, atol=0)
 
@@ -453,6 +462,45 @@ def test_laplacian_pattern_refill_keeps_degenerate_errors():
 
 def test_laplacian_pattern_refill_keeps_degenerate_errors_sparse():
     _check_refill_keeps_degenerate_errors(40, dense=False)
+
+
+def _erdos_pairs():
+    g = synth.generate(synth.SyntheticSceneSpec(
+        n=60, topology="erdos", erdos_p=0.1, noise_sigma=math.radians(5), seed=36)).graph
+    return g.n_vertices, g.ii, g.jj, tree_init._pick_root(g.n_vertices, g.ii, g.jj,
+                                                          g.confidences)
+
+
+def _window_pairs():
+    n, _, pairs = _sparse_pairs(None)
+    ii, jj = np.array(pairs).T
+    return n, jj, ii, 57  # (j, i) order: the factor sees no orientation
+
+
+# The star's anchor is its centre, so no edge is kept and the band is the
+# diagonal alone; with n = 2 one vertex is kept, a pattern the fill rule
+# makes dense unless it is raised.
+@pytest.mark.parametrize("make_case, banded_fill", [
+    (_window_pairs, None),
+    (lambda: (40, np.arange(39), np.arange(1, 40), 0), None),
+    (_erdos_pairs, None),
+    (lambda: (10, np.zeros(9, dtype=np.intp), np.arange(1, 10), 0), None),
+    (lambda: (2, np.array([0]), np.array([1]), 1), math.inf),
+], ids=["window-3-pendant", "chain-40", "erdos-60", "star-centre", "n-2"])
+def test_banded_and_dense_factors_agree(monkeypatch, make_case, banded_fill):
+    n, ii, jj, anchor = make_case()
+    rng = np.random.default_rng(36)
+    w = rng.uniform(0.5, 1.5, len(ii))
+    rhs = rng.standard_normal((n, 3))
+    solves = []
+    for fill in (banded_fill or solver.DENSE_FILL, 0.0):
+        monkeypatch.setattr(solver, "DENSE_FILL", fill)
+        pattern = solver._LaplacianPattern(n, ii, jj, anchor)
+        assert pattern.dense == (fill == 0.0)
+        solves.append(pattern.factor(w)(rhs))
+    banded, dense = solves
+    assert not banded[anchor].any()
+    np.testing.assert_allclose(banded, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
 
 
 def test_irls_builds_laplacian_pattern_once(monkeypatch):
@@ -521,7 +569,8 @@ def _dense_outlier_graph(seed):
     (lambda: _dense_outlier_graph(3), "cho_factor"),
     (lambda: synth.generate(synth.SyntheticSceneSpec(
         n=2000, topology="chain_window", chain_window=10, noise_sigma=math.radians(5),
-        outlier_edge_fraction=0.1, confidence_model="informative", seed=3)).graph, "splu"),
+        outlier_edge_fraction=0.1, confidence_model="informative", seed=3)).graph,
+     "cholesky_banded"),
 ], ids=["complete-200", "chain-2000"])
 def test_laplacian_factor_path_follows_fill(monkeypatch, make_graph, factorizer):
     g = make_graph()
@@ -642,12 +691,12 @@ def test_sweep_peak_memory_is_bounded(traced_peak):
 
 
 def test_pattern_peak_memory_is_bounded(traced_peak):
-    # The sparse pattern of the 2000-camera chain peaks at 1.55 MB: its
-    # unsorted row indices are freed before the matrix's data is
-    # allocated. Sorting them while the data is allocated reads 1.71 MB.
+    # The sparse pattern of the 2000-camera chain peaks at 0.93 MB while its
+    # RCM adjacency, int8 ones on int32 indices, is alive. Building it from
+    # float COO temporaries read about 1.81 MB.
     g = synth.generate(synth.SyntheticSceneSpec(
         n=2000, topology="chain_window", chain_window=10,
         noise_sigma=math.radians(5), seed=0)).graph
     pattern, peak = traced_peak(lambda: solver._LaplacianPattern(g.n_vertices, g.ii, g.jj, 0))
     assert not pattern.dense
-    assert peak <= 1.6e6
+    assert peak <= 0.96e6
