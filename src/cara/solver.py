@@ -17,11 +17,13 @@ acting on three right-hand-side columns. The gauge is fixed by deleting
 the anchor (root) vertex's row and column, so that vertex keeps its
 initial rotation. The pattern is built once per solve from the edge
 arrays; each weight setting only writes the weights into that pattern and
-factorizes it by LAPACK's Cholesky. A pattern whose stored entries (two
-per kept edge plus the diagonal) fill at least ``DENSE_FILL`` of the
-nk x nk matrix is factored as a dense array; a sparser one as a band,
-its vertices put in reverse Cuthill-McKee order once per solve so that
-the band is narrow.
+factorizes it. A pattern whose stored entries (two per kept edge plus
+the diagonal) fill at least ``DENSE_FILL`` of the nk x nk matrix is
+factored as a dense array by LAPACK's Cholesky. A sparser one has its
+vertices put in reverse Cuthill-McKee order once per solve, and is
+factored as a band by LAPACK's Cholesky while that band stays within
+``BAND_FILL`` times the stored entries; a wider band, as a camera that
+sees most others makes, goes to SuperLU as a CSC matrix.
 
 :func:`cao_solve` and :func:`irls_solve` run one loop over the edges of
 an :class:`EdgeStream`, swept in fixed-size chunks; ``--stream`` runs it on
@@ -36,6 +38,7 @@ from functools import partial
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools, csgraph
 
 from . import kernels
@@ -50,10 +53,16 @@ L_HALF_EPS = 1e-5
 # Weight floor applied when IRLS re-weighting disconnects the graph.
 WEIGHT_FLOOR = 1e-6
 # Laplacians with 2 * kept edges + kept vertices >= DENSE_FILL * nk^2 are
-# factored by dense Cholesky, sparser ones by banded Cholesky in reverse
-# Cuthill-McKee order. The rule is checked first, so a dense pattern costs
-# no ordering.
+# factored by dense Cholesky. The rule is checked first, so a dense pattern
+# costs no ordering.
 DENSE_FILL = 0.25
+# A sparser Laplacian, its vertices in reverse Cuthill-McKee order, is
+# factored by banded Cholesky when its (u + 1) x nk band holds at most
+# BAND_FILL times its kept edges plus kept vertices, else by SuperLU. A
+# camera that sees most others stretches the band to about nk, where the
+# band costs O(nk^2) bytes and O(nk^3) flops and SuperLU's fill-reducing
+# order keeps the factor sparse.
+BAND_FILL = 32
 # A solve stops once its largest residual angle (rad) is below this.
 RESIDUAL_TOLERANCE = 1e-10
 # IRLS stops once its robust objective changes by at most this fraction.
@@ -158,20 +167,20 @@ def _check_connectivity(n, ii, jj, conf=None):
 
 class _LaplacianPattern:
     """Pattern of the anchored weighted Laplacian of one edge set, built
-    once per solve: the anchor vertex's row and column are deleted, and
-    each weight setting is factored by LAPACK's Cholesky.
+    once per solve: the anchor vertex's row and column are deleted.
 
     Kept edges avoid the anchor and count only in their other end's
-    degree. ``order`` lists the kept vertices in the matrix's row order.
+    degree; ``order`` lists the kept vertices in the matrix's row order.
     ``upper`` holds each kept edge's flat upper-triangle slot, and the
-    slice ``diag`` the diagonal's, in a zeroed Fortran-ordered array that
-    :meth:`factor` fills and factors in place. A dense pattern (see
-    ``DENSE_FILL``) keeps the vertex order and the full nk x nk array for
-    ``cho_factor``. A sparse one orders the kept vertices by reverse
-    Cuthill-McKee, which narrows the bandwidth u, and fills the
-    (u + 1) x nk upper band for ``cholesky_banded``. Pairs must be
-    distinct and not loops, as :func:`graph.build` and the stream reader
-    ensure; a pattern that breaks this is rejected.
+    slice ``diag`` the diagonal's, in the zeroed Fortran-ordered array that
+    :meth:`factor` fills and factors in place: nk x nk for a dense pattern
+    (see ``DENSE_FILL``), or the (u + 1) x nk upper band of a sparse one in
+    reverse Cuthill-McKee order. A band too wide for ``BAND_FILL`` keeps
+    the vertex order, and SuperLU's CSC ``matrix`` instead, whose data
+    hold each kept edge's (lo, hi) at ``upper``, its (hi, lo) at ``lower``
+    and the diagonal at ``diag``. Pairs must be distinct and not loops, as
+    :func:`graph.build` and the stream reader ensure; a pattern that
+    breaks this is rejected.
     """
 
     def __init__(self, n, ii, jj, anchor):
@@ -183,55 +192,78 @@ class _LaplacianPattern:
         self.kept = np.flatnonzero((lo >= 0) & (hi >= 0))
         lo, hi = lo[self.kept], hi[self.kept]
         m, nk = len(lo), len(keep)
+        self.order, self.matrix = keep, None
         self.dense = 2 * m + nk >= DENSE_FILL * nk * nk
         if self.dense:
-            self.order, rows = keep, nk
             self.upper = lo + hi.astype(np.intp) * nk
             self.diag = slice(0, None, nk + 1)
-        else:
-            adjacency = sp.csr_matrix(
-                (np.ones(2 * m, dtype=np.int8),
-                 (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(nk, nk))
-            rcm = csgraph.reverse_cuthill_mckee(adjacency, symmetric_mode=True)
-            del adjacency
-            self.order = keep[rcm]
-            rank = np.empty(nk, dtype=np.int32)
-            rank[rcm] = np.arange(nk, dtype=np.int32)
-            lo, hi = rank[lo], rank[hi]
-            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-            u = int(np.max(hi - lo, initial=0))
-            # (i, j) with i <= j sits at row u + i - j of column j.
-            self.upper = (u + lo) + hi.astype(np.intp) * u
-            rows = u + 1
-            self.diag = slice(u, None, rows)
-        self.shape = (rows, nk)
-        # A loop lands on a diagonal slot, a repeated pair on its twin's.
-        filled = np.zeros(rows * nk, dtype=bool)
-        filled[self.upper] = True
-        filled[self.diag] = True
-        if np.count_nonzero(filled) < m + nk:
+            self.shape = (nk, nk)
+            # A loop lands on a diagonal slot, a repeated pair on its twin's.
+            filled = np.zeros(nk * nk, dtype=bool)
+            filled[self.upper] = True
+            filled[self.diag] = True
+            if np.count_nonzero(filled) < m + nk:
+                raise InvalidArgumentError("the solver needs distinct pairs and no loops")
+            return
+        adjacency = sp.csr_matrix(
+            (np.ones(2 * m, dtype=np.int8),
+             (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(nk, nk))
+        # A loop's two entries, and a repeated pair's, are summed into one.
+        if adjacency.nnz < 2 * m:
             raise InvalidArgumentError("the solver needs distinct pairs and no loops")
+        rcm = csgraph.reverse_cuthill_mckee(adjacency, symmetric_mode=True)
+        del adjacency
+        rank = np.empty(nk, dtype=np.int32)
+        rank[rcm] = np.arange(nk, dtype=np.int32)
+        u = int(np.max(np.abs(rank[lo] - rank[hi]), initial=0))
+        if (u + 1) * nk > BAND_FILL * (m + nk):
+            # Each entry's index lands in its own slot of the CSC data.
+            diag = np.arange(nk, dtype=np.int32)
+            self.matrix = sp.csc_matrix(
+                (np.arange(2 * m + nk, dtype=float),
+                 (np.concatenate([lo, hi, diag]), np.concatenate([hi, lo, diag]))),
+                shape=(nk, nk))
+            slots = np.empty(2 * m + nk, dtype=np.int32)
+            slots[self.matrix.data.astype(np.intp)] = np.arange(2 * m + nk, dtype=np.int32)
+            self.upper, self.lower, self.diag = slots[:m], slots[m:2 * m], slots[2 * m:]
+            return
+        self.order = keep[rcm]
+        lo, hi = rank[lo], rank[hi]
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        # (i, j) with i <= j sits at row u + i - j of column j.
+        self.upper = (u + lo) + hi.astype(np.intp) * u
+        self.diag = slice(u, None, u + 1)
+        self.shape = (u + 1, nk)
 
     def factor(self, w):
         """Factorized solve for the Laplacian weighted by ``w``. The solve
         returns zeros in the anchor's row."""
         n, order = self.n, self.order
         deg = np.bincount(self.ii, w, minlength=n) + np.bincount(self.jj, w, minlength=n)
-        rows, nk = self.shape
-        flat = np.zeros(rows * nk)
-        flat[self.upper] = -w[self.kept]
-        flat[self.diag] = deg[order]
-        a = flat.reshape(self.shape, order="F")
         try:
-            if self.dense:
-                cho = la.cho_factor(a, overwrite_a=True, check_finite=False)
-                pivots = np.diagonal(cho[0]) ** 2
-                solve_kept = partial(la.cho_solve, cho, check_finite=False)
+            if self.matrix is not None:
+                data, off = self.matrix.data, -w[self.kept]
+                data[self.upper] = off
+                data[self.lower] = off
+                data[self.diag] = deg[order]
+                lu = spla.splu(self.matrix)
+                pivots = np.abs(lu.U.diagonal())
+                solve_kept = lu.solve
             else:
-                band = la.cholesky_banded(a, overwrite_ab=True, check_finite=False)
-                pivots = band[-1] ** 2
-                solve_kept = partial(la.cho_solve_banded, (band, False), check_finite=False)
-        except la.LinAlgError as exc:
+                flat = np.zeros(self.shape[0] * self.shape[1])
+                flat[self.upper] = -w[self.kept]
+                flat[self.diag] = deg[order]
+                a = flat.reshape(self.shape, order="F")
+                if self.dense:
+                    cho = la.cho_factor(a, overwrite_a=True, check_finite=False)
+                    pivots = np.diagonal(cho[0]) ** 2
+                    solve_kept = partial(la.cho_solve, cho, check_finite=False)
+                else:
+                    band = la.cholesky_banded(a, overwrite_ab=True, check_finite=False)
+                    pivots = band[-1] ** 2
+                    solve_kept = partial(la.cho_solve_banded, (band, False),
+                                         check_finite=False)
+        except (la.LinAlgError, RuntimeError) as exc:
             raise DegenerateWeightsError(f"normal equations are singular: {exc}") from exc
         # The pivots scale with the weights, so the test is relative to the
         # largest.

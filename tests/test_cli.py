@@ -57,13 +57,12 @@ def test_solve_peak_memory_is_bounded(tmp_path, capsys, traced_peak):
     # (72 B an edge), ground truth or graph: the scan keeps the indices,
     # confidences and each block's quaternion pairs (32 B an edge), joined
     # once, so the read peaks near 2.44 MB. cao_solve sets the peak, 2.69 MB
-    # measured, holding each of its arrays once and a banded factor (one
-    # that keeps an L and U beside it read 3.08 MB); the bound leaves 2% over
-    # that, less than one more edge-rotation stack or parsed graph would
-    # take, or propagation's N (a, b) tuples, which would stay on CPython's
-    # tuple free list (0.1 MB). The first solve of a process also imports
-    # modules and fills caches (0.1 MB more), so the traced solve is the
-    # second.
+    # measured, holding each of its arrays once and a banded factor; the
+    # bound leaves 2% over that, less than one more edge-rotation stack or
+    # parsed graph would take, or propagation's N (a, b) tuples, which
+    # would stay on CPython's tuple free list (0.1 MB). The first solve of
+    # a process also imports modules and fills caches (0.1 MB more), so the
+    # traced solve is the second.
     g = synth.generate(synth.SyntheticSceneSpec(
         n=2000, topology="chain_window", chain_window=10,
         noise_sigma=math.radians(5), seed=0)).graph

@@ -1,4 +1,5 @@
 import math
+import time
 import weakref
 
 import numpy as np
@@ -373,69 +374,97 @@ def _sparse_pairs(rng):
     return 200, (120, 199), pairs + [(120, 199)]
 
 
+def _two_hub_pairs(n, window):
+    """(ii, jj) of a window chain on n cameras whose cameras 0 and 1 also
+    see every other camera."""
+    ii = np.repeat(np.arange(n), window)
+    jj = ii + np.tile(np.arange(1, window + 1), n)
+    hub, seen = np.repeat([0, 1], n), np.tile(np.arange(n), 2)
+    far = seen > hub + window
+    return (np.concatenate([ii[jj < n], hub[far]]),
+            np.concatenate([jj[jj < n], seen[far]]))
+
+
+def _hub_pairs(rng):
+    """Two hubs on a window-3 chain of vertices 0..398, plus vertex 399
+    hanging off 120 alone: with either hub kept, the band is about as wide
+    as the matrix, and the Laplacian takes SuperLU."""
+    return 400, (120, 399), [*zip(*_two_hub_pairs(399, 3)), (120, 399)]
+
+
 def _record_factorizations(monkeypatch):
-    """A list that gets (name, copy of the input) for every ``cho_factor``
-    and ``cholesky_banded`` call; both overwrite their input."""
+    """A list that gets (name, copy of the input) for every ``cho_factor``,
+    ``cholesky_banded`` and ``splu`` call; the first two overwrite their
+    input."""
     seen = []
-    for name in ("cho_factor", "cholesky_banded"):
-        def record(a, *args, _real=getattr(solver.la, name), _name=name, **kwargs):
+    for module, name in ((solver.la, "cho_factor"), (solver.la, "cholesky_banded"),
+                         (solver.spla, "splu")):
+        def record(a, *args, _real=getattr(module, name), _name=name, **kwargs):
             seen.append((_name, a.copy()))
             return _real(a, *args, **kwargs)
-        monkeypatch.setattr(solver.la, name, record)
+        monkeypatch.setattr(module, name, record)
     return seen
 
 
 def _assembled(seen, pattern, w, anchor):
-    """The matrix ``pattern.factor(w)`` hands to its factorizer, in full and
-    in vertex order. The dense path fills only the upper triangle of a
-    zeroed array; the sparse one fills the upper band, in ``order``."""
+    """The factorizer ``pattern.factor(w)`` calls and the matrix it hands
+    over, in full and in vertex order. The dense path fills only the upper
+    triangle of a zeroed array, and the banded one the upper band, in
+    ``order``; SuperLU takes the whole matrix."""
     seen.clear()
     pattern.factor(w)
-    ((_, a),) = seen
-    if pattern.dense:
-        assert not np.tril(a, -1).any()
-    else:  # band row u - d holds the d-th superdiagonal
-        u = len(a) - 1
-        a = sum(np.diag(a[u - d, d:], d) for d in range(u + 1))
-    full = np.triu(a) + np.triu(a, 1).T
+    ((name, a),) = seen
+    if name == "splu":
+        full = a.toarray()
+    else:
+        if name == "cho_factor":
+            assert not np.tril(a, -1).any()
+        else:  # band row u - d holds the d-th superdiagonal
+            u = len(a) - 1
+            a = sum(np.diag(a[u - d, d:], d) for d in range(u + 1))
+        full = np.triu(a) + np.triu(a, 1).T
     # order lists the kept vertices; their rank among the kept is the
     # reference's row.
     rank = pattern.order - (pattern.order > anchor)
     out = np.empty_like(full)
     out[np.ix_(rank, rank)] = full
-    return out
+    return name, out
 
 
 # The ids name the anchor vertex and the gauge, fix-root, the one the
 # solver has.
-@pytest.mark.parametrize("make_pairs, anchor, dense", [
-    pytest.param(_dense_pairs, 0, True, id="0-fix-root"),
-    pytest.param(_dense_pairs, 4, True, id="4-fix-root"),
-    pytest.param(_dense_pairs, 9, True, id="9-fix-root"),
-    pytest.param(_dense_pairs, 6, True, id="6-fix-root"),
-    pytest.param(_sparse_pairs, 0, False, id="sparse-0-fix-root"),
-    pytest.param(_sparse_pairs, 57, False, id="sparse-57-fix-root"),
-    pytest.param(_sparse_pairs, 198, False, id="sparse-198-fix-root"),
-    pytest.param(_sparse_pairs, 199, False, id="sparse-199-fix-root"),
+@pytest.mark.parametrize("make_pairs, anchor, factorizer", [
+    pytest.param(_dense_pairs, 0, "cho_factor", id="0-fix-root"),
+    pytest.param(_dense_pairs, 4, "cho_factor", id="4-fix-root"),
+    pytest.param(_dense_pairs, 9, "cho_factor", id="9-fix-root"),
+    pytest.param(_dense_pairs, 6, "cho_factor", id="6-fix-root"),
+    pytest.param(_sparse_pairs, 0, "cholesky_banded", id="sparse-0-fix-root"),
+    pytest.param(_sparse_pairs, 57, "cholesky_banded", id="sparse-57-fix-root"),
+    pytest.param(_sparse_pairs, 198, "cholesky_banded", id="sparse-198-fix-root"),
+    pytest.param(_sparse_pairs, 199, "cholesky_banded", id="sparse-199-fix-root"),
+    pytest.param(_hub_pairs, 0, "splu", id="hub-0-fix-root"),
+    pytest.param(_hub_pairs, 57, "splu", id="hub-57-fix-root"),
 ])
-def test_laplacian_pattern_refill_matches_reference(monkeypatch, make_pairs, anchor, dense):
+def test_laplacian_pattern_refill_matches_reference(monkeypatch, make_pairs, anchor,
+                                                    factorizer):
     # The anchors are the first, a middle and the last vertex, and the one
-    # of degree 1.
+    # of degree 1; on the hub scene, a hub and a middle vertex.
     rng = np.random.default_rng(30)
     n, pendant, pairs = make_pairs(rng)
     order = rng.permutation(len(pairs))
     ii = np.array([pairs[k][0] for k in order], dtype=np.intp)
     jj = np.array([pairs[k][1] for k in order], dtype=np.intp)
     pattern = solver._LaplacianPattern(n, ii, jj, anchor)
-    assert pattern.dense == dense
+    assert pattern.dense == (factorizer == "cho_factor")
     seen = _record_factorizations(monkeypatch)
     for _ in range(2):
         w = rng.uniform(0.5, 1.5, len(ii))
         w[rng.choice(len(ii), 3, replace=False)] = 0.0
         w[rng.choice(len(ii), 2, replace=False)] = 1e-5 ** -1.5  # l_half scale
         w[(ii == pendant[0]) & (jj == pendant[1])] = 0.7
-        np.testing.assert_allclose(_assembled(seen, pattern, w, anchor),
-                                   _reference_laplacian(n, ii, jj, w, anchor),
+        name, assembled = _assembled(seen, pattern, w, anchor)
+        assert name == factorizer
+        np.testing.assert_allclose(assembled, _reference_laplacian(n, ii, jj, w, anchor),
                                    rtol=1e-15, atol=0)
 
 
@@ -464,6 +493,22 @@ def test_laplacian_pattern_refill_keeps_degenerate_errors_sparse():
     _check_refill_keeps_degenerate_errors(40, dense=False)
 
 
+def test_laplacian_pattern_refill_keeps_degenerate_errors_superlu():
+    # The hub scene's edge (120, 399) is a bridge, so the chain checks above
+    # carry over to the SuperLU factor.
+    n, (a, b), pairs = _hub_pairs(None)
+    ii, jj = np.array(pairs).T
+    pattern = solver._LaplacianPattern(n, ii, jj, 0)
+    assert pattern.matrix is not None
+    rhs = np.random.default_rng(31).standard_normal((n, 3))
+    w = np.linspace(0.5, 1.0, len(ii))
+    base = pattern.factor(w)(rhs)
+    for bad in (0.0, 1e-17, 1e-15):
+        with pytest.raises(DegenerateWeightsError, match="normal equations are"):
+            pattern.factor(np.where((ii == a) & (jj == b), bad, w))
+    np.testing.assert_allclose(pattern.factor(1e-15 * w)(1e-15 * rhs), base, rtol=1e-12)
+
+
 def _erdos_pairs():
     g = synth.generate(synth.SyntheticSceneSpec(
         n=60, topology="erdos", erdos_p=0.1, noise_sigma=math.radians(5), seed=36)).graph
@@ -477,30 +522,76 @@ def _window_pairs():
     return n, jj, ii, 57  # (j, i) order: the factor sees no orientation
 
 
+def _hub_case():
+    n, _, pairs = _hub_pairs(None)
+    ii, jj = np.array(pairs).T
+    return n, ii, jj, 57
+
+
 # The star's anchor is its centre, so no edge is kept and the band is the
 # diagonal alone; with n = 2 one vertex is kept, a pattern the fill rule
-# makes dense unless it is raised.
-@pytest.mark.parametrize("make_case, banded_fill", [
+# makes dense unless it is raised. The hub scene takes SuperLU.
+@pytest.mark.parametrize("make_case, sparse_fill", [
     (_window_pairs, None),
     (lambda: (40, np.arange(39), np.arange(1, 40), 0), None),
     (_erdos_pairs, None),
     (lambda: (10, np.zeros(9, dtype=np.intp), np.arange(1, 10), 0), None),
     (lambda: (2, np.array([0]), np.array([1]), 1), math.inf),
-], ids=["window-3-pendant", "chain-40", "erdos-60", "star-centre", "n-2"])
-def test_banded_and_dense_factors_agree(monkeypatch, make_case, banded_fill):
+    (_hub_case, None),
+], ids=["window-3-pendant", "chain-40", "erdos-60", "star-centre", "n-2", "two-hub"])
+def test_sparse_and_dense_factors_agree(monkeypatch, make_case, sparse_fill):
     n, ii, jj, anchor = make_case()
     rng = np.random.default_rng(36)
     w = rng.uniform(0.5, 1.5, len(ii))
     rhs = rng.standard_normal((n, 3))
     solves = []
-    for fill in (banded_fill or solver.DENSE_FILL, 0.0):
+    for fill in (sparse_fill or solver.DENSE_FILL, 0.0):
         monkeypatch.setattr(solver, "DENSE_FILL", fill)
         pattern = solver._LaplacianPattern(n, ii, jj, anchor)
         assert pattern.dense == (fill == 0.0)
         solves.append(pattern.factor(w)(rhs))
-    banded, dense = solves
-    assert not banded[anchor].any()
-    np.testing.assert_allclose(banded, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+    sparse, dense = solves
+    assert not sparse[anchor].any()
+    np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+
+
+def test_two_hub_pattern_factors_in_bounded_memory_and_time(monkeypatch, traced_peak):
+    # One hub is the anchor; the other keeps an arrow matrix, whose RCM band
+    # is nearly the whole 2999 x 2999 matrix: a banded factor peaks at
+    # 72.5 MB and takes 0.12 s. SuperLU's order keeps the factor sparse: the
+    # pattern and one factor peak at 2.63 MB, and a factor takes 7 ms.
+    n = 3000
+    ii, jj = _two_hub_pairs(n, 10)
+    rng = np.random.default_rng(37)
+    w = rng.uniform(0.5, 1.5, len(ii))
+    anchor = tree_init._pick_root(n, ii, jj, w)
+    assert anchor in (0, 1)
+
+    def pattern_and_factor():
+        pattern = solver._LaplacianPattern(n, ii, jj, anchor)
+        return pattern, pattern.factor(w)
+
+    (pattern, solve), peak = traced_peak(pattern_and_factor)
+    assert peak <= 2.7e6
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        pattern.factor(w)
+        times.append(time.perf_counter() - start)
+    assert min(times) <= 0.05
+    seen = _record_factorizations(monkeypatch)
+    pattern.factor(w)
+    assert [name for name, _ in seen] == ["splu"]
+    keep = np.delete(np.arange(n), anchor)
+    laplacian = sp.csr_matrix(sp.coo_matrix(
+        (np.concatenate([w, w, -w, -w]),
+         (np.concatenate([ii, jj, ii, jj]), np.concatenate([ii, jj, jj, ii]))),
+        shape=(n, n)))[keep][:, keep]
+    rhs = rng.standard_normal((n, 3))
+    delta = solve(rhs)
+    assert not delta[anchor].any()
+    np.testing.assert_allclose(laplacian @ delta[keep], rhs[keep], rtol=0,
+                               atol=1e-10 * np.abs(rhs).max())
 
 
 def test_irls_builds_laplacian_pattern_once(monkeypatch):
