@@ -17,13 +17,13 @@ acting on three right-hand-side columns. The gauge is fixed by deleting
 the anchor (root) vertex's row and column, so that vertex keeps its
 initial rotation. The pattern is built once per solve from the edge
 arrays; each weight setting only writes the weights into that pattern and
-factorizes it. A pattern whose stored entries (two per kept edge plus
-the diagonal) fill at least ``DENSE_FILL`` of the nk x nk matrix is
-factored as a dense array by LAPACK's Cholesky. A sparser one has its
-vertices put in reverse Cuthill-McKee order once per solve, and is
-factored as a band by LAPACK's Cholesky while that band stays within
-``BAND_FILL`` times the stored entries; a wider band, as a camera that
-sees most others makes, goes to SuperLU as a CSC matrix.
+factorizes it as a band by LAPACK's Cholesky. A pattern whose stored
+entries (two per kept edge plus the diagonal) fill at least ``DENSE_FILL``
+of the nk x nk matrix keeps its vertex order, its band the whole upper
+triangle. A sparser one has its vertices put in reverse Cuthill-McKee
+order once per solve, while that band stays within ``BAND_FILL`` times
+the stored entries; a wider band, as a camera that sees most others
+makes, goes to SuperLU as a CSC matrix.
 
 :func:`cao_solve` and :func:`irls_solve` run one loop over the edges of
 an :class:`EdgeStream`, swept in fixed-size chunks; ``--stream`` runs it on
@@ -32,6 +32,7 @@ a memory-mapped one, so both paths give bit-identical estimates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -52,9 +53,9 @@ KERNEL_KINDS = ("confidence", "l2", "l_half", "cauchy", "geman_mcclure")
 L_HALF_EPS = 1e-5
 # Weight floor applied when IRLS re-weighting disconnects the graph.
 WEIGHT_FLOOR = 1e-6
-# Laplacians with 2 * kept edges + kept vertices >= DENSE_FILL * nk^2 are
-# factored by dense Cholesky. The rule is checked first, so a dense pattern
-# costs no ordering.
+# Laplacians with 2 * kept edges + kept vertices >= DENSE_FILL * nk^2 keep
+# their vertex order, and their band is the whole upper triangle. The rule
+# is checked first, so a dense pattern costs no ordering.
 DENSE_FILL = 0.25
 # A sparser Laplacian, its vertices in reverse Cuthill-McKee order, is
 # factored by banded Cholesky when its (u + 1) x nk band holds at most
@@ -69,7 +70,7 @@ RESIDUAL_TOLERANCE = 1e-10
 IRLS_REL_TOL = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveConfig:
     """Solver settings: the iteration caps of the confidence solve and of
     IRLS. The tolerances are module constants."""
@@ -78,10 +79,14 @@ class SolveConfig:
     irls_max_iterations: int = 20
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise InvalidArgumentError("max_iterations must be >= 1")
-        if self.irls_max_iterations < 1:
-            raise InvalidArgumentError("irls_max_iterations must be >= 1")
+        # A cap the loop's count never equals (2.5, NaN) would never stop it.
+        for name in ("max_iterations", "irls_max_iterations"):
+            try:
+                cap = operator.index(getattr(self, name))
+            except TypeError:
+                raise InvalidArgumentError(f"{name} must be an integer") from None
+            if cap < 1:
+                raise InvalidArgumentError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -171,16 +176,16 @@ class _LaplacianPattern:
 
     Kept edges avoid the anchor and count only in their other end's
     degree; ``order`` lists the kept vertices in the matrix's row order.
-    ``upper`` holds each kept edge's flat upper-triangle slot, and the
-    slice ``diag`` the diagonal's, in the zeroed Fortran-ordered array that
-    :meth:`factor` fills and factors in place: nk x nk for a dense pattern
-    (see ``DENSE_FILL``), or the (u + 1) x nk upper band of a sparse one in
-    reverse Cuthill-McKee order. A band too wide for ``BAND_FILL`` keeps
-    the vertex order, and SuperLU's CSC ``matrix`` instead, whose data
-    hold each kept edge's (lo, hi) at ``upper``, its (hi, lo) at ``lower``
-    and the diagonal at ``diag``. Pairs must be distinct and not loops, as
-    :func:`graph.build` and the stream reader ensure; a pattern that
-    breaks this is rejected.
+    ``upper`` holds each kept edge's flat slot, and the slice ``diag`` the
+    diagonal's, in the zeroed Fortran-ordered (u + 1) x nk upper band that
+    :meth:`factor` fills and factors in place: a dense pattern (see
+    ``DENSE_FILL``) keeps the vertex order with u = nk - 1, and a sparse
+    one takes reverse Cuthill-McKee order. A band too wide for
+    ``BAND_FILL`` keeps the vertex order, and SuperLU's CSC ``matrix``
+    instead, whose data hold each kept edge's (lo, hi) at ``upper``, its
+    (hi, lo) at ``lower`` and the diagonal at ``diag``. Pairs must be
+    distinct and not loops, as :func:`graph.build` and the stream reader
+    ensure; a pattern that breaks this is rejected.
     """
 
     def __init__(self, n, ii, jj, anchor):
@@ -193,47 +198,46 @@ class _LaplacianPattern:
         lo, hi = lo[self.kept], hi[self.kept]
         m, nk = len(lo), len(keep)
         self.order, self.matrix = keep, None
-        self.dense = 2 * m + nk >= DENSE_FILL * nk * nk
-        if self.dense:
-            self.upper = lo + hi.astype(np.intp) * nk
-            self.diag = slice(0, None, nk + 1)
-            self.shape = (nk, nk)
+        dense = 2 * m + nk >= DENSE_FILL * nk * nk
+        if dense:
+            u = max(nk - 1, 0)  # a one-vertex graph keeps no vertex
+        else:
+            adjacency = sp.csr_matrix(
+                (np.ones(2 * m, dtype=np.int8),
+                 (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(nk, nk))
+            # A loop's two entries, and a repeated pair's, are summed into one.
+            if adjacency.nnz < 2 * m:
+                raise InvalidArgumentError("the solver needs distinct pairs and no loops")
+            rcm = csgraph.reverse_cuthill_mckee(adjacency, symmetric_mode=True)
+            del adjacency
+            rank = np.empty(nk, dtype=np.int32)
+            rank[rcm] = np.arange(nk, dtype=np.int32)
+            u = int(np.max(np.abs(rank[lo] - rank[hi]), initial=0))
+            if (u + 1) * nk > BAND_FILL * (m + nk):
+                # Each entry's index lands in its own slot of the CSC data.
+                diag = np.arange(nk, dtype=np.int32)
+                self.matrix = sp.csc_matrix(
+                    (np.arange(2 * m + nk, dtype=float),
+                     (np.concatenate([lo, hi, diag]), np.concatenate([hi, lo, diag]))),
+                    shape=(nk, nk))
+                slots = np.empty(2 * m + nk, dtype=np.int32)
+                slots[self.matrix.data.astype(np.intp)] = np.arange(2 * m + nk, dtype=np.int32)
+                self.upper, self.lower, self.diag = slots[:m], slots[m:2 * m], slots[2 * m:]
+                return
+            self.order = keep[rcm]
+            lo, hi = rank[lo], rank[hi]
+            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        # (i, j) with i <= j sits at row u + i - j of column j.
+        self.upper = (u + lo) + hi.astype(np.intp) * u
+        self.diag = slice(u, None, u + 1)
+        self.shape = (u + 1, nk)
+        if dense:
             # A loop lands on a diagonal slot, a repeated pair on its twin's.
             filled = np.zeros(nk * nk, dtype=bool)
             filled[self.upper] = True
             filled[self.diag] = True
             if np.count_nonzero(filled) < m + nk:
                 raise InvalidArgumentError("the solver needs distinct pairs and no loops")
-            return
-        adjacency = sp.csr_matrix(
-            (np.ones(2 * m, dtype=np.int8),
-             (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(nk, nk))
-        # A loop's two entries, and a repeated pair's, are summed into one.
-        if adjacency.nnz < 2 * m:
-            raise InvalidArgumentError("the solver needs distinct pairs and no loops")
-        rcm = csgraph.reverse_cuthill_mckee(adjacency, symmetric_mode=True)
-        del adjacency
-        rank = np.empty(nk, dtype=np.int32)
-        rank[rcm] = np.arange(nk, dtype=np.int32)
-        u = int(np.max(np.abs(rank[lo] - rank[hi]), initial=0))
-        if (u + 1) * nk > BAND_FILL * (m + nk):
-            # Each entry's index lands in its own slot of the CSC data.
-            diag = np.arange(nk, dtype=np.int32)
-            self.matrix = sp.csc_matrix(
-                (np.arange(2 * m + nk, dtype=float),
-                 (np.concatenate([lo, hi, diag]), np.concatenate([hi, lo, diag]))),
-                shape=(nk, nk))
-            slots = np.empty(2 * m + nk, dtype=np.int32)
-            slots[self.matrix.data.astype(np.intp)] = np.arange(2 * m + nk, dtype=np.int32)
-            self.upper, self.lower, self.diag = slots[:m], slots[m:2 * m], slots[2 * m:]
-            return
-        self.order = keep[rcm]
-        lo, hi = rank[lo], rank[hi]
-        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-        # (i, j) with i <= j sits at row u + i - j of column j.
-        self.upper = (u + lo) + hi.astype(np.intp) * u
-        self.diag = slice(u, None, u + 1)
-        self.shape = (u + 1, nk)
 
     def factor(self, w):
         """Factorized solve for the Laplacian weighted by ``w``. The solve
@@ -253,16 +257,11 @@ class _LaplacianPattern:
                 flat = np.zeros(self.shape[0] * self.shape[1])
                 flat[self.upper] = -w[self.kept]
                 flat[self.diag] = deg[order]
-                a = flat.reshape(self.shape, order="F")
-                if self.dense:
-                    cho = la.cho_factor(a, overwrite_a=True, check_finite=False)
-                    pivots = np.diagonal(cho[0]) ** 2
-                    solve_kept = partial(la.cho_solve, cho, check_finite=False)
-                else:
-                    band = la.cholesky_banded(a, overwrite_ab=True, check_finite=False)
-                    pivots = band[-1] ** 2
-                    solve_kept = partial(la.cho_solve_banded, (band, False),
-                                         check_finite=False)
+                band = la.cholesky_banded(flat.reshape(self.shape, order="F"),
+                                          overwrite_ab=True, check_finite=False)
+                pivots = band[-1] ** 2
+                solve_kept = partial(la.cho_solve_banded, (band, False),
+                                     check_finite=False)
         except (la.LinAlgError, RuntimeError) as exc:
             raise DegenerateWeightsError(f"normal equations are singular: {exc}") from exc
         # The pivots scale with the weights, so the test is relative to the

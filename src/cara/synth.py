@@ -8,6 +8,7 @@ from a pluggable model. Everything is deterministic under the seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +43,11 @@ class SyntheticSceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "chain_window", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise InvalidArgumentError(f"{name} must be an integer") from None
         if self.n < 2:
             raise InvalidArgumentError("need at least 2 cameras")
         if self.topology not in TOPOLOGIES:

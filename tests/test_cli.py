@@ -1,11 +1,14 @@
 import builtins
 import math
 import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+import cara
 from cara import cli, metrics, solver, stream, synth
 from cara import graph as gm
 
@@ -260,6 +263,38 @@ def test_stream_and_memory_solve_alike(tmp_path, capsys, kernel):
                                  "< 0.01: (0,40)\n")
         assert results[0][1].startswith("spanning tree root") == bool(flags)
         assert results[1] == results[0]
+
+
+@pytest.fixture(scope="module")
+def blas_scenes(tmp_path_factory):
+    """The 200-camera complete scene with 30% outlier edges, whose Laplacian
+    is dense, and a 500-camera Erdos scene, whose RCM band is 418 wide."""
+    root = tmp_path_factory.mktemp("blas")
+    flags = {"complete": ["--n", "200", "--topology", "complete"],
+             "erdos": ["--n", "500", "--topology", "erdos", "--erdos-p", "0.05"]}
+    for name, scene in flags.items():
+        assert run(["generate", *scene, "--outlier-frac", "0.3", "--sigma-deg", "5",
+                    "--confidence-model", "informative", "--seed", "3",
+                    "--out", str(root / name)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("scene, kernel", [
+    ("complete", "confidence"), ("complete", "cauchy"), ("erdos", "confidence")])
+def test_solve_out_independent_of_blas_pool(blas_scenes, scene, kernel):
+    # Each solve runs in a fresh interpreter, since OpenBLAS reads its pool
+    # size once, at load. A factor whose sums LAPACK splits over the pool's
+    # threads gives different bits under pool sizes 1 and 2.
+    def solve_out(threads):
+        out = blas_scenes / f"{scene}-{kernel}-{threads}.txt"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cara.__file__)))
+        subprocess.run([sys.executable, "-m", "cara.cli", "solve", "--in",
+                        str(blas_scenes / scene), "--kernel", kernel, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        return out.read_bytes()
+
+    assert solve_out(1) == solve_out(2)
 
 
 # perfbench captures what cli.cao_solve returns on the in-memory path and

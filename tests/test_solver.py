@@ -192,6 +192,16 @@ class TestCaoSolve:
     def test_bad_config(self):
         with pytest.raises(InvalidArgumentError):
             SolveConfig(max_iterations=0)
+        # A cap the iteration count never equals would never stop a solve.
+        for bad in (2.5, float("nan"), "3"):
+            with pytest.raises(InvalidArgumentError, match="must be an integer"):
+                SolveConfig(max_iterations=bad)
+            with pytest.raises(InvalidArgumentError, match="must be an integer"):
+                SolveConfig(irls_max_iterations=bad)
+        config = SolveConfig(max_iterations=np.int64(2))
+        assert config.max_iterations == 2
+        with pytest.raises(AttributeError):  # no cap set past the checks
+            config.max_iterations = 2.5
 
 
 class TestRobustKernel:
@@ -360,7 +370,8 @@ def _reference_laplacian(n, ii, jj, w, anchor):
 
 def _dense_pairs(rng):
     """A 10-vertex graph whose vertex 6 has degree 1 (its one edge goes to
-    2), in shuffled order: its Laplacian takes the dense factor."""
+    2), in shuffled order: its Laplacian is dense, and its band is the whole
+    upper triangle in vertex order."""
     pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)
              if 6 not in (i, j) and rng.random() < 0.6]
     pairs += [(2, 6), (0, 9), (4, 5), (8, 9)]
@@ -393,12 +404,10 @@ def _hub_pairs(rng):
 
 
 def _record_factorizations(monkeypatch):
-    """A list that gets (name, copy of the input) for every ``cho_factor``,
-    ``cholesky_banded`` and ``splu`` call; the first two overwrite their
-    input."""
+    """A list that gets (name, copy of the input) for every
+    ``cholesky_banded`` and ``splu`` call; the first overwrites its input."""
     seen = []
-    for module, name in ((solver.la, "cho_factor"), (solver.la, "cholesky_banded"),
-                         (solver.spla, "splu")):
+    for module, name in ((solver.la, "cholesky_banded"), (solver.spla, "splu")):
         def record(a, *args, _real=getattr(module, name), _name=name, **kwargs):
             seen.append((_name, a.copy()))
             return _real(a, *args, **kwargs)
@@ -406,22 +415,26 @@ def _record_factorizations(monkeypatch):
     return seen
 
 
+def _vertex_ordered(pattern, n, anchor):
+    """Whether ``pattern`` is laid out as a dense one is: its kept vertices
+    in their own order, and its band the whole upper triangle."""
+    keep = np.delete(np.arange(n), anchor)
+    return (pattern.matrix is None and pattern.shape == (len(keep), len(keep))
+            and np.array_equal(pattern.order, keep))
+
+
 def _assembled(seen, pattern, w, anchor):
     """The factorizer ``pattern.factor(w)`` calls and the matrix it hands
-    over, in full and in vertex order. The dense path fills only the upper
-    triangle of a zeroed array, and the banded one the upper band, in
-    ``order``; SuperLU takes the whole matrix."""
+    over, in full and in vertex order. The banded path fills the upper band
+    of a zeroed array, in ``order``; SuperLU takes the whole matrix."""
     seen.clear()
     pattern.factor(w)
     ((name, a),) = seen
     if name == "splu":
         full = a.toarray()
-    else:
-        if name == "cho_factor":
-            assert not np.tril(a, -1).any()
-        else:  # band row u - d holds the d-th superdiagonal
-            u = len(a) - 1
-            a = sum(np.diag(a[u - d, d:], d) for d in range(u + 1))
+    else:  # band row u - d holds the d-th superdiagonal
+        u = len(a) - 1
+        a = sum(np.diag(a[u - d, d:], d) for d in range(u + 1))
         full = np.triu(a) + np.triu(a, 1).T
     # order lists the kept vertices; their rank among the kept is the
     # reference's row.
@@ -434,10 +447,10 @@ def _assembled(seen, pattern, w, anchor):
 # The ids name the anchor vertex and the gauge, fix-root, the one the
 # solver has.
 @pytest.mark.parametrize("make_pairs, anchor, factorizer", [
-    pytest.param(_dense_pairs, 0, "cho_factor", id="0-fix-root"),
-    pytest.param(_dense_pairs, 4, "cho_factor", id="4-fix-root"),
-    pytest.param(_dense_pairs, 9, "cho_factor", id="9-fix-root"),
-    pytest.param(_dense_pairs, 6, "cho_factor", id="6-fix-root"),
+    pytest.param(_dense_pairs, 0, "cholesky_banded", id="0-fix-root"),
+    pytest.param(_dense_pairs, 4, "cholesky_banded", id="4-fix-root"),
+    pytest.param(_dense_pairs, 9, "cholesky_banded", id="9-fix-root"),
+    pytest.param(_dense_pairs, 6, "cholesky_banded", id="6-fix-root"),
     pytest.param(_sparse_pairs, 0, "cholesky_banded", id="sparse-0-fix-root"),
     pytest.param(_sparse_pairs, 57, "cholesky_banded", id="sparse-57-fix-root"),
     pytest.param(_sparse_pairs, 198, "cholesky_banded", id="sparse-198-fix-root"),
@@ -455,7 +468,7 @@ def test_laplacian_pattern_refill_matches_reference(monkeypatch, make_pairs, anc
     ii = np.array([pairs[k][0] for k in order], dtype=np.intp)
     jj = np.array([pairs[k][1] for k in order], dtype=np.intp)
     pattern = solver._LaplacianPattern(n, ii, jj, anchor)
-    assert pattern.dense == (factorizer == "cho_factor")
+    assert _vertex_ordered(pattern, n, anchor) == (make_pairs is _dense_pairs)
     seen = _record_factorizations(monkeypatch)
     for _ in range(2):
         w = rng.uniform(0.5, 1.5, len(ii))
@@ -474,7 +487,7 @@ def _check_refill_keeps_degenerate_errors(n, dense):
     # test (Cholesky may instead meet a pivot that rounding made negative).
     ii, jj = np.arange(n - 1), np.arange(1, n)
     pattern = solver._LaplacianPattern(n, ii, jj, 0)
-    assert pattern.dense == dense
+    assert _vertex_ordered(pattern, n, 0) == dense
     rhs = np.random.default_rng(31).standard_normal((n, 3))
     w = np.linspace(0.5, 1.0, n - 1)
     base = pattern.factor(w)(rhs)
@@ -491,6 +504,16 @@ def test_laplacian_pattern_refill_keeps_degenerate_errors():
 
 def test_laplacian_pattern_refill_keeps_degenerate_errors_sparse():
     _check_refill_keeps_degenerate_errors(40, dense=False)
+
+
+def test_one_vertex_irls_returns_its_start():
+    # Anchoring a one-vertex graph keeps no vertex, and the first sweep's
+    # zero residual stops the solve before any factor.
+    empty = np.array([], dtype=np.intp)
+    g = gm.EdgeStream(1, empty, empty, np.array([]), np.zeros((0, 3, 3)))
+    report = solver.irls_solve(g, np.eye(3)[None], RobustKernel(kind="l2"))
+    assert report.stop_reason == "residual_tolerance"
+    assert np.array_equal(report.rotations, np.eye(3)[None])
 
 
 def test_laplacian_pattern_refill_keeps_degenerate_errors_superlu():
@@ -528,9 +551,11 @@ def _hub_case():
     return n, ii, jj, 57
 
 
-# The star's anchor is its centre, so no edge is kept and the band is the
-# diagonal alone; with n = 2 one vertex is kept, a pattern the fill rule
-# makes dense unless it is raised. The hub scene takes SuperLU.
+# Each case is factored in reverse Cuthill-McKee order (or by SuperLU) and
+# with the fill rule at 0, in vertex order with the whole upper triangle as
+# its band. The star's anchor is its centre, so no edge is kept and the RCM
+# band is the diagonal alone; with n = 2 one vertex is kept, a pattern the
+# fill rule makes dense unless it is raised. The hub scene takes SuperLU.
 @pytest.mark.parametrize("make_case, sparse_fill", [
     (_window_pairs, None),
     (lambda: (40, np.arange(39), np.arange(1, 40), 0), None),
@@ -544,11 +569,18 @@ def test_sparse_and_dense_factors_agree(monkeypatch, make_case, sparse_fill):
     rng = np.random.default_rng(36)
     w = rng.uniform(0.5, 1.5, len(ii))
     rhs = rng.standard_normal((n, 3))
+    orderings = []
+    real_rcm = solver.csgraph.reverse_cuthill_mckee
+    monkeypatch.setattr(solver.csgraph, "reverse_cuthill_mckee",
+                        lambda *args, **kwargs: orderings.append(1) or real_rcm(*args, **kwargs))
     solves = []
     for fill in (sparse_fill or solver.DENSE_FILL, 0.0):
         monkeypatch.setattr(solver, "DENSE_FILL", fill)
+        orderings.clear()
         pattern = solver._LaplacianPattern(n, ii, jj, anchor)
-        assert pattern.dense == (fill == 0.0)
+        assert len(orderings) == (fill != 0.0)
+        if fill == 0.0:
+            assert _vertex_ordered(pattern, n, anchor)
         solves.append(pattern.factor(w)(rhs))
     sparse, dense = solves
     assert not sparse[anchor].any()
@@ -616,7 +648,8 @@ def test_irls_builds_laplacian_pattern_once(monkeypatch):
 
 def test_laplacian_pattern_rejects_repeated_pairs_and_loops():
     for ii, jj in (([0, 1, 0], [1, 2, 1]), ([0, 1, 1], [1, 2, 1])):
-        assert solver._LaplacianPattern(3, np.array(ii[:2]), np.array(jj[:2]), 2).dense
+        assert _vertex_ordered(
+            solver._LaplacianPattern(3, np.array(ii[:2]), np.array(jj[:2]), 2), 3, 2)
         with pytest.raises(InvalidArgumentError):
             solver._LaplacianPattern(3, np.array(ii), np.array(jj), 2)
 
@@ -624,7 +657,7 @@ def test_laplacian_pattern_rejects_repeated_pairs_and_loops():
 def test_laplacian_pattern_rejects_repeated_pairs_and_loops_sparse():
     # A 40-vertex chain plus a repeated pair (either orientation) or a loop.
     ii, jj = np.arange(39), np.arange(1, 40)
-    assert not solver._LaplacianPattern(40, ii, jj, 39).dense
+    assert not _vertex_ordered(solver._LaplacianPattern(40, ii, jj, 39), 40, 39)
     for i, j in ((5, 6), (6, 5), (7, 7)):
         with pytest.raises(InvalidArgumentError):
             solver._LaplacianPattern(40, np.append(ii, i), np.append(jj, j), 39)
@@ -656,21 +689,23 @@ def _dense_outlier_graph(seed):
         confidence_model="informative", seed=seed)).graph
 
 
-@pytest.mark.parametrize("make_graph, factorizer", [
-    (lambda: _dense_outlier_graph(3), "cho_factor"),
+@pytest.mark.parametrize("make_graph, vertex_ordered", [
+    (lambda: _dense_outlier_graph(3), True),
     (lambda: synth.generate(synth.SyntheticSceneSpec(
         n=2000, topology="chain_window", chain_window=10, noise_sigma=math.radians(5),
         outlier_edge_fraction=0.1, confidence_model="informative", seed=3)).graph,
-     "cholesky_banded"),
+     False),
 ], ids=["complete-200", "chain-2000"])
-def test_laplacian_factor_path_follows_fill(monkeypatch, make_graph, factorizer):
+def test_laplacian_factor_path_follows_fill(monkeypatch, make_graph, vertex_ordered):
+    # Both take the banded Cholesky: the complete graph's band is its whole
+    # upper triangle in vertex order, the chain's a narrow RCM band.
     g = make_graph()
     anchor = tree_init._pick_root(g.n_vertices, g.ii, g.jj, g.confidences)
     pattern = solver._LaplacianPattern(g.n_vertices, g.ii, g.jj, anchor)
-    assert pattern.dense == (factorizer == "cho_factor")
+    assert _vertex_ordered(pattern, g.n_vertices, anchor) == vertex_ordered
     seen = _record_factorizations(monkeypatch)
     pattern.factor(g.confidences)
-    assert [name for name, _ in seen] == [factorizer]
+    assert [name for name, _ in seen] == ["cholesky_banded"]
 
 
 @pytest.mark.parametrize("make_graph, kind, reason", [
@@ -789,5 +824,5 @@ def test_pattern_peak_memory_is_bounded(traced_peak):
         n=2000, topology="chain_window", chain_window=10,
         noise_sigma=math.radians(5), seed=0)).graph
     pattern, peak = traced_peak(lambda: solver._LaplacianPattern(g.n_vertices, g.ii, g.jj, 0))
-    assert not pattern.dense
+    assert not _vertex_ordered(pattern, g.n_vertices, 0)
     assert peak <= 0.96e6

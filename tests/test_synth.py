@@ -21,6 +21,12 @@ class TestSpecValidation:
             SyntheticSceneSpec(n=5, noise_sigma=-0.1)
         with pytest.raises(InvalidArgumentError):
             SyntheticSceneSpec(n=5, confidence_model="learned")
+        for bad in ({"n": 5.5}, {"n": 5, "topology": "chain_window", "chain_window": 2.5},
+                    {"n": 5, "seed": 1.5}, {"n": "5"}):
+            with pytest.raises(InvalidArgumentError, match="must be an integer"):
+                SyntheticSceneSpec(**bad)
+        spec = SyntheticSceneSpec(n=np.int64(5), chain_window=np.int32(2), seed=np.uint8(1))
+        assert synth.generate(spec).graph.n_vertices == 5
 
 
 class TestGenerate:
