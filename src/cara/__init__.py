@@ -1,7 +1,7 @@
 """Confidence-aware rotation averaging on SO(3)."""
 
 from . import graph, kernels, metrics, so3, solver, stream, synth, tree_init
-from .graph import Edge, EpipolarConfidenceGraph
+from .graph import EdgeStream
 from .metrics import AlignedErrorStats, align, alignment_loss, error_stats
 from .solver import (RobustKernel, SolveConfig, SolveReport, cal_loss,
                      cao_solve, irls_solve)

@@ -36,6 +36,7 @@ through :func:`write_text`, which rewrites an existing file in place.
 """
 from __future__ import annotations
 
+import operator
 import os
 import stat
 import string
@@ -80,33 +81,57 @@ class Edge:
 
 
 class EdgeStream:
-    """Edges as index and confidence arrays plus an (M, 3, 3) rotation array.
+    """The one graph type: edges as index and confidence arrays plus an
+    (M, 3, 3) rotation array, and ground truth, an (N, 3, 3) array or None.
 
     ``quaternions`` are the rotations' unit quaternions as (2, M) complex
     pairs (see :func:`cara.kernels.batch_quat`), which the solver sweeps;
-    unless given, they are converted on first use, or when a graph is made,
-    and kept. A stream given its quaternions may have None for rotations, as
-    ``cara solve``'s streams do: the spanning tree, propagation, the solver's
-    sweeps and :func:`cara.solver.cal_loss` read the indices, confidences and
-    pairs alone. Only :attr:`edges`, :func:`build`, :func:`serialize` and
-    :class:`EpipolarConfidenceGraph` need the rotations (or raise
-    InvalidArgumentError).
+    unless given, they are converted on first use, or by :func:`build` and
+    :func:`parse`, and kept. A stream given its quaternions may have None
+    for rotations, as ``cara solve``'s streams do: the spanning tree,
+    propagation, the solver's sweeps and :func:`cara.solver.cal_loss` read
+    the indices, confidences and pairs alone. Only :attr:`edges` and
+    :func:`serialize` need the rotations (or raise InvalidArgumentError).
+    The arrays are taken as given once N is an integer of at least 1, their
+    lengths agree and every vertex id lies in [0, N), which every reader
+    relies on (else InvalidArgumentError); :func:`build` validates the rest.
     """
 
-    def __init__(self, n_vertices, ii, jj, confidences, rotations, quaternions=None):
-        self.n_vertices = int(n_vertices)
+    def __init__(self, n_vertices, ii, jj, confidences, rotations, quaternions=None,
+                 ground_truth=None):
+        try:
+            self.n_vertices = n = operator.index(n_vertices)
+        except TypeError:
+            raise InvalidArgumentError(
+                f"vertex count must be an integer, got {n_vertices!r}") from None
+        if n < 1:
+            raise InvalidArgumentError(f"N must be at least 1, got {n}")
         self.ii = np.ascontiguousarray(ii, dtype=np.intp)
         self.jj = np.ascontiguousarray(jj, dtype=np.intp)
         self.confidences = np.asarray(confidences, dtype=float)
         self.rotations = None if rotations is None else np.asarray(rotations, dtype=float)
+        self.ground_truth = ground_truth
+        m = len(self.ii)
+        if rotations is None and quaternions is None:
+            raise InvalidArgumentError("edge stream needs rotations or quaternion pairs")
+        if not (self.ii.shape == self.jj.shape == self.confidences.shape == (m,)
+                and (rotations is None or self.rotations.shape[:1] == (m,))
+                and (quaternions is None or np.shape(quaternions) == (2, m))):
+            raise InvalidArgumentError("edge arrays differ in length")
+        if m and (min(self.ii.min(), self.jj.min()) < 0
+                  or max(self.ii.max(), self.jj.max()) >= n):
+            k = int(np.argmax((self.ii < 0) | (self.ii >= n) | (self.jj < 0) | (self.jj >= n)))
+            raise InvalidArgumentError(
+                f"edge ({self.ii[k]},{self.jj[k]}) out of range for N={n}", index=k)
         if quaternions is not None:
             self.quaternions = quaternions
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         """The edges as :class:`Edge` records, built anew on every read."""
-        rotations = _edge_stream(self.n_vertices, self).rotations
-        return tuple(map(Edge, self.ii.tolist(), self.jj.tolist(), rotations,
+        if self.rotations is None:
+            raise InvalidArgumentError("edge stream holds quaternion pairs only, no rotations")
+        return tuple(map(Edge, self.ii.tolist(), self.jj.tolist(), self.rotations,
                          self.confidences.tolist()))
 
     @cached_property
@@ -121,36 +146,6 @@ class EdgeStream:
             chunk = slice(start, start + CHUNK_RECORDS)
             pairs[:, chunk] = kernels.batch_quat(self.rotations[chunk])
         return pairs
-
-
-def _edge_stream(n, edges) -> EdgeStream:
-    """``edges`` as an EdgeStream with rotations: itself, or the columns of
-    Edge records. A pair-only stream raises InvalidArgumentError."""
-    if isinstance(edges, EdgeStream):
-        if edges.rotations is None:
-            raise InvalidArgumentError("edge stream holds quaternion pairs only, no rotations")
-        return edges
-    edges = list(edges)
-    return EdgeStream(n, [e.i for e in edges], [e.j for e in edges],
-                      [e.confidence for e in edges],
-                      np.stack([e.rotation for e in edges]) if edges else np.zeros((0, 3, 3)))
-
-
-class EpipolarConfidenceGraph(EdgeStream):
-    """An EdgeStream with optional ground-truth rotations, an (N, 3, 3)
-    array or None.
-
-    ``edges`` is an EdgeStream or a sequence of :class:`Edge` records,
-    taken as given, as is the ground truth; :func:`build` validates and
-    normalizes both. The graph converts its edge rotations to quaternions
-    when it is made, so no solve allocates them.
-    """
-
-    def __init__(self, n_vertices, edges, ground_truth=None):
-        s = _edge_stream(n_vertices, edges)
-        super().__init__(n_vertices, s.ii, s.jj, s.confidences, s.rotations)
-        self.ground_truth = ground_truth
-        self.quaternions  # converted now, not by its first solve
 
 
 def _validated_edges(n, ii, jj, rots, conf):
@@ -207,28 +202,30 @@ def _first_duplicate(ii, jj) -> int | None:
     return int(later.min()) if len(later) else None
 
 
-def build(n: int, edges, ground_truth=None) -> EpipolarConfidenceGraph:
-    """Validate and normalize a graph (edges stored with i < j).
+def build(n: int, ii, jj, rotations, confidences, ground_truth=None) -> EdgeStream:
+    """Validate and normalize a graph given as edge arrays (stored with i < j).
 
-    An edge given as (j, i, r) is stored as (i, j, r.T). Duplicate pairs,
-    out-of-range indices and confidences outside [0, 1] are rejected.
-    Ground truth, any sequence of N rotations, is validated and stored as
-    an (N, 3, 3) array.
+    An edge given as (j, i, r) is stored as (i, j, r.T). Self-loops,
+    duplicate pairs, out-of-range indices, non-rotations and confidences
+    outside [0, 1] are rejected. Ground truth, any sequence of N rotations,
+    is validated and stored as an (N, 3, 3) array. The edge rotations are
+    converted to quaternions now, so no solve allocates them.
     """
+    g = EdgeStream(n, ii, jj, confidences, rotations)
+    n = g.n_vertices
     if n < 2:
         raise InvalidArgumentError(f"need at least 2 vertices, got {n}")
-    s = _edge_stream(n, edges)
-    ii, jj, rots = _validated_edges(n, s.ii, s.jj, s.rotations, s.confidences)
-    k = _first_duplicate(ii, jj)
+    g.ii, g.jj, g.rotations = _validated_edges(n, g.ii, g.jj, g.rotations, g.confidences)
+    k = _first_duplicate(g.ii, g.jj)
     if k is not None:
-        raise DuplicateEdgeError(f"duplicate edge for pair ({ii[k]},{jj[k]})", index=k)
+        raise DuplicateEdgeError(f"duplicate edge for pair ({g.ii[k]},{g.jj[k]})", index=k)
     if ground_truth is not None:
         if len(ground_truth) != n:
             raise InvalidArgumentError(
                 f"ground truth has {len(ground_truth)} rotations, expected {n}")
-        ground_truth = so3.as_rotations(np.array(ground_truth, dtype=float))
-    return EpipolarConfidenceGraph(n, EdgeStream(n, ii, jj, s.confidences, rots),
-                                   ground_truth)
+        g.ground_truth = so3.as_rotations(np.array(ground_truth, dtype=float))
+    g.quaternions  # converted now, not by its first solve
+    return g
 
 
 def components(n: int, ii, jj) -> list[list[int]]:
@@ -256,16 +253,17 @@ def vertex_lines(tag: str, rotations) -> list[str]:
 
 
 def serialize(g: EdgeStream) -> str:
-    """Graph, or any EdgeStream with rotations, to canonical text; floats
-    carry 17 significant digits so parse(serialize(g)) reproduces every
-    value bit-exactly. A pair-only stream raises InvalidArgumentError."""
-    rotations = _edge_stream(g.n_vertices, g).rotations
+    """A graph with rotations to canonical text; floats carry 17
+    significant digits so parse(serialize(g)) reproduces every value
+    bit-exactly. A pair-only stream raises InvalidArgumentError."""
+    if g.rotations is None:
+        raise InvalidArgumentError("edge stream holds quaternion pairs only, no rotations")
     lines = [f"N {g.n_vertices}"]
-    if getattr(g, "ground_truth", None) is not None:
+    if g.ground_truth is not None:
         lines += vertex_lines("VERTEX_GT", g.ground_truth)
     line = "EDGE %d %d" + _NINE_FLOATS + " %.17g"
     lines += [line % (i, j, *r, c) for i, j, r, c in zip(
-        g.ii.tolist(), g.jj.tolist(), rotations.reshape(-1, 9).tolist(),
+        g.ii.tolist(), g.jj.tolist(), g.rotations.reshape(-1, 9).tolist(),
         g.confidences.tolist())]
     return "\n".join(lines) + "\n"
 
@@ -573,7 +571,7 @@ def vertex_stack(n, pieces):
     return stack
 
 
-def parse(source) -> EpipolarConfidenceGraph:
+def parse(source) -> EdgeStream:
     """Parse the text format from a ``str`` or an iterable of lines, such as
     a file from :func:`open_text`, which is then read line by line; raises
     GraphParseError with the line number."""
@@ -593,4 +591,6 @@ def parse(source) -> EpipolarConfidenceGraph:
     n, ii, jj, conf = read_graph(lines, keep)
     rots = np.concatenate(rots)
     ground_truth = vertex_stack(n, ground_truth) if ground_truth else None
-    return EpipolarConfidenceGraph(n, EdgeStream(n, ii, jj, conf, rots), ground_truth)
+    g = EdgeStream(n, ii, jj, conf, rots, ground_truth=ground_truth)
+    g.quaternions  # converted now, not by its first solve
+    return g

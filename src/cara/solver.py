@@ -265,8 +265,8 @@ class _LaplacianPattern:
         except (la.LinAlgError, RuntimeError) as exc:
             raise DegenerateWeightsError(f"normal equations are singular: {exc}") from exc
         # The pivots scale with the weights, so the test is relative to the
-        # largest.
-        if np.min(pivots) < 1e-14 * np.max(w, initial=0.0):
+        # largest. A one-vertex graph keeps no vertex and has no pivot.
+        if np.min(pivots, initial=np.inf) < 1e-14 * np.max(w, initial=0.0):
             raise DegenerateWeightsError("normal equations are numerically singular")
 
         def solve(rhs_full):
@@ -293,7 +293,7 @@ def _residual_pass(stream: EdgeStream, rotations, weights):
     whatever the chunking. The +-1 coefficients make each product exact,
     with or without FMA, so the sums are bit-identical to an in-order
     scatter. The product does not bound-check: the vertex ids must lie in
-    [0, n), as :func:`_solve`'s connectivity search checks first.
+    [0, n), as every :class:`EdgeStream` checks when it is made.
     """
     n, m = stream.n_vertices, len(stream.ii)
     rhs = np.zeros((n, 3))

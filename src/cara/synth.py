@@ -16,7 +16,7 @@ import numpy as np
 from . import graph as graphmod
 from . import kernels, so3
 from .errors import GenerationError, GraphParseError, InvalidArgumentError
-from .graph import EdgeStream, EpipolarConfidenceGraph
+from .graph import EdgeStream
 
 TOPOLOGIES = ("complete", "erdos", "chain_window")
 CONFIDENCE_MODELS = ("oracle", "informative", "constant", "adversarial")
@@ -71,7 +71,7 @@ class SyntheticSceneSpec:
 
 @dataclass(frozen=True, eq=False)
 class SyntheticScene:
-    graph: EpipolarConfidenceGraph
+    graph: EdgeStream
     edge_labels: np.ndarray           # bool per edge, True = inlier
     true_edge_errors: np.ndarray      # radians per edge
     spec: SyntheticSceneSpec
@@ -149,8 +149,7 @@ def generate(spec: SyntheticSceneSpec) -> SyntheticScene:
     errors = _geodesic_errors(rotations, true_rel)
 
     conf = _confidences(spec, inlier, errors, rng)
-    g = graphmod.build(spec.n, EdgeStream(spec.n, ii, jj, conf, rotations),
-                       ground_truth=gt)
+    g = graphmod.build(spec.n, ii, jj, rotations, conf, ground_truth=gt)
     return SyntheticScene(g, inlier, errors, spec)
 
 
@@ -184,11 +183,10 @@ def corrupt_with_outlier_vertices(scene: SyntheticScene, k: int,
     inlier = np.zeros(len(new_ii), dtype=bool)
     conf = _confidences(spec, inlier, errors, rng)
 
-    edges = EdgeStream(n_new, np.concatenate([old.ii, new_ii]),
+    g = graphmod.build(n_new, np.concatenate([old.ii, new_ii]),
                        np.concatenate([old.jj, new_jj]),
-                       np.concatenate([old.confidences, conf]),
-                       np.concatenate([old.rotations, rotations]))
-    g = graphmod.build(n_new, edges, ground_truth=gt)
+                       np.concatenate([old.rotations, rotations]),
+                       np.concatenate([old.confidences, conf]), ground_truth=gt)
     return SyntheticScene(
         g,
         np.concatenate([scene.edge_labels, inlier]),

@@ -4,6 +4,7 @@ import os
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 try:
@@ -27,6 +28,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+def edge_arrays(edges):
+    """The ``(i, j, R, c)`` tuples ``edges`` as the arrays ``(ii, jj,
+    rotations, confidences)``, in the order :func:`cara.graph.build` takes
+    them: ``gm.build(n, *edge_arrays(edges))``."""
+    ii, jj, rotations, confidences = zip(*edges) if edges else ((), (), (), ())
+    return (np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp),
+            np.array(rotations, dtype=float).reshape(-1, 3, 3),
+            np.array(confidences, dtype=float))
 
 
 @pytest.fixture

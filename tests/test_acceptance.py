@@ -15,9 +15,9 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 
 from cara import graph as gm
 from cara import cli, metrics, so3, solver, stream, synth, tree_init
-from cara.graph import Edge
 from cara.solver import RobustKernel, SolveConfig
 from cara.synth import SyntheticSceneSpec
+from conftest import edge_arrays
 
 
 RESULT_LINES = []  # echoed after the run by conftest.pytest_terminal_summary
@@ -86,11 +86,8 @@ def test_03_confidence_scale_invariance():
     worst = 0.0
     for lam in (0.1, 1.0, 7.3):
         # bypass build() so scaled weights may exceed 1: only the ratio matters
-        g_scaled = gm.EpipolarConfidenceGraph(
-            g.n_vertices,
-            tuple(Edge(e.i, e.j, e.rotation, e.confidence * lam)
-                  for e in g.edges),
-            g.ground_truth)
+        g_scaled = gm.EdgeStream(g.n_vertices, g.ii, g.jj, g.confidences * lam,
+                                 g.rotations, ground_truth=g.ground_truth)
         scaled = solver.cao_solve(g_scaled, init).rotations
         worst = max(worst, float(np.abs(scaled - base).max()))
     _check(3, "Confidence-scale invariance", worst < 1e-9,
@@ -107,7 +104,8 @@ def test_04_zero_weight_edge_invariance():
     rng = np.random.default_rng(40)
     extended = gm.build(
         g.n_vertices,
-        list(g.edges) + [Edge(0, 5, so3.random_rotation(rng), 0.0)],
+        *edge_arrays([*zip(g.ii, g.jj, g.rotations, g.confidences),
+                      (0, 5, so3.random_rotation(rng), 0.0)]),
         g.ground_truth)
     with_dead_edge = solver.cao_solve(extended, init).rotations
     worst = float(np.abs(with_dead_edge - base).max())
@@ -148,8 +146,8 @@ def test_05_spanning_tree_optimality():
                  for i, j in itertools.combinations(range(n), 2)
                  if rng.uniform() < 0.8]
         oracle = _exhaustive_max_tree_weight(n, pairs)
-        edges = [Edge(i, j, so3.random_rotation(rng), c) for i, j, c in pairs]
-        g = gm.build(n, edges)
+        edges = [(i, j, so3.random_rotation(rng), c) for i, j, c in pairs]
+        g = gm.build(n, *edge_arrays(edges))
         if oracle is None:
             try:
                 tree_init.maximum_spanning_tree(g)

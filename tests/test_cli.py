@@ -11,6 +11,7 @@ import pytest
 import cara
 from cara import cli, metrics, solver, stream, synth
 from cara import graph as gm
+from conftest import edge_arrays
 
 
 def run(argv):
@@ -247,8 +248,8 @@ def test_stream_and_memory_solve_alike(tmp_path, capsys, kernel):
          "informative", "--seed", "4", "--out", str(scene_path)])
     g = gm.parse(scene_path.read_text())
     graph_path = tmp_path / "weak.graph"
-    graph_path.write_text(gm.serialize(gm.build(
-        41, list(g.edges) + [gm.Edge(0, 40, np.eye(3), 0.005)])))
+    graph_path.write_text(gm.serialize(gm.build(41, *edge_arrays(
+        [*zip(g.ii, g.jj, g.rotations, g.confidences), (0, 40, np.eye(3), 0.005)]))))
     est = tmp_path / "est.txt"
     capsys.readouterr()
     for flags in ([], ["--dump-tree"]):

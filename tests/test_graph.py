@@ -10,7 +10,7 @@ import pytest
 from cara import cli, so3, stream, synth
 from cara import graph as gm
 from cara.errors import DuplicateEdgeError, GraphParseError, InvalidArgumentError
-from cara.graph import Edge
+from conftest import edge_arrays
 
 
 ROW = "1 0 0 0 1 0 0 0 1"
@@ -26,20 +26,20 @@ def random_graph(n, p, seed, with_gt=False):
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < p:
-                edges.append(Edge(i, j, so3.random_rotation(rng), rng.random()))
+                edges.append((i, j, so3.random_rotation(rng), rng.random()))
     gt = [so3.random_rotation(rng) for _ in range(n)] if with_gt else None
-    return gm.build(n, edges, gt) if edges else gm.build(n, [Edge(0, 1, np.eye(3), 1.0)], gt)
+    return gm.build(n, *edge_arrays(edges or [(0, 1, np.eye(3), 1.0)]), gt)
 
 
 class TestBuild:
     def test_minimal(self):
-        g = gm.build(2, [Edge(0, 1, rot(0), 0.5)])
+        g = gm.build(2, *edge_arrays([(0, 1, rot(0), 0.5)]))
         assert g.n_vertices == 2
         assert len(g.edges) == 1
 
     def test_orientation_normalization(self):
         R = rot(1)
-        g = gm.build(3, [Edge(1, 0, R, 0.7)])
+        g = gm.build(3, *edge_arrays([(1, 0, R, 0.7)]))
         e = g.edges[0]
         assert (e.i, e.j) == (0, 1)
         np.testing.assert_allclose(e.rotation, R.T, atol=1e-12)
@@ -47,33 +47,51 @@ class TestBuild:
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(DuplicateEdgeError):
-            gm.build(2, [Edge(0, 1, rot(0), 0.5), Edge(1, 0, rot(1), 0.2)])
+            gm.build(2, *edge_arrays([(0, 1, rot(0), 0.5), (1, 0, rot(1), 0.2)]))
 
     def test_index_out_of_range(self):
         with pytest.raises(InvalidArgumentError):
-            gm.build(2, [Edge(0, 2, rot(0), 0.5)])
+            gm.build(2, *edge_arrays([(0, 2, rot(0), 0.5)]))
 
     def test_confidence_range(self):
         with pytest.raises(InvalidArgumentError):
-            gm.build(2, [Edge(0, 1, rot(0), 1.5)])
+            gm.build(2, *edge_arrays([(0, 1, rot(0), 1.5)]))
         with pytest.raises(InvalidArgumentError):
-            gm.build(2, [Edge(0, 1, rot(0), -0.1)])
+            gm.build(2, *edge_arrays([(0, 1, rot(0), -0.1)]))
 
     def test_self_loop(self):
         with pytest.raises(InvalidArgumentError):
-            gm.build(2, [Edge(1, 1, rot(0), 0.5)])
+            gm.build(2, *edge_arrays([(1, 1, rot(0), 0.5)]))
 
     def test_too_few_vertices(self):
         with pytest.raises(InvalidArgumentError):
-            gm.build(1, [])
+            gm.build(1, *edge_arrays([]))
 
     def test_non_rotation_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            gm.build(2, [Edge(0, 1, np.eye(3) * 2.0, 0.5)])
+            gm.build(2, *edge_arrays([(0, 1, np.eye(3) * 2.0, 0.5)]))
+
+    def test_vertex_count_must_be_an_integer(self):
+        # int(2.5) once stored N = 2 for edges checked against 2.5, so edge
+        # (1, 2) was kept and serialized into a file cara solve rejects.
+        for bad in (2.5, np.float64(3.0), "3"):
+            with pytest.raises(InvalidArgumentError, match="must be an integer"):
+                gm.build(bad, *edge_arrays([(1, 2, rot(0), 0.5)]))
+            with pytest.raises(InvalidArgumentError, match="must be an integer"):
+                gm.EdgeStream(bad, [1], [2], [0.5], [rot(0)])
+        g = gm.build(np.int64(3), *edge_arrays([(1, 2, rot(0), 0.5)]))
+        assert type(g.n_vertices) is int and g.n_vertices == 3
+
+    def test_vertex_count_at_least_one(self):
+        # N = 0 or below once reached the tree and the solver, which died
+        # on bare numpy errors.
+        for bad in (0, -2):
+            with pytest.raises(InvalidArgumentError, match="N must be at least 1"):
+                gm.EdgeStream(bad, [], [], [], np.zeros((0, 3, 3)))
 
     def test_gt_length_checked(self):
         with pytest.raises(InvalidArgumentError):
-            gm.build(3, [Edge(0, 1, rot(0), 1.0)], ground_truth=[np.eye(3)])
+            gm.build(3, *edge_arrays([(0, 1, rot(0), 1.0)]), ground_truth=[np.eye(3)])
 
 
 def thresholded_components(g, min_confidence):
@@ -89,9 +107,8 @@ class TestConnectivity:
 
     def test_zero_confidence_bridge(self):
         # two cliques joined only by a c=0 edge
-        edges = [Edge(0, 1, rot(0), 0.9), Edge(2, 3, rot(1), 0.9),
-                 Edge(1, 2, rot(2), 0.0)]
-        g = gm.build(4, edges)
+        edges = [(0, 1, rot(0), 0.9), (2, 3, rot(1), 0.9), (1, 2, rot(2), 0.0)]
+        g = gm.build(4, *edge_arrays(edges))
         assert len(thresholded_components(g, -1.0)) == 1
         comps = thresholded_components(g, 0.01)
         assert sorted(map(tuple, comps)) == [(0, 1), (2, 3)]
@@ -151,8 +168,8 @@ class TestTextFormat:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         rng.shuffle(pairs)
         for i, j in pairs[:1000]:
-            edges.append(Edge(i, j, so3.random_rotation(rng), rng.random()))
-        g = gm.build(n, edges, [so3.random_rotation(rng) for _ in range(n)])
+            edges.append((i, j, so3.random_rotation(rng), rng.random()))
+        g = gm.build(n, *edge_arrays(edges), [so3.random_rotation(rng) for _ in range(n)])
         text = gm.serialize(g)
         assert gm.serialize(gm.parse(text)) == text
 
@@ -162,8 +179,7 @@ class TestTextFormat:
         vals = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 1 / 3, -1e300, 1.0]
         want = " ".join(f"{x:.17g}" for x in vals)
         rot = np.array(vals).reshape(1, 3, 3)
-        g = gm.EpipolarConfidenceGraph(2, gm.EdgeStream(2, [0], [1], [-0.0], rot),
-                                       ground_truth=(rot[0], rot[0]))
+        g = gm.EdgeStream(2, [0], [1], [-0.0], rot, ground_truth=(rot[0], rot[0]))
         assert gm.serialize(g).splitlines() == [
             "N 2", f"VERTEX_GT 0 {want}", f"VERTEX_GT 1 {want}", f"EDGE 0 1 {want} -0"]
         assert gm.vertex_lines("VERTEX_EST", rot) == [f"VERTEX_EST 0 {want}"]
@@ -230,8 +246,8 @@ class TestTextFormat:
     def test_reverse_convention_consistency(self):
         # r(j -> i) must equal r(i -> j)^T after normalization
         R = rot(9)
-        g_fwd = gm.build(2, [Edge(0, 1, R, 0.5)])
-        g_rev = gm.build(2, [Edge(1, 0, R.T, 0.5)])
+        g_fwd = gm.build(2, *edge_arrays([(0, 1, R, 0.5)]))
+        g_rev = gm.build(2, *edge_arrays([(1, 0, R.T, 0.5)]))
         np.testing.assert_allclose(g_fwd.edges[0].rotation,
                                    g_rev.edges[0].rotation, atol=1e-12)
 
@@ -274,7 +290,8 @@ def test_parsed_graph_holds_arrays_not_edge_records(traced_peak):
     assert retained / m <= 150
     for a in (g.ii, g.jj):
         assert a.dtype == np.intp and a.flags.c_contiguous
-    rebuilt = gm.EpipolarConfidenceGraph(g.n_vertices, g.edges, g.ground_truth)
+    rebuilt = gm.build(g.n_vertices, *edge_arrays(
+        [(e.i, e.j, e.rotation, e.confidence) for e in g.edges]))
     for name in ("ii", "jj", "rotations", "confidences"):
         np.testing.assert_array_equal(getattr(rebuilt, name), getattr(g, name))
 
@@ -289,8 +306,8 @@ def test_ground_truth_is_one_array(monkeypatch, tmp_path):
     # array whose rows have the bytes of the rotations given, read or drawn.
     rng = np.random.default_rng(5)
     gt = [so3.random_rotation(rng) for _ in range(6)]
-    edges = [Edge(i, i + 1, gt[i + 1] @ gt[i].T, 0.5) for i in range(5)]
-    built = gm.build(6, edges, ground_truth=gt)
+    edges = [(i, i + 1, gt[i + 1] @ gt[i].T, 0.5) for i in range(5)]
+    built = gm.build(6, *edge_arrays(edges), ground_truth=gt)
     assert _is_gt_array(built.ground_truth, 6)
     assert built.ground_truth.tobytes() == b"".join(r.tobytes() for r in gt)
 

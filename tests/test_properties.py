@@ -29,6 +29,7 @@ from cara import cli, kernels, metrics, so3, solver, synth, tree_init
 from cara import graph as gm
 from cara.errors import (DegenerateInputError, GraphParseError, InvalidArgumentError,
                          NotConnectedError)
+from conftest import edge_arrays
 
 BASE = gm.serialize(synth.generate(synth.SyntheticSceneSpec(
     n=5, noise_sigma=math.radians(5), confidence_model="informative",
@@ -310,7 +311,7 @@ def tied_graph(draw):
     for i, j in pairs:
         c = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
         i, j = (j, i) if draw(st.booleans()) else (i, j)
-        edges.append(gm.Edge(i, j, so3.random_rotation(rng), c))
+        edges.append((i, j, so3.random_rotation(rng), c))
     return n, edges
 
 
@@ -336,7 +337,7 @@ def _kruskal(n, ii, jj, conf):
 @given(tied_graph())
 def test_propagate_follows_every_tree_edge(case):
     n, edges = case
-    g = gm.build(n, edges)
+    g = gm.build(n, *edge_arrays(edges))
     try:
         tree = tree_init.maximum_spanning_tree(g)
     except NotConnectedError:
@@ -351,7 +352,7 @@ def test_propagate_follows_every_tree_edge(case):
 @given(tied_graph())
 def test_spanning_tree_matches_kruskal(case):
     n, edges = case
-    g = gm.build(n, edges)
+    g = gm.build(n, *edge_arrays(edges))
     forest = _kruskal(n, g.ii, g.jj, g.confidences)
     if len(forest) < n - 1:
         with pytest.raises(NotConnectedError) as err:

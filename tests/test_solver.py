@@ -11,7 +11,7 @@ from cara import graph as gm
 from cara import kernels, metrics, so3, solver, synth, tree_init
 from cara.errors import (DegenerateWeightsError, InvalidArgumentError,
                          NotConnectedError)
-from cara.graph import Edge
+from conftest import edge_arrays
 from cara.solver import RobustKernel, SolveConfig
 
 
@@ -23,9 +23,9 @@ def noise_free_graph(n, seed, confidences=None):
     for i in range(n):
         for j in range(i + 1, n):
             c = confidences[k] if confidences is not None else rng.random()
-            edges.append(Edge(i, j, gt[j] @ gt[i].T, c))
+            edges.append((i, j, gt[j] @ gt[i].T, c))
             k += 1
-    return gm.build(n, edges, ground_truth=gt), np.stack(gt)
+    return gm.build(n, *edge_arrays(edges), ground_truth=gt), np.stack(gt)
 
 
 def cai(g):
@@ -45,7 +45,7 @@ class TestCalLoss:
         axis = rng.standard_normal(3)
         axis *= 0.2 / np.linalg.norm(axis)
         r01 = so3.exp_map(axis) @ (R1 @ R0.T)
-        g = gm.build(2, [Edge(0, 1, r01, 0.5)])
+        g = gm.build(2, *edge_arrays([(0, 1, r01, 0.5)]))
         assert solver.cal_loss(g, np.stack([R0, R1])) == pytest.approx(
             0.5 * 0.2 ** 2, abs=1e-12)
 
@@ -105,19 +105,17 @@ class TestCaoSolve:
         init = cai(g)
         base = solver.cao_solve(g, init).rotations
         for lam in (0.1, 7.3):
-            scaled_edges = [Edge(e.i, e.j, e.rotation,
-                                 min(e.confidence * lam, 1.0) if lam > 1
-                                 else e.confidence * lam)
+            scaled_edges = [(e.i, e.j, e.rotation,
+                             min(e.confidence * lam, 1.0) if lam > 1
+                             else e.confidence * lam)
                             for e in g.edges]
             # keep weights proportional: skip edges that would clip
             if lam > 1 and any(e.confidence * lam > 1 for e in g.edges):
-                g_scaled = gm.EpipolarConfidenceGraph(
-                    g.n_vertices,
-                    tuple(Edge(e.i, e.j, e.rotation, e.confidence * lam)
-                          for e in g.edges),
-                    g.ground_truth)
+                g_scaled = gm.EdgeStream(g.n_vertices, g.ii, g.jj, g.confidences * lam,
+                                         g.rotations, ground_truth=g.ground_truth)
             else:
-                g_scaled = gm.build(g.n_vertices, scaled_edges, g.ground_truth)
+                g_scaled = gm.build(g.n_vertices, *edge_arrays(scaled_edges),
+                                    g.ground_truth)
             scaled = solver.cao_solve(g_scaled, init).rotations
             np.testing.assert_allclose(scaled, base, atol=1e-9)
 
@@ -130,8 +128,9 @@ class TestCaoSolve:
         base = solver.cao_solve(g, init).rotations
         # append a junk edge with confidence 0 on a pair the graph lacks
         assert not any((e.i, e.j) == (0, 5) for e in g.edges)
-        edges = list(g.edges) + [Edge(0, 5, so3.random_rotation(99), 0.0)]
-        g2 = gm.build(g.n_vertices, edges, g.ground_truth)
+        edges = [*zip(g.ii, g.jj, g.rotations, g.confidences),
+                 (0, 5, so3.random_rotation(99), 0.0)]
+        g2 = gm.build(g.n_vertices, *edge_arrays(edges), g.ground_truth)
         out = solver.cao_solve(g2, init).rotations
         np.testing.assert_allclose(out, base, atol=1e-9)
 
@@ -178,14 +177,14 @@ class TestCaoSolve:
         assert wins >= 95
 
     def test_disconnected_raises(self):
-        edges = [Edge(0, 1, np.eye(3), 0.5), Edge(2, 3, np.eye(3), 0.5)]
-        g = gm.build(4, edges)
+        edges = [(0, 1, np.eye(3), 0.5), (2, 3, np.eye(3), 0.5)]
+        g = gm.build(4, *edge_arrays(edges))
         with pytest.raises(NotConnectedError):
             solver.cao_solve(g, np.stack([np.eye(3)] * 4))
 
     def test_zero_confidence_cut_raises(self):
-        edges = [Edge(0, 1, np.eye(3), 0.5), Edge(1, 2, np.eye(3), 0.0)]
-        g = gm.build(3, edges)
+        edges = [(0, 1, np.eye(3), 0.5), (1, 2, np.eye(3), 0.0)]
+        g = gm.build(3, *edge_arrays(edges))
         with pytest.raises(DegenerateWeightsError):
             solver.cao_solve(g, np.stack([np.eye(3)] * 3))
 
@@ -338,10 +337,8 @@ def test_fix_root_invariant_to_confidence_scale(lam):
     init = cai(g)
     base = solver.cao_solve(g, init).rotations
     # bypass build() so scaled weights may leave [0, 1]: only the ratio matters
-    g_scaled = gm.EpipolarConfidenceGraph(
-        g.n_vertices,
-        tuple(Edge(e.i, e.j, e.rotation, e.confidence * lam) for e in g.edges),
-        g.ground_truth)
+    g_scaled = gm.EdgeStream(g.n_vertices, g.ii, g.jj, g.confidences * lam, g.rotations,
+                             ground_truth=g.ground_truth)
     scaled = solver.cao_solve(g_scaled, init).rotations
     np.testing.assert_allclose(scaled, base, atol=1e-12)
 
@@ -506,14 +503,50 @@ def test_laplacian_pattern_refill_keeps_degenerate_errors_sparse():
     _check_refill_keeps_degenerate_errors(40, dense=False)
 
 
-def test_one_vertex_irls_returns_its_start():
-    # Anchoring a one-vertex graph keeps no vertex, and the first sweep's
-    # zero residual stops the solve before any factor.
+@pytest.mark.parametrize("solve", [
+    solver.cao_solve,
+    lambda g, init: solver.irls_solve(g, init, RobustKernel(kind="l2"))],
+    ids=["cao", "irls"])
+def test_one_vertex_solve_returns_its_start(solve):
+    # Anchoring a one-vertex graph keeps no vertex, so its factor has no
+    # pivot, and the first sweep's zero residual stops the solve.
     empty = np.array([], dtype=np.intp)
     g = gm.EdgeStream(1, empty, empty, np.array([]), np.zeros((0, 3, 3)))
-    report = solver.irls_solve(g, np.eye(3)[None], RobustKernel(kind="l2"))
+    report = solve(g, np.eye(3)[None])
     assert report.stop_reason == "residual_tolerance"
+    assert report.iterations_run == 0
     assert np.array_equal(report.rotations, np.eye(3)[None])
+
+
+@pytest.mark.parametrize("read", [
+    solver.cal_loss, solver.cao_solve,
+    lambda g, init: solver.irls_solve(g, init, RobustKernel(kind="cauchy"))],
+    ids=["cal_loss", "cao", "irls"])
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("pairs_only", [False, True], ids=["rotations", "pairs"])
+def test_stream_vertex_ids_checked_before_any_read(read, bad, pairs_only):
+    # A zero-confidence edge to vertex -1 or N on a path of N = 3: cal_loss
+    # read -1 as vertex 2, and the solves failed by accident, if at all.
+    rots = np.stack([np.eye(3)] * 3)
+    pairs = kernels.batch_quat(rots) if pairs_only else None
+    with pytest.raises(InvalidArgumentError, match=f"edge \\(0,{bad}\\) out of range for N=3"):
+        g = gm.EdgeStream(3, [0, 1, 0], [1, 2, bad], [1.0, 1.0, 0.0],
+                          None if pairs_only else rots, pairs)
+        read(g, rots)
+
+
+def test_stream_arrays_checked_for_length():
+    rots = np.stack([np.eye(3)] * 2)
+    for ii, jj, conf, rotations, pairs in (
+            ([0, 1], [1], [1.0, 1.0], rots, None),
+            ([0, 1], [1, 2], [1.0], rots, None),
+            ([0, 1], [1, 2], [1.0, 1.0], rots[:1], None),
+            ([0, 1], [1, 2], [1.0, 1.0], None, kernels.batch_quat(rots[:1])),
+            ([[0, 1]], [[1, 2]], [[1.0, 1.0]], rots, None)):
+        with pytest.raises(InvalidArgumentError, match="differ in length"):
+            gm.EdgeStream(3, ii, jj, conf, rotations, pairs)
+    with pytest.raises(InvalidArgumentError, match="rotations or quaternion pairs"):
+        gm.EdgeStream(3, [0, 1], [1, 2], [1.0, 1.0], None)
 
 
 def test_laplacian_pattern_refill_keeps_degenerate_errors_superlu():

@@ -11,8 +11,8 @@ from cara import graph as gm
 from cara import cli, kernels, so3, solver, stream, synth, tree_init
 from cara.errors import (DegenerateWeightsError, GraphParseError, InvalidArgumentError,
                          NotConnectedError)
-from cara.graph import Edge
 from cara.synth import SyntheticSceneSpec
+from conftest import edge_arrays
 
 
 def _solve_file(path, kernel=solver.RobustKernel(), config=solver.SolveConfig()):
@@ -60,14 +60,14 @@ def test_pair_only_stream_has_no_edge_records(scene_file, read):
 
 @pytest.mark.parametrize("read", [stream.read_edge_stream, stream.FileEdgeStream],
                          ids=["memory", "file"])
-@pytest.mark.parametrize("make", [gm.build, gm.EpipolarConfidenceGraph,
-                                  lambda n, s: gm.serialize(s)],
-                         ids=["build", "graph", "serialize"])
+@pytest.mark.parametrize("make", [
+    lambda s: gm.build(s.n_vertices, s.ii, s.jj, s.rotations, s.confidences),
+    gm.serialize], ids=["build", "serialize"])
 def test_pair_only_stream_makes_no_graph(scene_file, read, make):
     path, _ = scene_file(SyntheticSceneSpec(n=5, seed=0))
     s = read(path)
-    with pytest.raises(InvalidArgumentError, match="quaternion pairs only"):
-        make(s.n_vertices, s)
+    with pytest.raises(InvalidArgumentError, match="rotations"):
+        make(s)
 
 
 def test_passes_reproduce_rotations(scene_file):
@@ -105,7 +105,7 @@ def test_streaming_init_matches_in_memory(scene_file):
 
 
 def test_disconnected_file(tmp_path):
-    g = gm.build(4, [Edge(0, 1, np.eye(3), 0.5), Edge(2, 3, np.eye(3), 0.5)])
+    g = gm.build(4, *edge_arrays([(0, 1, np.eye(3), 0.5), (2, 3, np.eye(3), 0.5)]))
     path = tmp_path / "bad.graph"
     path.write_text(gm.serialize(g))
     with pytest.raises(NotConnectedError):
@@ -113,7 +113,7 @@ def test_disconnected_file(tmp_path):
 
 
 def test_zero_confidence_cut_file(tmp_path):
-    g = gm.build(3, [Edge(0, 1, np.eye(3), 0.5), Edge(1, 2, np.eye(3), 0.0)])
+    g = gm.build(3, *edge_arrays([(0, 1, np.eye(3), 0.5), (1, 2, np.eye(3), 0.0)]))
     path = tmp_path / "bad.graph"
     path.write_text(gm.serialize(g))
     with pytest.raises(DegenerateWeightsError):
@@ -144,8 +144,9 @@ def _weak_bridge_file(tmp_path):
         n=40, topology="chain_window", chain_window=5,
         noise_sigma=math.radians(6), outlier_edge_fraction=0.1,
         confidence_model="informative", seed=8))
-    weak = Edge(0, 40, kernels.batch_exp(np.array([[0.1, -0.2, 0.3]]))[0], 0.005)
-    g = gm.build(41, list(scene.graph.edges) + [weak])
+    weak = (0, 40, kernels.batch_exp(np.array([[0.1, -0.2, 0.3]]))[0], 0.005)
+    s = scene.graph
+    g = gm.build(41, *edge_arrays([*zip(s.ii, s.jj, s.rotations, s.confidences), weak]))
     path = tmp_path / "weak.graph"
     path.write_text(gm.serialize(g))
     tree = tree_init.maximum_spanning_tree(g)

@@ -7,13 +7,14 @@ import pytest
 from cara import graph as gm
 from cara import metrics, so3, synth, tree_init
 from cara.errors import NotConnectedError
-from cara.graph import Edge, EdgeStream
+from cara.graph import EdgeStream
+from conftest import edge_arrays
 
 
 def make_graph(n, weighted_pairs, seed=0):
     rng = np.random.default_rng(seed)
-    edges = [Edge(i, j, so3.random_rotation(rng), c) for i, j, c in weighted_pairs]
-    return gm.build(n, edges)
+    edges = [(i, j, so3.random_rotation(rng), c) for i, j, c in weighted_pairs]
+    return gm.build(n, *edge_arrays(edges))
 
 
 def exhaustive_max_tree_weight(n, weighted_pairs):
@@ -104,8 +105,8 @@ class TestMaximumSpanningTree:
         rots = {(i, j): so3.random_rotation(rng) for i, j, _ in pairs}
         trees = []
         for perm in itertools.permutations(pairs):
-            edges = [Edge(i, j, rots[(i, j)], c) for i, j, c in perm]
-            g = gm.build(4, edges)
+            edges = [(i, j, rots[(i, j)], c) for i, j, c in perm]
+            g = gm.build(4, *edge_arrays(edges))
             tree = tree_init.maximum_spanning_tree(g)
             trees.append(tuple(sorted(tree_pairs(tree))))
         assert len(set(trees)) == 1
@@ -125,7 +126,7 @@ class TestPropagate:
     def test_two_vertices(self):
         rng = np.random.default_rng(1)
         R = so3.random_rotation(rng)
-        g = gm.build(2, [Edge(0, 1, R, 0.9)])
+        g = gm.build(2, *edge_arrays([(0, 1, R, 0.9)]))
         tree = tree_init.maximum_spanning_tree(g)
         rotations = tree_init.propagate(tree, g)
         root = tree.root
@@ -135,8 +136,8 @@ class TestPropagate:
 
     def test_chain_of_commuting_rotations(self):
         rz = so3.exp_map([0, 0, math.pi / 6])
-        edges = [Edge(i, i + 1, rz, 1.0 - 0.01 * i) for i in range(3)]
-        g = gm.build(4, edges)
+        edges = [(i, i + 1, rz, 1.0 - 0.01 * i) for i in range(3)]
+        g = gm.build(4, *edge_arrays(edges))
         tree = tree_init.maximum_spanning_tree(g)
         rotations = tree_init.propagate(tree, g)
         rel = rotations[3] @ rotations[0].T
@@ -147,9 +148,9 @@ class TestPropagate:
         rng = np.random.default_rng(3)
         n = 8
         gt = [so3.random_rotation(rng) for _ in range(n)]
-        edges = [Edge(i, j, gt[j] @ gt[i].T, rng.random())
+        edges = [(i, j, gt[j] @ gt[i].T, rng.random())
                  for i in range(n) for j in range(i + 1, n)]
-        g = gm.build(n, edges, ground_truth=gt)
+        g = gm.build(n, *edge_arrays(edges), ground_truth=gt)
         tree = tree_init.maximum_spanning_tree(g)
         rotations = tree_init.propagate(tree, g)
         stats = metrics.error_stats(rotations, np.stack(gt))
