@@ -16,20 +16,17 @@ Records may appear in any order except that ``N`` must come first.
 Estimate files (``cara solve --out``) hold ``VERTEX_EST <id> <9 floats>``
 records instead of VERTEX_GT and EDGE.
 
-Every path that reads the format (:func:`parse`, the ``cara solve`` scan,
-``cara eval``) opens files with :func:`open_text` and uses one
-:class:`RecordReader`, so all accept and reject the same files and report
-the same first offending line, also for bytes that are not UTF-8.
-:func:`parse` and the scan both read through :func:`read_graph`, whose sink
-gets each block's records: :func:`parse` keeps rotations and ground truth,
-the scan quaternion pairs. :func:`parse` takes the text or an open file,
-which it reads line by line, never holding the whole text. The reader cuts
-each block of lines into runs of EDGE lines, vertex lines and other lines
-(the N record, comments). A run of plain EDGE or vertex lines is converted
-by one ``np.loadtxt`` call, any other run line by line, which decides the
-syntax; one validator each checks edge and vertex values from either path.
-Duplicate edge pairs are found once the whole file is read; a missing N or a
-missing vertex record is reported as line 0.
+The :class:`EdgeStream` constructor checks every graph's edge rows; the
+tree and the solver rely on its rules and check none again. Every path
+that reads the format (:func:`parse`, the ``cara solve`` scan, ``cara
+eval``) opens files with :func:`open_text` and uses one
+:class:`RecordReader` (see :meth:`RecordReader.chunks`), so all accept and
+reject the same files and report the same first offending line, with the
+constructor's row rule and wording. :func:`parse` and the scan both read
+through :func:`read_graph`, whose sink gets each block's records:
+:func:`parse` keeps rotations and ground truth, the scan quaternion pairs.
+Duplicate edge pairs are found once the whole file is read; a missing N or
+a missing vertex record is reported as line 0.
 
 Every file cara writes (graphs, labels, estimates, eval and bench CSV) goes
 through :func:`write_text`, which rewrites an existing file in place.
@@ -87,14 +84,15 @@ class EdgeStream:
     ``quaternions`` are the rotations' unit quaternions as (2, M) complex
     pairs (see :func:`cara.kernels.batch_quat`), which the solver sweeps;
     unless given, they are converted on first use, or by :func:`build` and
-    :func:`parse`, and kept. A stream given its quaternions may have None
-    for rotations, as ``cara solve``'s streams do: the spanning tree,
-    propagation, the solver's sweeps and :func:`cara.solver.cal_loss` read
-    the indices, confidences and pairs alone. Only :attr:`edges` and
-    :func:`serialize` need the rotations (or raise InvalidArgumentError).
-    The arrays are taken as given once N is an integer of at least 1, their
-    lengths agree and every vertex id lies in [0, N), which every reader
-    relies on (else InvalidArgumentError); :func:`build` validates the rest.
+    :func:`parse`, and kept. A stream given its pairs may have None for
+    rotations, as ``cara solve``'s streams do; only :attr:`edges` and
+    :func:`serialize` need them (or raise InvalidArgumentError).
+    The constructor is the one check of the edge rows that every reader
+    relies on. N is an integer of at least 1, the arrays agree in length,
+    vertex ids are integers in [0, N), no edge is a loop, confidences are
+    finite and non-negative at any scale (else InvalidArgumentError), and
+    no unordered pair repeats (else DuplicateEdgeError). :func:`build` and
+    the file readers also require rotations and confidences in [0, 1].
     """
 
     def __init__(self, n_vertices, ii, jj, confidences, rotations, quaternions=None,
@@ -106,8 +104,10 @@ class EdgeStream:
                 f"vertex count must be an integer, got {n_vertices!r}") from None
         if n < 1:
             raise InvalidArgumentError(f"N must be at least 1, got {n}")
-        self.ii = np.ascontiguousarray(ii, dtype=np.intp)
-        self.jj = np.ascontiguousarray(jj, dtype=np.intp)
+        ids = [np.asarray(ii), np.asarray(jj)]
+        if any(a.dtype.kind not in "iu" and a.size for a in ids):
+            raise InvalidArgumentError("vertex ids must be integers")
+        self.ii, self.jj = (np.ascontiguousarray(a, dtype=np.intp) for a in ids)
         self.confidences = np.asarray(confidences, dtype=float)
         self.rotations = None if rotations is None else np.asarray(rotations, dtype=float)
         self.ground_truth = ground_truth
@@ -118,11 +118,9 @@ class EdgeStream:
                 and (rotations is None or self.rotations.shape[:1] == (m,))
                 and (quaternions is None or np.shape(quaternions) == (2, m))):
             raise InvalidArgumentError("edge arrays differ in length")
-        if m and (min(self.ii.min(), self.jj.min()) < 0
-                  or max(self.ii.max(), self.jj.max()) >= n):
-            k = int(np.argmax((self.ii < 0) | (self.ii >= n) | (self.jj < 0) | (self.jj >= n)))
-            raise InvalidArgumentError(
-                f"edge ({self.ii[k]},{self.jj[k]}) out of range for N={n}", index=k)
+        if fault := (_edge_fault(n, self.ii, self.jj, self.confidences, unit=False)
+                     or _duplicate_fault(self.ii, self.jj)):
+            raise fault
         if quaternions is not None:
             self.quaternions = quaternions
 
@@ -148,24 +146,32 @@ class EdgeStream:
         return pairs
 
 
-def _validated_edges(n, ii, jj, rots, conf):
-    """Validate edge rows and normalize them to i < j (the rotation is
-    transposed where the pair was reversed).
-
-    Raises InvalidArgumentError whose ``index`` is the first offending row.
-    """
+def _edge_fault(n, ii, jj, conf, unit=True) -> InvalidArgumentError | None:
+    """The error of the first row with a loop, a vertex id outside [0, n) or
+    a confidence outside [0, 1] (not ``unit``: [0, inf)), or None."""
     loop = ii == jj
     outside = (ii < 0) | (ii >= n) | (jj < 0) | (jj >= n)
-    bad = loop | outside | ~((conf >= 0.0) & (conf <= 1.0))
-    k = int(np.argmax(bad)) if bad.any() else len(ii)
-    # A rejected rotation before row k is the first offending row.
-    rots = so3.as_rotations(rots[:k])
-    if k < len(ii):
-        i, j = ii[k], jj[k]
-        raise InvalidArgumentError(
-            f"self-loop on vertex {i}" if loop[k] else
-            f"edge ({i},{j}) out of range for N={n}" if outside[k] else
-            f"confidence {conf[k]} outside [0, 1] on edge ({i},{j})", index=k)
+    bad = loop | outside | ~((conf >= 0.0) & ((conf <= 1.0) if unit else (conf < np.inf)))
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    i, j = ii[k], jj[k]
+    return InvalidArgumentError(
+        f"self-loop on vertex {i}" if loop[k] else
+        f"edge ({i},{j}) out of range for N={n}" if outside[k] else
+        f"confidence {conf[k]} outside {'[0, 1]' if unit else '[0, inf)'} on edge ({i},{j})",
+        index=k)
+
+
+def _validated_edges(n, ii, jj, rots, conf):
+    """Validate edge rows, raising InvalidArgumentError whose ``index`` is
+    the first offending row, and normalize them to i < j (the rotation is
+    transposed where the pair was reversed)."""
+    fault = _edge_fault(n, ii, jj, conf)
+    # A rejected rotation before the faulty row is the first offending row.
+    rots = so3.as_rotations(rots[:len(ii) if fault is None else fault.index])
+    if fault is not None:
+        raise fault
     flip = ii > jj
     if flip.any():
         rots = rots.copy()
@@ -192,33 +198,40 @@ def _validated_vertices(n, seen, ids, tags, rots):
 
 def _first_duplicate(ii, jj) -> int | None:
     """Row of the first normalized edge repeating an earlier pair, or None.
-
-    A stable sort by pair keeps each group of equal pairs in file order, so
-    the first repeat is the smallest row of any group past its first member.
-    """
+    One pass finds strictly rising pairs, as :func:`cara.synth.generate`
+    makes them, free of repeats; else a stable sort by pair keeps equal
+    pairs in file order, and the first repeat is the smallest row of a
+    group past its first member."""
+    if ((ii[1:] > ii[:-1]) | ((ii[1:] == ii[:-1]) & (jj[1:] > jj[:-1]))).all():
+        return None
     order = np.lexsort((jj, ii))
     a, b = ii[order], jj[order]
     later = order[1:][(a[1:] == a[:-1]) & (b[1:] == b[:-1])]
     return int(later.min()) if len(later) else None
 
 
+def _duplicate_fault(ii, jj) -> DuplicateEdgeError | None:
+    """The error of the first edge repeating an unordered pair, or None."""
+    if (ii > jj).any():
+        ii, jj = np.minimum(ii, jj), np.maximum(ii, jj)
+    if (k := _first_duplicate(ii, jj)) is not None:
+        return DuplicateEdgeError(f"duplicate edge for pair ({ii[k]},{jj[k]})", index=k)
+
+
 def build(n: int, ii, jj, rotations, confidences, ground_truth=None) -> EdgeStream:
     """Validate and normalize a graph given as edge arrays (stored with i < j).
 
-    An edge given as (j, i, r) is stored as (i, j, r.T). Self-loops,
-    duplicate pairs, out-of-range indices, non-rotations and confidences
-    outside [0, 1] are rejected. Ground truth, any sequence of N rotations,
-    is validated and stored as an (N, 3, 3) array. The edge rotations are
-    converted to quaternions now, so no solve allocates them.
+    An edge given as (j, i, r) is stored as (i, j, r.T). Past the
+    :class:`EdgeStream` constructor's rules, N < 2, non-rotations and
+    confidences outside [0, 1] are rejected. Ground truth, any sequence of
+    N rotations, is validated and stored as an (N, 3, 3) array. The edge
+    rotations are converted to quaternions now, so no solve allocates them.
     """
     g = EdgeStream(n, ii, jj, confidences, rotations)
     n = g.n_vertices
     if n < 2:
         raise InvalidArgumentError(f"need at least 2 vertices, got {n}")
     g.ii, g.jj, g.rotations = _validated_edges(n, g.ii, g.jj, g.rotations, g.confidences)
-    k = _first_duplicate(g.ii, g.jj)
-    if k is not None:
-        raise DuplicateEdgeError(f"duplicate edge for pair ({g.ii[k]},{g.jj[k]})", index=k)
     if ground_truth is not None:
         if len(ground_truth) != n:
             raise InvalidArgumentError(
@@ -553,10 +566,8 @@ def read_graph(lines, sink):
     n, ii, jj = reader.n, cat("ii"), cat("jj")
     if n < 2:
         raise GraphParseError(0, f"need at least 2 vertices, got {n}")
-    k = _first_duplicate(ii, jj)
-    if k is not None:
-        raise GraphParseError(int(cat("edge_lines")[k]),
-                              f"duplicate edge for pair ({ii[k]},{jj[k]})")
+    if fault := _duplicate_fault(ii, jj):
+        raise GraphParseError(int(cat("edge_lines")[fault.index]), str(fault))
     del pieces["edge_lines"]
     if reader.vertex_ids:
         reader.require_all_vertices("ground truth")

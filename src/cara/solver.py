@@ -16,14 +16,11 @@ the identity, the 3N x 3N system factors into a weighted graph Laplacian
 acting on three right-hand-side columns. The gauge is fixed by deleting
 the anchor (root) vertex's row and column, so that vertex keeps its
 initial rotation. The pattern is built once per solve from the edge
-arrays; each weight setting only writes the weights into that pattern and
-factorizes it as a band by LAPACK's Cholesky. A pattern whose stored
-entries (two per kept edge plus the diagonal) fill at least ``DENSE_FILL``
-of the nk x nk matrix keeps its vertex order, its band the whole upper
-triangle. A sparser one has its vertices put in reverse Cuthill-McKee
-order once per solve, while that band stays within ``BAND_FILL`` times
-the stored entries; a wider band, as a camera that sees most others
-makes, goes to SuperLU as a CSC matrix.
+arrays (:class:`_LaplacianPattern`); each weight setting only writes the
+weights into it and factorizes it as a band by LAPACK's Cholesky, in
+vertex order where the pattern is dense (``DENSE_FILL``) and in reverse
+Cuthill-McKee order where it is sparse, or by SuperLU where that band is
+too wide (``BAND_FILL``), as a camera that sees most others makes it.
 
 :func:`cao_solve` and :func:`irls_solve` run one loop over the edges of
 an :class:`EdgeStream`, swept in fixed-size chunks; ``--stream`` runs it on
@@ -42,7 +39,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools, csgraph
 
-from . import kernels
+from . import kernels, so3
 from .errors import DegenerateWeightsError, InvalidArgumentError, NotConnectedError
 from .graph import CHUNK_RECORDS, EdgeStream, components
 from .tree_init import _pick_root
@@ -183,9 +180,8 @@ class _LaplacianPattern:
     one takes reverse Cuthill-McKee order. A band too wide for
     ``BAND_FILL`` keeps the vertex order, and SuperLU's CSC ``matrix``
     instead, whose data hold each kept edge's (lo, hi) at ``upper``, its
-    (hi, lo) at ``lower`` and the diagonal at ``diag``. Pairs must be
-    distinct and not loops, as :func:`graph.build` and the stream reader
-    ensure; a pattern that breaks this is rejected.
+    (hi, lo) at ``lower`` and the diagonal at ``diag``. It only lays out
+    pairs that keep the :class:`EdgeStream` rules: distinct, no loops.
     """
 
     def __init__(self, n, ii, jj, anchor):
@@ -198,16 +194,12 @@ class _LaplacianPattern:
         lo, hi = lo[self.kept], hi[self.kept]
         m, nk = len(lo), len(keep)
         self.order, self.matrix = keep, None
-        dense = 2 * m + nk >= DENSE_FILL * nk * nk
-        if dense:
+        if 2 * m + nk >= DENSE_FILL * nk * nk:
             u = max(nk - 1, 0)  # a one-vertex graph keeps no vertex
         else:
             adjacency = sp.csr_matrix(
                 (np.ones(2 * m, dtype=np.int8),
                  (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(nk, nk))
-            # A loop's two entries, and a repeated pair's, are summed into one.
-            if adjacency.nnz < 2 * m:
-                raise InvalidArgumentError("the solver needs distinct pairs and no loops")
             rcm = csgraph.reverse_cuthill_mckee(adjacency, symmetric_mode=True)
             del adjacency
             rank = np.empty(nk, dtype=np.int32)
@@ -231,13 +223,6 @@ class _LaplacianPattern:
         self.upper = (u + lo) + hi.astype(np.intp) * u
         self.diag = slice(u, None, u + 1)
         self.shape = (u + 1, nk)
-        if dense:
-            # A loop lands on a diagonal slot, a repeated pair on its twin's.
-            filled = np.zeros(nk * nk, dtype=bool)
-            filled[self.upper] = True
-            filled[self.diag] = True
-            if np.count_nonzero(filled) < m + nk:
-                raise InvalidArgumentError("the solver needs distinct pairs and no loops")
 
     def factor(self, w):
         """Factorized solve for the Laplacian weighted by ``w``. The solve
@@ -292,8 +277,8 @@ def _residual_pass(stream: EdgeStream, rotations, weights):
     each vertex's terms are summed in edge order from the running total,
     whatever the chunking. The +-1 coefficients make each product exact,
     with or without FMA, so the sums are bit-identical to an in-order
-    scatter. The product does not bound-check: the vertex ids must lie in
-    [0, n), as every :class:`EdgeStream` checks when it is made.
+    scatter. The product does not bound-check: the rows must keep the
+    :class:`EdgeStream` rules, ids in [0, n) and confidences finite.
     """
     n, m = stream.n_vertices, len(stream.ii)
     rhs = np.zeros((n, 3))
@@ -333,8 +318,9 @@ def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
     sweep's residual angles and refills the pattern at every step."""
     n, ii, jj, conf = stream.n_vertices, stream.ii, stream.jj, stream.confidences
     _check_connectivity(n, ii, jj, conf if kernel is None else None)
-    R = np.array(initial_rotations, dtype=float)
-    if R.shape != (n, 3, 3):
+    # The readers' rule, on a copy, so that no report aliases the caller's array.
+    R = so3.as_rotations(np.array(initial_rotations, dtype=float))
+    if len(R) != n:
         raise InvalidArgumentError(f"expected {n} initial rotations, got {R.shape}")
     anchor = _pick_root(n, ii, jj, conf)
     laplacian = _LaplacianPattern(n, ii, jj, anchor)

@@ -35,7 +35,9 @@ def read_edge_stream(path) -> EdgeStream:
     file at ``path``, its pairs joined in RAM once the scan is done."""
     pieces = []
     n, ii, jj, conf = scan_pairs(path, pieces.append)
-    return EdgeStream(n, ii, jj, conf, None, np.concatenate(pieces, axis=1))
+    pairs = np.concatenate(pieces, axis=1)
+    del pieces  # before the constructor's checks, which run inside the read
+    return EdgeStream(n, ii, jj, conf, None, pairs)
 
 
 class FileEdgeStream(EdgeStream):

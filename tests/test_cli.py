@@ -321,6 +321,40 @@ def test_solve_calls_benchmarked_names_once(tmp_path, capsys, monkeypatch, extra
     assert cli._read_rotations(str(est), "estimates").tobytes() == report.rotations.tobytes()
 
 
+def test_benchmark_scenes_never_sort_for_repeats(tmp_path, capsys, monkeypatch):
+    # synth.generate makes its pairs in rising order and serialize keeps
+    # it, so the generator's build and both searches of `cara solve` (the
+    # reader's and the stream constructor's) find no repeat in one pass,
+    # without the lexsort, on the benchmarks' chain file and dense scene.
+    calls, sorts = [], []
+    first_duplicate, lexsort = gm._first_duplicate, np.lexsort
+
+    def counting(ii, jj):
+        calls.append(len(ii))
+        return first_duplicate(ii, jj)
+
+    def spying(keys, *args, **kwargs):
+        if sys._getframe(1).f_code is first_duplicate.__code__:
+            sorts.append(len(keys[0]))
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(gm, "_first_duplicate", counting)
+    monkeypatch.setattr(np, "lexsort", spying)
+    graph_path = tmp_path / "chain.graph"
+    assert run(["generate", "--n", "500", "--topology", "chain-window", "--window", "10",
+                "--sigma-deg", "5", "--outlier-frac", "0.1", "--confidence-model",
+                "informative", "--seed", "3", "--out", str(graph_path)]) == 0
+    for extra in ([], ["--stream"]):
+        assert run(["solve", "--in", str(graph_path)] + extra) == 0
+    synth.generate(synth.SyntheticSceneSpec(
+        n=200, topology="complete", noise_sigma=math.radians(5), outlier_edge_fraction=0.3,
+        confidence_model="informative", seed=3))
+    assert len(calls) == 1 + 2 + 2 + 1 and sorts == []
+    # The spy sees the sort where pairs are out of order.
+    gm.EdgeStream(3, [1, 0], [2, 1], [1.0, 1.0], np.stack([np.eye(3)] * 2))
+    assert sorts == [2]
+
+
 @pytest.mark.parametrize("extra", [[], ["--stream"]], ids=["memory", "stream"])
 def test_iters_caps_robust_kernel(tmp_path, capsys, extra):
     graph_path = tmp_path / "g.graph"

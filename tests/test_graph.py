@@ -273,6 +273,18 @@ def test_first_duplicate_in_file_order():
     assert gm._first_duplicate(ii[:3], jj[:3]) is None
 
 
+def test_stream_checks_allocate_only_row_bools(traced_peak):
+    # The constructor runs inside the read of `cara solve`, so on pairs as
+    # the reader hands them over (intp, i < j, rising) its checks may hold
+    # bool temporaries of the rows but no copy of an index array (8 B an
+    # edge).
+    g = synth.generate(synth.SyntheticSceneSpec(
+        n=2000, topology="chain_window", chain_window=10, seed=0)).graph
+    args = (g.n_vertices, g.ii, g.jj, g.confidences, None, g.quaternions)
+    _, peak = traced_peak(lambda: gm.EdgeStream(*args))
+    assert peak < 8 * len(g.ii)
+
+
 def test_parsed_graph_holds_arrays_not_edge_records(traced_peak):
     # 8 B each for i, j and c plus 72 B of rotation: no per-edge objects.
     scene = synth.generate(synth.SyntheticSceneSpec(

@@ -334,6 +334,38 @@ def _kruskal(n, ii, jj, conf):
     return forest
 
 
+def _lexsort_first_duplicate(ii, jj):
+    """First repeat by a stable two-key lexsort alone: the reference."""
+    order = np.lexsort((jj, ii))
+    a, b = ii[order], jj[order]
+    later = order[1:][(a[1:] == a[:-1]) & (b[1:] == b[:-1])]
+    return int(later.min()) if len(later) else None
+
+
+@given(pairs=st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=20),
+       changes=st.sets(st.sampled_from(["shuffle", "reverse", "repeat"])),
+       seed=st.integers(0, 2 ** 16))
+@example(pairs={(0, 1), (0, 2), (1, 2)}, changes=set(), seed=0)
+@example(pairs={(0, 1), (1, 2)}, changes={"repeat"}, seed=0)
+def test_first_duplicate_matches_lexsort_reference(pairs, changes, seed):
+    # Distinct pairs in rising order, optionally shuffled, some rows
+    # reversed, and some rows repeated at random later places.
+    rng = np.random.default_rng(seed)
+    ii, jj = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2).T.copy()
+    if "shuffle" in changes:
+        order = rng.permutation(len(ii))
+        ii, jj = ii[order], jj[order]
+    if "reverse" in changes:
+        flip = rng.random(len(ii)) < 0.5
+        ii, jj = np.where(flip, jj, ii), np.where(flip, ii, jj)
+    if "repeat" in changes and len(ii):
+        for _ in range(int(rng.integers(1, 4))):
+            k = int(rng.integers(len(ii)))
+            at = int(rng.integers(k + 1, len(ii) + 1))
+            ii, jj = np.insert(ii, at, ii[k]), np.insert(jj, at, jj[k])
+    assert gm._first_duplicate(ii, jj) == _lexsort_first_duplicate(ii, jj)
+
+
 @given(tied_graph())
 def test_propagate_follows_every_tree_edge(case):
     n, edges = case

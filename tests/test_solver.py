@@ -518,6 +518,11 @@ def test_one_vertex_solve_returns_its_start(solve):
     assert np.array_equal(report.rotations, np.eye(3)[None])
 
 
+def _unit_stream(n, ii, jj):
+    """A stream of identity rotations and unit confidences on (ii, jj)."""
+    return gm.EdgeStream(n, ii, jj, np.ones(len(ii)), np.stack([np.eye(3)] * len(ii)))
+
+
 @pytest.mark.parametrize("read", [
     solver.cal_loss, solver.cao_solve,
     lambda g, init: solver.irls_solve(g, init, RobustKernel(kind="cauchy"))],
@@ -533,6 +538,69 @@ def test_stream_vertex_ids_checked_before_any_read(read, bad, pairs_only):
         g = gm.EdgeStream(3, [0, 1, 0], [1, 2, bad], [1.0, 1.0, 0.0],
                           None if pairs_only else rots, pairs)
         read(g, rots)
+
+
+# Faults on the path 0-1-2-3. The two reversed repeats are the same pair
+# (0,1) under two sets of confidences: the first makes vertex 1 the
+# anchor, so the Laplacian pattern, which saw only edges off the anchor,
+# let the repeat through, and the solves ran; the second makes vertex 2
+# the anchor, and the pattern rejected it.
+EDGE_FAULTS = {
+    "float-ids": (([0.9, 1.7, 2.0], [1, 2, 3], [0.9, 0.5, 0.5]),
+                  "vertex ids must be integers"),
+    "loop": (([0, 1, 2, 2], [1, 2, 3, 2], [0.9, 0.5, 0.5, 0.5]), "self-loop on vertex 2"),
+    "repeat": (([0, 1, 2, 1], [1, 2, 3, 2], [0.9, 0.5, 0.5, 0.1]),
+               r"duplicate edge for pair \(1,2\)"),
+    "reversed-repeat-anchor": (([0, 1, 2, 1], [1, 2, 3, 0], [0.9, 0.5, 0.5, 0.1]),
+                               r"duplicate edge for pair \(0,1\)"),
+    "reversed-repeat": (([0, 1, 2, 1], [1, 2, 3, 0], [0.2, 0.5, 0.9, 0.1]),
+                        r"duplicate edge for pair \(0,1\)"),
+    "nan": (([0, 1, 2], [1, 2, 3], [0.9, math.nan, 0.5]),
+            r"confidence nan outside \[0, inf\) on edge \(1,2\)"),
+    "negative": (([0, 1, 2], [1, 2, 3], [0.9, 0.5, -1.0]),
+                 r"confidence -1.0 outside \[0, inf\) on edge \(2,3\)"),
+    "inf": (([0, 1, 2], [1, 2, 3], [math.inf, 0.5, 0.5]),
+            r"confidence inf outside \[0, inf\) on edge \(0,1\)"),
+}
+
+
+@pytest.mark.parametrize("read", [
+    solver.cal_loss, lambda g, init: tree_init.maximum_spanning_tree(g), solver.cao_solve,
+    lambda g, init: solver.irls_solve(g, init, RobustKernel(kind="cauchy"))],
+    ids=["cal_loss", "tree", "cao", "irls"])
+@pytest.mark.parametrize("fault", EDGE_FAULTS)
+@pytest.mark.parametrize("pairs_only", [False, True], ids=["rotations", "pairs"])
+def test_stream_edge_rules_checked_before_any_read(read, fault, pairs_only):
+    # A NaN confidence made cao_solve return NaN rotations at its cap, and
+    # float ids were truncated to other vertices.
+    (ii, jj, conf), error = EDGE_FAULTS[fault]
+    rots = np.stack([np.eye(3)] * len(ii))
+    pairs = kernels.batch_quat(rots) if pairs_only else None
+    with pytest.raises(InvalidArgumentError, match=error):
+        g = gm.EdgeStream(4, ii, jj, conf, None if pairs_only else rots, pairs)
+        read(g, np.stack([np.eye(3)] * 4))
+
+
+@pytest.mark.parametrize("solve", [
+    solver.cao_solve,
+    lambda g, init: solver.irls_solve(g, init, RobustKernel(kind="cauchy"))],
+    ids=["cao", "irls"])
+def test_solve_checks_its_start(solve):
+    # A NaN row ran 3 (cao) or 20 (cauchy) iterations of NaN to the cap,
+    # and a 2 I row came back with an orthonormality error of 3.
+    g = _unit_stream(3, [0, 1], [1, 2])
+    start = np.stack([np.eye(3)] * 3)
+    for row, error in ((np.full((3, 3), np.nan), "non-finite"),
+                       (2 * np.eye(3), "not a rotation")):
+        bad = start.copy()
+        bad[1] = row
+        with pytest.raises(InvalidArgumentError, match=error):
+            solve(g, bad)
+    # A start that already solves the graph comes back at once, as a copy.
+    report = solve(g, start)
+    assert report.iterations_run == 0
+    assert np.array_equal(report.rotations, start)
+    assert not np.shares_memory(report.rotations, start)
 
 
 def test_stream_arrays_checked_for_length():
@@ -679,21 +747,27 @@ def test_irls_builds_laplacian_pattern_once(monkeypatch):
     assert len(builds) == 1
 
 
-def test_laplacian_pattern_rejects_repeated_pairs_and_loops():
-    for ii, jj in (([0, 1, 0], [1, 2, 1]), ([0, 1, 1], [1, 2, 1])):
+def test_edge_stream_rejects_repeated_pairs_and_loops():
+    # The pattern lays out the valid prefix; the constructor, not the
+    # pattern, rejects the repeated pair and the loop.
+    for ii, jj, error in (([0, 1, 0], [1, 2, 1], "duplicate edge for pair \\(0,1\\)"),
+                          ([0, 1, 1], [1, 2, 1], "self-loop on vertex 1")):
         assert _vertex_ordered(
             solver._LaplacianPattern(3, np.array(ii[:2]), np.array(jj[:2]), 2), 3, 2)
-        with pytest.raises(InvalidArgumentError):
-            solver._LaplacianPattern(3, np.array(ii), np.array(jj), 2)
+        with pytest.raises(InvalidArgumentError, match=error):
+            _unit_stream(3, ii, jj)
 
 
-def test_laplacian_pattern_rejects_repeated_pairs_and_loops_sparse():
-    # A 40-vertex chain plus a repeated pair (either orientation) or a loop.
+def test_edge_stream_rejects_repeated_pairs_and_loops_sparse():
+    # A 40-vertex chain, laid out sparse, plus a repeated pair (either
+    # orientation) or a loop.
     ii, jj = np.arange(39), np.arange(1, 40)
     assert not _vertex_ordered(solver._LaplacianPattern(40, ii, jj, 39), 40, 39)
-    for i, j in ((5, 6), (6, 5), (7, 7)):
-        with pytest.raises(InvalidArgumentError):
-            solver._LaplacianPattern(40, np.append(ii, i), np.append(jj, j), 39)
+    for i, j, error in ((5, 6, "duplicate edge for pair \\(5,6\\)"),
+                        (6, 5, "duplicate edge for pair \\(5,6\\)"),
+                        (7, 7, "self-loop on vertex 7")):
+        with pytest.raises(InvalidArgumentError, match=error):
+            _unit_stream(40, np.append(ii, i), np.append(jj, j))
 
 
 def test_cao_searches_components_once_when_connected(monkeypatch):
