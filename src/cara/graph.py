@@ -45,7 +45,7 @@ from itertools import islice, repeat
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
+from scipy.sparse import _sparsetools, csgraph
 
 from . import kernels, so3
 from .errors import DuplicateEdgeError, GraphParseError, InvalidArgumentError
@@ -196,13 +196,18 @@ def _validated_vertices(n, seen, ids, tags, rots):
     return np.array(ids, dtype=np.intp), rots
 
 
+def rising(ii, jj) -> bool:
+    """Whether the pairs (ii[k], jj[k]) rise strictly with k, by ii and then
+    by jj, as :func:`cara.synth.generate` makes them: one O(M) pass."""
+    return bool(((ii[1:] > ii[:-1]) | ((ii[1:] == ii[:-1]) & (jj[1:] > jj[:-1]))).all())
+
+
 def _first_duplicate(ii, jj) -> int | None:
     """Row of the first normalized edge repeating an earlier pair, or None.
-    One pass finds strictly rising pairs, as :func:`cara.synth.generate`
-    makes them, free of repeats; else a stable sort by pair keeps equal
-    pairs in file order, and the first repeat is the smallest row of a
-    group past its first member."""
-    if ((ii[1:] > ii[:-1]) | ((ii[1:] == ii[:-1]) & (jj[1:] > jj[:-1]))).all():
+    Strictly rising pairs are free of repeats; else a stable sort by pair
+    keeps equal pairs in file order, and the first repeat is the smallest
+    row of a group past its first member."""
+    if rising(ii, jj):
         return None
     order = np.lexsort((jj, ii))
     a, b = ii[order], jj[order]
@@ -241,14 +246,51 @@ def build(n: int, ii, jj, rotations, confidences, ground_truth=None) -> EdgeStre
     return g
 
 
+def csr(n: int, rows, cols, data) -> sp.csr_matrix:
+    """The n x n CSR matrix holding data[k] at (rows[k], cols[k]), whose
+    positions must not repeat, built by scipy's compiled COO-to-CSR pass
+    with int32 indices where they fit, as scipy's own constructor stores
+    them. That pass keeps each row's entries in input order; the rows are
+    sorted by column after, which costs one check where the columns rise,
+    so that csgraph's traversals see each row in scipy's order."""
+    index = np.int32 if max(n, len(rows)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.empty(n + 1, dtype=index)
+    indices, values = np.empty(len(rows), dtype=index), np.empty_like(data)
+    _sparsetools.coo_tocsr(n, n, len(rows), rows.astype(index, copy=False),
+                           cols.astype(index, copy=False), data, indptr, indices, values)
+    matrix = sp.csr_matrix((values, indices, indptr), shape=(n, n))
+    matrix.sort_indices()
+    return matrix
+
+
+def vertex_sums(n: int, ends, values) -> np.ndarray:
+    """``np.bincount(ends, values, minlength=n)`` with its bits, at about
+    two thirds of its time: scipy's compiled product with one CSC column
+    that holds every entry adds each value into its end's row in entry
+    order, as bincount does, and a product by 1.0 is exact. The ends must
+    lie in [0, n), as :class:`EdgeStream` ids do: the product does not
+    bound-check."""
+    sums = np.zeros(n)
+    _sparsetools.csc_matvec(n, 1, np.array([0, len(ends)], dtype=ends.dtype), ends, values,
+                            np.ones(1), sums)
+    return sums
+
+
+def component_count(n: int, ii, jj) -> int:
+    """The number of connected components of the graph on n vertices with
+    edges (ii, jj), without listing them."""
+    return csgraph.connected_components(csr(n, ii, jj, np.ones(len(ii))), directed=False,
+                                        return_labels=False)
+
+
 def components(n: int, ii, jj) -> list[list[int]]:
     """Connected components of the graph on n vertices with edges (ii, jj).
 
     Each component is a sorted vertex list; components are listed by
     their smallest vertex.
     """
-    adj = sp.coo_matrix((np.ones(len(ii), dtype=bool), (ii, jj)), shape=(n, n))
-    _, labels = csgraph.connected_components(adj, directed=False)
+    _, labels = csgraph.connected_components(csr(n, ii, jj, np.ones(len(ii))),
+                                             directed=False)
     order = np.argsort(labels, kind="stable")
     cuts = np.flatnonzero(np.diff(labels[order])) + 1
     return sorted((c.tolist() for c in np.split(order, cuts)), key=lambda c: c[0])

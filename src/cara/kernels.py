@@ -6,8 +6,12 @@ as a Cayley-Dickson pair of complex numbers (w + x i, y + z i), so that
 numpy multiplies quaternions with complex multiplies: each rotation is
 converted once by :func:`batch_quat` to a column of a (2, M) complex
 array, and :func:`quat_residuals` takes one quaternion product per edge
-and its log, the one :func:`batch_log` takes of each rotation's own. There
-is one implementation; ``BACKEND`` names it for records of what ran.
+and its log, the one :func:`batch_log` takes of each rotation's own. The
+products and their sums are numpy's complex multiplies and adds, on
+complex arrays, never float views. A sweep gathers its vertex pairs from
+the C-ordered :func:`vertex_table`, which holds conj(a) beside each pair,
+so no chunk conjugates them. There is one implementation; ``BACKEND``
+names it for records of what ran.
 """
 from __future__ import annotations
 
@@ -101,16 +105,6 @@ def batch_quat(Rs: np.ndarray) -> np.ndarray:
     return q.view(complex).T
 
 
-def _add(a, b, out):
-    """a + b for complex arrays, as float adds: numpy's complex add is
-    about half as fast as its complex multiply."""
-    np.add(a.view(float), b.view(float), out=out.view(float))
-
-
-def _subtract(a, b, out):
-    np.subtract(a.view(float), b.view(float), out=out.view(float))
-
-
 def _log_tail(ra, rb):
     """Log of the (M,) quaternion pairs (ra, rb), either sign each: (3, M)
     axis-angle vectors and (M,) angles (see :func:`quat_residuals`)."""
@@ -151,13 +145,26 @@ def quat_residuals(qi: np.ndarray, qj: np.ndarray, qij: np.ndarray):
     same vector, and atan2 stays exact near both 0 and pi without a
     branch. At exactly pi either antipodal vector may come out.
     """
-    return residual_log(conj_product(qj, qij), qi)
+    aj, bj = qj
+    return residual_log(conj_product((np.conjugate(aj), bj), qij), qi)
 
 
-def conj_product(qj: np.ndarray, qij: np.ndarray) -> np.ndarray:
-    """conj(qj) qij as a (2, M) array of pairs: the first half of
+def vertex_table(Rs: np.ndarray) -> np.ndarray:
+    """(N, 3, 3) rotations -> a C-ordered (3, N) complex table whose rows
+    are conj(a), b and a of each rotation's pair (see :func:`batch_quat`):
+    ``table[:2]`` is the (conj(a), b) that :func:`conj_product` takes for
+    qj, and ``table[1:][::-1]`` the pair (a, b) itself, for qi. Gathers of
+    its columns read only the columns they take: ``take`` copies a source
+    that is not C-ordered whole first."""
+    a, b = batch_quat(Rs)
+    return np.stack([np.conjugate(a), b, a])
+
+
+def conj_product(cj: np.ndarray, qij: np.ndarray) -> np.ndarray:
+    """conj(qj) qij as a (2, M) array of pairs, from cj = (conj(aj), bj),
+    qj's pair with its first half conjugated: the first half of
     :func:`quat_residuals`."""
-    (aj, bj), (e, f) = qj, qij
+    (caj, bj), (e, f) = cj, qij
     m = len(e)
     # No complex multiply writes over one of its inputs: numpy computes a
     # one-element product written over an input without FMA and every
@@ -165,15 +172,14 @@ def conj_product(qj: np.ndarray, qij: np.ndarray) -> np.ndarray:
     pa, pb = p = np.empty((2, m), complex)
     t, u = np.empty((2, m), complex)
     # (pa, pb) = (conj(aj) e + bj conj(f), conj(aj) f - bj conj(e))
-    np.conjugate(aj, out=t)
-    np.multiply(t, e, out=pa)
-    np.multiply(t, f, out=pb)
+    np.multiply(caj, e, out=pa)
+    np.multiply(caj, f, out=pb)
     np.conjugate(f, out=t)
     np.multiply(bj, t, out=u)
-    _add(pa, u, out=pa)
+    np.add(pa, u, out=pa)
     np.conjugate(e, out=t)
     np.multiply(bj, t, out=u)
-    _subtract(pb, u, out=pb)
+    np.subtract(pb, u, out=pb)
     return p
 
 
@@ -187,12 +193,12 @@ def residual_log(p: np.ndarray, qi: np.ndarray):
     np.conjugate(bi, out=u)
     np.multiply(pb, u, out=t)
     ra = np.multiply(pa, ai, out=u)
-    _subtract(ra, t, out=ra)
+    np.subtract(ra, t, out=ra)
     rb = np.multiply(pa, bi, out=t)
     np.conjugate(pb, out=pb)
     np.multiply(pb, ai, out=pa)
     np.conjugate(pa, out=pa)
-    _add(rb, pa, out=rb)
+    np.add(rb, pa, out=rb)
     del p, pa, pb, qi, ai, bi
     return _log_tail(ra, rb)
 

@@ -16,11 +16,13 @@ the identity, the 3N x 3N system factors into a weighted graph Laplacian
 acting on three right-hand-side columns. The gauge is fixed by deleting
 the anchor (root) vertex's row and column, so that vertex keeps its
 initial rotation. The pattern is built once per solve from the edge
-arrays (:class:`_LaplacianPattern`); each weight setting only writes the
-weights into it and factorizes it as a band by LAPACK's Cholesky, in
-vertex order where the pattern is dense (``DENSE_FILL``) and in reverse
-Cuthill-McKee order where it is sparse, or by SuperLU where that band is
-too wide (``BAND_FILL``), as a camera that sees most others makes it.
+arrays (:class:`_LaplacianPattern`). Fixed weights, the confidences and
+l2's ones, are factored once per solve; a robust kernel's weights are
+written into the pattern at every step. Each weight setting is factored
+as a band by LAPACK's Cholesky, in vertex order where the pattern is
+dense (``DENSE_FILL``) and in reverse Cuthill-McKee order where it is
+sparse, or by SuperLU where that band is too wide (``BAND_FILL``), as a
+camera that sees most others makes it.
 
 :func:`cao_solve` and :func:`irls_solve` run one loop over the edges of
 an :class:`EdgeStream`, swept in fixed-size chunks; ``--stream`` runs it on
@@ -41,7 +43,8 @@ from scipy.sparse import _sparsetools, csgraph
 
 from . import kernels, so3
 from .errors import DegenerateWeightsError, InvalidArgumentError, NotConnectedError
-from .graph import CHUNK_RECORDS, EdgeStream, components
+from .graph import (CHUNK_RECORDS, EdgeStream, component_count, components, csr,
+                    vertex_sums)
 from .tree_init import _pick_root
 
 KERNEL_KINDS = ("confidence", "l2", "l_half", "cauchy", "geman_mcclure")
@@ -142,7 +145,7 @@ def cal_loss(g: EdgeStream, rotations: np.ndarray) -> float:
     if rotations.shape != (g.n_vertices, 3, 3):
         raise InvalidArgumentError(
             f"expected {g.n_vertices} rotations, got shape {rotations.shape}")
-    q = kernels.batch_quat(rotations)
+    q = kernels.batch_quat(so3.as_rotations(rotations))
     theta = kernels.quat_residuals(q[:, g.ii], q[:, g.jj], g.quaternions)[1]
     return float(g.confidences @ theta ** 2)
 
@@ -151,16 +154,16 @@ def _check_connectivity(n, ii, jj, conf=None):
     """Raise NotConnectedError for a disconnected graph and, given
     confidences, DegenerateWeightsError when its positive-confidence
     edges leave it disconnected. A connected positive-confidence subgraph
-    proves the whole graph connected, so that search runs first and the
-    full graph is searched only when it splits."""
+    proves the whole graph connected, so that count runs first and the
+    full graph is counted only when it splits; components are listed
+    only for the error."""
     if conf is not None:
         positive = conf > 0
-        split = len(components(n, ii[positive], jj[positive]))
+        split = component_count(n, ii[positive], jj[positive])
         if split == 1:
             return
-    comps = components(n, ii, jj)
-    if len(comps) > 1:
-        raise NotConnectedError(comps)
+    if component_count(n, ii, jj) > 1:
+        raise NotConnectedError(components(n, ii, jj))
     if conf is not None:
         raise DegenerateWeightsError(
             f"positive-confidence subgraph splits into {split} components; "
@@ -173,15 +176,18 @@ class _LaplacianPattern:
 
     Kept edges avoid the anchor and count only in their other end's
     degree; ``order`` lists the kept vertices in the matrix's row order.
-    ``upper`` holds each kept edge's flat slot, and the slice ``diag`` the
+    ``slots`` holds each edge's flat slot, and the slice ``diag`` the
     diagonal's, in the zeroed Fortran-ordered (u + 1) x nk upper band that
     :meth:`factor` fills and factors in place: a dense pattern (see
     ``DENSE_FILL``) keeps the vertex order with u = nk - 1, and a sparse
     one takes reverse Cuthill-McKee order. A band too wide for
     ``BAND_FILL`` keeps the vertex order, and SuperLU's CSC ``matrix``
-    instead, whose data hold each kept edge's (lo, hi) at ``upper``, its
-    (hi, lo) at ``lower`` and the diagonal at ``diag``. It only lays out
-    pairs that keep the :class:`EdgeStream` rules: distinct, no loops.
+    instead, whose data hold each kept edge's (lo, hi) at ``slots[0]``,
+    its (hi, lo) at ``slots[1]`` and the diagonal at ``diag``. An edge at
+    the anchor has the first diagonal slot, which the degrees then
+    overwrite, so every edge's weight is written without a gather. It only
+    lays out pairs that keep the :class:`EdgeStream` rules: distinct, no
+    loops.
     """
 
     def __init__(self, n, ii, jj, anchor):
@@ -190,16 +196,16 @@ class _LaplacianPattern:
         pos = np.full(n, -1, dtype=np.int32)
         pos[keep] = np.arange(len(keep), dtype=np.int32)
         lo, hi = pos[np.minimum(ii, jj)], pos[np.maximum(ii, jj)]
-        self.kept = np.flatnonzero((lo >= 0) & (hi >= 0))
-        lo, hi = lo[self.kept], hi[self.kept]
+        kept = (lo >= 0) & (hi >= 0)
+        lo, hi = lo[kept], hi[kept]
         m, nk = len(lo), len(keep)
         self.order, self.matrix = keep, None
         if 2 * m + nk >= DENSE_FILL * nk * nk:
             u = max(nk - 1, 0)  # a one-vertex graph keeps no vertex
         else:
-            adjacency = sp.csr_matrix(
-                (np.ones(2 * m, dtype=np.int8),
-                 (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(nk, nk))
+            # Rows by hi first: where the pairs rise, each row's columns do.
+            adjacency = csr(nk, np.concatenate([hi, lo]), np.concatenate([lo, hi]),
+                            np.ones(2 * m, dtype=np.int8))
             rcm = csgraph.reverse_cuthill_mckee(adjacency, symmetric_mode=True)
             del adjacency
             rank = np.empty(nk, dtype=np.int32)
@@ -214,13 +220,17 @@ class _LaplacianPattern:
                     shape=(nk, nk))
                 slots = np.empty(2 * m + nk, dtype=np.int32)
                 slots[self.matrix.data.astype(np.intp)] = np.arange(2 * m + nk, dtype=np.int32)
-                self.upper, self.lower, self.diag = slots[:m], slots[m:2 * m], slots[2 * m:]
+                self.diag = slots[2 * m:].astype(np.intp)
+                self.slots = np.full((2, len(ii)), self.diag[0], dtype=np.intp)
+                self.slots[:, kept] = slots[:2 * m].reshape(2, m)
                 return
             self.order = keep[rcm]
             lo, hi = rank[lo], rank[hi]
             lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-        # (i, j) with i <= j sits at row u + i - j of column j.
-        self.upper = (u + lo) + hi.astype(np.intp) * u
+        # (i, j) with i <= j sits at row u + i - j of column j; the first
+        # diagonal slot is u.
+        self.slots = np.full(len(ii), u, dtype=np.intp)
+        self.slots[kept] = (u + lo) + hi.astype(np.intp) * u
         self.diag = slice(u, None, u + 1)
         self.shape = (u + 1, nk)
 
@@ -228,19 +238,19 @@ class _LaplacianPattern:
         """Factorized solve for the Laplacian weighted by ``w``. The solve
         returns zeros in the anchor's row."""
         n, order = self.n, self.order
-        deg = np.bincount(self.ii, w, minlength=n) + np.bincount(self.jj, w, minlength=n)
+        deg = vertex_sums(n, self.ii, w)
+        deg += vertex_sums(n, self.jj, w)
         try:
             if self.matrix is not None:
-                data, off = self.matrix.data, -w[self.kept]
-                data[self.upper] = off
-                data[self.lower] = off
+                data = self.matrix.data
+                data[self.slots] = -w
                 data[self.diag] = deg[order]
                 lu = spla.splu(self.matrix)
                 pivots = np.abs(lu.U.diagonal())
                 solve_kept = lu.solve
             else:
                 flat = np.zeros(self.shape[0] * self.shape[1])
-                flat[self.upper] = -w[self.kept]
+                flat[self.slots] = -w
                 flat[self.diag] = deg[order]
                 band = la.cholesky_banded(flat.reshape(self.shape, order="F"),
                                           overwrite_ab=True, check_finite=False)
@@ -266,7 +276,9 @@ def _residual_pass(stream: EdgeStream, rotations, weights):
     """One sweep over the edges: accumulated rhs B^T W db, per-edge
     residual norms and the per-edge weights, ``CHUNK_RECORDS`` edges at a
     time. The edges' quaternion pairs are the stream's own, and the N
-    vertex rotations are converted to pairs once per sweep. ``weights`` is
+    vertex rotations are converted once per sweep to the C-ordered table
+    of :func:`cara.kernels.vertex_table`, whose gathers read only the
+    columns they take, so a sweep is O(M) at any N. ``weights`` is
     a per-edge array, returned as given, or a function mapping a chunk's
     residual norms to that chunk's weights, which are collected.
 
@@ -282,27 +294,28 @@ def _residual_pass(stream: EdgeStream, rotations, weights):
     """
     n, m = stream.n_vertices, len(stream.ii)
     rhs = np.zeros((n, 3))
-    norms = np.zeros(m)
+    norms = np.empty(m)  # the chunks write every entry
     per_edge = np.empty_like(norms) if callable(weights) else weights
     width = min(m, CHUNK_RECORDS)
     indptr = np.arange(0, 2 * width + 1, 2, dtype=np.intp)
-    sign = np.tile([-1.0, 1.0], width)
+    sign = np.empty(2 * width)
+    sign[::2], sign[1::2] = -1.0, 1.0
     ends = np.empty(2 * width, dtype=np.intp)
     wres = np.empty((width, 3))
-    vertex_pairs = kernels.batch_quat(rotations)
+    table = kernels.vertex_table(rotations)
     for start in range(0, m, CHUNK_RECORDS):
         chunk = slice(start, start + CHUNK_RECORDS)
         ii, jj = stream.ii[chunk], stream.jj[chunk]
         # qi is gathered once conj(qj) qij is formed and qj is freed.
         res, norms[chunk] = kernels.residual_log(
-            kernels.conj_product(vertex_pairs.take(jj, axis=1),
-                                 stream.quaternions[:, chunk]),
-            vertex_pairs.take(ii, axis=1))
+            kernels.conj_product(table[:2].take(jj, axis=1), stream.quaternions[:, chunk]),
+            table[1:].take(ii, axis=1)[::-1])
         if callable(weights):
             per_edge[chunk] = weights(norms[chunk])
         k = len(ii)
         ends[:2 * k:2], ends[1:2 * k:2] = ii, jj
         np.multiply(res, per_edge[chunk], out=wres[:k].T)
+        del res  # not held through the next chunk's kernels
         # The one scipy product that adds into an output it is given; the
         # public csc @ x would need identity columns to carry the rhs.
         # rhs.ravel() is a view only because rhs is C-contiguous.
@@ -313,9 +326,10 @@ def _residual_pass(stream: EdgeStream, rotations, weights):
 
 def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
            config: SolveConfig) -> SolveReport:
-    """The one solve loop. ``kernel=None`` weights the edges by their fixed
-    confidences and factors once; a robust kernel re-weights them from each
-    sweep's residual angles and refills the pattern at every step."""
+    """The one solve loop. Fixed weights, the confidences for
+    ``kernel=None`` and the ones of l2, are factored once; any other
+    kernel re-weights the edges from each sweep's residual angles and
+    refills the pattern at every step."""
     n, ii, jj, conf = stream.n_vertices, stream.ii, stream.jj, stream.confidences
     _check_connectivity(n, ii, jj, conf if kernel is None else None)
     # The readers' rule, on a copy, so that no report aliases the caller's array.
@@ -325,12 +339,15 @@ def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
     anchor = _pick_root(n, ii, jj, conf)
     laplacian = _LaplacianPattern(n, ii, jj, anchor)
     if kernel is None:
+        weights, cap = conf, config.max_iterations
+    else:
+        # l2's psi(x)/x is identically 1: its weights are fixed too.
+        weights = np.ones(len(ii)) if kernel.kind == "l2" else kernel.weights
+        cap = config.irls_max_iterations
+    if not callable(weights):
         # Only the factor lives through the sweeps: holding the pattern too
         # raised the --stream peak by a quarter.
-        weights, cap = conf, config.max_iterations
-        solve, laplacian = laplacian.factor(conf), None
-    else:
-        weights, cap = kernel.weights, config.irls_max_iterations
+        solve, laplacian = laplacian.factor(weights), None
     loss_history: list[float] = []
     max_residual_history: list[float] = []
     diagnostics: list[str] = []
@@ -350,18 +367,20 @@ def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
                        else "iteration_cap" if iterations_run == cap else "")
         if stop_reason:
             break
-        if kernel is not None:
-            if not (w > 0).all() and len(components(n, ii[w > 0], jj[w > 0])) > 1:
+        if callable(weights):
+            positive = w > 0
+            if not positive.all() and component_count(n, ii[positive], jj[positive]) > 1:
                 w = np.maximum(w, WEIGHT_FLOOR)
                 diagnostics.append(
                     "re-weighting disconnected the graph; weights floored at "
                     f"{WEIGHT_FLOOR}")
                 rhs = _residual_pass(stream, R, w)[0]
+            del positive
             solve = laplacian.factor(w)
         R = R @ kernels.batch_exp(solve(rhs))
-        del rhs, norms  # the next sweep makes its own
-        if kernel is not None:
-            del w, solve  # refilled at every step: not held through the sweep
+        del rhs, norms, w  # the next sweep makes its own
+        if callable(weights):
+            del solve  # refilled at every step: not held through the sweep
         iterations_run += 1
     return SolveReport(R, loss_history, max_residual_history, iterations_run,
                        anchor, diagnostics, stop_reason)

@@ -2,9 +2,10 @@
 ``--stream`` on mutated graph files, and the block reader's loadtxt path
 against the per-line reader, for EDGE and vertex records. Also the
 spanning tree against a Kruskal oracle on graphs with tied confidences,
-the rotation check against its former Gram-and-det formula, the
-quaternion-pair residual kernel against scipy's matrix log, and the
-sweep's rhs against an in-order scatter of its edges' terms. And the
+its rank order against lexsort, the rotation check against its former
+Gram-and-det formula, the quaternion-pair residual kernel against
+scipy's matrix log, and the sweep's rhs against an in-order scatter of
+its edges' terms. And the
 solver's contract on random small valid graphs: every kernel exits 0 or 3
 with the same stderr and estimates on both paths, and the confidence
 solve is invariant to the confidences' scale. And ``metrics.error_stats``
@@ -364,6 +365,36 @@ def test_first_duplicate_matches_lexsort_reference(pairs, changes, seed):
             at = int(rng.integers(k + 1, len(ii) + 1))
             ii, jj = np.insert(ii, at, ii[k]), np.insert(jj, at, jj[k])
     assert gm._first_duplicate(ii, jj) == _lexsort_first_duplicate(ii, jj)
+
+
+@st.composite
+def ranked_edges(draw):
+    """Distinct pairs on up to 9 vertices with confidences from a few tied
+    values, zero and -0.0 among them; the pairs rise unless shuffled or
+    some given reversed."""
+    pairs = sorted(draw(st.sets(st.sampled_from(list(itertools.combinations(range(9), 2))),
+                                max_size=36)))
+    conf = draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.25, 0.5, 1.0]),
+                         min_size=len(pairs), max_size=len(pairs)))
+    ii, jj = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        order = rng.permutation(len(ii))
+        ii, jj = ii[order], jj[order]
+    if draw(st.booleans()):
+        flip = rng.random(len(ii)) < 0.5
+        ii, jj = np.where(flip, jj, ii), np.where(flip, ii, jj)
+    return ii, jj, np.array(conf, dtype=float)
+
+
+@given(ranked_edges())
+@example((np.array([0, 0, 1, 2]), np.array([1, 2, 2, 3]), np.array([0.5, -0.0, 0.5, 0.0])))
+@example((np.array([2, 0, 1]), np.array([3, 1, 2]), np.array([1.0, 1.0, 0.0])))
+def test_rank_order_matches_lexsort_reference(case):
+    # Rising pairs take one sort by confidence and an integer sort of the
+    # tied runs; the rest take the lexsort itself.
+    ii, jj, conf = case
+    assert np.array_equal(tree_init._rank_order(ii, jj, conf), np.lexsort((jj, ii, -conf)))
 
 
 @given(tied_graph())

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 import weakref
@@ -583,11 +584,13 @@ def test_stream_edge_rules_checked_before_any_read(read, fault, pairs_only):
 
 @pytest.mark.parametrize("solve", [
     solver.cao_solve,
-    lambda g, init: solver.irls_solve(g, init, RobustKernel(kind="cauchy"))],
-    ids=["cao", "irls"])
+    lambda g, init: solver.irls_solve(g, init, RobustKernel(kind="cauchy")),
+    solver.cal_loss],
+    ids=["cao", "irls", "cal_loss"])
 def test_solve_checks_its_start(solve):
     # A NaN row ran 3 (cao) or 20 (cauchy) iterations of NaN to the cap,
-    # and a 2 I row came back with an orthonormality error of 3.
+    # and a 2 I row came back with an orthonormality error of 3; cal_loss
+    # read the NaN row as a loss of nan and the 2 I row as exactly 0.0.
     g = _unit_stream(3, [0, 1], [1, 2])
     start = np.stack([np.eye(3)] * 3)
     for row, error in ((np.full((3, 3), np.nan), "non-finite"),
@@ -596,6 +599,9 @@ def test_solve_checks_its_start(solve):
         bad[1] = row
         with pytest.raises(InvalidArgumentError, match=error):
             solve(g, bad)
+    if solve is solver.cal_loss:
+        assert solve(g, start) == 0.0
+        return
     # A start that already solves the graph comes back at once, as a copy.
     report = solve(g, start)
     assert report.iterations_run == 0
@@ -772,21 +778,20 @@ def test_edge_stream_rejects_repeated_pairs_and_loops_sparse():
 
 def test_cao_searches_components_once_when_connected(monkeypatch):
     # Zero-confidence edges leave the positive subgraph a proper subgraph;
-    # when it is connected, the whole graph need not be searched again.
-    calls = []
-    real = solver.components
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(solver, "components", counting)
+    # when it is connected, the whole graph need not be counted again, and
+    # no component is listed.
+    calls = {"component_count": [], "components": []}
+    for name, got in calls.items():
+        def counting(*args, _got=got, _real=getattr(solver, name)):
+            _got.append(args)
+            return _real(*args)
+        monkeypatch.setattr(solver, name, counting)
     g = synth.generate(synth.SyntheticSceneSpec(
         n=12, noise_sigma=math.radians(5), outlier_edge_fraction=0.3,
         confidence_model="informative", seed=0)).graph
     assert (g.confidences == 0).any()
     solver.cao_solve(g, cai(g))
-    assert len(calls) == 1
+    assert len(calls["component_count"]) == 1 and calls["components"] == []
 
 
 def _dense_outlier_graph(seed):
@@ -813,6 +818,77 @@ def test_laplacian_factor_path_follows_fill(monkeypatch, make_graph, vertex_orde
     seen = _record_factorizations(monkeypatch)
     pattern.factor(g.confidences)
     assert [name for name, _ in seen] == ["cholesky_banded"]
+
+
+# sha256 of the l2 solve's rotations on the dense scene at seed 0, recorded
+# while l2 still refilled and factored its all-ones weights at every step.
+L2_DENSE_SHA256 = "265b123e3bc14b1ac082649dd3b65adbf0b34241d4a4bf1180007bf54b890e5b"
+
+
+def test_fixed_weights_factor_once(monkeypatch):
+    # The kernels-dense op: the confidence solve and l2 have fixed weights
+    # and factor once; the other kernels factor once per step.
+    g = _dense_outlier_graph(0)
+    init = cai(g)
+    calls = []
+    real = solver.la.cholesky_banded
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver.la, "cholesky_banded", counting)
+    factors, iterations = {}, {}
+    for kind in ("confidence", "l2", "cauchy", "geman_mcclure", "l_half"):
+        before = len(calls)
+        report = solver.irls_solve(g, init, RobustKernel(kind=kind))
+        factors[kind], iterations[kind] = len(calls) - before, report.iterations_run
+        if kind == "l2":
+            assert hashlib.sha256(report.rotations.tobytes()).hexdigest() == L2_DENSE_SHA256
+    assert iterations == {"confidence": 3, "l2": 9, "cauchy": 11, "geman_mcclure": 20,
+                          "l_half": 20}
+    assert factors == {"confidence": 1, "l2": 1, "cauchy": 11, "geman_mcclure": 20,
+                       "l_half": 20}
+    assert len(calls) == 53
+
+
+def test_gathers_take_from_c_ordered_sources(monkeypatch):
+    # np.take copies a source that is not C-ordered whole before it
+    # gathers: the sweep's two takes per chunk from the F-ordered vertex
+    # pairs of batch_quat copied all N pairs each (54 of a 100 ms sweep at
+    # N=50 000), and propagate's take read a whole --stream spool, an
+    # (M, 2) map viewed as (2, M). Every take in the sweep and propagate
+    # reads a C-ordered source; an index by an array reads only the
+    # columns it gathers, from any layout.
+    seen = []
+
+    class Spy(np.ndarray):
+        __array_priority__ = 1.0  # so that np.stack of spies is one
+
+        def take(self, indices, axis=None, out=None, mode="raise"):
+            seen.append(("take", self.flags.c_contiguous))
+            return np.asarray(self).take(indices, axis, out, mode)
+
+        def __getitem__(self, key):
+            if any(isinstance(k, np.ndarray) for k in (key if isinstance(key, tuple) else (key,))):
+                seen.append(("index", self.flags.c_contiguous))
+                return np.asarray(self)[key]
+            return super().__getitem__(key)
+
+    real = kernels.batch_quat
+    monkeypatch.setattr(kernels, "batch_quat", lambda Rs: real(Rs).view(Spy))
+    g = synth.generate(synth.SyntheticSceneSpec(
+        n=300, topology="chain_window", chain_window=10, noise_sigma=math.radians(5),
+        confidence_model="informative", seed=3)).graph
+    spool = np.ascontiguousarray(g.quaternions.T).view(Spy)
+    s = gm.EdgeStream(g.n_vertices, g.ii, g.jj, g.confidences, None, spool.T)
+    tree = tree_init.maximum_spanning_tree(s)
+    init = tree_init.propagate(tree, s)
+    assert seen == [("index", False)]
+    seen.clear()
+    solver._residual_pass(s, init, s.confidences)
+    takes = [c_ordered for kind, c_ordered in seen if kind == "take"]
+    assert len(takes) == 2 * -(-len(s.ii) // gm.CHUNK_RECORDS) and all(takes)
 
 
 @pytest.mark.parametrize("make_graph, kind, reason", [
@@ -889,7 +965,8 @@ def test_solves_convert_no_edge_rotation(monkeypatch):
 @pytest.mark.parametrize("kind", ["l2", "l_half", "cauchy", "geman_mcclure"])
 def test_irls_weighs_each_edge_once_per_step(monkeypatch, kind):
     # The sweep computes each edge's weight a chunk at a time, and the step
-    # factors with those weights instead of weighing every edge again.
+    # factors with those weights instead of weighing every edge again;
+    # l2's weights are fixed ones, never computed.
     rows = []
     real_weights = RobustKernel.weights
 
@@ -904,7 +981,8 @@ def test_irls_weighs_each_edge_once_per_step(monkeypatch, kind):
     m, chunk = len(g.ii), gm.CHUNK_RECORDS
     report = solver.irls_solve(g, cai(g), RobustKernel(kind=kind))
     assert m > chunk and report.iterations_run >= 2
-    assert rows == [chunk, m - chunk] * (report.iterations_run + 1)
+    expected = [] if kind == "l2" else [chunk, m - chunk] * (report.iterations_run + 1)
+    assert rows == expected
 
 
 def test_sweep_peak_memory_is_bounded(traced_peak):
