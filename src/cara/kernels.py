@@ -201,9 +201,3 @@ def residual_log(p: np.ndarray, qi: np.ndarray):
     np.add(rb, pa, out=rb)
     del p, pa, pb, qi, ai, bi
     return _log_tail(ra, rb)
-
-
-def edge_residuals(Ri: np.ndarray, Rj: np.ndarray, Rij: np.ndarray) -> np.ndarray:
-    """Per-edge tangent residuals log(Rj^T @ Rij @ Ri), all (M, 3, 3)
-    stacked, as (M, 3): the solver's quaternion sweep on matrices."""
-    return quat_residuals(batch_quat(Ri), batch_quat(Rj), batch_quat(Rij))[0].T

@@ -2,31 +2,22 @@
 
 Each iteration linearizes the consistency residuals
 ``log(R_j^T @ r_ij @ R_i)`` around the current estimates and solves the
-weighted normal equations. The residuals are swept in unit quaternions,
-held as (2, M) complex pairs (:func:`cara.kernels.quat_residuals`): the
-edge rotations are converted once per graph
-(:attr:`cara.graph.EdgeStream.quaternions`), or read from a ``--stream``
-store that spooled them, and the N vertex rotations once per sweep. A
-robust kernel's weights are computed in that sweep, chunk by chunk, and
-kept for the step's factor. Each chunk's weighted residuals are added into
-the running right-hand side by scipy's compiled product with the chunk's
-signed incidence matrix, edge by edge in order, so the rhs has the same
-bits for any chunk size. Because every weight block is a scalar times
-the identity, the 3N x 3N system factors into a weighted graph Laplacian
-acting on three right-hand-side columns. The gauge is fixed by deleting
-the anchor (root) vertex's row and column, so that vertex keeps its
-initial rotation. The pattern is built once per solve from the edge
-arrays (:class:`_LaplacianPattern`). Fixed weights, the confidences and
-l2's ones, are factored once per solve; a robust kernel's weights are
-written into the pattern at every step. Each weight setting is factored
-as a band by LAPACK's Cholesky, in vertex order where the pattern is
-dense (``DENSE_FILL``) and in reverse Cuthill-McKee order where it is
-sparse, or by SuperLU where that band is too wide (``BAND_FILL``), as a
-camera that sees most others makes it.
+weighted normal equations. The residuals are swept in the (2, M) complex
+quaternion pairs of :func:`cara.kernels.quat_residuals`, converted once
+per graph or spooled by ``--stream``, a chunk at a time; a robust kernel's
+weights come from the same sweep (:func:`_residual_pass`). Every weight
+block is a scalar times the identity, so the 3N x 3N system is a weighted
+graph Laplacian on three right-hand-side columns, whose anchor (root)
+vertex's row and column are deleted to fix the gauge. Its pattern is laid
+out once per solve (:class:`_LaplacianPattern`) and factored by LAPACK's
+banded Cholesky, fixed weights once and a robust kernel's at every step: a
+dense pattern in vertex order, a sparse one in reverse Cuthill-McKee order
+bordered by the few cameras that see most others (George and Liu's
+bordered ordering), whose Schur complement is factored as a full band.
 
-:func:`cao_solve` and :func:`irls_solve` run one loop over the edges of
-an :class:`EdgeStream`, swept in fixed-size chunks; ``--stream`` runs it on
-a memory-mapped one, so both paths give bit-identical estimates.
+:func:`cao_solve` and :func:`irls_solve` run one loop over the edges of an
+:class:`EdgeStream`; ``--stream`` runs it on a memory-mapped one, so both
+paths give bit-identical estimates.
 """
 from __future__ import annotations
 
@@ -37,8 +28,6 @@ from functools import partial
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools, csgraph
 
 from . import kernels, so3
@@ -57,13 +46,6 @@ WEIGHT_FLOOR = 1e-6
 # their vertex order, and their band is the whole upper triangle. The rule
 # is checked first, so a dense pattern costs no ordering.
 DENSE_FILL = 0.25
-# A sparser Laplacian, its vertices in reverse Cuthill-McKee order, is
-# factored by banded Cholesky when its (u + 1) x nk band holds at most
-# BAND_FILL times its kept edges plus kept vertices, else by SuperLU. A
-# camera that sees most others stretches the band to about nk, where the
-# band costs O(nk^2) bytes and O(nk^3) flops and SuperLU's fill-reducing
-# order keeps the factor sparse.
-BAND_FILL = 32
 # A solve stops once its largest residual angle (rad) is below this.
 RESIDUAL_TOLERANCE = 1e-10
 # IRLS stops once its robust objective changes by at most this fraction.
@@ -170,25 +152,58 @@ def _check_connectivity(n, ii, jj, conf=None):
             "the weighted normal equations are singular")
 
 
+def _rcm(nk, lo, hi):
+    """RCM rank of each of nk vertices, band u of (lo, hi) in it, degrees."""
+    # Rows by hi first: where the pairs rise, each row's columns do.
+    adjacency = csr(nk, np.concatenate([hi, lo]), np.concatenate([lo, hi]),
+                    np.ones(2 * len(lo), dtype=np.int8))
+    rcm = csgraph.reverse_cuthill_mckee(adjacency, symmetric_mode=True)
+    degree = np.diff(adjacency.indptr)
+    del adjacency
+    rank = np.empty(nk, dtype=np.int32)
+    rank[rcm] = np.arange(nk, dtype=np.int32)
+    return rank, int(np.max(np.abs(rank[lo] - rank[hi]), initial=0)), degree
+
+
+def _bordered_order(nk, lo, hi):
+    """Rank of each of nk vertices, band u and border h of the edges
+    (lo, hi): the rest in RCM order, then the h of highest degree. While
+    the band is wider than its vertices' mean degree, h = 1, 2, 4, ... is
+    tried and kept while the predicted flops fall; until one is kept, a
+    rise is passed over while the next vertex spans the band (a second hub)."""
+    rank, u, degree = _rcm(nk, lo, hi)
+    top = np.argsort(-degree, kind="stable")
+    h, k, edges, cost = 0, 1, len(lo), nk * (u + 1) ** 2
+    while k < nk and u > 2 * edges / (nk - h):
+        rest = np.bincount(top[:k], minlength=nk) == 0
+        inner = rest[lo] & rest[hi]
+        sub = np.cumsum(rest, dtype=np.int32) - 1
+        sub_rank, sub_u, _ = _rcm(nk - k, sub[lo[inner]], sub[hi[inner]])
+        # The band's factor and its k solves, the Schur product and factor.
+        flops = (nk - k) * (sub_u + 1) * (sub_u + 1 + 4 * k) + 2 * k * k * (nk - k) + k ** 3 / 3
+        if flops < cost:
+            h, u, edges, cost = k, sub_u, np.count_nonzero(inner), flops
+            rank[rest], rank[top[:k]] = sub_rank, np.arange(nk - k, nk, dtype=np.int32)
+        elif h or degree[top[k]] < sub_u:
+            break
+        k *= 2
+    return rank, u, h
+
+
 class _LaplacianPattern:
     """Pattern of the anchored weighted Laplacian of one edge set, built
     once per solve: the anchor vertex's row and column are deleted.
 
     Kept edges avoid the anchor and count only in their other end's
-    degree; ``order`` lists the kept vertices in the matrix's row order.
-    ``slots`` holds each edge's flat slot, and the slice ``diag`` the
-    diagonal's, in the zeroed Fortran-ordered (u + 1) x nk upper band that
-    :meth:`factor` fills and factors in place: a dense pattern (see
-    ``DENSE_FILL``) keeps the vertex order with u = nk - 1, and a sparse
-    one takes reverse Cuthill-McKee order. A band too wide for
-    ``BAND_FILL`` keeps the vertex order, and SuperLU's CSC ``matrix``
-    instead, whose data hold each kept edge's (lo, hi) at ``slots[0]``,
-    its (hi, lo) at ``slots[1]`` and the diagonal at ``diag``. An edge at
-    the anchor has the first diagonal slot, which the degrees then
-    overwrite, so every edge's weight is written without a gather. It only
-    lays out pairs that keep the :class:`EdgeStream` rules: distinct, no
-    loops.
-    """
+    degree; ``order`` lists the kept vertices in the matrix's row order:
+    their own where the pattern is dense (``DENSE_FILL``), else that of
+    :func:`_bordered_order`, whose last ``border`` rows, h of them, are
+    dense. ``slots`` holds each edge's flat slot, and ``diag`` the
+    diagonal's, in the zeroed array that :meth:`factor` fills: the
+    Fortran-ordered (u + 1) x nr upper band of the rest (``shape``), then
+    the nk x h upper border columns. An edge at the anchor has the first
+    diagonal slot, which the degrees overwrite, so every edge's weight is
+    written without a gather. Edges keep the :class:`EdgeStream` rules."""
 
     def __init__(self, n, ii, jj, anchor):
         self.n, self.ii, self.jj = n, ii, jj
@@ -199,64 +214,54 @@ class _LaplacianPattern:
         kept = (lo >= 0) & (hi >= 0)
         lo, hi = lo[kept], hi[kept]
         m, nk = len(lo), len(keep)
-        self.order, self.matrix = keep, None
-        if 2 * m + nk >= DENSE_FILL * nk * nk:
-            u = max(nk - 1, 0)  # a one-vertex graph keeps no vertex
-        else:
-            # Rows by hi first: where the pairs rise, each row's columns do.
-            adjacency = csr(nk, np.concatenate([hi, lo]), np.concatenate([lo, hi]),
-                            np.ones(2 * m, dtype=np.int8))
-            rcm = csgraph.reverse_cuthill_mckee(adjacency, symmetric_mode=True)
-            del adjacency
-            rank = np.empty(nk, dtype=np.int32)
-            rank[rcm] = np.arange(nk, dtype=np.int32)
-            u = int(np.max(np.abs(rank[lo] - rank[hi]), initial=0))
-            if (u + 1) * nk > BAND_FILL * (m + nk):
-                # Each entry's index lands in its own slot of the CSC data.
-                diag = np.arange(nk, dtype=np.int32)
-                self.matrix = sp.csc_matrix(
-                    (np.arange(2 * m + nk, dtype=float),
-                     (np.concatenate([lo, hi, diag]), np.concatenate([hi, lo, diag]))),
-                    shape=(nk, nk))
-                slots = np.empty(2 * m + nk, dtype=np.int32)
-                slots[self.matrix.data.astype(np.intp)] = np.arange(2 * m + nk, dtype=np.int32)
-                self.diag = slots[2 * m:].astype(np.intp)
-                self.slots = np.full((2, len(ii)), self.diag[0], dtype=np.intp)
-                self.slots[:, kept] = slots[:2 * m].reshape(2, m)
-                return
-            self.order = keep[rcm]
+        u, h = max(nk - 1, 0), 0  # a one-vertex graph keeps no vertex
+        if 2 * m + nk < DENSE_FILL * nk * nk:
+            rank, u, h = _bordered_order(nk, lo, hi)
+            keep[rank] = keep.copy()  # row rank[i] holds kept vertex i
             lo, hi = rank[lo], rank[hi]
             lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-        # (i, j) with i <= j sits at row u + i - j of column j; the first
-        # diagonal slot is u.
+        self.order, self.border, self.shape = keep, h, (u + 1, nk - h)
+        # (i, j) with i <= j sits at row u + i - j of column j of the band,
+        # or at row i of border column j; the first diagonal slot is u.
         self.slots = np.full(len(ii), u, dtype=np.intp)
         self.slots[kept] = (u + lo) + hi.astype(np.intp) * u
-        self.diag = slice(u, None, u + 1)
-        self.shape = (u + 1, nk)
+        self.diag, self.size = slice(u, None, u + 1), (u + 1) * (nk - h)
+        if h:
+            side = hi >= nk - h
+            self.slots[np.flatnonzero(kept)[side]] = (
+                self.size + lo[side] + (hi[side] - (nk - h)).astype(np.intp) * nk)
+            self.diag = np.r_[u:self.size:u + 1, self.size + nk - h:self.size + nk * h:nk + 1]
+            self.size += nk * h
 
     def factor(self, w):
-        """Factorized solve for the Laplacian weighted by ``w``. The solve
-        returns zeros in the anchor's row."""
-        n, order = self.n, self.order
+        """Factorized solve for the Laplacian weighted by ``w``, zero in the
+        anchor's row; a border's products are einsum's, which no BLAS splits."""
+        n, order, h, (rows, nr) = self.n, self.order, self.border, self.shape
         deg = vertex_sums(n, self.ii, w)
         deg += vertex_sums(n, self.jj, w)
+        flat = np.zeros(self.size)
+        flat[self.slots] = -w
+        flat[self.diag] = deg[order]
         try:
-            if self.matrix is not None:
-                data = self.matrix.data
-                data[self.slots] = -w
-                data[self.diag] = deg[order]
-                lu = spla.splu(self.matrix)
-                pivots = np.abs(lu.U.diagonal())
-                solve_kept = lu.solve
-            else:
-                flat = np.zeros(self.shape[0] * self.shape[1])
-                flat[self.slots] = -w
-                flat[self.diag] = deg[order]
-                band = la.cholesky_banded(flat.reshape(self.shape, order="F"),
-                                          overwrite_ab=True, check_finite=False)
-                pivots = band[-1] ** 2
-                solve_kept = partial(la.cho_solve_banded, (band, False),
-                                     check_finite=False)
+            band = la.cholesky_banded(flat[:rows * nr].reshape(self.shape, order="F"),
+                                      overwrite_ab=True, check_finite=False)
+            pivots = band[-1] ** 2
+            solve_kept = solve_band = partial(la.cho_solve_banded, (band, False),
+                                              check_finite=False)
+            if h:
+                side, corner = np.split(flat[rows * nr:].reshape(nr + h, h, order="F"), [nr])
+                schur = corner - np.einsum("ia,ib->ab", side, solve_band(side))
+                i, j = np.triu_indices(h)
+                band = np.zeros((h, h))
+                band[h - 1 + i - j, j] = schur[i, j]
+                band = la.cholesky_banded(band, overwrite_ab=True, check_finite=False)
+                pivots = np.concatenate([pivots, band[-1] ** 2])
+                solve_border = partial(la.cho_solve_banded, (band, False), check_finite=False)
+
+                def solve_kept(r):
+                    tail = solve_border(r[nr:] - np.einsum("ia,ib->ab", side, solve_band(r[:nr])))
+                    return np.concatenate(
+                        [solve_band(r[:nr] - np.einsum("ia,ab->ib", side, tail)), tail])
         except (la.LinAlgError, RuntimeError) as exc:
             raise DegenerateWeightsError(f"normal equations are singular: {exc}") from exc
         # The pivots scale with the weights, so the test is relative to the

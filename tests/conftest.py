@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cara import kernels
+
 try:
     from hypothesis import settings
 except ImportError:
@@ -38,6 +40,12 @@ def edge_arrays(edges):
     return (np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp),
             np.array(rotations, dtype=float).reshape(-1, 3, 3),
             np.array(confidences, dtype=float))
+
+
+def matrix_residuals(Ri, Rj, Rij):
+    """The edge residuals log(Rj^T Rij Ri) of (M, 3, 3) stacks as (M, 3):
+    :func:`cara.kernels.quat_residuals` on their ``batch_quat`` pairs."""
+    return kernels.quat_residuals(*(kernels.batch_quat(R) for R in (Ri, Rj, Rij)))[0].T
 
 
 @pytest.fixture

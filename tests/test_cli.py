@@ -269,10 +269,14 @@ def test_stream_and_memory_solve_alike(tmp_path, capsys, kernel):
 @pytest.fixture(scope="module")
 def blas_scenes(tmp_path_factory):
     """The 200-camera complete scene with 30% outlier edges, whose Laplacian
-    is dense, and a 500-camera Erdos scene, whose RCM band is 418 wide."""
+    is dense, a 500-camera Erdos scene, whose RCM band is 418 wide, and a
+    1500-camera window-10 chain with two all-outlier cameras: one, 1501, is
+    the anchor, and the other is a kept hub, bordered."""
     root = tmp_path_factory.mktemp("blas")
     flags = {"complete": ["--n", "200", "--topology", "complete"],
-             "erdos": ["--n", "500", "--topology", "erdos", "--erdos-p", "0.05"]}
+             "erdos": ["--n", "500", "--topology", "erdos", "--erdos-p", "0.05"],
+             "hub": ["--n", "1500", "--topology", "chain-window", "--window", "10",
+                     "--outlier-vertices", "2"]}
     for name, scene in flags.items():
         assert run(["generate", *scene, "--outlier-frac", "0.3", "--sigma-deg", "5",
                     "--confidence-model", "informative", "--seed", "3",
@@ -281,11 +285,13 @@ def blas_scenes(tmp_path_factory):
 
 
 @pytest.mark.parametrize("scene, kernel", [
-    ("complete", "confidence"), ("complete", "cauchy"), ("erdos", "confidence")])
+    ("complete", "confidence"), ("complete", "cauchy"), ("erdos", "confidence"),
+    ("hub", "confidence"), ("hub", "cauchy")])
 def test_solve_out_independent_of_blas_pool(blas_scenes, scene, kernel):
     # Each solve runs in a fresh interpreter, since OpenBLAS reads its pool
     # size once, at load. A factor whose sums LAPACK splits over the pool's
-    # threads gives different bits under pool sizes 1 and 2.
+    # threads gives different bits under pool sizes 1 and 2, and so would a
+    # border's coupling product through a threaded BLAS dot or gemm.
     def solve_out(threads):
         out = blas_scenes / f"{scene}-{kernel}-{threads}.txt"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from cara import kernels, so3
+from conftest import matrix_residuals
 
 
 def random_batch(m, seed, max_angle=np.pi - 1e-3):
@@ -130,7 +131,7 @@ def test_batch_log_across_switch_and_tiny_angles():
 
 
 def test_batch_log_matches_quaternion_on_products():
-    # Products of rotations, as in edge_residuals, are orthogonal only to
+    # Products of rotations, as in edge residuals, are orthogonal only to
     # ~1e-15; batch_log must still agree with the per-row Shepperd reference.
     rng = np.random.default_rng(6)
     Ri, Rj, Rij = (ScipyRotation.random(5000, random_state=rng).as_matrix()
@@ -163,7 +164,7 @@ def test_edge_residuals_past_switch_keep_their_angle():
     Ri, Rj = (ScipyRotation.random(200, random_state=rng).as_matrix() for _ in range(2))
     Rij = Rj @ ScipyRotation.from_rotvec([[0.0, 0.0, 3.0]] * 200).as_matrix() \
         @ np.transpose(Ri, (0, 2, 1))
-    res = kernels.edge_residuals(Ri, Rj, Rij)
+    res = matrix_residuals(Ri, Rj, Rij)
     np.testing.assert_allclose(np.linalg.norm(res, axis=1), 3.0, rtol=0, atol=1e-13)
 
 
@@ -239,7 +240,6 @@ def test_quat_residuals_match_scipy(angles):
     assert res.shape == (3, len(angles)) and theta.shape == (len(angles),)
     np.testing.assert_allclose(res.T, expected, rtol=0, atol=1e-13)
     np.testing.assert_allclose(theta, np.linalg.norm(expected, axis=1), rtol=0, atol=1e-13)
-    np.testing.assert_allclose(kernels.edge_residuals(Ri, Rj, Rij), expected, rtol=0, atol=1e-13)
 
 
 def test_quat_residuals_at_exactly_pi():
@@ -276,7 +276,7 @@ def test_edge_residuals_definition():
     Rj = np.stack([so3.random_rotation(rng) for _ in range(m)])
     Rij = np.stack([so3.random_rotation(rng) for _ in range(m)])
     expected = ScipyRotation.from_matrix(np.transpose(Rj, (0, 2, 1)) @ Rij @ Ri).as_rotvec()
-    np.testing.assert_allclose(kernels.edge_residuals(Ri, Rj, Rij), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(matrix_residuals(Ri, Rj, Rij), expected, rtol=0, atol=1e-12)
 
 
 def test_empty_batch():
@@ -286,7 +286,7 @@ def test_empty_batch():
     assert empty.shape == (2, 0) and empty.dtype == complex
     res, theta = kernels.quat_residuals(empty, empty, empty)
     assert res.shape == (3, 0) and theta.shape == (0,)
-    assert kernels.edge_residuals(*3 * [np.zeros((0, 3, 3))]).shape == (0, 3)
+    assert matrix_residuals(*3 * [np.zeros((0, 3, 3))]).shape == (0, 3)
 
 
 def test_edge_residuals_bypasses_public_batch_log(monkeypatch):
@@ -295,7 +295,7 @@ def test_edge_residuals_bypasses_public_batch_log(monkeypatch):
     calls = []
     monkeypatch.setattr(kernels, "batch_log", lambda Rs: calls.append(Rs))
     R = np.broadcast_to(np.eye(3), (4, 3, 3))
-    np.testing.assert_array_equal(kernels.edge_residuals(R, R, R), np.zeros((4, 3)))
+    np.testing.assert_array_equal(matrix_residuals(R, R, R), np.zeros((4, 3)))
     assert calls == []
 
 

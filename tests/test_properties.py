@@ -30,7 +30,7 @@ from cara import cli, kernels, metrics, so3, solver, synth, tree_init
 from cara import graph as gm
 from cara.errors import (DegenerateInputError, GraphParseError, InvalidArgumentError,
                          NotConnectedError)
-from conftest import edge_arrays
+from conftest import edge_arrays, matrix_residuals
 
 BASE = gm.serialize(synth.generate(synth.SyntheticSceneSpec(
     n=5, noise_sigma=math.radians(5), confidence_model="informative",
@@ -545,7 +545,7 @@ def _scatter(stream, rotations, order):
     """rhs of a Python loop over the edges in ``order``: each edge's
     w * residual subtracted at i and added at j."""
     ii, jj, w = stream.ii, stream.jj, stream.confidences
-    res = kernels.edge_residuals(rotations[ii], rotations[jj], stream.rotations)
+    res = matrix_residuals(rotations[ii], rotations[jj], stream.rotations)
     ref = np.zeros((stream.n_vertices, 3))
     for e in order:
         t = w[e] * res[e]

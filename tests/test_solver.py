@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import math
+import pathlib
 import time
 import weakref
 
@@ -378,7 +380,9 @@ def _dense_pairs(rng):
 
 def _sparse_pairs(rng):
     """A window-3 chain on vertices 0..198 plus vertex 199 hanging off 120
-    alone, in shuffled order: its Laplacian takes the banded factor."""
+    alone, in shuffled order: the RCM levels start at 199 and put both
+    sides of 120 in one level, a band of 8, so the pattern borders 120 (of
+    degree 7) unless 199 is the anchor."""
     pairs = [(i, j) for i in range(199) for j in range(i + 1, min(i + 4, 199))]
     return 200, (120, 199), pairs + [(120, 199)]
 
@@ -396,20 +400,23 @@ def _two_hub_pairs(n, window):
 
 def _hub_pairs(rng):
     """Two hubs on a window-3 chain of vertices 0..398, plus vertex 399
-    hanging off 120 alone: with either hub kept, the band is about as wide
-    as the matrix, and the Laplacian takes SuperLU."""
+    hanging off 120 alone: with either hub kept, the RCM band is about as
+    wide as the matrix, and the pattern borders the kept hubs."""
     return 400, (120, 399), [*zip(*_two_hub_pairs(399, 3)), (120, 399)]
 
 
 def _record_factorizations(monkeypatch):
-    """A list that gets (name, copy of the input) for every
-    ``cholesky_banded`` and ``splu`` call; the first overwrites its input."""
+    """A list that gets ("cholesky_banded", copy of the input) for every
+    ``cholesky_banded`` call, which overwrites its input: a band, then a
+    bordered pattern's Schur complement."""
     seen = []
-    for module, name in ((solver.la, "cholesky_banded"), (solver.spla, "splu")):
-        def record(a, *args, _real=getattr(module, name), _name=name, **kwargs):
-            seen.append((_name, a.copy()))
-            return _real(a, *args, **kwargs)
-        monkeypatch.setattr(module, name, record)
+    real = solver.la.cholesky_banded
+
+    def record(a, *args, **kwargs):
+        seen.append(("cholesky_banded", a.copy()))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(solver.la, "cholesky_banded", record)
     return seen
 
 
@@ -417,23 +424,39 @@ def _vertex_ordered(pattern, n, anchor):
     """Whether ``pattern`` is laid out as a dense one is: its kept vertices
     in their own order, and its band the whole upper triangle."""
     keep = np.delete(np.arange(n), anchor)
-    return (pattern.matrix is None and pattern.shape == (len(keep), len(keep))
+    return (pattern.border == 0 and pattern.shape == (len(keep), len(keep))
             and np.array_equal(pattern.order, keep))
 
 
+def _full(upper):
+    """The symmetric matrix whose upper band is ``upper``: band row u - d
+    holds the d-th superdiagonal."""
+    u = len(upper) - 1
+    a = sum(np.diag(upper[u - d, d:], d) for d in range(u + 1))
+    return np.triu(a) + np.triu(a, 1).T
+
+
 def _assembled(seen, pattern, w, anchor):
-    """The factorizer ``pattern.factor(w)`` calls and the matrix it hands
-    over, in full and in vertex order. The banded path fills the upper band
-    of a zeroed array, in ``order``; SuperLU takes the whole matrix."""
+    """The route ``pattern.factor(w)`` takes, "band" or "bordered", and the
+    matrix its slots lay out, in full and in vertex order: the band of the
+    rest, which must be what the first ``cholesky_banded`` is handed, and
+    a bordered pattern's upper border columns after it."""
     seen.clear()
     pattern.factor(w)
-    ((name, a),) = seen
-    if name == "splu":
-        full = a.toarray()
-    else:  # band row u - d holds the d-th superdiagonal
-        u = len(a) - 1
-        a = sum(np.diag(a[u - d, d:], d) for d in range(u + 1))
-        full = np.triu(a) + np.triu(a, 1).T
+    flat = np.zeros(pattern.size)
+    flat[pattern.slots] = -w
+    flat[pattern.diag] = (np.bincount(pattern.ii, w, minlength=pattern.n)
+                          + np.bincount(pattern.jj, w, minlength=pattern.n))[pattern.order]
+    h, (rows, nr) = pattern.border, pattern.shape
+    band = flat[:rows * nr].reshape(rows, nr, order="F")
+    assert np.array_equal(seen[0][1], band)
+    full = _full(band)
+    if h:
+        side, corner = np.split(flat[rows * nr:].reshape(nr + h, h, order="F"), [nr])
+        full = np.block([[full, side], [side.T, np.triu(corner) + np.triu(corner, 1).T]])
+        assert seen[1][1].shape == (h, h)
+    assert len(seen) == 1 + (h > 0)
+    name = "bordered" if h else "band"
     # order lists the kept vertices; their rank among the kept is the
     # reference's row.
     rank = pattern.order - (pattern.order > anchor)
@@ -444,22 +467,22 @@ def _assembled(seen, pattern, w, anchor):
 
 # The ids name the anchor vertex and the gauge, fix-root, the one the
 # solver has.
-@pytest.mark.parametrize("make_pairs, anchor, factorizer", [
-    pytest.param(_dense_pairs, 0, "cholesky_banded", id="0-fix-root"),
-    pytest.param(_dense_pairs, 4, "cholesky_banded", id="4-fix-root"),
-    pytest.param(_dense_pairs, 9, "cholesky_banded", id="9-fix-root"),
-    pytest.param(_dense_pairs, 6, "cholesky_banded", id="6-fix-root"),
-    pytest.param(_sparse_pairs, 0, "cholesky_banded", id="sparse-0-fix-root"),
-    pytest.param(_sparse_pairs, 57, "cholesky_banded", id="sparse-57-fix-root"),
-    pytest.param(_sparse_pairs, 198, "cholesky_banded", id="sparse-198-fix-root"),
-    pytest.param(_sparse_pairs, 199, "cholesky_banded", id="sparse-199-fix-root"),
-    pytest.param(_hub_pairs, 0, "splu", id="hub-0-fix-root"),
-    pytest.param(_hub_pairs, 57, "splu", id="hub-57-fix-root"),
+@pytest.mark.parametrize("make_pairs, anchor, route", [
+    pytest.param(_dense_pairs, 0, "band", id="0-fix-root"),
+    pytest.param(_dense_pairs, 4, "band", id="4-fix-root"),
+    pytest.param(_dense_pairs, 9, "band", id="9-fix-root"),
+    pytest.param(_dense_pairs, 6, "band", id="6-fix-root"),
+    pytest.param(_sparse_pairs, 0, "bordered", id="sparse-0-fix-root"),
+    pytest.param(_sparse_pairs, 57, "bordered", id="sparse-57-fix-root"),
+    pytest.param(_sparse_pairs, 198, "bordered", id="sparse-198-fix-root"),
+    pytest.param(_sparse_pairs, 199, "band", id="sparse-199-fix-root"),
+    pytest.param(_hub_pairs, 0, "bordered", id="hub-0-fix-root"),
+    pytest.param(_hub_pairs, 57, "bordered", id="hub-57-fix-root"),
 ])
-def test_laplacian_pattern_refill_matches_reference(monkeypatch, make_pairs, anchor,
-                                                    factorizer):
+def test_laplacian_pattern_refill_matches_reference(monkeypatch, make_pairs, anchor, route):
     # The anchors are the first, a middle and the last vertex, and the one
-    # of degree 1; on the hub scene, a hub and a middle vertex.
+    # of degree 1; on the hub scene, a hub (one hub kept) and a middle
+    # vertex (both kept).
     rng = np.random.default_rng(30)
     n, pendant, pairs = make_pairs(rng)
     order = rng.permutation(len(pairs))
@@ -474,7 +497,7 @@ def test_laplacian_pattern_refill_matches_reference(monkeypatch, make_pairs, anc
         w[rng.choice(len(ii), 2, replace=False)] = 1e-5 ** -1.5  # l_half scale
         w[(ii == pendant[0]) & (jj == pendant[1])] = 0.7
         name, assembled = _assembled(seen, pattern, w, anchor)
-        assert name == factorizer
+        assert name == route
         np.testing.assert_allclose(assembled, _reference_laplacian(n, ii, jj, w, anchor),
                                    rtol=1e-15, atol=0)
 
@@ -623,13 +646,13 @@ def test_stream_arrays_checked_for_length():
         gm.EdgeStream(3, [0, 1], [1, 2], [1.0, 1.0], None)
 
 
-def test_laplacian_pattern_refill_keeps_degenerate_errors_superlu():
+def test_laplacian_pattern_refill_keeps_degenerate_errors_bordered():
     # The hub scene's edge (120, 399) is a bridge, so the chain checks above
-    # carry over to the SuperLU factor.
+    # carry over to the bordered factor.
     n, (a, b), pairs = _hub_pairs(None)
     ii, jj = np.array(pairs).T
     pattern = solver._LaplacianPattern(n, ii, jj, 0)
-    assert pattern.matrix is not None
+    assert pattern.border
     rhs = np.random.default_rng(31).standard_normal((n, 3))
     w = np.linspace(0.5, 1.0, len(ii))
     base = pattern.factor(w)(rhs)
@@ -658,20 +681,41 @@ def _hub_case():
     return n, ii, jj, 57
 
 
-# Each case is factored in reverse Cuthill-McKee order (or by SuperLU) and
-# with the fill rule at 0, in vertex order with the whole upper triangle as
-# its band. The star's anchor is its centre, so no edge is kept and the RCM
-# band is the diagonal alone; with n = 2 one vertex is kept, a pattern the
-# fill rule makes dense unless it is raised. The hub scene takes SuperLU.
-@pytest.mark.parametrize("make_case, sparse_fill", [
-    (_window_pairs, None),
-    (lambda: (40, np.arange(39), np.arange(1, 40), 0), None),
-    (_erdos_pairs, None),
-    (lambda: (10, np.zeros(9, dtype=np.intp), np.arange(1, 10), 0), None),
-    (lambda: (2, np.array([0]), np.array([1]), 1), math.inf),
-    (_hub_case, None),
-], ids=["window-3-pendant", "chain-40", "erdos-60", "star-centre", "n-2", "two-hub"])
-def test_sparse_and_dense_factors_agree(monkeypatch, make_case, sparse_fill):
+def _hub_share_case():
+    """A window-3 chain of 1000 cameras whose camera 1 also sees 0.5% of
+    them, far along the chain: a hub of degree 7 that makes the RCM band
+    wide, bordered alone."""
+    ii = np.repeat(np.arange(1000), 3)
+    jj = ii + np.tile(np.arange(1, 4), 1000)
+    far = np.sort(np.random.default_rng(37).choice(np.arange(5, 1000), 5, replace=False))
+    return (1000, np.concatenate([ii[jj < 1000], np.ones(5, dtype=np.intp)]),
+            np.concatenate([jj[jj < 1000], far]), 0)
+
+
+def _erdos_border_case():
+    g = synth.generate(synth.SyntheticSceneSpec(
+        n=200, topology="erdos", erdos_p=0.05, noise_sigma=math.radians(5), seed=37)).graph
+    return g.n_vertices, g.ii, g.jj, tree_init._pick_root(g.n_vertices, g.ii, g.jj,
+                                                          g.confidences)
+
+
+# Each case is factored in reverse Cuthill-McKee order, bordered where
+# ``border`` says, and with the fill rule at 0, in vertex order with the
+# whole upper triangle as its band. The star's anchor is its centre, so no
+# edge is kept and the RCM band is the diagonal alone; with n = 2 one vertex
+# is kept, a pattern the fill rule makes dense unless it is raised.
+@pytest.mark.parametrize("make_case, sparse_fill, border", [
+    (_window_pairs, None, 1),
+    (lambda: (40, np.arange(39), np.arange(1, 40), 0), None, 0),
+    (_erdos_pairs, None, 0),
+    (lambda: (10, np.zeros(9, dtype=np.intp), np.arange(1, 10), 0), None, 0),
+    (lambda: (2, np.array([0]), np.array([1]), 1), math.inf, 0),
+    (_hub_case, None, 4),
+    (_hub_share_case, None, 1),
+    (_erdos_border_case, None, 1),
+], ids=["window-3-pendant", "chain-40", "erdos-60", "star-centre", "n-2", "two-hub",
+        "hub-share", "erdos-200"])
+def test_sparse_and_dense_factors_agree(monkeypatch, make_case, sparse_fill, border):
     n, ii, jj, anchor = make_case()
     rng = np.random.default_rng(36)
     w = rng.uniform(0.5, 1.5, len(ii))
@@ -685,9 +729,11 @@ def test_sparse_and_dense_factors_agree(monkeypatch, make_case, sparse_fill):
         monkeypatch.setattr(solver, "DENSE_FILL", fill)
         orderings.clear()
         pattern = solver._LaplacianPattern(n, ii, jj, anchor)
-        assert len(orderings) == (fill != 0.0)
+        assert (len(orderings) > 0) == (fill != 0.0)
         if fill == 0.0:
             assert _vertex_ordered(pattern, n, anchor)
+        else:
+            assert pattern.border == border
         solves.append(pattern.factor(w)(rhs))
     sparse, dense = solves
     assert not sparse[anchor].any()
@@ -697,8 +743,9 @@ def test_sparse_and_dense_factors_agree(monkeypatch, make_case, sparse_fill):
 def test_two_hub_pattern_factors_in_bounded_memory_and_time(monkeypatch, traced_peak):
     # One hub is the anchor; the other keeps an arrow matrix, whose RCM band
     # is nearly the whole 2999 x 2999 matrix: a banded factor peaks at
-    # 72.5 MB and takes 0.12 s. SuperLU's order keeps the factor sparse: the
-    # pattern and one factor peak at 2.63 MB, and a factor takes 7 ms.
+    # 72.5 MB and takes 0.12 s. Bordering the kept hub leaves a window-10
+    # band and a 1 x 1 Schur complement: the pattern and one factor peak at
+    # 1.53 MB, and a factor takes 0.8 ms (SuperLU's took 2.63 MB and 7 ms).
     n = 3000
     ii, jj = _two_hub_pairs(n, 10)
     rng = np.random.default_rng(37)
@@ -720,7 +767,7 @@ def test_two_hub_pattern_factors_in_bounded_memory_and_time(monkeypatch, traced_
     assert min(times) <= 0.05
     seen = _record_factorizations(monkeypatch)
     pattern.factor(w)
-    assert [name for name, _ in seen] == ["splu"]
+    assert [a.shape for _, a in seen] == [(11, n - 2), (1, 1)]
     keep = np.delete(np.arange(n), anchor)
     laplacian = sp.csr_matrix(sp.coo_matrix(
         (np.concatenate([w, w, -w, -w]),
@@ -731,6 +778,46 @@ def test_two_hub_pattern_factors_in_bounded_memory_and_time(monkeypatch, traced_
     assert not delta[anchor].any()
     np.testing.assert_allclose(laplacian @ delta[keep], rhs[keep], rtol=0,
                                atol=1e-10 * np.abs(rhs).max())
+
+
+def test_chain_takes_one_ordering_and_two_hubs_border_the_kept_hub(monkeypatch):
+    # A window-10 chain's RCM band (10) is narrower than its mean degree
+    # (19.95), so its pattern orders once and tries no border. Of two hubs,
+    # the anchor is one; the other, kept, is the border.
+    orderings = []
+    real_rcm = solver.csgraph.reverse_cuthill_mckee
+    monkeypatch.setattr(solver.csgraph, "reverse_cuthill_mckee",
+                        lambda *args, **kwargs: orderings.append(1) or real_rcm(*args, **kwargs))
+    g = synth.generate(synth.SyntheticSceneSpec(
+        n=2000, topology="chain_window", chain_window=10, noise_sigma=math.radians(5),
+        confidence_model="informative", seed=3)).graph
+    anchor = tree_init._pick_root(g.n_vertices, g.ii, g.jj, g.confidences)
+    pattern = solver._LaplacianPattern(g.n_vertices, g.ii, g.jj, anchor)
+    assert len(orderings) == 1
+    assert pattern.border == 0 and pattern.shape == (11, 1999)
+    n = 3000
+    ii, jj = _two_hub_pairs(n, 10)
+    w = np.random.default_rng(37).uniform(0.5, 1.5, len(ii))
+    anchor = tree_init._pick_root(n, ii, jj, w)
+    pattern = solver._LaplacianPattern(n, ii, jj, anchor)
+    assert pattern.border == 1 and pattern.order[-1] == 1 - anchor
+    assert pattern.shape == (11, n - 2)
+
+
+def test_no_module_imports_sparse_linalg():
+    # One factor family: every Laplacian takes LAPACK's banded Cholesky, and
+    # nothing in the package reaches SuperLU.
+    root = pathlib.Path(solver.__file__).parent
+    imported = set()
+    for path in root.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+                imported.add(node.module)
+    assert "scipy.sparse" in imported
+    assert not any(name.startswith("scipy.sparse.linalg") for name in imported)
 
 
 def test_irls_builds_laplacian_pattern_once(monkeypatch):

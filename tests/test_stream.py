@@ -12,7 +12,7 @@ from cara import cli, kernels, so3, solver, stream, synth, tree_init
 from cara.errors import (DegenerateWeightsError, GraphParseError, InvalidArgumentError,
                          NotConnectedError)
 from cara.synth import SyntheticSceneSpec
-from conftest import edge_arrays
+from conftest import edge_arrays, matrix_residuals
 
 
 def _solve_file(path, kernel=solver.RobustKernel(), config=solver.SolveConfig()):
@@ -341,7 +341,7 @@ def test_rhs_independent_of_chunking(scene_file, monkeypatch, chunk_size):
     assert w_w is whole.confidences and w_c is chunked.confidences
     # reference: one unbuffered scatter of the signed terms in edge order
     ii, jj, conf = g.ii, g.jj, g.confidences
-    wres = conf[:, None] * kernels.edge_residuals(init[ii], init[jj], g.rotations)
+    wres = conf[:, None] * matrix_residuals(init[ii], init[jj], g.rotations)
     ref = np.zeros((g.n_vertices, 3))
     np.add.at(ref, np.column_stack([ii, jj]).ravel(),
               np.stack([-wres, wres], axis=1).reshape(-1, 3))
