@@ -196,20 +196,23 @@ def _validated_vertices(n, seen, ids, tags, rots):
     return np.array(ids, dtype=np.intp), rots
 
 
-def rising(ii, jj) -> bool:
-    """Whether the pairs (ii[k], jj[k]) rise strictly with k, by ii and then
-    by jj, as :func:`cara.synth.generate` makes them: one O(M) pass."""
-    return bool(((ii[1:] > ii[:-1]) | ((ii[1:] == ii[:-1]) & (jj[1:] > jj[:-1]))).all())
+def pair_order(ii, jj) -> np.ndarray | None:
+    """The one sort of edges by pair: None where the pairs (ii[k], jj[k])
+    rise strictly with k, by ii and then by jj, as :func:`cara.synth.generate`
+    makes them, which one O(M) pass tells; else the stable sort of the rows
+    by (ii, jj), which keeps equal pairs in row order."""
+    if ((ii[1:] > ii[:-1]) | ((ii[1:] == ii[:-1]) & (jj[1:] > jj[:-1]))).all():
+        return None
+    return np.lexsort((jj, ii))
 
 
 def _first_duplicate(ii, jj) -> int | None:
     """Row of the first normalized edge repeating an earlier pair, or None.
-    Strictly rising pairs are free of repeats; else a stable sort by pair
+    Strictly rising pairs are free of repeats; else :func:`pair_order`
     keeps equal pairs in file order, and the first repeat is the smallest
     row of a group past its first member."""
-    if rising(ii, jj):
+    if (order := pair_order(ii, jj)) is None:
         return None
-    order = np.lexsort((jj, ii))
     a, b = ii[order], jj[order]
     later = order[1:][(a[1:] == a[:-1]) & (b[1:] == b[:-1])]
     return int(later.min()) if len(later) else None

@@ -119,17 +119,25 @@ class SolveReport:
     stop_reason: str = ""  # residual_tolerance | relative_tolerance | iteration_cap
 
 
+def _start(n, rotations) -> np.ndarray:
+    """The one start check: n vertex rotations by the readers' rule, on a
+    copy, so that no report aliases the caller's array. The shape is
+    checked first, so a start of the wrong length fails before any O(N)
+    work."""
+    R = np.array(rotations, dtype=float)
+    if R.shape != (n, 3, 3):
+        raise InvalidArgumentError(f"expected {n} rotations, got shape {R.shape}")
+    return so3.as_rotations(R)
+
+
 def cal_loss(g: EdgeStream, rotations: np.ndarray) -> float:
-    """Confidence-weighted sum of squared residual angles, swept over the
-    stream's quaternion pairs, so any EdgeStream will do; the expression of
-    a solve's ``loss_history``, so a solve's first entry has the same bits."""
-    rotations = np.asarray(rotations, dtype=float)
-    if rotations.shape != (g.n_vertices, 3, 3):
-        raise InvalidArgumentError(
-            f"expected {g.n_vertices} rotations, got shape {rotations.shape}")
-    q = kernels.batch_quat(so3.as_rotations(rotations))
-    theta = kernels.quat_residuals(q[:, g.ii], q[:, g.jj], g.quaternions)[1]
-    return float(g.confidences @ theta ** 2)
+    """Confidence-weighted sum of squared residual angles over any
+    EdgeStream: a confidence solve's own first sweep (:func:`_residual_pass`)
+    from the same start check (:func:`_start`), so its value has the bits
+    of the solve's ``loss_history[0]`` and the sweep's memory, one chunk's
+    buffers past its O(N + M) outputs."""
+    conf = g.confidences
+    return float(conf @ _residual_pass(g, _start(g.n_vertices, rotations), conf)[1] ** 2)
 
 
 def _check_connectivity(n, ii, jj, conf=None):
@@ -336,11 +344,8 @@ def _solve(stream: EdgeStream, initial_rotations, kernel: RobustKernel | None,
     kernel re-weights the edges from each sweep's residual angles and
     refills the pattern at every step."""
     n, ii, jj, conf = stream.n_vertices, stream.ii, stream.jj, stream.confidences
+    R = _start(n, initial_rotations)
     _check_connectivity(n, ii, jj, conf if kernel is None else None)
-    # The readers' rule, on a copy, so that no report aliases the caller's array.
-    R = so3.as_rotations(np.array(initial_rotations, dtype=float))
-    if len(R) != n:
-        raise InvalidArgumentError(f"expected {n} initial rotations, got {R.shape}")
     anchor = _pick_root(n, ii, jj, conf)
     laplacian = _LaplacianPattern(n, ii, jj, anchor)
     if kernel is None:

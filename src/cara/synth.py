@@ -91,7 +91,7 @@ def _topology_pairs(spec: SyntheticSceneSpec, rng) -> tuple[np.ndarray, np.ndarr
     # erdos: re-draw until connected
     for _ in range(ERDOS_MAX_RETRIES):
         keep = rng.random(len(ii)) < spec.erdos_p
-        if len(graphmod.components(n, ii[keep], jj[keep])) == 1:
+        if graphmod.component_count(n, ii[keep], jj[keep]) == 1:
             return ii[keep], jj[keep]
     raise GenerationError(
         f"erdos(p={spec.erdos_p}) stayed disconnected after "
@@ -216,13 +216,11 @@ def confidence_error_table(scene: SyntheticScene, n_bins: int):
 
 
 def serialize_labels(scene: SyntheticScene) -> str:
-    """Sidecar label file: LABEL <i> <j> <inlier|outlier> <true_error_rad>."""
-    lines = []
-    for i, j, lab, err in zip(scene.graph.ii.tolist(), scene.graph.jj.tolist(),
-                              scene.edge_labels, scene.true_edge_errors):
-        word = "inlier" if lab else "outlier"
-        lines.append(f"LABEL {i} {j} {word} {err:.17g}")
-    return "\n".join(lines) + "\n"
+    """Sidecar label file: LABEL <i> <j> <inlier|outlier> <true_error_rad>,
+    the error to 17 significant digits, as :func:`cara.graph.serialize` writes."""
+    g, words = scene.graph, np.where(scene.edge_labels, "inlier", "outlier").tolist()
+    return "\n".join(["LABEL %d %d %s %.17g" % row for row in zip(
+        g.ii.tolist(), g.jj.tolist(), words, scene.true_edge_errors.tolist())]) + "\n"
 
 
 def parse_labels(text: str):

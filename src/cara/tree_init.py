@@ -1,9 +1,10 @@
 """Initialization from a maximum spanning tree over edge confidences.
 
 The tree is scipy's minimum spanning tree over each edge's rank under
-(-c, i, j), so the highest-confidence edges win and ties break toward
-the smallest pair; absolute rotations are then chained outward from the
-root in breadth-first order, as products of the edges' quaternion pairs.
+(-c, min(i, j), max(i, j)), so the highest-confidence edges win and ties
+break toward the smallest stored pair; absolute rotations are then
+chained outward from the root in breadth-first order, as products of the
+edges' quaternion pairs.
 Both take any :class:`cara.graph.EdgeStream` and read its indices,
 confidences and pairs, never its rotation stack, so the in-memory graph,
 its pairs alone and the ``--stream`` file scan share them.
@@ -17,7 +18,7 @@ from scipy.sparse import csgraph
 
 from . import so3
 from .errors import InvalidArgumentError, NotConnectedError
-from .graph import EdgeStream, components, csr, rising, vertex_sums
+from .graph import EdgeStream, components, csr, pair_order, vertex_sums
 
 LOW_CONFIDENCE_WARN = 0.01
 
@@ -56,31 +57,37 @@ def _too_few_edges(n, ii, jj) -> NotConnectedError:
 
 
 def _rank_order(ii, jj, conf) -> np.ndarray:
-    """The edges sorted by the key (-c, i, j): ``np.lexsort((jj, ii, -conf))``.
+    """The edges sorted by the key (-c, min(i, j), max(i, j)), that is
+    ``np.lexsort((np.maximum(ii, jj), np.minimum(ii, jj), -conf))``.
 
-    Where the pairs rise, edge order is (i, j) order, so one sort by -c
-    whose runs of equal keys are then put back in edge order gives the
-    same permutation at about a third of the cost: each edge's key becomes
-    its run's number times M plus its position (M^2 < 2^63), and one
-    integer sort of those keys leaves each position as its remainder."""
-    if not rising(ii, jj):
-        return np.lexsort((jj, ii, -conf))
-    m = len(ii)
+    The pairs are taken as stored, (min, max), and put in pair order by
+    :func:`cara.graph.pair_order`, which is edge order where they rise.
+    Then one sort by -c, whose runs of equal keys are put back in pair
+    order, gives the key's permutation at about a third of a 3-key sort's
+    cost: each edge's key becomes its run's number times M plus its place
+    in pair order (M^2 < 2^63), and one integer sort of those keys leaves
+    each place as its remainder."""
+    if (ii > jj).any():
+        ii, jj = np.minimum(ii, jj), np.maximum(ii, jj)
+    m, pairs = len(ii), pair_order(ii, jj)
+    if pairs is not None:
+        conf = conf[pairs]
     order = np.argsort(-conf)
     c = conf[order]
     order[1:] += m * np.cumsum(c[1:] != c[:-1])
     order.sort()
     order %= m
-    return order
+    return order if pairs is None else pairs[order]
 
 
 def maximum_spanning_tree(g: EdgeStream) -> SpanningTree:
     """Deterministic maximum spanning tree of the confidence graph.
 
-    Edges are ranked 1..M by the strict key (-c, i, j), so ties between
-    equal-confidence edges go to the lexicographically smallest
-    (min(i,j), max(i,j)) pair; the minimum spanning tree of those distinct
-    ranks is unique and independent of edge input order.
+    Edges are ranked 1..M by the strict key (-c, min(i,j), max(i,j)) of
+    :func:`_rank_order`, so ties between equal-confidence edges go to the
+    lexicographically smallest stored pair, whichever way round the stream
+    holds it; the minimum spanning tree of those distinct ranks is unique
+    and independent of edge input order and orientation.
     """
     ii, jj, conf = g.ii, g.jj, g.confidences
     n = g.n_vertices

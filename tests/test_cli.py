@@ -331,7 +331,8 @@ def test_benchmark_scenes_never_sort_for_repeats(tmp_path, capsys, monkeypatch):
     # synth.generate makes its pairs in rising order and serialize keeps
     # it, so the generator's build and both searches of `cara solve` (the
     # reader's and the stream constructor's) find no repeat in one pass,
-    # without the lexsort, on the benchmarks' chain file and dense scene.
+    # and the tree ranks the edges, all without pair_order's lexsort, on
+    # the benchmarks' chain file and dense scene.
     calls, sorts = [], []
     first_duplicate, lexsort = gm._first_duplicate, np.lexsort
 
@@ -340,7 +341,7 @@ def test_benchmark_scenes_never_sort_for_repeats(tmp_path, capsys, monkeypatch):
         return first_duplicate(ii, jj)
 
     def spying(keys, *args, **kwargs):
-        if sys._getframe(1).f_code is first_duplicate.__code__:
+        if sys._getframe(1).f_code is gm.pair_order.__code__:
             sorts.append(len(keys[0]))
         return lexsort(keys, *args, **kwargs)
 

@@ -390,11 +390,15 @@ def ranked_edges(draw):
 @given(ranked_edges())
 @example((np.array([0, 0, 1, 2]), np.array([1, 2, 2, 3]), np.array([0.5, -0.0, 0.5, 0.0])))
 @example((np.array([2, 0, 1]), np.array([3, 1, 2]), np.array([1.0, 1.0, 0.0])))
+@example((np.array([0, 3, 2]), np.array([1, 0, 1]), np.array([0.0, 0.0, 0.0])))
 def test_rank_order_matches_lexsort_reference(case):
-    # Rising pairs take one sort by confidence and an integer sort of the
-    # tied runs; the rest take the lexsort itself.
+    # Every order takes one sort by confidence and an integer sort of the
+    # tied runs, after pair_order where the stored pairs do not rise. The
+    # reference is the documented key on the stored (min, max) pairs: the
+    # raw orientation ranked the reversed (3, 0) after (1, 2) and (0, 1).
     ii, jj, conf = case
-    assert np.array_equal(tree_init._rank_order(ii, jj, conf), np.lexsort((jj, ii, -conf)))
+    assert np.array_equal(tree_init._rank_order(ii, jj, conf),
+                          np.lexsort((np.maximum(ii, jj), np.minimum(ii, jj), -conf)))
 
 
 @given(tied_graph())

@@ -632,6 +632,33 @@ def test_solve_checks_its_start(solve):
     assert not np.shares_memory(report.rotations, start)
 
 
+@pytest.mark.parametrize("read", [
+    solver.cal_loss, solver.cao_solve,
+    lambda g, init: solver.irls_solve(g, init, RobustKernel(kind="cauchy"))],
+    ids=["cal_loss", "cao", "irls"])
+def test_start_length_checked_before_any_o_n_work(read):
+    # An O(N) array at N = 10^15 fails at once: the solves built the
+    # connectivity check's CSR before they read the start's length, and
+    # died with a MemoryError of 7.11 PiB.
+    g = gm.EdgeStream(10 ** 15, [0], [1], [1.0], np.eye(3)[None])
+    with pytest.raises(InvalidArgumentError, match="expected 1000000000000000 rotations"):
+        read(g, np.eye(3)[None])
+
+
+def test_cal_loss_is_a_solves_first_sweep(traced_peak):
+    # cal_loss is the solve's own first sweep, so it has the bits of
+    # loss_history[0] and the sweep's chunked memory: 40 B an edge on the
+    # 8000-camera chain, where its own unchunked residuals read 147.
+    g = synth.generate(synth.SyntheticSceneSpec(
+        n=8000, topology="chain_window", chain_window=10,
+        noise_sigma=math.radians(5), seed=0)).graph
+    init = cai(g)
+    loss, peak = traced_peak(lambda: solver.cal_loss(g, init))
+    assert len(g.ii) == 79945
+    assert peak <= 60 * len(g.ii)
+    assert loss == solver.cao_solve(g, init).loss_history[0]
+
+
 def test_stream_arrays_checked_for_length():
     rots = np.stack([np.eye(3)] * 2)
     for ii, jj, conf, rotations, pairs in (
@@ -818,6 +845,38 @@ def test_no_module_imports_sparse_linalg():
                 imported.add(node.module)
     assert "scipy.sparse" in imported
     assert not any(name.startswith("scipy.sparse.linalg") for name in imported)
+
+
+def _calls(path):
+    """(innermost enclosing function, name) of every call in a module; the
+    name is a bare name's or an attribute's, and a module-level call's
+    function is None."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            found.add((owner, func.attr if isinstance(func, ast.Attribute)
+                       else getattr(func, "id", None)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_one_residual_sweep_and_one_pair_order():
+    # The tree ranks its edges through graph.pair_order, with no lexsort
+    # of its own, and outside kernels only the solver's sweep forms edge
+    # residuals; cal_loss is that sweep.
+    root = pathlib.Path(solver.__file__).parent
+    assert "lexsort" not in {name for _, name in _calls(root / "tree_init.py")}
+    residual = {"conj_product", "residual_log", "quat_residuals"}
+    callers = {(path.stem, owner) for path in root.glob("*.py") if path.stem != "kernels"
+               for owner, name in _calls(path) if name in residual}
+    assert callers == {("solver", "_residual_pass")}
 
 
 def test_irls_builds_laplacian_pattern_once(monkeypatch):

@@ -111,6 +111,14 @@ class TestMaximumSpanningTree:
             trees.append(tuple(sorted(tree_pairs(tree))))
         assert len(set(trees)) == 1
 
+    def test_reversed_library_pair_ties_by_stored_pair(self):
+        # A library stream may hold a pair as (2, 0). Its tie with (1, 2)
+        # goes to the stored (0, 2), as through build; ranking the raw
+        # orientation chose (1, 2).
+        ii, jj, conf, rots = [0, 1, 2], [1, 2, 0], [1.0, 0.5, 0.5], np.stack([np.eye(3)] * 3)
+        for g in (EdgeStream(3, ii, jj, conf, rots), gm.build(3, ii, jj, rots, conf)):
+            assert tree_pairs(tree_init.maximum_spanning_tree(g)) == {(0, 1), (0, 2)}
+
     def test_low_confidence_diagnostic(self):
         g = make_graph(3, [(0, 1, 0.9), (1, 2, 0.001)])
         tree = tree_init.maximum_spanning_tree(g)
